@@ -7,7 +7,6 @@
  *   XED_MC_SYSTEMS  -- Monte-Carlo systems per scheme (reliability)
  *   XED_MC_THREADS  -- Monte-Carlo worker threads (default: hardware
  *                      concurrency; results are thread-count invariant)
- *   XED_MC_SAMPLER  -- Poisson count sampler: knuth (default) or invcdf
  *   XED_PERF_OPS    -- memory ops per core (performance)
  * so the full-fidelity (paper-scale) runs are one env var away.
  *
@@ -21,9 +20,6 @@
 #define XED_BENCH_BENCH_UTIL_HH
 
 #include <cstdint>
-#include <cstdlib>
-#include <stdexcept>
-#include <string>
 #include <thread>
 
 #include "common/env.hh"
@@ -72,29 +68,8 @@ mcSeed(std::uint64_t fallback)
 }
 
 /**
- * Poisson count sampler: XED_MC_SAMPLER ("knuth" or "invcdf"), else
- * the fallback (Knuth, the bit-identical golden path). Anything else
- * throws -- a typo'd sampler must not silently run the golden path.
- */
-inline faultsim::PoissonSampler
-mcSampler(faultsim::PoissonSampler fallback =
-              faultsim::PoissonSampler::Knuth)
-{
-    if (const char *value = std::getenv("XED_MC_SAMPLER")) {
-        const auto parsed = faultsim::parsePoissonSampler(value);
-        if (!parsed)
-            throw std::runtime_error(
-                std::string("XED_MC_SAMPLER: expected \"knuth\" or "
-                            "\"invcdf\", got \"") +
-                value + "\"");
-        return *parsed;
-    }
-    return fallback;
-}
-
-/**
- * The standard reliability-bench configuration: systems, seed and
- * sampler resolved from the environment with the bench's defaults.
+ * The standard reliability-bench configuration: systems and seed
+ * resolved from the environment with the bench's defaults.
  * Threads stay 0 ("auto"), which the engine resolves to
  * XED_MC_THREADS and then the hardware.
  */
@@ -104,7 +79,6 @@ mcConfig(std::uint64_t defaultSeed, std::uint64_t systemsFallback = 1000000)
     faultsim::McConfig cfg;
     cfg.systems = mcSystems(systemsFallback);
     cfg.seed = mcSeed(defaultSeed);
-    cfg.sampler = mcSampler();
     return cfg;
 }
 

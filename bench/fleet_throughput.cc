@@ -7,7 +7,7 @@
  *
  * Knobs (see bench_util.hh): XED_MC_SYSTEMS scales the fleet size
  * (default 200k DIMMs, split 2:1:1 over the cohorts), XED_MC_SEED /
- * XED_MC_SAMPLER / XED_MC_THREADS select the workload variant,
+ * XED_MC_THREADS select the workload variant,
  * XED_BENCH_REPEATS (default 3) controls the best-of repetition
  * count, and XED_BENCH_OUT overrides the JSON output path (empty
  * string suppresses the file, e.g. for the perf-smoke ctest label).
@@ -40,12 +40,10 @@ seconds(const std::chrono::steady_clock::time_point &t0,
 
 /** The fleet_1m workload shape at an arbitrary scale. */
 FleetConfig
-workload(std::uint64_t dimms, std::uint64_t seed,
-         faultsim::PoissonSampler sampler)
+workload(std::uint64_t dimms, std::uint64_t seed)
 {
     FleetConfig config;
     config.seed = seed;
-    config.sampler = sampler;
     const struct
     {
         const char *name;
@@ -110,8 +108,7 @@ int
 main()
 try {
     const std::uint64_t dimms = bench::mcSystems(200000);
-    const FleetConfig config = workload(
-        dimms, bench::mcSeed(160301), bench::mcSampler());
+    const FleetConfig config = workload(dimms, bench::mcSeed(160301));
     const std::uint64_t total = config.setup.totalDimms();
 
     unsigned repeats = static_cast<unsigned>(
@@ -123,11 +120,10 @@ try {
 
     std::printf("Fleet-lifetime engine throughput "
                 "(fleet_1m workload, %llu DIMMs, %u epochs, "
-                "seed %llu, %s)\n",
+                "seed %llu)\n",
                 static_cast<unsigned long long>(total),
                 config.epochs(),
-                static_cast<unsigned long long>(config.seed),
-                faultsim::poissonSamplerName(config.sampler));
+                static_cast<unsigned long long>(config.seed));
 
     // Warm up allocators, page in the binary, settle the clock.
     {
@@ -155,8 +151,6 @@ try {
         doc.set("dimms", total);
         doc.set("epochs", config.epochs());
         doc.set("seed", config.seed);
-        doc.set("sampler",
-                faultsim::poissonSamplerName(config.sampler));
         doc.set("repeats", repeats);
         doc.set("build", buildInfoJson());
         auto entry = json::Value::object();

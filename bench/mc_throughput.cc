@@ -5,7 +5,7 @@
  * serial and threaded, written as BENCH_mc_throughput.json.
  *
  * Knobs (see bench_util.hh): XED_MC_SYSTEMS scales the measured run
- * (default 1M), XED_MC_SEED / XED_MC_SAMPLER / XED_MC_THREADS select
+ * (default 1M), XED_MC_SEED / XED_MC_THREADS select
  * the workload variant, XED_BENCH_REPEATS (default 3) controls the
  * best-of repetition count, and XED_BENCH_OUT overrides the JSON
  * output path (empty string suppresses the file, e.g. for the
@@ -72,10 +72,9 @@ try {
                                 SchemeKind::Chipkill};
 
     std::printf("Monte-Carlo sampling-kernel throughput "
-                "(fig07 workload, %llu systems, seed %llu, %s)\n",
+                "(fig07 workload, %llu systems, seed %llu)\n",
                 static_cast<unsigned long long>(cfg.systems),
-                static_cast<unsigned long long>(cfg.seed),
-                poissonSamplerName(cfg.sampler));
+                static_cast<unsigned long long>(cfg.seed));
     std::printf("%-12s %14s %14s %12s\n", "scheme", "serial sys/s",
                 "threaded sys/s", "threads");
 
@@ -205,7 +204,6 @@ try {
         doc.set("table2_read_path", std::move(readPathJson));
         doc.set("systems", cfg.systems);
         doc.set("seed", cfg.seed);
-        doc.set("sampler", poissonSamplerName(cfg.sampler));
         doc.set("repeats", repeats);
         doc.set("build", buildInfoJson());
         doc.set("results", std::move(results));

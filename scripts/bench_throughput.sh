@@ -9,7 +9,7 @@
 #
 # stage: "mc", "codecs", "fleet", or "all" (default). Respects the
 # usual knobs: XED_MC_SYSTEMS (default 1M; fleet default 200k DIMMs),
-# XED_MC_SEED, XED_MC_SAMPLER, XED_MC_THREADS for the mc and fleet
+# XED_MC_SEED, XED_MC_THREADS for the mc and fleet
 # stages; XED_CODEC_OPS (default 150k) for the codec stage;
 # XED_BENCH_REPEATS for all. XED_BENCH_OUT overrides the output path,
 # but only when a single stage is selected.

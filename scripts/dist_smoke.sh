@@ -12,7 +12,7 @@
 # pass specs/fig07.json with XED_MC_SYSTEMS exported to shrink the
 # paper-scale spec instead (the override is part of the spec hash, so
 # every process of one smoke must see the same value -- export it
-# before calling, as scripts/check_distributed.sh does).
+# before calling, as scripts/check.sh dist does).
 #
 # Usage: scripts/dist_smoke.sh <xed_campaign-binary> [spec] [workdir]
 set -eu

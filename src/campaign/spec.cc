@@ -1,10 +1,9 @@
 #include "campaign/spec.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/env.hh"
 
@@ -116,6 +115,20 @@ class SpecReader
         return v->asUint();
     }
 
+    /** getUint() for 32-bit fields: a value that would not survive
+     *  the narrowing (4294967300 -> 4) is an error, not a wrap. */
+    unsigned
+    getUint32(const std::string &key, unsigned fallback)
+    {
+        const std::uint64_t value = getUint(key, fallback);
+        if (value > std::numeric_limits<unsigned>::max()) {
+            fail("\"" + key + "\" must be at most " +
+                 std::to_string(std::numeric_limits<unsigned>::max()));
+            return fallback;
+        }
+        return static_cast<unsigned>(value);
+    }
+
     double
     getDouble(const std::string &key, double fallback)
     {
@@ -181,17 +194,22 @@ validName(const std::string &name)
     return true;
 }
 
+/**
+ * The Poisson fault-count sampler named in the canonical form of
+ * reliability and fleet specs. Knuth is the only one, but the key
+ * stays in specToJson: it is part of every spec hash and store
+ * manifest, so dropping it would change their bytes.
+ */
+constexpr const char *samplerName = "knuth";
+
 /** "sampler" key shared by reliability and fleet specs. */
 void
-parseSamplerKey(SpecReader &reader, CampaignSpec &spec)
+parseSamplerKey(SpecReader &reader)
 {
-    const std::string samplerName = reader.getString(
-        "sampler", faultsim::poissonSamplerName(spec.sampler));
-    if (const auto sampler = faultsim::parsePoissonSampler(samplerName))
-        spec.sampler = *sampler;
-    else
-        reader.fail("unknown sampler \"" + samplerName +
-                    "\" (expected knuth or invcdf)");
+    const std::string name = reader.getString("sampler", samplerName);
+    if (reader.ok() && name != samplerName)
+        reader.fail("\"sampler\" must be \"knuth\", got \"" + name +
+                    "\"");
 }
 
 /** "onDie" object shared by reliability and fleet specs. */
@@ -280,12 +298,11 @@ parseReliabilityKeys(SpecReader &reader, CampaignSpec &spec)
     spec.systems = reader.getUint("systems", spec.systems);
     spec.shardSystems = reader.getUint("shardSystems", spec.shardSystems);
     spec.years = reader.getDouble("years", spec.years);
-    spec.channels = static_cast<unsigned>(
-        reader.getUint("channels", spec.channels));
+    spec.channels = reader.getUint32("channels", spec.channels);
     spec.scrubIntervalHours =
         reader.getDouble("scrubIntervalHours", spec.scrubIntervalHours);
 
-    parseSamplerKey(reader, spec);
+    parseSamplerKey(reader);
     parseOnDieKey(reader, spec.onDie);
     parseFitOverridesKey(reader, spec.fit);
     if (!reader.ok())
@@ -381,8 +398,7 @@ parseDetectionKeys(SpecReader &reader, CampaignSpec &spec)
         spec.patterns = {"random", "burst"};
     }
 
-    spec.maxWeight = static_cast<unsigned>(
-        reader.getUint("maxWeight", spec.maxWeight));
+    spec.maxWeight = reader.getUint32("maxWeight", spec.maxWeight);
     spec.trials = reader.getUint("trials", spec.trials);
     spec.shardTrials = reader.getUint("shardTrials", spec.shardTrials);
 
@@ -401,7 +417,7 @@ parseFleetKeys(SpecReader &reader, CampaignSpec &spec)
     spec.fleet.epochHours =
         reader.getDouble("epochHours", spec.fleet.epochHours);
     spec.shardDimms = reader.getUint("shardDimms", spec.shardDimms);
-    parseSamplerKey(reader, spec);
+    parseSamplerKey(reader);
     parseOnDieKey(reader, spec.onDie);
     if (!reader.ok())
         return;
@@ -414,11 +430,10 @@ parseFleetKeys(SpecReader &reader, CampaignSpec &spec)
         SpecReader sub(*policies);
         auto &p = spec.fleet.policies;
         p.replaceOnDue = sub.getBool("replaceOnDue", p.replaceOnDue);
-        p.replacementLagEpochs = static_cast<unsigned>(sub.getUint(
-            "replacementLagEpochs", p.replacementLagEpochs));
-        p.retireAfterPermanentFaults = static_cast<unsigned>(
-            sub.getUint("retireAfterPermanentFaults",
-                        p.retireAfterPermanentFaults));
+        p.replacementLagEpochs =
+            sub.getUint32("replacementLagEpochs", p.replacementLagEpochs);
+        p.retireAfterPermanentFaults = sub.getUint32(
+            "retireAfterPermanentFaults", p.retireAfterPermanentFaults);
         p.canaryDueThreshold =
             sub.getDouble("canaryDueThreshold", p.canaryDueThreshold);
         sub.finish();
@@ -458,8 +473,8 @@ parseFleetKeys(SpecReader &reader, CampaignSpec &spec)
         cohort.dimms = sub.getUint("dimms", 0, true);
         if (sub.ok() && cohort.dimms == 0)
             sub.fail("cohort \"dimms\" must be > 0");
-        cohort.deployEpoch = static_cast<unsigned>(
-            sub.getUint("deployEpoch", cohort.deployEpoch));
+        cohort.deployEpoch =
+            sub.getUint32("deployEpoch", cohort.deployEpoch);
         cohort.canary = sub.getBool("canary", cohort.canary);
         cohort.scrubIntervalHours = sub.getDouble(
             "scrubIntervalHours", cohort.scrubIntervalHours);
@@ -558,9 +573,7 @@ parseSpec(const json::Value &doc, std::string *error)
         reader.fail("unknown campaign kind \"" + kind + "\"");
 
     spec.seed = reader.getUint("seed", 0, true);
-    spec.threads = static_cast<unsigned>(reader.getUint("threads", 0));
-    spec.evalBatch =
-        static_cast<unsigned>(reader.getUint("evalBatch", 0));
+    spec.threads = reader.getUint32("threads", 0);
 
     if (reader.ok()) {
         if (spec.kind == CampaignKind::Reliability)
@@ -619,17 +632,6 @@ applyEnvOverrides(CampaignSpec &spec)
     } else if (spec.kind == CampaignKind::Detection) {
         readEnv("XED_TRIALS", spec.trials);
     }
-    if (spec.kind != CampaignKind::Detection) {
-        if (const char *value = std::getenv("XED_MC_SAMPLER")) {
-            const auto sampler = faultsim::parsePoissonSampler(value);
-            if (!sampler)
-                throw std::runtime_error(
-                    std::string("XED_MC_SAMPLER: expected \"knuth\" or "
-                                "\"invcdf\", got \"") +
-                    value + "\"");
-            spec.sampler = *sampler;
-        }
-    }
     readEnv("XED_MC_SEED", spec.seed);
 }
 
@@ -647,7 +649,7 @@ specToJson(const CampaignSpec &spec)
         doc.set("years", spec.years);
         doc.set("epochHours", spec.fleet.epochHours);
         doc.set("shardDimms", spec.shardDimms);
-        doc.set("sampler", faultsim::poissonSamplerName(spec.sampler));
+        doc.set("sampler", samplerName);
         auto onDie = json::Value::object();
         onDie.set("present", spec.onDie.present);
         onDie.set("scalingRate", spec.onDie.scalingRate);
@@ -694,7 +696,7 @@ specToJson(const CampaignSpec &spec)
         doc.set("years", spec.years);
         doc.set("channels", spec.channels);
         doc.set("scrubIntervalHours", spec.scrubIntervalHours);
-        doc.set("sampler", faultsim::poissonSamplerName(spec.sampler));
+        doc.set("sampler", samplerName);
         auto onDie = json::Value::object();
         onDie.set("present", spec.onDie.present);
         onDie.set("scalingRate", spec.onDie.scalingRate);
@@ -804,10 +806,8 @@ mcConfigFor(const CampaignSpec &spec, unsigned point)
     cfg.channels = spec.channels;
     cfg.seed = spec.seed;
     cfg.scrubIntervalHours = spec.scrubIntervalHours;
-    cfg.sampler = spec.sampler;
     cfg.fit = spec.fit;
     cfg.threads = 1; // the campaign runner parallelizes over shards
-    cfg.evalBatch = spec.evalBatch;
     if (spec.sweep.active()) {
         const double value = spec.sweep.values[point];
         if (spec.sweep.parameter == "scrubIntervalHours")
@@ -825,7 +825,6 @@ fleetConfigFor(const CampaignSpec &spec)
     config.setup = spec.fleet;
     config.seed = spec.seed;
     config.years = spec.years;
-    config.sampler = spec.sampler;
     config.onDie = spec.onDie;
     return config;
 }

@@ -23,7 +23,7 @@
  *     "years": 7,                   // simulated lifetime
  *     "channels": 4,
  *     "scrubIntervalHours": 0,
- *     "sampler": "knuth",           // or "invcdf"; Poisson count draw
+ *     "sampler": "knuth",           // the only accepted value
 
  *     "onDie": {"present": true, "scalingRate": 0,
  *               "detectionEscapeProb": 0.008},
@@ -49,8 +49,7 @@
  *                  "scrubIntervalHours": 0,
  *                  "fitOverrides": {...}}, ...],
  *     // either kind:
- *     "threads": 0,                 // 0 = auto (env, then hardware)
- *     "evalBatch": 0                // 0 = auto (env, then default)
+ *     "threads": 0                  // 0 = auto (env, then hardware)
  *   }
  */
 
@@ -99,15 +98,6 @@ struct CampaignSpec
     CampaignKind kind = CampaignKind::Reliability;
     std::uint64_t seed = 0;
     unsigned threads = 0;
-    /**
-     * Faulty-path evaluation batch forwarded to McConfig::evalBatch
-     * (0 = auto). Like "threads", it only changes how the work is
-     * scheduled -- never the result -- so it is deliberately left out
-     * of specToJson and therefore out of the spec hash: stores written
-     * with different batch sizes stay byte-identical and resumable
-     * against each other.
-     */
-    unsigned evalBatch = 0;
 
     // Reliability campaigns.
     std::vector<faultsim::SchemeKind> schemes;
@@ -116,12 +106,6 @@ struct CampaignSpec
     double years = evaluationYears;
     unsigned channels = 4;
     double scrubIntervalHours = 0;
-    /**
-     * Poisson fault-count sampler (knuth or invcdf). Part of the
-     * canonical spec form and therefore of the spec hash: a store
-     * written under one sampler cannot be resumed under the other.
-     */
-    faultsim::PoissonSampler sampler = faultsim::PoissonSampler::Knuth;
     faultsim::OnDieOptions onDie{};
     faultsim::FitTable fit{};
     SweepAxis sweep;
@@ -133,9 +117,9 @@ struct CampaignSpec
     std::uint64_t trials = 200000;
     std::uint64_t shardTrials = 50000;
 
-    // Fleet campaigns: cohorts + policies + epoch length (years,
-    // sampler and onDie above are shared with reliability). The fleet
-    // is one cell sharded by slot-index ranges of shardDimms.
+    // Fleet campaigns: cohorts + policies + epoch length (years and
+    // onDie above are shared with reliability). The fleet is one cell
+    // sharded by slot-index ranges of shardDimms.
     fleet::FleetSetup fleet;
     std::uint64_t shardDimms = 50000;
 
@@ -173,11 +157,11 @@ std::optional<CampaignSpec> loadSpecFile(const std::string &path,
 
 /**
  * Apply the bench-compatible environment overrides -- XED_MC_SYSTEMS,
- * XED_MC_SEED, XED_TRIALS, XED_MC_SAMPLER -- to an already-parsed
- * spec. Called before hashing, so a resume under different overrides
- * (a different sampler included) is rejected by the spec-hash check
- * instead of silently mixing shard geometries. Malformed values throw
- * std::runtime_error rather than being silently ignored.
+ * XED_MC_SEED, XED_TRIALS -- to an already-parsed spec. Called before
+ * hashing, so a resume under different overrides is rejected by the
+ * spec-hash check instead of silently mixing shard geometries.
+ * Malformed values throw std::runtime_error rather than being silently
+ * ignored.
  */
 void applyEnvOverrides(CampaignSpec &spec);
 
@@ -232,7 +216,7 @@ faultsim::McConfig mcConfigFor(const CampaignSpec &spec, unsigned point);
 faultsim::OnDieOptions onDieFor(const CampaignSpec &spec, unsigned point);
 
 /** The fleet engine configuration of a fleet spec (setup + seed +
- *  horizon + sampler + on-die options). */
+ *  horizon + on-die options). */
 fleet::FleetConfig fleetConfigFor(const CampaignSpec &spec);
 
 } // namespace xed::campaign

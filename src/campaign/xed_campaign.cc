@@ -80,13 +80,12 @@
  * no leading/trailing junk, no overflow, finite doubles only.
  * Malformed values are usage errors, never silently truncated.
  *
- * Environment: XED_MC_SYSTEMS / XED_TRIALS / XED_MC_SEED /
- * XED_MC_SAMPLER override the spec (reflected in the spec hash),
- * XED_MC_THREADS the worker count, XED_TRACE / XED_TRACE_BUFFER the
- * span recorder (run/resume export a trace when XED_TRACE=1; a worker
- * exports to <queue-dir>/worker-<id>.trace.json), XED_NO_FSYNC=1
- * disables all per-record fsyncs globally. Malformed values are
- * errors.
+ * Environment: XED_MC_SYSTEMS / XED_TRIALS / XED_MC_SEED override
+ * the spec (reflected in the spec hash), XED_MC_THREADS the worker
+ * count, XED_TRACE / XED_TRACE_BUFFER the span recorder (run/resume
+ * export a trace when XED_TRACE=1; a worker exports to
+ * <queue-dir>/worker-<id>.trace.json), XED_NO_FSYNC=1 disables all
+ * per-record fsyncs globally. Malformed values are errors.
  */
 
 #include <chrono>

@@ -74,43 +74,22 @@ class Secded7264
     /**
      * Batched detection kernel: the number of words in @p received that
      * are NOT valid codewords. Semantically identical to looping
-     * isValidCodeword(); codes override it with a branch-light
-     * syndrome-only loop for the campaign hot paths. No allocation.
+     * isValidCodeword(), as a branch-light syndrome-only loop for the
+     * campaign hot paths. No allocation.
      */
     virtual std::size_t
-    detectMany(std::span<const Word72> received) const
-    {
-        std::size_t detected = 0;
-        for (const Word72 &word : received)
-            detected += !isValidCodeword(word);
-        return detected;
-    }
+    detectMany(std::span<const Word72> received) const = 0;
 
     /**
      * Batched syndromes over a transposed (plane-major) block:
      * planes[s * stride + c] holds byte s of word c (bytes 0..7 are
-     * the lo bytes LSB-first, byte 8 is hi); writes one byte per word
-     * into out[c], zero iff word c is a valid codeword. Only the
-     * zero/nonzero distinction is contractual (this default rebuilds
-     * each word and probes isValidCodeword()); the concrete codes
-     * write the real 8-bit syndrome via the slice-table vector
-     * kernels. No allocation.
+     * the lo bytes LSB-first, byte 8 is hi); writes the 8-bit syndrome
+     * of word c into out[c], zero iff word c is a valid codeword.
+     * No allocation.
      */
     virtual void
     syndromeManySoa(const std::uint8_t *planes, std::size_t stride,
-                    std::size_t count, std::uint8_t *out) const
-    {
-        for (std::size_t c = 0; c < count; ++c) {
-            Word72 word;
-            word.lo = 0;
-            for (unsigned b = 0; b < 8; ++b)
-                word.lo |=
-                    static_cast<std::uint64_t>(planes[b * stride + c])
-                    << (8 * b);
-            word.hi = planes[8 * stride + c];
-            out[c] = isValidCodeword(word) ? 0 : 1;
-        }
-    }
+                    std::size_t count, std::uint8_t *out) const = 0;
 };
 
 } // namespace xed::ecc

@@ -13,16 +13,7 @@ namespace
 /** Polynomial helpers; coefficients ascending (p[0] = x^0 term). */
 using Poly = std::vector<std::uint8_t>;
 
-unsigned
-degree(const Poly &p)
-{
-    for (std::size_t i = p.size(); i-- > 0;)
-        if (p[i] != 0)
-            return static_cast<unsigned>(i);
-    return 0;
-}
-
-/** degree() over a raw coefficient array. */
+/** Degree of a raw coefficient array (0 for the zero polynomial). */
 unsigned
 degreeOfArray(const std::uint8_t *p, unsigned size)
 {
@@ -45,16 +36,8 @@ polyMul(const GF256 &gf, const Poly &a, const Poly &b)
     return out;
 }
 
-std::uint8_t
-polyEval(const GF256 &gf, const Poly &p, std::uint8_t x)
-{
-    std::uint8_t acc = 0;
-    for (std::size_t i = p.size(); i-- > 0;)
-        acc = static_cast<std::uint8_t>(gf.mul(acc, x) ^ p[i]);
-    return acc;
-}
-
-/** polyEval() over a raw array, with the multiplier row hoisted. */
+/** Horner evaluation of a raw coefficient array at @p x, with the
+ *  multiplier row hoisted. */
 std::uint8_t
 polyEvalArray(const GF256 &gf, const std::uint8_t *p, unsigned size,
               std::uint8_t x)
@@ -64,16 +47,6 @@ polyEvalArray(const GF256 &gf, const std::uint8_t *p, unsigned size,
     for (unsigned i = size; i-- > 0;)
         acc = static_cast<std::uint8_t>(row[acc] ^ p[i]);
     return acc;
-}
-
-/** Formal derivative in characteristic 2: odd-degree terms survive. */
-Poly
-polyDeriv(const Poly &p)
-{
-    Poly out(p.size() > 1 ? p.size() - 1 : 1, 0);
-    for (std::size_t i = 1; i < p.size(); i += 2)
-        out[i - 1] = p[i];
-    return out;
 }
 
 } // namespace
@@ -200,47 +173,6 @@ ReedSolomon::isValidCodeword(std::span<const std::uint8_t> received) const
     return true;
 }
 
-std::size_t
-ReedSolomon::countInvalidSoa(std::span<const std::uint8_t> soa,
-                             std::size_t count) const
-{
-    if (soa.size() != static_cast<std::size_t>(n_) * count)
-        throw std::invalid_argument(
-            "RS countInvalidSoa: span must hold n * count symbols");
-    const unsigned r = numCheck();
-    std::size_t invalid = 0;
-    // Fixed-size stack lanes keep the working set in L1 and the kernel
-    // allocation-free for any count.
-    constexpr std::size_t chunk = 512;
-    std::uint8_t acc[chunk];
-    std::uint8_t bad[chunk];
-    for (std::size_t base = 0; base < count; base += chunk) {
-        const std::size_t m = std::min(chunk, count - base);
-        std::fill(bad, bad + m, 0);
-        for (unsigned j = 0; j < r; ++j) {
-            // Horner over symbols (degree-descending, as syndromes()):
-            // acc = acc * alpha^j ^ soa[i]; the multiplier is constant
-            // across the lane, so each step is one mulConstInto pass.
-            const std::uint8_t x = gf_.expAlpha(j);
-            std::fill(acc, acc + m, 0);
-            for (unsigned i = 0; i < n_; ++i) {
-                const std::uint8_t *lane =
-                    soa.data() + static_cast<std::size_t>(i) * count +
-                    base;
-                if (j != 0)
-                    gf_.mulConstInto(x, acc, acc, m);
-                for (std::size_t c = 0; c < m; ++c)
-                    acc[c] ^= lane[c];
-            }
-            for (std::size_t c = 0; c < m; ++c)
-                bad[c] |= acc[c];
-        }
-        for (std::size_t c = 0; c < m; ++c)
-            invalid += bad[c] != 0;
-    }
-    return invalid;
-}
-
 void
 ReedSolomon::syndromesManyStrided(const std::uint8_t *soa,
                                   std::size_t stride, std::size_t count,
@@ -248,16 +180,17 @@ ReedSolomon::syndromesManyStrided(const std::uint8_t *soa,
                                   std::size_t synStride) const
 {
     const unsigned r = numCheck();
-    // Same fixed-size stack lane as countInvalidSoa: L1-resident and
+    // Fixed-size stack lanes keep the working set in L1 and the kernel
     // allocation-free for any count.
     constexpr std::size_t chunk = 512;
     std::uint8_t acc[chunk];
     for (std::size_t base = 0; base < count; base += chunk) {
         const std::size_t m = std::min(chunk, count - base);
         for (unsigned j = 0; j < r; ++j) {
-            // Horner over symbols (degree-descending, as syndromes()):
-            // acc = acc * alpha^j ^ soa[i]; the multiplier is constant
-            // across the lane, so each step is one mulConstInto pass.
+            // S_j = r(alpha^j), Horner over symbols (index 0 is the
+            // highest degree): acc = acc * alpha^j ^ soa[i]; the
+            // multiplier is constant across the lane, so each step is
+            // one mulConstInto pass.
             const std::uint8_t x = gf_.expAlpha(j);
             std::fill(acc, acc + m, 0);
             for (unsigned i = 0; i < n_; ++i) {
@@ -362,22 +295,6 @@ ReedSolomon::isValidCodewordMany(const RsWordBlock &block,
                             valid.data());
 }
 
-std::vector<std::uint8_t>
-ReedSolomon::syndromes(const std::vector<std::uint8_t> &received) const
-{
-    const unsigned r = numCheck();
-    std::vector<std::uint8_t> syn(r, 0);
-    for (unsigned j = 0; j < r; ++j) {
-        // S_j = r(alpha^j), Horner over degrees n-1..0 (index 0 first).
-        std::uint8_t acc = 0;
-        const std::uint8_t x = gf_.expAlpha(j);
-        for (unsigned i = 0; i < n_; ++i)
-            acc = static_cast<std::uint8_t>(gf_.mul(acc, x) ^ received[i]);
-        syn[j] = acc;
-    }
-    return syn;
-}
-
 bool
 ReedSolomon::isCodeword(const std::vector<std::uint8_t> &received) const
 {
@@ -391,7 +308,8 @@ ReedSolomon::decode(std::vector<std::uint8_t> &received,
     if (received.size() != n_)
         throw std::invalid_argument("RS decode: wrong codeword length");
     if (!fitsScratch())
-        return decodeLegacy(received, erasures);
+        throw std::invalid_argument(
+            "RS decode: n <= 36 and n - k <= 4 required");
     RsScratch scratch;
     return decodeScratch(received.data(), erasures.data(),
                          static_cast<unsigned>(erasures.size()), scratch);
@@ -583,132 +501,6 @@ ReedSolomon::decodeScratch(std::uint8_t *received, const unsigned *erasures,
 
     // Re-verify: a decoding that does not land on a codeword is a failure.
     if (!isValidCodeword(std::span<const std::uint8_t>(received, n_))) {
-        result.status = RsStatus::Failure;
-        return result;
-    }
-    result.status = RsStatus::Corrected;
-    result.numErasures = e;
-    result.numErrors = lLen;
-    return result;
-}
-
-RsResult
-ReedSolomon::decodeLegacy(std::vector<std::uint8_t> &received,
-                          const std::vector<unsigned> &erasures) const
-{
-    RsResult result;
-    const unsigned r = numCheck();
-
-    const auto syn = syndromes(received);
-    const bool clean = std::all_of(syn.begin(), syn.end(),
-                                   [](std::uint8_t s) { return s == 0; });
-    if (clean) {
-        result.status = RsStatus::NoError;
-        return result;
-    }
-
-    const unsigned e = static_cast<unsigned>(erasures.size());
-    if (e > r) {
-        result.status = RsStatus::Failure;
-        return result;
-    }
-
-    // Erasure locator Gamma(x) = prod (1 + X_i x), X_i = alpha^{degree}.
-    Poly gamma = {1};
-    for (const unsigned idx : erasures) {
-        if (idx >= n_) {
-            result.status = RsStatus::Failure;
-            return result;
-        }
-        const Poly factor = {1, gf_.expAlpha(degreeOf(idx))};
-        gamma = polyMul(gf_, gamma, factor);
-    }
-
-    // Forney syndromes: T(x) = S(x) * Gamma(x) mod x^r; the subsequence
-    // T_e..T_{r-1} obeys the errors-only locator recursion.
-    Poly sPoly(syn.begin(), syn.end());
-    Poly t = polyMul(gf_, sPoly, gamma);
-    t.resize(r, 0);
-
-    // Berlekamp-Massey on u_m = T_{e+m}, m = 0..r-e-1.
-    const unsigned nSeq = r - e;
-    Poly lambda = {1};
-    Poly b = {1};
-    unsigned lLen = 0;
-    unsigned m = 1;
-    std::uint8_t bCoef = 1;
-    for (unsigned step = 0; step < nSeq; ++step) {
-        std::uint8_t delta = 0;
-        for (unsigned i = 0; i <= lLen && i < lambda.size(); ++i)
-            if (step >= i)
-                delta ^= gf_.mul(lambda[i], t[e + step - i]);
-        if (delta == 0) {
-            ++m;
-        } else if (2 * lLen <= step) {
-            const Poly oldLambda = lambda;
-            const std::uint8_t factor = gf_.div(delta, bCoef);
-            Poly shifted(m, 0);
-            shifted.insert(shifted.end(), b.begin(), b.end());
-            if (shifted.size() > lambda.size())
-                lambda.resize(shifted.size(), 0);
-            for (std::size_t i = 0; i < shifted.size(); ++i)
-                lambda[i] ^= gf_.mul(factor, shifted[i]);
-            b = oldLambda;
-            lLen = step + 1 - lLen;
-            bCoef = delta;
-            m = 1;
-        } else {
-            const std::uint8_t factor = gf_.div(delta, bCoef);
-            Poly shifted(m, 0);
-            shifted.insert(shifted.end(), b.begin(), b.end());
-            if (shifted.size() > lambda.size())
-                lambda.resize(shifted.size(), 0);
-            for (std::size_t i = 0; i < shifted.size(); ++i)
-                lambda[i] ^= gf_.mul(factor, shifted[i]);
-            ++m;
-        }
-    }
-    if (degree(lambda) != lLen || 2 * lLen + e > r) {
-        result.status = RsStatus::Failure;
-        return result;
-    }
-
-    // Combined locator and Chien search over the n valid positions.
-    Poly psi = polyMul(gf_, lambda, gamma);
-    std::vector<unsigned> positions; // degree positions of all errors
-    for (unsigned p = 0; p < n_; ++p) {
-        const unsigned deg = degreeOf(p);
-        const std::uint8_t xInv =
-            gf_.expAlpha(GF256::groupOrder - (deg % GF256::groupOrder));
-        if (polyEval(gf_, psi, xInv) == 0)
-            positions.push_back(p);
-    }
-    if (positions.size() != degree(psi)) {
-        result.status = RsStatus::Failure;
-        return result;
-    }
-
-    // Error evaluator Omega(x) = S(x) * Psi(x) mod x^r and Forney values.
-    Poly omega = polyMul(gf_, sPoly, psi);
-    omega.resize(r, 0);
-    const Poly psiDeriv = polyDeriv(psi);
-    for (const unsigned p : positions) {
-        const unsigned deg = degreeOf(p);
-        const std::uint8_t x = gf_.expAlpha(deg);
-        const std::uint8_t xInv =
-            gf_.expAlpha(GF256::groupOrder - (deg % GF256::groupOrder));
-        const std::uint8_t num = polyEval(gf_, omega, xInv);
-        const std::uint8_t den = polyEval(gf_, psiDeriv, xInv);
-        if (den == 0) {
-            result.status = RsStatus::Failure;
-            return result;
-        }
-        const std::uint8_t magnitude = gf_.mul(x, gf_.div(num, den));
-        received[p] ^= magnitude;
-    }
-
-    // Re-verify: a decoding that does not land on a codeword is a failure.
-    if (!isCodeword(received)) {
         result.status = RsStatus::Failure;
         return result;
     }

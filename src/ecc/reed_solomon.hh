@@ -12,16 +12,12 @@
  *   - RS(18,16) in 2-erasure mode: XED on top of Chipkill (Section IX),
  *     where catch-words provide the two erasure locations.
  *
- * Two decode paths share one algorithm:
- *   - the scratch kernel (span + RsScratch) runs entirely on
- *     fixed-capacity stack arrays and precomputed per-position
- *     syndrome/Chien tables -- zero heap allocations, used by the
- *     controllers' read paths and the campaign hot loops;
- *   - the legacy vector API is a thin wrapper over the kernel for
- *     every code that fits RsScratch (n <= 36, n-k <= 4, i.e. all the
- *     paper's codes) and falls back to the original heap-based
- *     implementation for larger shapes (the test sweep's RS(255,223)).
- * Both paths return bit-identical statuses and corrected words.
+ * Decoding runs one allocation-free kernel on fixed-capacity scratch
+ * arrays (RsScratch) and precomputed per-position syndrome/Chien
+ * tables, so it covers every code that fits RsScratch (n <= 36,
+ * n-k <= 4, i.e. all the paper's codes). The vector decode() is a thin
+ * wrapper that supplies the scratch. Encoding and syndrome checks
+ * accept any RS(n, k) over GF(2^8).
  */
 
 #ifndef XED_ECC_REED_SOLOMON_HH
@@ -226,6 +222,7 @@ class ReedSolomon
      * @param erasures indices (0-based, data-first order) of symbols
      *        known to be unreliable, e.g. chips that sent a catch-word.
      *        Correctable iff 2*errors + erasures <= n-k.
+     * @throws std::invalid_argument unless fitsScratch().
      */
     RsResult decode(std::vector<std::uint8_t> &received,
                     const std::vector<unsigned> &erasures = {}) const;
@@ -250,20 +247,9 @@ class ReedSolomon
     bool isValidCodeword(std::span<const std::uint8_t> received) const;
 
     /**
-     * Batch validity over a structure-of-arrays block: @p soa holds
+     * Batch syndromes over a structure-of-arrays block: @p soa holds
      * @p count codewords symbol-major, soa[i * count + c] = symbol i
-     * of codeword c. Returns how many codewords have a nonzero
-     * syndrome. The Horner multiplier per syndrome is a constant
-     * (alpha^j), so the whole lane runs through the vector
-     * GF256::mulConstInto() kernels; the result is identical to
-     * calling isValidCodeword() per codeword at every dispatch level.
-     */
-    std::size_t countInvalidSoa(std::span<const std::uint8_t> soa,
-                                std::size_t count) const;
-
-    /**
-     * Batch syndromes over a structure-of-arrays block (layout as
-     * countInvalidSoa): writes syn[j * count + c] = S_j of codeword c
+     * of codeword c. Writes syn[j * count + c] = S_j of codeword c
      * for every check index j < numCheck(). Each Horner step is one
      * constant-multiplier pass over the whole lane, so the kernel runs
      * on the vector GF256 rows; the bytes written are identical to
@@ -279,11 +265,13 @@ class ReedSolomon
                           std::span<std::uint8_t> syn) const;
 
     /**
-     * Batch validity flags over a structure-of-arrays block: sets
-     * valid[c] = 1 iff every syndrome of codeword c is zero (else 0)
-     * and returns the number of invalid codewords. Flag-for-flag
-     * identical to a per-word isValidCodeword() loop at every
-     * dispatch level; countInvalidSoa() is the flag-free variant.
+     * Batch validity flags over a structure-of-arrays block (layout as
+     * syndromesManySoa): sets valid[c] = 1 iff every syndrome of
+     * codeword c is zero (else 0) and returns the number of invalid
+     * codewords. The Horner multiplier per syndrome is a constant
+     * (alpha^j), so the whole lane runs through the vector
+     * GF256::mulConstInto() kernels; flag-for-flag identical to a
+     * per-word isValidCodeword() loop at every dispatch level.
      */
     std::size_t isValidCodewordMany(std::span<const std::uint8_t> soa,
                                     std::size_t count,
@@ -296,9 +284,6 @@ class ReedSolomon
   private:
     /** Map a data-first index to the polynomial degree position. */
     unsigned degreeOf(unsigned index) const { return n_ - 1 - index; }
-
-    std::vector<std::uint8_t> syndromes(
-        const std::vector<std::uint8_t> &received) const;
 
     /** Table-driven syndromes into @p syn (numCheck() entries). */
     void syndromesInto(const std::uint8_t *received,
@@ -320,10 +305,6 @@ class ReedSolomon
     RsResult decodeScratch(std::uint8_t *received,
                            const unsigned *erasures, unsigned numErasures,
                            RsScratch &scratch) const;
-
-    /** Original heap-based decode, kept for codes beyond RsScratch. */
-    RsResult decodeLegacy(std::vector<std::uint8_t> &received,
-                          const std::vector<unsigned> &erasures) const;
 
     const GF256 &gf_;
     unsigned n_;

@@ -24,33 +24,12 @@ namespace
  */
 constexpr std::size_t eventReserve = 64;
 
-/** Default faulty-path evaluation batch (McConfig::evalBatch auto). */
-constexpr std::size_t defaultEvalBatch = 16;
-
-/** Backstop against absurd batch sizes reserving gigabytes of queue. */
-constexpr std::size_t maxEvalBatch = std::size_t{1} << 20;
-
 /**
- * Resolve McConfig::evalBatch: a nonzero config value wins, else the
- * XED_MC_EVAL_BATCH environment variable, else the default. The env
- * knob has no "auto" spelling (unset already means auto), so an
- * explicit 0 -- like any garbage -- throws an error naming the knob
- * instead of silently picking some batch size.
+ * Faulty-path evaluation batch (DESIGN.md section 4j): how many
+ * survivors of the zero-fault filter are queued before the scheme
+ * evaluates them back to back.
  */
-std::size_t
-resolveEvalBatch(unsigned requested)
-{
-    if (requested != 0)
-        return std::min<std::size_t>(requested, maxEvalBatch);
-    if (const auto env = envU64Positive("XED_MC_EVAL_BATCH")) {
-        if (*env > maxEvalBatch)
-            throw std::runtime_error(
-                "XED_MC_EVAL_BATCH: " + std::to_string(*env) +
-                " is not a sane evaluation batch size");
-        return static_cast<std::size_t>(*env);
-    }
-    return defaultEvalBatch;
-}
+constexpr std::size_t evalBatch = 16;
 
 /**
  * Simulate systems [begin, end) and accumulate into @p partial. Each
@@ -85,7 +64,7 @@ runShard(const Scheme &scheme, const McConfig &config,
 
     const double hours = config.years * hoursPerYear;
     const SampleContext ctx(fit, layout, shape, hours,
-                            config.scrubIntervalHours, config.sampler);
+                            config.scrubIntervalHours);
     // Only credit years that were fully simulated: a run with
     // years = 0.5 must not report a year-1 failure probability.
     unsigned creditYears = 0;
@@ -154,7 +133,6 @@ runShard(const Scheme &scheme, const McConfig &config,
     // stream; zero-lane crediting is pure integer bookkeeping that
     // commutes with evaluation, so the result is byte-identical for
     // every batch size, including 1.
-    const std::size_t evalBatch = resolveEvalBatch(config.evalBatch);
     std::vector<std::uint64_t> survivors;
     survivors.reserve(evalBatch);
     const auto flushSurvivors = [&] {
@@ -168,17 +146,15 @@ runShard(const Scheme &scheme, const McConfig &config,
             flushSurvivors();
     };
 
-    // Vector zero-fault filter (Knuth sampler only: its zero test is
-    // one draw + compare per channel). A batch whose streams are all
+    // Vector zero-fault filter (the Knuth zero test is one draw +
+    // compare per channel). A batch whose streams are all
     // provably zero-fault is credited without constructing a single
     // Rng -- identical bookkeeping to simulating each zero system --
     // and every other lane re-runs the unmodified scalar body from a
     // freshly derived stream, in ascending order. Results are
     // byte-identical at every level; only the time changes.
     const SimdLevel level = simdLevel();
-    const unsigned filterWidth =
-        config.sampler == PoissonSampler::Knuth ? zeroFilterWidth(level)
-                                                : 0;
+    const unsigned filterWidth = zeroFilterWidth(level);
     std::uint64_t s = begin;
     if (filterWidth != 0) {
         const std::uint32_t allZero = (1u << filterWidth) - 1;

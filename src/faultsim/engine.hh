@@ -62,32 +62,10 @@ struct McConfig
      */
     unsigned threads = 0;
     /**
-     * Faulty-path evaluation batch (DESIGN.md section 4j): systems the
-     * zero-fault filter cannot prove clean are queued and evaluated in
-     * runs of this many back-to-back scheme evaluations, amortizing
-     * dispatch and table setup across survivors. 0 (the default) means
-     * "auto": the XED_MC_EVAL_BATCH environment variable if set (a
-     * strict parse; garbage or an explicit 0 throws), else 16. Each
-     * survivor still runs the unmodified per-system body in ascending
-     * system order, so the result is byte-identical for every batch
-     * size, including 1.
-     */
-    unsigned evalBatch = 0;
-    /**
      * Per-chip FIT rates. Defaults to Table I; campaign specs may
      * override individual entries (sensitivity studies, vendor data).
      */
     FitTable fit{};
-    /**
-     * Poisson fault-count sampler. Knuth (default) is the historical
-     * k+1-uniform loop and is the bit-identical golden path; InvCdf
-     * draws one uniform through a precomputed inverse-CDF table --
-     * statistically exact and deterministic per seed, but a different
-     * draw sequence, so results differ from Knuth by Monte-Carlo
-     * noise only. Campaign specs select it via "sampler": "invcdf"
-     * (part of the spec hash); benches via XED_MC_SAMPLER.
-     */
-    PoissonSampler sampler = PoissonSampler::Knuth;
     /**
      * Optional live progress sink; when non-null the workers add
      * completed systems / observed failures in batches. Purely

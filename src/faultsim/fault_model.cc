@@ -5,48 +5,6 @@
 namespace xed::faultsim
 {
 
-namespace
-{
-
-/** Knuth product-of-uniforms with the exp(-lambda) limit precomputed. */
-unsigned
-samplePoissonKnuth(Rng &rng, double expNegLambda)
-{
-    unsigned k = 0;
-    double p = 1.0;
-    do {
-        ++k;
-        p *= rng.uniform();
-    } while (p > expNegLambda);
-    return k - 1;
-}
-
-} // namespace
-
-const char *
-poissonSamplerName(PoissonSampler sampler)
-{
-    return sampler == PoissonSampler::InvCdf ? "invcdf" : "knuth";
-}
-
-std::optional<PoissonSampler>
-parsePoissonSampler(std::string_view name)
-{
-    if (name == "knuth")
-        return PoissonSampler::Knuth;
-    if (name == "invcdf")
-        return PoissonSampler::InvCdf;
-    return std::nullopt;
-}
-
-unsigned
-samplePoisson(Rng &rng, double lambda)
-{
-    // Knuth's method; lambda is << 1 in all our uses (expected fault
-    // count per DIMM over 7 years is ~0.07).
-    return samplePoissonKnuth(rng, std::exp(-lambda));
-}
-
 FaultKind
 pickFaultKind(const FitTable &fit, double draw)
 {
@@ -65,10 +23,9 @@ pickFaultKind(const FitTable &fit, double draw)
 SampleContext::SampleContext(const FitTable &fit,
                              const AddressLayout &layout,
                              const DimmShape &shape, double hours,
-                             double scrubIntervalHours,
-                             PoissonSampler sampler)
+                             double scrubIntervalHours)
     : layout_(layout), shape_(shape), hours_(hours),
-      scrubIntervalHours_(scrubIntervalHours), sampler_(sampler)
+      scrubIntervalHours_(scrubIntervalHours)
 {
     // Same accumulation order as fit.totalFit() / pickFaultKind's
     // linear scan, so every derived double is bit-identical to the
@@ -88,22 +45,6 @@ SampleContext::SampleContext(const FitTable &fit,
     expNegLambda_ = std::exp(-lambda_);
     knuthZeroMax_ = static_cast<std::uint64_t>(
         std::floor(expNegLambda_ * 0x1.0p53));
-
-    // Inverse-CDF table: p_k via the stable recurrence
-    // p_{k+1} = p_k * lambda / (k + 1), accumulated until the CDF
-    // saturates to 1.0 in double precision (k <= ~40 for lambda <= 2;
-    // our workloads sit well below 1). Any uniform in [0, 1) then
-    // lands inside the table; the final entry clamps the (probability
-    // < 2^-53) tail.
-    double p = expNegLambda_;
-    double cdf = p;
-    poissonCdf_[0] = cdf;
-    poissonTerms_ = 1;
-    while (cdf < 1.0 && poissonTerms_ < poissonCdf_.size()) {
-        p *= lambda_ / static_cast<double>(poissonTerms_);
-        cdf += p;
-        poissonCdf_[poissonTerms_++] = cdf;
-    }
 }
 
 std::vector<FaultEvent>

@@ -14,8 +14,6 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <optional>
-#include <string_view>
 #include <vector>
 
 #include "common/rng.hh"
@@ -50,9 +48,6 @@ struct FaultEvent
     }
 };
 
-/** Sample a Poisson variate (small-lambda inversion method). */
-unsigned samplePoisson(Rng &rng, double lambda);
-
 /**
  * Map a draw in [0, fit.totalFit()) to the fault kind whose cumulative
  * FIT bracket contains it. A draw landing exactly on a bracket
@@ -79,36 +74,15 @@ struct DimmShape
 };
 
 /**
- * How the per-DIMM Poisson fault count is drawn.
- *
- * Knuth (the default) is the original product-of-uniforms loop: k+1
- * uniform draws for a count of k. InvCdf draws a single uniform and
- * maps it through a precomputed inverse-CDF table -- statistically
- * exact (each count keeps its exact double-rounded Poisson mass) and
- * deterministic per seed, but it consumes a DIFFERENT number of RNG
- * draws, so it is an opt-in knob: switching samplers changes every
- * downstream draw of the sampled stream and therefore the sampled
- * fault sets. Golden-value results are pinned to Knuth.
- */
-enum class PoissonSampler
-{
-    Knuth,
-    InvCdf,
-};
-
-const char *poissonSamplerName(PoissonSampler sampler);
-std::optional<PoissonSampler> parsePoissonSampler(std::string_view name);
-
-/**
  * Everything the per-system sampling loop needs, derived once per
  * Monte-Carlo shard instead of once per sampled DIMM: the FIT-table
  * sum, the prefix-sum CDF over fault kinds, per-kind transient
- * fractions, the Poisson rate lambda with exp(-lambda), the DIMM
- * shape, and (for the InvCdf sampler) the Poisson inverse-CDF table.
+ * fractions, the Poisson rate lambda with exp(-lambda), and the DIMM
+ * shape.
  *
  * Immutable after construction, so one context can be shared by any
- * number of concurrent workers. The Knuth draw path through a context
- * is bit-identical to the historical sampleDimmFaults() free function:
+ * number of concurrent workers. The draw path through a context is
+ * bit-identical to the historical sampleDimmFaults() free function:
  * every derived quantity is computed with the same operations in the
  * same order, only earlier.
  */
@@ -117,42 +91,32 @@ class SampleContext
   public:
     SampleContext(const FitTable &fit, const AddressLayout &layout,
                   const DimmShape &shape, double hours,
-                  double scrubIntervalHours = 0,
-                  PoissonSampler sampler = PoissonSampler::Knuth);
+                  double scrubIntervalHours = 0);
 
     /**
-     * Poisson fault count for one DIMM lifetime (sampler dispatch).
-     * Inline: this is the per-channel fast path -- >= 93% of draws at
-     * Table I rates return 0 after a single uniform + compare.
+     * Poisson fault count for one DIMM lifetime: Knuth's
+     * product-of-uniforms loop (k + 1 uniform draws for a count of k)
+     * against the hoisted exp(-lambda) limit. Inline: this is the
+     * per-channel fast path -- >= 93% of draws at Table I rates return
+     * 0 after a single uniform + compare.
      */
     unsigned
     sampleFaultCount(Rng &rng) const
     {
-        if (sampler_ == PoissonSampler::Knuth) {
-            // Knuth product-of-uniforms against the hoisted
-            // exp(-lambda) limit; draw-identical to samplePoisson().
-            // First iteration has p == u0 exactly, so the zero-fault
-            // test (the >= 93% case) reduces to one integer compare
-            // against floor(exp(-lambda) * 2^53): u0 <= threshold
-            // iff u0 * 2^-53 <= exp(-lambda).
-            const std::uint64_t u0 = rng.next() >> 11;
-            if (u0 <= knuthZeroMax_)
-                return 0;
-            double p = static_cast<double>(u0) * 0x1.0p-53;
-            unsigned k = 1;
-            do {
-                ++k;
-                p *= rng.uniform();
-            } while (p > expNegLambda_);
-            return k - 1;
-        }
-        // Single uniform through the inverse CDF. For Table I rates
-        // P(X = 0) ~ 0.93, so this is almost always one comparison.
-        const double u = rng.uniform();
-        unsigned k = 0;
-        while (k + 1 < poissonTerms_ && u >= poissonCdf_[k])
+        // First iteration has p == u0 exactly, so the zero-fault test
+        // (the >= 93% case) reduces to one integer compare against
+        // floor(exp(-lambda) * 2^53): u0 <= threshold iff
+        // u0 * 2^-53 <= exp(-lambda).
+        const std::uint64_t u0 = rng.next() >> 11;
+        if (u0 <= knuthZeroMax_)
+            return 0;
+        double p = static_cast<double>(u0) * 0x1.0p-53;
+        unsigned k = 1;
+        do {
             ++k;
-        return k;
+            p *= rng.uniform();
+        } while (p > expNegLambda_);
+        return k - 1;
     }
 
     /**
@@ -181,7 +145,6 @@ class SampleContext
     double scrubIntervalHours() const { return scrubIntervalHours_; }
     const DimmShape &shape() const { return shape_; }
     const AddressLayout &layout() const { return layout_; }
-    PoissonSampler sampler() const { return sampler_; }
     double kindTotal(FaultKind k) const
     {
         return kindTotal_[static_cast<unsigned>(k)];
@@ -207,11 +170,6 @@ class SampleContext
     std::array<double, numFaultKinds> kindCdf_;
     std::array<double, numFaultKinds> kindTotal_;
     std::array<double, numFaultKinds> kindTransient_;
-    PoissonSampler sampler_;
-    /** P(X <= k) for the InvCdf sampler, filled until the CDF
-     *  saturates to 1.0 in double precision. */
-    std::array<double, 64> poissonCdf_{};
-    unsigned poissonTerms_ = 0;
 };
 
 /**

@@ -50,7 +50,7 @@ struct CohortRuntime
                 static_cast<double>(epoch) * config.setup.epochHours;
             slot = std::make_unique<SampleContext>(
                 cohort->fit, layout, shape, remaining,
-                cohort->scrubIntervalHours, config.sampler);
+                cohort->scrubIntervalHours);
         }
         return *slot;
     }

@@ -134,7 +134,6 @@ struct FleetConfig
     FleetSetup setup;
     std::uint64_t seed = 0;
     double years = evaluationYears;
-    faultsim::PoissonSampler sampler = faultsim::PoissonSampler::Knuth;
     faultsim::OnDieOptions onDie{};
 
     double horizonHours() const { return years * hoursPerYear; }

@@ -166,36 +166,6 @@ TEST(CampaignRunner, ResumedStoreIsByteIdentical)
     }
 }
 
-TEST(CampaignRunner, ResumeUnderDifferentSamplerIsRejected)
-{
-    // The sampler is part of the spec hash: a store written under
-    // knuth must refuse to resume under invcdf (the merged result
-    // would silently mix two different draw sequences).
-    auto spec = reliabilitySpec();
-    const auto path = ::testing::TempDir() + "runner_sampler.jsonl";
-    removeIfPresent(path);
-
-    auto options = inMemory(1);
-    options.outPath = path;
-    options.maxShards = 3;
-    ASSERT_TRUE(runCampaign(spec, options).ok);
-
-    spec.sampler = faultsim::PoissonSampler::InvCdf;
-    options.maxShards = 0;
-    options.resume = true;
-    const auto crossResume = runCampaign(spec, options);
-    EXPECT_FALSE(crossResume.ok);
-    EXPECT_NE(crossResume.error.find("hash"), std::string::npos)
-        << crossResume.error;
-
-    // Under the original sampler the same store resumes cleanly.
-    spec.sampler = faultsim::PoissonSampler::Knuth;
-    const auto resumed = runCampaign(spec, options);
-    ASSERT_TRUE(resumed.ok) << resumed.error;
-    EXPECT_TRUE(resumed.complete);
-    EXPECT_EQ(resumed.shardsReplayed, 3u);
-}
-
 TEST(CampaignRunner, ResumeOfCompleteStoreIsNoOp)
 {
     const auto spec = reliabilitySpec();

@@ -2,7 +2,8 @@
  * @file
  * CampaignSpec parsing, validation, canonicalization and the shard
  * plan: strict rejection of malformed specs, a stable spec hash that
- * ignores runtime-only knobs, and deterministic plan geometry.
+ * ignores runtime-only knobs and stays pinned for the shipped specs,
+ * and deterministic plan geometry.
  */
 
 #include <cstdlib>
@@ -43,6 +44,30 @@ constexpr const char *kMinimal = R"({
     "name": "t", "seed": 7, "schemes": ["xed"],
     "systems": 100, "shardSystems": 30
 })";
+
+/**
+ * A 32-bit field set past UINT32_MAX must be rejected with an error
+ * naming @p key, not narrowed: 4294967300 would wrap to 4 and
+ * 4294967297 to 1, valid values of every such field.
+ */
+void
+expectOversizedRejected(const std::string &key, const std::string &text)
+{
+    const std::string error = parseError(text);
+    EXPECT_NE(error.find("\"" + key + "\""), std::string::npos) << error;
+}
+
+/** A fleet spec whose policies / first cohort carry @p policies and
+ *  @p cohortExtra (both JSON member lists, possibly empty). */
+std::string
+fleetSpec(const std::string &policies, const std::string &cohortExtra)
+{
+    return R"({"name":"f","kind":"fleet","seed":1,"years":2,)"
+           R"("policies":{)" +
+           policies +
+           R"(},"cohorts":[{"name":"a","scheme":"xed","dimms":10)" +
+           cohortExtra + "}]}";
+}
 
 } // namespace
 
@@ -207,50 +232,92 @@ TEST(CampaignSpec, EnvOverridesApplyAndAffectTheHash)
 
 TEST(CampaignSpec, SamplerParsesRoundTripsAndAffectsTheHash)
 {
-    // Knuth is the default and need not be spelled out.
+    // Knuth is the only sampler: the default, and it may be spelled
+    // out.
     const auto def = parseOrDie(kMinimal);
-    EXPECT_EQ(def.sampler, faultsim::PoissonSampler::Knuth);
-
-    const auto inv = parseOrDie(R"({
+    const auto explicitKnuth = parseOrDie(R"({
         "name": "t", "seed": 7, "schemes": ["xed"],
-        "systems": 100, "shardSystems": 30, "sampler": "invcdf"
+        "systems": 100, "shardSystems": 30, "sampler": "knuth"
     })");
-    EXPECT_EQ(inv.sampler, faultsim::PoissonSampler::InvCdf);
-    EXPECT_EQ(mcConfigFor(inv, 0).sampler,
-              faultsim::PoissonSampler::InvCdf);
+    EXPECT_EQ(specHash(def), specHash(explicitKnuth));
 
-    // Unknown sampler names are rejected, naming the offender.
-    EXPECT_NE(parseError(R"({"name":"t","seed":1,"schemes":["xed"],)"
-                         R"("sampler":"gamma"})")
-                  .find("gamma"),
-              std::string::npos);
+    // Any other sampler -- the removed invcdf included -- is an error
+    // naming the key and the offender.
+    for (const char *name : {"invcdf", "gamma", "Knuth", ""}) {
+        const std::string error =
+            parseError(std::string(R"({"name":"t","seed":1,)"
+                                   R"("schemes":["xed"],"sampler":")") +
+                       name + "\"}");
+        EXPECT_NE(error.find("\"sampler\""), std::string::npos) << error;
+        EXPECT_NE(error.find(std::string("\"") + name + "\""),
+                  std::string::npos)
+            << error;
+    }
 
-    // Switching samplers changes every sampled fault set, so it must
-    // change the hash (and thereby poison cross-sampler resumes).
-    EXPECT_NE(specHash(def), specHash(inv));
-
-    // Canonical JSON spells the sampler out and round-trips it.
+    // The canonical form keeps spelling the sampler out, so the key is
+    // part of every spec hash and store manifest (the pinned hashes
+    // below depend on it), and it round-trips.
     std::string error;
-    const auto doc = specToJson(inv);
-    EXPECT_NE(json::dump(doc).find("\"sampler\":\"invcdf\""),
+    const auto doc = specToJson(def);
+    EXPECT_NE(json::dump(doc).find("\"sampler\":\"knuth\""),
               std::string::npos);
     auto reparsed = parseSpec(doc, &error);
     ASSERT_TRUE(reparsed) << error;
-    EXPECT_EQ(reparsed->sampler, faultsim::PoissonSampler::InvCdf);
-    EXPECT_EQ(specHash(*reparsed), specHash(inv));
+    EXPECT_EQ(specHash(*reparsed), specHash(def));
 }
 
-TEST(CampaignSpec, SamplerEnvOverrideAppliesAndRejectsGarbage)
+TEST(CampaignSpec, RejectsRemovedEvalBatchKey)
 {
-    auto spec = parseOrDie(kMinimal);
-    ::setenv("XED_MC_SAMPLER", "invcdf", 1);
-    applyEnvOverrides(spec);
-    ::unsetenv("XED_MC_SAMPLER");
-    EXPECT_EQ(spec.sampler, faultsim::PoissonSampler::InvCdf);
+    EXPECT_NE(parseError(R"({"name":"t","seed":1,"schemes":["xed"],)"
+                         R"("evalBatch":16})")
+                  .find("evalBatch"),
+              std::string::npos);
+}
 
-    ::setenv("XED_MC_SAMPLER", "poisson", 1);
-    EXPECT_THROW(applyEnvOverrides(spec), std::runtime_error);
-    ::unsetenv("XED_MC_SAMPLER");
+TEST(CampaignSpec, RejectsOversizedChannels)
+{
+    expectOversizedRejected(
+        "channels", R"({"name":"t","seed":1,"schemes":["xed"],)"
+                    R"("channels":4294967300})");
+    // UINT32_MAX itself still fits.
+    EXPECT_EQ(parseOrDie(R"({"name":"t","seed":1,"schemes":["xed"],)"
+                         R"("channels":4294967295})")
+                  .channels,
+              4294967295u);
+}
+
+TEST(CampaignSpec, RejectsOversizedMaxWeight)
+{
+    expectOversizedRejected(
+        "maxWeight", R"({"name":"d","kind":"detection","seed":1,)"
+                     R"("codes":["crc8atm"],"maxWeight":4294967297})");
+}
+
+TEST(CampaignSpec, RejectsOversizedThreads)
+{
+    expectOversizedRejected(
+        "threads", R"({"name":"t","seed":1,"schemes":["xed"],)"
+                   R"("threads":4294967297})");
+}
+
+TEST(CampaignSpec, RejectsOversizedReplacementLagEpochs)
+{
+    expectOversizedRejected(
+        "replacementLagEpochs",
+        fleetSpec(R"("replacementLagEpochs":4294967297)", ""));
+}
+
+TEST(CampaignSpec, RejectsOversizedRetireAfterPermanentFaults)
+{
+    expectOversizedRejected(
+        "retireAfterPermanentFaults",
+        fleetSpec(R"("retireAfterPermanentFaults":4294967297)", ""));
+}
+
+TEST(CampaignSpec, RejectsOversizedDeployEpoch)
+{
+    expectOversizedRejected(
+        "deployEpoch", fleetSpec("", R"(,"deployEpoch":4294967297)"));
 }
 
 TEST(CampaignSpec, MalformedEnvOverridesThrow)
@@ -263,6 +330,29 @@ TEST(CampaignSpec, MalformedEnvOverridesThrow)
     ::setenv("XED_MC_SEED", "-3", 1);
     EXPECT_THROW(applyEnvOverrides(spec), std::runtime_error);
     ::unsetenv("XED_MC_SEED");
+}
+
+TEST(CampaignSpec, ShippedSpecHashesArePinned)
+{
+    // specHash is the resume key and is copied into every store
+    // manifest, so a change to the canonical JSON form changes store
+    // bytes and must be deliberate.
+    const struct
+    {
+        const char *file;
+        const char *hash;
+    } pinned[] = {
+        {"fig07.json", "f0343b0b467ffe77"},
+        {"table2.json", "33077bad71bf295d"},
+        {"fleet_smoke.json", "f0052363c9f1060b"},
+    };
+    for (const auto &entry : pinned) {
+        std::string error;
+        const auto spec = loadSpecFile(
+            std::string(XED_SPEC_DIR "/") + entry.file, &error);
+        ASSERT_TRUE(spec) << entry.file << ": " << error;
+        EXPECT_EQ(specHash(*spec), entry.hash) << entry.file;
+    }
 }
 
 TEST(CampaignSpec, ShippedSpecFilesParse)

@@ -83,31 +83,5 @@ TEST(EnvU64, UnsetIsNulloptMalformedThrows)
     ::unsetenv("XED_TEST_ENV_U64");
 }
 
-TEST(EnvU64Positive, RejectsExplicitZeroNamingTheKnob)
-{
-    // XED_MC_EVAL_BATCH routes through envU64Positive: unset is
-    // nullopt (auto), a positive value parses, and garbage OR an
-    // explicit 0 throws an error naming the knob.
-    ::unsetenv("XED_MC_EVAL_BATCH");
-    EXPECT_FALSE(envU64Positive("XED_MC_EVAL_BATCH").has_value());
-
-    ::setenv("XED_MC_EVAL_BATCH", "16", 1);
-    EXPECT_EQ(envU64Positive("XED_MC_EVAL_BATCH"), 16u);
-
-    for (const char *bogus : {"0", "8x", "-1", ""}) {
-        ::setenv("XED_MC_EVAL_BATCH", bogus, 1);
-        try {
-            envU64Positive("XED_MC_EVAL_BATCH");
-            FAIL() << "\"" << bogus << "\" was accepted";
-        } catch (const std::runtime_error &error) {
-            EXPECT_NE(
-                std::string(error.what()).find("XED_MC_EVAL_BATCH"),
-                std::string::npos)
-                << error.what();
-        }
-    }
-    ::unsetenv("XED_MC_EVAL_BATCH");
-}
-
 } // namespace
 } // namespace xed

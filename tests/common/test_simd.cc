@@ -3,16 +3,16 @@
  * The SIMD dispatch layer and the per-level byte-identity contract
  * (DESIGN.md section 4i): level names and strict parsing, host support
  * probing, forced overrides, and -- for every level the host can
- * execute -- GF(2^8) constant rows, the RS structure-of-arrays
- * validity sweep, the nibble-table linearity fence, the Monte-Carlo
- * zero-fault filter, and full-engine McResult identity.
+ * execute -- GF(2^8) constant rows, the nibble-table linearity fence,
+ * the Monte-Carlo zero-fault filter, and full-engine McResult
+ * identity. The RS structure-of-arrays kernels are covered per level
+ * by tests/ecc/test_codec_equivalence.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -20,7 +20,6 @@
 #include "common/simd.hh"
 #include "ecc/detect_simd.hh"
 #include "ecc/gf256.hh"
-#include "ecc/reed_solomon.hh"
 #include "faultsim/engine.hh"
 #include "faultsim/zero_filter.hh"
 
@@ -185,43 +184,6 @@ TEST(SimdGf256, MulConstInPlaceMatchesOutOfPlace)
         gf.mulConstInto(0x8E, buffer.data(), buffer.data(),
                         buffer.size());
         ASSERT_EQ(buffer, expected) << simdLevelName(level);
-    }
-}
-
-TEST(SimdRs, CountInvalidSoaMatchesPerWordValidityAtEveryLevel)
-{
-    // Symbol-major layout, mixed valid/corrupted columns, counts that
-    // cross the kernel's 512-column chunk boundary.
-    for (const unsigned n : {18u, 36u}) {
-        const ecc::ReedSolomon rs(n, n - 2);
-        Rng rng(0x50A + n);
-        for (const std::size_t count : {1u, 2u, 31u, 64u, 257u, 513u}) {
-            std::vector<std::uint8_t> soa(n * count);
-            std::vector<std::uint8_t> word(n);
-            std::size_t expected = 0;
-            for (std::size_t c = 0; c < count; ++c) {
-                std::vector<std::uint8_t> data(rs.k());
-                for (auto &symbol : data)
-                    symbol = static_cast<std::uint8_t>(rng.below(256));
-                word = rs.encode(data);
-                if (rng.bernoulli(0.5))
-                    word[rng.below(n)] ^=
-                        static_cast<std::uint8_t>(1 + rng.below(255));
-                expected += !rs.isValidCodeword(
-                    std::span<const std::uint8_t>(word));
-                for (unsigned i = 0; i < n; ++i)
-                    soa[i * count + c] = word[i];
-            }
-            for (const SimdLevel level : executableLevels()) {
-                const ScopedSimdLevel forced(level);
-                ASSERT_EQ(rs.countInvalidSoa(
-                              std::span<const std::uint8_t>(soa),
-                              count),
-                          expected)
-                    << simdLevelName(level) << " n=" << n
-                    << " count=" << count;
-            }
-        }
     }
 }
 

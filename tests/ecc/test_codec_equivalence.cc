@@ -41,6 +41,9 @@ struct RsShape
 
 constexpr RsShape shapes[] = {{18, 16}, {36, 32}, {15, 11}};
 
+/** The SoA batch kernels also run on the widest r = 2 shape. */
+constexpr RsShape soaShapes[] = {{18, 16}, {36, 32}, {15, 11}, {36, 34}};
+
 /** One random received word: codeword + random/burst/erasure damage. */
 struct RsCase
 {
@@ -352,12 +355,12 @@ TEST(CodecEquivalence, RsDecodeIdenticalAcrossSimdLevels)
  * definition, through the real dispatch at every executable level: for
  * every block width 1..513 and head misalignment 0..3,
  * syndromesManySoa() must write the same bytes as per-word syndromes
- * (width-1 calls), and isValidCodewordMany() / countInvalidSoa() must
- * reproduce a per-word isValidCodeword() loop flag for flag.
+ * (width-1 calls), and isValidCodewordMany() must reproduce a per-word
+ * isValidCodeword() loop flag for flag and in its invalid count.
  */
 TEST(CodecEquivalence, RsSoaKernelsIdenticalAcrossSimdLevels)
 {
-    for (const RsShape shape : shapes) {
+    for (const RsShape shape : soaShapes) {
         const ReedSolomon rs(shape.n, shape.k);
         const unsigned n = shape.n;
         const unsigned r = rs.numCheck();
@@ -441,8 +444,6 @@ TEST(CodecEquivalence, RsSoaKernelsIdenticalAcrossSimdLevels)
                                            flagPool.begin() + headOff))
                         << simdLevelName(level) << " offset " << headOff
                         << " width " << size;
-                    ASSERT_EQ(rs.countInvalidSoa(soaSpan, size),
-                              expectedInvalid);
                 }
             }
         }

@@ -234,5 +234,25 @@ TEST(ReedSolomon, DecodeRejectsWrongLength)
     EXPECT_THROW(rs.decode(bad), std::invalid_argument);
 }
 
+TEST(ReedSolomon, DecodeBeyondScratchThrows)
+{
+    // Decoding covers n <= 36 and n - k <= 4 (RsScratch); encoding and
+    // validity checks still accept any shape.
+    Rng rng(12);
+    for (const auto &[n, k] :
+         {std::pair{37u, 35u}, {18u, 13u}, {255u, 223u}}) {
+        const ReedSolomon rs(n, k);
+        EXPECT_FALSE(rs.fitsScratch()) << n << "," << k;
+        auto word = rs.encode(randomData(rng, k));
+        EXPECT_TRUE(rs.isCodeword(word));
+        const auto clean = word;
+        EXPECT_THROW(rs.decode(word), std::invalid_argument)
+            << n << "," << k;
+        EXPECT_EQ(word, clean); // untouched
+    }
+    EXPECT_TRUE(ReedSolomon(36, 32).fitsScratch());
+    EXPECT_TRUE(ReedSolomon(18, 14).fitsScratch());
+}
+
 } // namespace
 } // namespace xed::ecc

@@ -3,15 +3,21 @@
  * shapes. For every (n, k) and every (errors, erasures) load, decoding
  * must succeed iff 2*errors + erasures <= n - k, and a claimed success
  * must restore the exact codeword.
+ *
+ * RS(255,223) lies beyond RsScratch, where ReedSolomon::decode()
+ * throws; its row checks that, and holds the frozen reference decoder
+ * (tests/support/codec_reference) to the same capacity boundary.
  */
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
 #include "common/rng.hh"
 #include "ecc/reed_solomon.hh"
+#include "tests/support/codec_reference.hh"
 
 namespace xed::ecc
 {
@@ -33,6 +39,14 @@ TEST_P(RsSweep, CapacityBoundaryHolds)
         GTEST_SKIP() << "load not meaningful for this shape";
 
     ReedSolomon rs(n, k);
+    const legacy::ReedSolomon reference(n, k);
+    const auto decode = [&](std::vector<std::uint8_t> &word,
+                            const std::vector<unsigned> &declared) {
+        if (rs.fitsScratch())
+            return rs.decode(word, declared);
+        EXPECT_THROW(rs.decode(word, declared), std::invalid_argument);
+        return reference.decode(word, declared);
+    };
     Rng rng(0x525 + n * 1000 + errors * 10 + erasures);
     const bool withinCapacity =
         2 * errors + erasures <= rs.numCheck();
@@ -63,7 +77,7 @@ TEST_P(RsSweep, CapacityBoundaryHolds)
         const std::vector<unsigned> declared(
             positions.begin(), positions.begin() + erasures);
 
-        const auto result = rs.decode(word, declared);
+        const auto result = decode(word, declared);
         if (withinCapacity) {
             ASSERT_NE(result.status, RsStatus::Failure)
                 << "n=" << n << " k=" << k << " e=" << errors

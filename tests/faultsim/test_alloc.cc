@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "common/simd.hh"
 #include "common/units.hh"
 #include "dram/geometry.hh"
 #include "faultsim/engine.hh"
@@ -161,24 +162,23 @@ TEST(AllocationContract, SteadyStateIsAllocationFreeWithTracingOn)
 TEST(AllocationContract, SurvivorDeferralBatchIsAllocationFree)
 {
     // The batched faulty path (DESIGN.md section 4j): the survivor
-    // buffer is reserved during shard setup, so no evaluation batch
-    // size may introduce per-system allocations -- the shard total
-    // stays independent of the system count at every batch size.
+    // buffer is reserved during shard setup, so queueing and flushing
+    // survivors introduces no per-system allocations -- the shard
+    // total stays independent of the system count. At the scalar level
+    // there is no zero-fault filter, so every system goes through the
+    // queue. Forcing the level allocates, so it stays outside the
+    // measured runs.
     McConfig cfg;
     cfg.seed = 61799;
     const auto scheme = makeScheme(SchemeKind::Secded, OnDieOptions{});
-    for (const unsigned evalBatch : {1u, 8u, 1024u}) {
-        cfg.evalBatch = evalBatch;
-        const std::uint64_t shortRun =
-            shardAllocations(*scheme, cfg, 1500);
-        const std::uint64_t longRun =
-            shardAllocations(*scheme, cfg, 3000);
-        EXPECT_EQ(shortRun, longRun)
-            << "evalBatch " << evalBatch << ": "
-            << (longRun - shortRun)
-            << " steady-state allocations leaked into 1500 extra "
-            << "systems";
-    }
+    const SimdLevel original = simdLevel();
+    simdForceLevel(SimdLevel::Scalar, "test");
+    const std::uint64_t shortRun = shardAllocations(*scheme, cfg, 1500);
+    const std::uint64_t longRun = shardAllocations(*scheme, cfg, 3000);
+    simdForceLevel(original, "test");
+    EXPECT_EQ(shortRun, longRun)
+        << (longRun - shortRun)
+        << " steady-state allocations leaked into 1500 extra systems";
 }
 
 TEST(AllocationContract, EvaluateDimmWithScratchDoesNotAllocate)

@@ -8,7 +8,7 @@
  * Knuth draw path must consume the same RNG draws in the same order as
  * the original per-call implementation, for any thread count. Any
  * change that alters the draw sequence -- reordering draws, changing a
- * floating-point expression, switching the default sampler -- fails
+ * floating-point expression, replacing the Poisson sampler -- fails
  * here with the exact counter diff. The expected values were captured
  * from the pre-SampleContext engine; see DESIGN.md (sampling kernel)
  * for the determinism contract and when regenerating them is

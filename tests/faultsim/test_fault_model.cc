@@ -4,6 +4,7 @@
 
 #include "common/units.hh"
 #include "faultsim/fault_model.hh"
+#include "tests/support/sample_poisson.hh"
 
 namespace xed::faultsim
 {

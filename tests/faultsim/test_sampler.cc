@@ -1,20 +1,21 @@
 /**
  * @file
- * The Poisson fault-count samplers and the SampleContext prefix-CDF
+ * The Poisson fault-count sampler and the SampleContext prefix-CDF
  * kind picker: exactness of the hoisted tables against the original
- * per-call code paths, and statistical equivalence of the opt-in
- * inverse-CDF sampler against Knuth's method.
+ * per-call code paths, and the sampled counts against the analytic
+ * Poisson pmf.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
 #include "common/units.hh"
 #include "dram/geometry.hh"
-#include "faultsim/engine.hh"
 #include "faultsim/fault_model.hh"
+#include "tests/support/sample_poisson.hh"
 
 namespace xed::faultsim
 {
@@ -22,23 +23,11 @@ namespace
 {
 
 SampleContext
-contextFor(PoissonSampler sampler, double hours = evaluationHours)
+contextFor(double hours = evaluationHours)
 {
     const dram::ChipGeometry geometry{};
     const AddressLayout layout(geometry);
-    return SampleContext(FitTable{}, layout, DimmShape{}, hours, 0,
-                         sampler);
-}
-
-TEST(PoissonSampler, NamesRoundTrip)
-{
-    EXPECT_STREQ(poissonSamplerName(PoissonSampler::Knuth), "knuth");
-    EXPECT_STREQ(poissonSamplerName(PoissonSampler::InvCdf), "invcdf");
-    EXPECT_EQ(parsePoissonSampler("knuth"), PoissonSampler::Knuth);
-    EXPECT_EQ(parsePoissonSampler("invcdf"), PoissonSampler::InvCdf);
-    EXPECT_FALSE(parsePoissonSampler("poisson"));
-    EXPECT_FALSE(parsePoissonSampler(""));
-    EXPECT_FALSE(parsePoissonSampler("Knuth"));
+    return SampleContext(FitTable{}, layout, DimmShape{}, hours);
 }
 
 TEST(PoissonSampler, KnuthContextPathMatchesFreeFunction)
@@ -46,7 +35,7 @@ TEST(PoissonSampler, KnuthContextPathMatchesFreeFunction)
     // The hoisted exp(-lambda) + integer zero-draw fast path must
     // consume the same draws and return the same counts as
     // samplePoisson() on an identical stream.
-    const SampleContext ctx = contextFor(PoissonSampler::Knuth);
+    const SampleContext ctx = contextFor();
     Rng a = Rng::stream(99, 7);
     Rng b = Rng::stream(99, 7);
     for (int i = 0; i < 50000; ++i) {
@@ -119,7 +108,7 @@ expectMatchesPoissonPmf(const SampleContext &ctx, std::uint64_t seed)
     for (unsigned k = 0; k + 1 < bins.size(); ++k) {
         const double expected = n * p;
         // 5-sigma binomial band; the test is deterministic (fixed
-        // seed), the width just keeps it robust across samplers.
+        // seed), the width just keeps it robust across operating points.
         const double slack = 5.0 * std::sqrt(n * p * (1 - p)) + 1.0;
         EXPECT_NEAR(static_cast<double>(bins[k]), expected, slack)
             << "lambda " << lambda << " count " << k;
@@ -127,68 +116,19 @@ expectMatchesPoissonPmf(const SampleContext &ctx, std::uint64_t seed)
     }
 }
 
-TEST(PoissonSampler, InvCdfMatchesAnalyticPmf)
+TEST(PoissonSampler, KnuthMatchesAnalyticPmf)
 {
     // Lambda is controlled through the lifetime: lambda =
     // totalFit * 1e-9 * hours * chips, with Table I totalFit = 66.1
     // and 18 chips. Spot-check the Table I operating point and a
     // couple of stress points.
-    for (const double hours :
-         {8400.0, evaluationHours, 420000.0, 1680000.0}) {
-        expectMatchesPoissonPmf(
-            contextFor(PoissonSampler::InvCdf, hours), 0xABC);
-    }
-}
-
-TEST(PoissonSampler, KnuthMatchesAnalyticPmf)
-{
     for (const double hours : {8400.0, evaluationHours, 420000.0})
-        expectMatchesPoissonPmf(
-            contextFor(PoissonSampler::Knuth, hours), 0xABC);
-}
-
-TEST(PoissonSampler, InvCdfConsumesExactlyOneDraw)
-{
-    const SampleContext ctx = contextFor(PoissonSampler::InvCdf);
-    Rng a = Rng::stream(5, 1);
-    Rng b = Rng::stream(5, 1);
-    for (int i = 0; i < 1000; ++i) {
-        ctx.sampleFaultCount(a);
-        b.next();
-        ASSERT_EQ(a.next(), b.next());
-    }
-}
-
-TEST(PoissonSampler, InvCdfEngineRunIsDeterministicAndPlausible)
-{
-    // Same config -> identical result object; and the invcdf estimate
-    // agrees with knuth within Monte-Carlo noise (they are different
-    // draw sequences, so exact equality would be a bug in itself).
-    McConfig cfg;
-    cfg.systems = 60000;
-    cfg.seed = 0x5EED;
-    cfg.threads = 1;
-    cfg.sampler = PoissonSampler::InvCdf;
-    const auto scheme = makeScheme(SchemeKind::Secded, OnDieOptions{});
-    const auto a = runMonteCarlo(*scheme, cfg);
-    const auto b = runMonteCarlo(*scheme, cfg);
-    for (unsigned y = 1; y <= 7; ++y) {
-        EXPECT_EQ(a.failByYear[y].successes(),
-                  b.failByYear[y].successes());
-    }
-
-    McConfig knuthCfg = cfg;
-    knuthCfg.sampler = PoissonSampler::Knuth;
-    const auto k = runMonteCarlo(*scheme, knuthCfg);
-    EXPECT_NE(a.failByYear[7].successes(),
-              0u); // secded fails often enough to compare
-    EXPECT_NEAR(a.probFailure(), k.probFailure(),
-                0.1 * k.probFailure());
+        expectMatchesPoissonPmf(contextFor(hours), 0xABC);
 }
 
 TEST(PoissonSampler, ContextInvariantsMatchFitTable)
 {
-    const SampleContext ctx = contextFor(PoissonSampler::Knuth);
+    const SampleContext ctx = contextFor();
     const FitTable fit{};
     EXPECT_DOUBLE_EQ(ctx.totalFit(), fit.totalFit());
     EXPECT_DOUBLE_EQ(ctx.lambda(),

@@ -55,13 +55,12 @@ TEST(FleetSpec, ParsesMinimalFleetSpec)
     EXPECT_DOUBLE_EQ(spec.years, 2.0);
     EXPECT_EQ(spec.shardDimms, 100u);
     // Defaults: monthly epochs, replace-on-DUE with one epoch of lag,
-    // no retirement, no canary threshold, Knuth sampler.
+    // no retirement, no canary threshold.
     EXPECT_DOUBLE_EQ(spec.fleet.epochHours, hoursPerYear / 12.0);
     EXPECT_TRUE(spec.fleet.policies.replaceOnDue);
     EXPECT_EQ(spec.fleet.policies.replacementLagEpochs, 1u);
     EXPECT_EQ(spec.fleet.policies.retireAfterPermanentFaults, 0u);
     EXPECT_DOUBLE_EQ(spec.fleet.policies.canaryDueThreshold, 0.0);
-    EXPECT_EQ(spec.sampler, faultsim::PoissonSampler::Knuth);
     ASSERT_EQ(spec.fleet.cohorts.size(), 1u);
     const auto &cohort = spec.fleet.cohorts[0];
     EXPECT_EQ(cohort.name, "a");
@@ -92,7 +91,7 @@ TEST(FleetSpec, ParsesCohortsPoliciesAndOverrides)
     const auto spec = parseOrDie(R"({
         "name": "f", "kind": "fleet", "seed": 3, "years": 3,
         "epochHours": 2000, "shardDimms": 50,
-        "sampler": "invcdf",
+        "sampler": "knuth",
         "onDie": {"present": false},
         "policies": {"replaceOnDue": false, "replacementLagEpochs": 2,
                      "retireAfterPermanentFaults": 3,
@@ -105,7 +104,6 @@ TEST(FleetSpec, ParsesCohortsPoliciesAndOverrides)
             {"name": "vendorB", "scheme": "chipkill", "dimms": 60}
         ]
     })");
-    EXPECT_EQ(spec.sampler, faultsim::PoissonSampler::InvCdf);
     EXPECT_FALSE(spec.onDie.present);
     EXPECT_FALSE(spec.fleet.policies.replaceOnDue);
     EXPECT_EQ(spec.fleet.policies.replacementLagEpochs, 2u);
@@ -244,20 +242,17 @@ TEST(FleetSpec, HashCoversFleetShape)
     EXPECT_NE(specHash(base), specHash(changedCohort));
 }
 
-TEST(FleetSpec, EnvOverridesApplySeedAndSamplerOnly)
+TEST(FleetSpec, EnvOverridesApplySeedOnly)
 {
     auto spec = parseOrDie(kMinimal);
     ::setenv("XED_MC_SEED", "77", 1);
-    ::setenv("XED_MC_SAMPLER", "invcdf", 1);
     ::setenv("XED_MC_SYSTEMS", "999", 1); // reliability-only knob
     ::setenv("XED_TRIALS", "888", 1);     // detection-only knob
     applyEnvOverrides(spec);
     ::unsetenv("XED_MC_SEED");
-    ::unsetenv("XED_MC_SAMPLER");
     ::unsetenv("XED_MC_SYSTEMS");
     ::unsetenv("XED_TRIALS");
     EXPECT_EQ(spec.seed, 77u);
-    EXPECT_EQ(spec.sampler, faultsim::PoissonSampler::InvCdf);
     EXPECT_EQ(spec.fleet.totalDimms(), 250u); // untouched
     EXPECT_EQ(spec.trials, 200000u);          // untouched default
 }
@@ -268,7 +263,6 @@ TEST(FleetSpec, FleetConfigMirrorsSpec)
     const fleet::FleetConfig config = fleetConfigFor(spec);
     EXPECT_EQ(config.seed, spec.seed);
     EXPECT_DOUBLE_EQ(config.years, spec.years);
-    EXPECT_EQ(config.sampler, spec.sampler);
     EXPECT_EQ(config.setup.cohorts.size(), 1u);
     EXPECT_EQ(config.epochs(), 24u); // 2 years of monthly epochs
 }

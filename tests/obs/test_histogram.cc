@@ -4,7 +4,7 @@
  * bucket-index goldens, the 1/16-relative-width quantile accuracy
  * bound, the exact/associative/commutative merge contract, and a
  * many-thread registration+update race (also exercised under TSan by
- * scripts/check_campaign_tsan.sh via `ctest -L obs`).
+ * scripts/check.sh tsan via `ctest -L obs`).
  */
 
 #include <gtest/gtest.h>
