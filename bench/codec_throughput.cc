@@ -367,178 +367,6 @@ try {
     benchDetect("hamming_detect_batch", hamming, hammingPool);
     benchDetect("crc8_detect_batch", crc, crcPool);
 
-    // --- Transposed RS syndrome / validity (DESIGN.md section 4j):
-    // the faulty-path batch kernels at the campaign geometry (512
-    // words per call, = ChipkillController::readMany's 64 lines x 8
-    // beats). "Before" for the validity kernel is the pre-PR read
-    // path, one virtual isValidCodeword per beat; "before" for the
-    // syndrome kernel is the same SoA Horner run one word at a time,
-    // so the delta is purely what batching the lane buys.
-    const auto makeRsBlock = [](const ReedSolomon &rs,
-                                std::uint64_t seed, RsWordBlock &block,
-                                std::vector<std::uint8_t> &aos) {
-        Rng rng(seed);
-        block.reset(rs.n(), detectBatchWords);
-        aos.assign(rs.n() * detectBatchWords, 0);
-        std::vector<std::uint8_t> data(rs.k());
-        std::vector<std::uint8_t> word(rs.n());
-        for (std::size_t c = 0; c < detectBatchWords; ++c) {
-            for (auto &symbol : data)
-                symbol = static_cast<std::uint8_t>(rng.below(256));
-            rs.encode(data, word);
-            // Faulty-path mix: most beats of a flagged block are still
-            // clean; roughly 1 in 8 carries an error.
-            if (rng.bernoulli(0.125))
-                word[rng.below(rs.n())] ^=
-                    static_cast<std::uint8_t>(1 + rng.below(255));
-            block.push(word);
-            for (unsigned i = 0; i < rs.n(); ++i)
-                aos[c * rs.n() + i] = word[i];
-        }
-    };
-    const auto rsSoaValidRate = [&](const ReedSolomon &rs,
-                                    const RsWordBlock &block,
-                                    std::uint64_t rounds) {
-        std::vector<std::uint8_t> valid(detectBatchWords);
-        const double sec = bestSeconds(repeats, [&] {
-            std::uint64_t invalid = 0;
-            for (std::uint64_t r = 0; r < rounds; ++r)
-                invalid += rs.isValidCodewordMany(block, valid);
-            sink = sink + invalid;
-        });
-        return static_cast<double>(rounds * detectBatchWords) / sec;
-    };
-    const auto rsSoaSyndromeRate = [&](const ReedSolomon &rs,
-                                       const RsWordBlock &block,
-                                       std::uint64_t rounds) {
-        std::vector<std::uint8_t> syn(rs.numCheck() * detectBatchWords);
-        const double sec = bestSeconds(repeats, [&] {
-            std::uint64_t acc = 0;
-            for (std::uint64_t r = 0; r < rounds; ++r) {
-                rs.syndromesManySoa(block, syn);
-                acc ^= syn[0];
-            }
-            sink = sink + acc;
-        });
-        return static_cast<double>(rounds * detectBatchWords) / sec;
-    };
-    const auto benchRsBatch = [&](const std::string &shape,
-                                  const ReedSolomon &rs,
-                                  const RsWordBlock &block,
-                                  const std::vector<std::uint8_t> &aos) {
-        const std::uint64_t rounds =
-            std::max<std::uint64_t>(1, (baseOps * 8) / detectBatchWords);
-        const std::uint64_t ops = rounds * detectBatchWords;
-        const double validBeforeSec = bestSeconds(repeats, [&] {
-            std::uint64_t invalid = 0;
-            for (std::uint64_t r = 0; r < rounds; ++r)
-                for (std::size_t c = 0; c < detectBatchWords; ++c)
-                    invalid += !rs.isValidCodeword(
-                        std::span<const std::uint8_t>(
-                            aos.data() + c * rs.n(), rs.n()));
-            sink = sink + invalid;
-        });
-        results.push_back({shape + "_valid_batch", "rs_syndrome",
-                           ops / validBeforeSec,
-                           rsSoaValidRate(rs, block, rounds)});
-        // One-word SoA columns for the per-word syndrome baseline.
-        std::vector<std::uint8_t> one(rs.n());
-        std::vector<std::uint8_t> oneSyn(rs.numCheck());
-        const double synBeforeSec = bestSeconds(repeats, [&] {
-            std::uint64_t acc = 0;
-            for (std::uint64_t r = 0; r < rounds; ++r)
-                for (std::size_t c = 0; c < detectBatchWords; ++c) {
-                    for (unsigned i = 0; i < rs.n(); ++i)
-                        one[i] = aos[c * rs.n() + i];
-                    rs.syndromesManySoa(one, 1, oneSyn);
-                    acc ^= oneSyn[0];
-                }
-            sink = sink + acc;
-        });
-        results.push_back({shape + "_syndrome_batch", "rs_syndrome",
-                           ops / synBeforeSec,
-                           rsSoaSyndromeRate(rs, block, rounds)});
-    };
-    const ReedSolomon rs1816(18, 16);
-    const ReedSolomon rs3632(36, 32);
-    RsWordBlock rsBlock1816, rsBlock3632;
-    std::vector<std::uint8_t> rsAos1816, rsAos3632;
-    makeRsBlock(rs1816, 0x5A1816, rsBlock1816, rsAos1816);
-    makeRsBlock(rs3632, 0x5A3632, rsBlock3632, rsAos3632);
-    benchRsBatch("rs1816", rs1816, rsBlock1816, rsAos1816);
-    benchRsBatch("rs3632", rs3632, rsBlock3632, rsAos3632);
-
-    // --- Batched catch-word screening: the XED controllers' on-die
-    // syndrome pass over transposed (72,64) byte planes vs. the
-    // per-word scalar syndrome the readLine() loop pays. Planes are
-    // staged once (the controllers gather while reading the chips), so
-    // the timed region is exactly the screening kernel.
-    const auto makePlanes = [](const std::vector<Word72> &pool) {
-        std::vector<std::uint8_t> planes(9 * pool.size());
-        for (std::size_t c = 0; c < pool.size(); ++c) {
-            std::uint64_t lo = pool[c].lo;
-            for (unsigned b = 0; b < 8; ++b) {
-                planes[b * pool.size() + c] =
-                    static_cast<std::uint8_t>(lo & 0xFF);
-                lo >>= 8;
-            }
-            planes[8 * pool.size() + c] = pool[c].hi;
-        }
-        return planes;
-    };
-    const auto catchWordSoaRate = [&](const Secded7264 &code,
-                                      const std::vector<std::uint8_t>
-                                          &planes,
-                                      std::size_t stride,
-                                      std::uint64_t rounds) {
-        std::vector<std::uint8_t> out(detectBatchWords);
-        const double sec = bestSeconds(repeats, [&] {
-            std::uint64_t acc = 0;
-            for (std::uint64_t r = 0; r < rounds; ++r)
-                for (std::size_t at = 0; at < stride;
-                     at += detectBatchWords) {
-                    code.syndromeManySoa(planes.data() + at, stride,
-                                         detectBatchWords, out.data());
-                    acc ^= out[0];
-                }
-            sink = sink + acc;
-        });
-        return static_cast<double>(rounds * stride) / sec;
-    };
-    const auto crcPlanes = makePlanes(crcPool);
-    {
-        const std::uint64_t rounds = (baseOps * 50) / crcPool.size();
-        const std::uint64_t ops = rounds * crcPool.size();
-        const double beforeSec = bestSeconds(repeats, [&] {
-            std::uint64_t acc = 0;
-            for (std::uint64_t r = 0; r < rounds; ++r)
-                for (const Word72 &word : crcPool)
-                    acc += crc.syndrome(word);
-            sink = sink + acc;
-        });
-        results.push_back({"crc8_catchword_batch", "catch_word",
-                           ops / beforeSec,
-                           catchWordSoaRate(crc, crcPlanes,
-                                            crcPool.size(), rounds)});
-    }
-    const auto hammingPlanes = makePlanes(hammingPool);
-    {
-        const std::uint64_t rounds = (baseOps * 50) / hammingPool.size();
-        const std::uint64_t ops = rounds * hammingPool.size();
-        const double beforeSec = bestSeconds(repeats, [&] {
-            std::uint64_t acc = 0;
-            for (std::uint64_t r = 0; r < rounds; ++r)
-                for (const Word72 &word : hammingPool)
-                    acc += !hamming.isValidCodeword(word);
-            sink = sink + acc;
-        });
-        results.push_back({"hamming_catchword_batch", "catch_word",
-                           ops / beforeSec,
-                           catchWordSoaRate(hamming, hammingPlanes,
-                                            hammingPool.size(),
-                                            rounds)});
-    }
-
     // --- Per-dispatch-level detect rates: the same pinned-geometry
     // loop forced to every level this host can execute, so one report
     // shows what each kernel generation is worth on this machine.
@@ -547,24 +375,16 @@ try {
         SimdLevel level;
         double hammingRate;
         double crcRate;
-        double rsSynRate;
-        double catchWordRate;
     };
     std::vector<LevelRate> levelRates;
     {
         const SimdLevel resolved = simdLevel();
         const std::uint64_t rounds = (baseOps * 50) / 4096;
-        const std::uint64_t rsRounds =
-            std::max<std::uint64_t>(1, (baseOps * 8) / detectBatchWords);
         for (const SimdLevel level : executableLevels()) {
             simdForceLevel(level, "--simd sweep");
             levelRates.push_back(
-                {level,
-                 detectManyRate(hamming, hammingPool, rounds),
-                 detectManyRate(crc, crcPool, rounds),
-                 rsSoaSyndromeRate(rs1816, rsBlock1816, rsRounds),
-                 catchWordSoaRate(crc, crcPlanes, crcPool.size(),
-                                  rounds)});
+                {level, detectManyRate(hamming, hammingPool, rounds),
+                 detectManyRate(crc, crcPool, rounds)});
         }
         simdForceLevel(resolved, "--simd sweep");
     }
@@ -600,28 +420,21 @@ try {
     };
     const double rsGeomean = geomean("rs_decode");
     const double crcGeomean = geomean("crc8");
-    const double rsSynGeomean = geomean("rs_syndrome");
-    const double catchWordGeomean = geomean("catch_word");
     const double overallGeomean = geomean("");
     std::printf("geomean speedup: rs_decode %.2fx, crc8 %.2fx, "
-                "rs_syndrome %.2fx, catch_word %.2fx, overall %.2fx\n",
-                rsGeomean, crcGeomean, rsSynGeomean, catchWordGeomean,
-                overallGeomean);
+                "overall %.2fx\n",
+                rsGeomean, crcGeomean, overallGeomean);
 
     std::printf("batch words/s by SIMD level (%zu-word batches):\n",
                 detectBatchWords);
     auto jsonLevels = json::Value::array();
     for (const LevelRate &lr : levelRates) {
-        std::printf("  %-8s hamming %12.4g  crc8 %12.4g  rs_syn %12.4g"
-                    "  catchword %12.4g\n",
-                    simdLevelName(lr.level), lr.hammingRate, lr.crcRate,
-                    lr.rsSynRate, lr.catchWordRate);
+        std::printf("  %-8s hamming %12.4g  crc8 %12.4g\n",
+                    simdLevelName(lr.level), lr.hammingRate, lr.crcRate);
         auto entry = json::Value::object();
         entry.set("level", simdLevelName(lr.level));
         entry.set("hamming_detect_batch_ops_per_sec", lr.hammingRate);
         entry.set("crc8_detect_batch_ops_per_sec", lr.crcRate);
-        entry.set("rs1816_syndrome_soa_ops_per_sec", lr.rsSynRate);
-        entry.set("crc8_catchword_soa_ops_per_sec", lr.catchWordRate);
         jsonLevels.push(std::move(entry));
     }
 
@@ -637,8 +450,6 @@ try {
         auto geo = json::Value::object();
         geo.set("rs_decode", rsGeomean);
         geo.set("crc8", crcGeomean);
-        geo.set("rs_syndrome", rsSynGeomean);
-        geo.set("catch_word", catchWordGeomean);
         geo.set("overall", overallGeomean);
         doc.set("geomean_speedup", std::move(geo));
         std::ofstream out(outPath, std::ios::binary | std::ios::trunc);

@@ -21,9 +21,7 @@
 #include "bench/bench_util.hh"
 #include "common/build_info.hh"
 #include "common/json.hh"
-#include "common/simd.hh"
 #include "faultsim/engine.hh"
-#include "xed/controller.hh"
 
 using namespace xed;
 using namespace xed::faultsim;
@@ -115,93 +113,10 @@ try {
         results.push(std::move(entry));
     }
 
-    // --- Table II read-path workload: stream cache-line reads through
-    // the XED controller on its table2 configuration (CRC-8 ATM
-    // on-die code) with one permanent single-bit fault injected, so a
-    // small fraction of lines takes the scalar fallback the way real
-    // faulty campaigns do. "Before" is the per-line readLine() loop;
-    // "after" is readMany() over the same addresses -- results and
-    // counters are byte-identical (pinned by the equivalence tests),
-    // so the delta is pure read-path throughput from the batched
-    // catch-word screen (DESIGN.md section 4j).
-    auto readPathJson = json::Value::object();
-    {
-        const std::uint64_t trials =
-            bench::envScale("XED_TRIALS", 200000);
-        xed::XedControllerConfig ctrlCfg;
-        xed::XedController ctrl(ctrlCfg);
-        dram::Fault fault;
-        fault.granularity = dram::FaultGranularity::SingleBit;
-        fault.permanent = true;
-        fault.addr = {0, 3, 17};
-        fault.bitPos = 5;
-        ctrl.chip(2).faults().add(fault);
-
-        constexpr unsigned rows = 16;
-        constexpr unsigned cols = 128;
-        std::vector<dram::WordAddr> addrs;
-        addrs.reserve(static_cast<std::size_t>(rows) * cols);
-        for (unsigned row = 0; row < rows; ++row)
-            for (unsigned col = 0; col < cols; ++col)
-                addrs.push_back({0, row, col});
-        std::vector<xed::LineReadResult> lineResults(addrs.size());
-        const std::uint64_t rounds = std::max<std::uint64_t>(
-            1, trials / addrs.size());
-        const std::uint64_t lines = rounds * addrs.size();
-
-        const auto timeLines = [&](auto &&body) {
-            body(); // warm up
-            double best = 1e300;
-            for (unsigned r = 0; r < repeats; ++r) {
-                const auto t0 = std::chrono::steady_clock::now();
-                body();
-                const auto t1 = std::chrono::steady_clock::now();
-                best = std::min(best, seconds(t0, t1));
-            }
-            return best;
-        };
-        volatile std::uint64_t sink = 0;
-        const double beforeSec = timeLines([&] {
-            std::uint64_t clean = 0;
-            for (std::uint64_t r = 0; r < rounds; ++r)
-                for (std::size_t i = 0; i < addrs.size(); ++i)
-                    clean += ctrl.readLine(addrs[i]).outcome ==
-                             xed::ReadOutcome::Clean;
-            sink = sink + clean;
-        });
-        const double afterSec = timeLines([&] {
-            std::uint64_t clean = 0;
-            for (std::uint64_t r = 0; r < rounds; ++r) {
-                ctrl.readMany(addrs, lineResults);
-                for (const auto &result : lineResults)
-                    clean += result.outcome == xed::ReadOutcome::Clean;
-            }
-            sink = sink + clean;
-        });
-        const double beforeRate = lines / beforeSec;
-        const double afterRate = lines / afterSec;
-        std::printf("table2 read path (%zu lines/round, %llu rounds, "
-                    "simd %s): readLine %.4g lines/s, readMany %.4g "
-                    "lines/s, %.2fx\n",
-                    addrs.size(),
-                    static_cast<unsigned long long>(rounds),
-                    simdLevelName(simdLevel()), beforeRate, afterRate,
-                    afterRate / beforeRate);
-        readPathJson.set("workload", "table2_read_path");
-        readPathJson.set("lines_per_round",
-                         static_cast<std::uint64_t>(addrs.size()));
-        readPathJson.set("rounds", rounds);
-        readPathJson.set("simd_level", simdLevelName(simdLevel()));
-        readPathJson.set("readline_lines_per_sec", beforeRate);
-        readPathJson.set("readmany_lines_per_sec", afterRate);
-        readPathJson.set("speedup", afterRate / beforeRate);
-    }
-
     if (!outPath.empty()) {
         auto doc = json::Value::object();
         doc.set("bench", "mc_throughput");
         doc.set("workload", "fig07");
-        doc.set("table2_read_path", std::move(readPathJson));
         doc.set("systems", cfg.systems);
         doc.set("seed", cfg.seed);
         doc.set("repeats", repeats);

@@ -1,6 +1,7 @@
 #include "campaign/status.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -53,14 +54,14 @@ splitName(const std::string &name, std::string_view prefix,
     return true;
 }
 
+/** Digits only, and a value that fits a u64. Any other name is not one
+ *  the queue writes, so the scan skips it instead of failing. */
 bool
 parseShardIndex(const std::string &digits, std::uint64_t &index)
 {
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    index = std::stoull(digits);
-    return true;
+    const char *end = digits.data() + digits.size();
+    const auto [ptr, ec] = std::from_chars(digits.data(), end, index);
+    return ec == std::errc{} && ptr == end;
 }
 
 std::string

@@ -70,15 +70,6 @@ class Chip
     /** Read a word through the on-die ECC engine and the DC-Mux. */
     ChipReadResult read(const WordAddr &addr);
 
-    /**
-     * The raw 72-bit word the on-die decoder would receive at @p addr:
-     * the stored (or background) codeword XORed with the injected
-     * corruption. Side-effect-free and decode-free; the controllers'
-     * batch read paths gather these into transposed byte planes and
-     * run one vector syndrome pass instead of 9 scalar decodes.
-     */
-    ecc::Word72 rawCodeword(const WordAddr &addr) const;
-
     /** Fault-injection hook for tests and experiments. */
     FaultInjector &faults() { return injector_; }
     const FaultInjector &faults() const { return injector_; }
@@ -114,6 +105,13 @@ class Chip
 
     /** Background codeword for a never-written address. */
     ecc::Word72 backgroundWord(std::uint64_t packed) const;
+
+    /**
+     * The raw 72-bit word the on-die decoder receives at @p addr: the
+     * stored (or background) codeword XORed with the injected
+     * corruption.
+     */
+    ecc::Word72 rawCodeword(const WordAddr &addr) const;
 
     ChipGeometry geometry_;
     const ecc::Secded7264 &code_;

@@ -79,17 +79,6 @@ class Secded7264
      */
     virtual std::size_t
     detectMany(std::span<const Word72> received) const = 0;
-
-    /**
-     * Batched syndromes over a transposed (plane-major) block:
-     * planes[s * stride + c] holds byte s of word c (bytes 0..7 are
-     * the lo bytes LSB-first, byte 8 is hi); writes the 8-bit syndrome
-     * of word c into out[c], zero iff word c is a valid codeword.
-     * No allocation.
-     */
-    virtual void
-    syndromeManySoa(const std::uint8_t *planes, std::size_t stride,
-                    std::size_t count, std::uint8_t *out) const = 0;
 };
 
 } // namespace xed::ecc

@@ -63,14 +63,6 @@ Crc8Atm::detectMany(std::span<const Word72> received) const
     return detected;
 }
 
-void
-Crc8Atm::syndromeManySoa(const std::uint8_t *planes, std::size_t stride,
-                         std::size_t count, std::uint8_t *out) const
-{
-    detail::syndromeManySoaSimd(simdLevel(), nib_, planes, stride, count,
-                                out);
-}
-
 DecodeResult
 Crc8Atm::decode(const Word72 &received) const
 {

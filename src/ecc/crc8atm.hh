@@ -55,12 +55,6 @@ class Crc8Atm : public Secded7264
 
     std::size_t detectMany(std::span<const Word72> received) const override;
 
-    /** Plane-major batch syndromes through the nibble-table kernels;
-     *  out[c] is the real CRC syndrome of word c. */
-    void syndromeManySoa(const std::uint8_t *planes, std::size_t stride,
-                         std::size_t count,
-                         std::uint8_t *out) const override;
-
     /** Remainder of the received polynomial mod g (0 iff valid). */
     std::uint8_t
     syndrome(const Word72 &received) const

@@ -44,89 +44,7 @@ detectScalar(const SecdedNibbleTables &t, const Word72 *words,
     return invalid;
 }
 
-/** Scalar plane-major syndrome loop (tails + the Scalar level). */
-void
-syndromeSoaScalar(const SecdedNibbleTables &t, const std::uint8_t *planes,
-                  std::size_t stride, std::size_t count, std::uint8_t *out)
-{
-    for (std::size_t c = 0; c < count; ++c) {
-        std::uint8_t s = 0;
-        for (unsigned lane = 0; lane < 9; ++lane) {
-            const unsigned b = planes[lane * stride + c];
-            s ^= t.lo[lane][b & 0x0F] ^ t.hi[lane][b >> 4];
-        }
-        out[c] = s;
-    }
-}
-
 #if defined(__x86_64__)
-
-/**
- * AVX2 plane-major syndromes: 32 words per block, no unpack network
- * (the input is already slice-major), 18 vpshufb per block. @p n must
- * be a multiple of 32.
- */
-__attribute__((target("avx2"))) void
-syndromeSoaBlocksAvx2(const SecdedNibbleTables &t,
-                      const std::uint8_t *planes, std::size_t stride,
-                      std::size_t n, std::uint8_t *out)
-{
-    __m256i tabLo[9], tabHi[9];
-    for (int s = 0; s < 9; ++s) {
-        tabLo[s] = _mm256_broadcastsi128_si256(
-            _mm_load_si128(reinterpret_cast<const __m128i *>(t.lo[s])));
-        tabHi[s] = _mm256_broadcastsi128_si256(
-            _mm_load_si128(reinterpret_cast<const __m128i *>(t.hi[s])));
-    }
-    const __m256i nibMask = _mm256_set1_epi8(0x0F);
-    for (std::size_t c = 0; c < n; c += 32) {
-        __m256i acc = _mm256_setzero_si256();
-        for (int s = 0; s < 9; ++s) {
-            const __m256i bytes = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(planes + s * stride +
-                                                  c));
-            const __m256i loNib = _mm256_and_si256(bytes, nibMask);
-            const __m256i hiNib = _mm256_and_si256(
-                _mm256_srli_epi16(bytes, 4), nibMask);
-            acc = _mm256_xor_si256(
-                acc,
-                _mm256_xor_si256(_mm256_shuffle_epi8(tabLo[s], loNib),
-                                 _mm256_shuffle_epi8(tabHi[s], hiNib)));
-        }
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + c), acc);
-    }
-}
-
-/** AVX-512 plane-major syndromes: 64 words per block. */
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) void
-syndromeSoaBlocksAvx512(const SecdedNibbleTables &t,
-                        const std::uint8_t *planes, std::size_t stride,
-                        std::size_t n, std::uint8_t *out)
-{
-    __m512i tabLo[9], tabHi[9];
-    for (int s = 0; s < 9; ++s) {
-        tabLo[s] = _mm512_broadcast_i32x4(
-            _mm_load_si128(reinterpret_cast<const __m128i *>(t.lo[s])));
-        tabHi[s] = _mm512_broadcast_i32x4(
-            _mm_load_si128(reinterpret_cast<const __m128i *>(t.hi[s])));
-    }
-    const __m512i nibMask = _mm512_set1_epi8(0x0F);
-    for (std::size_t c = 0; c < n; c += 64) {
-        __m512i acc = _mm512_setzero_si512();
-        for (int s = 0; s < 9; ++s) {
-            const __m512i bytes = _mm512_loadu_si512(
-                reinterpret_cast<const void *>(planes + s * stride + c));
-            const __m512i loNib = _mm512_and_si512(bytes, nibMask);
-            const __m512i hiNib = _mm512_and_si512(
-                _mm512_srli_epi16(bytes, 4), nibMask);
-            acc = _mm512_xor_si512(
-                acc,
-                _mm512_xor_si512(_mm512_shuffle_epi8(tabLo[s], loNib),
-                                 _mm512_shuffle_epi8(tabHi[s], hiNib)));
-        }
-        _mm512_storeu_si512(reinterpret_cast<void *>(out + c), acc);
-    }
-}
 
 /**
  * AVX2: 32 words (512 bytes) per block. A 4-layer unpack network
@@ -313,32 +231,6 @@ detectBlocksAvx512(const SecdedNibbleTables &t, const Word72 *words,
 
 #elif defined(__aarch64__)
 
-/** NEON plane-major syndromes: 16 words per block. */
-void
-syndromeSoaBlocksNeon(const SecdedNibbleTables &t,
-                      const std::uint8_t *planes, std::size_t stride,
-                      std::size_t n, std::uint8_t *out)
-{
-    uint8x16_t tabLo[9], tabHi[9];
-    for (int s = 0; s < 9; ++s) {
-        tabLo[s] = vld1q_u8(t.lo[s]);
-        tabHi[s] = vld1q_u8(t.hi[s]);
-    }
-    const uint8x16_t nibMask = vdupq_n_u8(0x0F);
-    for (std::size_t c = 0; c < n; c += 16) {
-        uint8x16_t acc = vdupq_n_u8(0);
-        for (int s = 0; s < 9; ++s) {
-            const uint8x16_t bytes = vld1q_u8(planes + s * stride + c);
-            const uint8x16_t loNib = vandq_u8(bytes, nibMask);
-            const uint8x16_t hiNib = vshrq_n_u8(bytes, 4);
-            acc = veorq_u8(acc,
-                           veorq_u8(vqtbl1q_u8(tabLo[s], loNib),
-                                    vqtbl1q_u8(tabHi[s], hiNib)));
-        }
-        vst1q_u8(out + c, acc);
-    }
-}
-
 /**
  * NEON: 16 words per block, one q-register per word (tags 0..15), the
  * same 4-layer network with full-width zips, tbl nibble lookups and a
@@ -485,37 +377,6 @@ detectManySimd(SimdLevel level, const SecdedNibbleTables &t,
         break;
     }
     return invalid + detectScalar(t, words + blocked, n - blocked);
-}
-
-void
-syndromeManySoaSimd(SimdLevel level, const SecdedNibbleTables &t,
-                    const std::uint8_t *planes, std::size_t stride,
-                    std::size_t count, std::uint8_t *out)
-{
-    std::size_t blocked = 0;
-    switch (level) {
-#if defined(__x86_64__)
-    case SimdLevel::Avx512:
-        blocked = count & ~static_cast<std::size_t>(63);
-        syndromeSoaBlocksAvx512(t, planes, stride, blocked, out);
-        break;
-    case SimdLevel::Avx2:
-        blocked = count & ~static_cast<std::size_t>(31);
-        syndromeSoaBlocksAvx2(t, planes, stride, blocked, out);
-        break;
-#elif defined(__aarch64__)
-    case SimdLevel::Neon:
-        blocked = count & ~static_cast<std::size_t>(15);
-        syndromeSoaBlocksNeon(t, planes, stride, blocked, out);
-        break;
-#endif
-    default:
-        break;
-    }
-    // The plane base of the tail shifts by `blocked` in every lane, so
-    // the scalar loop reuses the same stride on offset pointers.
-    syndromeSoaScalar(t, planes + blocked, stride, count - blocked,
-                      out + blocked);
 }
 
 } // namespace xed::ecc::detail

@@ -61,20 +61,6 @@ SecdedNibbleTables makeNibbleTables(
 std::size_t detectManySimd(SimdLevel level, const SecdedNibbleTables &t,
                            std::span<const Word72> received);
 
-/**
- * Batched syndromes over a transposed (plane-major) block:
- * planes[s * stride + c] holds byte lane s of word c (lanes 0..7 are
- * the lo bytes LSB-first, lane 8 is hi). Writes the full 8-bit
- * syndrome of word c into out[c]. Because the caller already gathered
- * the words slice-major, the vector kernels skip detectManySimd's
- * unpack network entirely: each lane is two nibble lookups straight
- * off a contiguous plane load. Bytes are identical to the scalar
- * nibble-table loop at every level.
- */
-void syndromeManySoaSimd(SimdLevel level, const SecdedNibbleTables &t,
-                         const std::uint8_t *planes, std::size_t stride,
-                         std::size_t count, std::uint8_t *out);
-
 } // namespace xed::ecc::detail
 
 #endif // XED_ECC_DETECT_SIMD_HH

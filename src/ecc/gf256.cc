@@ -15,24 +15,20 @@ namespace
 /** Scalar tail shared by every kernel: the nibble split is exact, so
  *  this matches both the mulRowPtr() loop and the vector bodies. */
 inline void
-mulConstTail(const std::uint8_t *lo, const std::uint8_t *hi,
-             const std::uint8_t *src, std::uint8_t *dst, std::size_t n,
-             bool accumulate)
+mulConstXorTail(const std::uint8_t *lo, const std::uint8_t *hi,
+                const std::uint8_t *src, std::uint8_t *dst, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint8_t b = src[i];
-        const std::uint8_t p =
-            static_cast<std::uint8_t>(lo[b & 0x0F] ^ hi[b >> 4]);
-        dst[i] = accumulate ? static_cast<std::uint8_t>(dst[i] ^ p) : p;
+        dst[i] ^= static_cast<std::uint8_t>(lo[b & 0x0F] ^ hi[b >> 4]);
     }
 }
 
 #if defined(__x86_64__)
 
 __attribute__((target("avx2"))) void
-mulConstAvx2(const std::uint8_t *lo, const std::uint8_t *hi,
-             const std::uint8_t *src, std::uint8_t *dst, std::size_t n,
-             bool accumulate)
+mulConstXorAvx2(const std::uint8_t *lo, const std::uint8_t *hi,
+                const std::uint8_t *src, std::uint8_t *dst, std::size_t n)
 {
     const __m256i tlo = _mm256_broadcastsi128_si256(
         _mm_loadu_si128(reinterpret_cast<const __m128i *>(lo)));
@@ -47,13 +43,11 @@ mulConstAvx2(const std::uint8_t *lo, const std::uint8_t *hi,
             _mm256_shuffle_epi8(tlo, _mm256_and_si256(v, mask)),
             _mm256_shuffle_epi8(
                 thi, _mm256_and_si256(_mm256_srli_epi16(v, 4), mask)));
-        if (accumulate)
-            p = _mm256_xor_si256(
-                p, _mm256_loadu_si256(
-                       reinterpret_cast<const __m256i *>(dst + i)));
+        p = _mm256_xor_si256(
+            p, _mm256_loadu_si256(reinterpret_cast<const __m256i *>(dst + i)));
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i), p);
     }
-    mulConstTail(lo, hi, src + i, dst + i, n - i, accumulate);
+    mulConstXorTail(lo, hi, src + i, dst + i, n - i);
 }
 
 // _mm512_undefined_epi32() inside the GCC intrinsic headers trips
@@ -62,9 +56,8 @@ mulConstAvx2(const std::uint8_t *lo, const std::uint8_t *hi,
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) void
-mulConstAvx512(const std::uint8_t *lo, const std::uint8_t *hi,
-               const std::uint8_t *src, std::uint8_t *dst, std::size_t n,
-               bool accumulate)
+mulConstXorAvx512(const std::uint8_t *lo, const std::uint8_t *hi,
+                  const std::uint8_t *src, std::uint8_t *dst, std::size_t n)
 {
     const __m512i tlo = _mm512_broadcast_i32x4(
         _mm_loadu_si128(reinterpret_cast<const __m128i *>(lo)));
@@ -79,22 +72,19 @@ mulConstAvx512(const std::uint8_t *lo, const std::uint8_t *hi,
             _mm512_shuffle_epi8(tlo, _mm512_and_si512(v, mask)),
             _mm512_shuffle_epi8(
                 thi, _mm512_and_si512(_mm512_srli_epi16(v, 4), mask)));
-        if (accumulate)
-            p = _mm512_xor_si512(
-                p, _mm512_loadu_si512(
-                       reinterpret_cast<const void *>(dst + i)));
+        p = _mm512_xor_si512(
+            p, _mm512_loadu_si512(reinterpret_cast<const void *>(dst + i)));
         _mm512_storeu_si512(reinterpret_cast<void *>(dst + i), p);
     }
-    mulConstTail(lo, hi, src + i, dst + i, n - i, accumulate);
+    mulConstXorTail(lo, hi, src + i, dst + i, n - i);
 }
 #pragma GCC diagnostic pop
 
 #elif defined(__aarch64__)
 
 void
-mulConstNeon(const std::uint8_t *lo, const std::uint8_t *hi,
-             const std::uint8_t *src, std::uint8_t *dst, std::size_t n,
-             bool accumulate)
+mulConstXorNeon(const std::uint8_t *lo, const std::uint8_t *hi,
+                const std::uint8_t *src, std::uint8_t *dst, std::size_t n)
 {
     const uint8x16_t tlo = vld1q_u8(lo);
     const uint8x16_t thi = vld1q_u8(hi);
@@ -104,11 +94,10 @@ mulConstNeon(const std::uint8_t *lo, const std::uint8_t *hi,
         const uint8x16_t v = vld1q_u8(src + i);
         uint8x16_t p = veorq_u8(vqtbl1q_u8(tlo, vandq_u8(v, mask)),
                                 vqtbl1q_u8(thi, vshrq_n_u8(v, 4)));
-        if (accumulate)
-            p = veorq_u8(p, vld1q_u8(dst + i));
+        p = veorq_u8(p, vld1q_u8(dst + i));
         vst1q_u8(dst + i, p);
     }
-    mulConstTail(lo, hi, src + i, dst + i, n - i, accumulate);
+    mulConstXorTail(lo, hi, src + i, dst + i, n - i);
 }
 
 #endif
@@ -143,33 +132,6 @@ GF256::GF256()
 }
 
 void
-GF256::mulConstInto(std::uint8_t c, const std::uint8_t *src,
-                    std::uint8_t *dst, std::size_t n) const
-{
-    const std::uint8_t *lo = nibLo_[c].data();
-    const std::uint8_t *hi = nibHi_[c].data();
-    switch (simdLevel()) {
-#if defined(__x86_64__)
-    case SimdLevel::Avx512:
-        mulConstAvx512(lo, hi, src, dst, n, false);
-        return;
-    case SimdLevel::Avx2:
-        mulConstAvx2(lo, hi, src, dst, n, false);
-        return;
-#elif defined(__aarch64__)
-    case SimdLevel::Neon:
-        mulConstNeon(lo, hi, src, dst, n, false);
-        return;
-#endif
-    default:
-        break;
-    }
-    const std::uint8_t *row = mulRowPtr(c);
-    for (std::size_t i = 0; i < n; ++i)
-        dst[i] = row[src[i]];
-}
-
-void
 GF256::mulConstXorInto(std::uint8_t c, const std::uint8_t *src,
                        std::uint8_t *dst, std::size_t n) const
 {
@@ -178,14 +140,14 @@ GF256::mulConstXorInto(std::uint8_t c, const std::uint8_t *src,
     switch (simdLevel()) {
 #if defined(__x86_64__)
     case SimdLevel::Avx512:
-        mulConstAvx512(lo, hi, src, dst, n, true);
+        mulConstXorAvx512(lo, hi, src, dst, n);
         return;
     case SimdLevel::Avx2:
-        mulConstAvx2(lo, hi, src, dst, n, true);
+        mulConstXorAvx2(lo, hi, src, dst, n);
         return;
 #elif defined(__aarch64__)
     case SimdLevel::Neon:
-        mulConstNeon(lo, hi, src, dst, n, true);
+        mulConstXorNeon(lo, hi, src, dst, n);
         return;
 #endif
     default:

@@ -175,15 +175,6 @@ Hamming7264::detectMany(std::span<const Word72> received) const
     return detected;
 }
 
-void
-Hamming7264::syndromeManySoa(const std::uint8_t *planes,
-                             std::size_t stride, std::size_t count,
-                             std::uint8_t *out) const
-{
-    detail::syndromeManySoaSimd(simdLevel(), nib_, planes, stride, count,
-                                out);
-}
-
 std::uint64_t
 Hamming7264::extractData(const Word72 &word) const
 {

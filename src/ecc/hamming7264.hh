@@ -35,12 +35,6 @@ class Hamming7264 : public Secded7264
     std::uint64_t extractData(const Word72 &word) const override;
     std::size_t detectMany(std::span<const Word72> received) const override;
 
-    /** Plane-major batch syndromes through the nibble-table kernels;
-     *  out[c] is the real 8-bit syndrome of word c. */
-    void syndromeManySoa(const std::uint8_t *planes, std::size_t stride,
-                         std::size_t count,
-                         std::uint8_t *out) const override;
-
     /** 8-bit syndrome of a received word (0 iff valid). */
     std::uint8_t syndrome(const Word72 &received) const;
 

@@ -173,128 +173,6 @@ ReedSolomon::isValidCodeword(std::span<const std::uint8_t> received) const
     return true;
 }
 
-void
-ReedSolomon::syndromesManyStrided(const std::uint8_t *soa,
-                                  std::size_t stride, std::size_t count,
-                                  std::uint8_t *syn,
-                                  std::size_t synStride) const
-{
-    const unsigned r = numCheck();
-    // Fixed-size stack lanes keep the working set in L1 and the kernel
-    // allocation-free for any count.
-    constexpr std::size_t chunk = 512;
-    std::uint8_t acc[chunk];
-    for (std::size_t base = 0; base < count; base += chunk) {
-        const std::size_t m = std::min(chunk, count - base);
-        for (unsigned j = 0; j < r; ++j) {
-            // S_j = r(alpha^j), Horner over symbols (index 0 is the
-            // highest degree): acc = acc * alpha^j ^ soa[i]; the
-            // multiplier is constant across the lane, so each step is
-            // one mulConstInto pass.
-            const std::uint8_t x = gf_.expAlpha(j);
-            std::fill(acc, acc + m, 0);
-            for (unsigned i = 0; i < n_; ++i) {
-                const std::uint8_t *lane = soa + i * stride + base;
-                if (j != 0)
-                    gf_.mulConstInto(x, acc, acc, m);
-                for (std::size_t c = 0; c < m; ++c)
-                    acc[c] ^= lane[c];
-            }
-            std::copy(acc, acc + m, syn + j * synStride + base);
-        }
-    }
-}
-
-void
-ReedSolomon::syndromesManySoa(std::span<const std::uint8_t> soa,
-                              std::size_t count,
-                              std::span<std::uint8_t> syn) const
-{
-    if (soa.size() != static_cast<std::size_t>(n_) * count)
-        throw std::invalid_argument(
-            "RS syndromesManySoa: span must hold n * count symbols");
-    if (syn.size() != static_cast<std::size_t>(numCheck()) * count)
-        throw std::invalid_argument(
-            "RS syndromesManySoa: output must hold numCheck * count");
-    syndromesManyStrided(soa.data(), count, count, syn.data(), count);
-}
-
-void
-ReedSolomon::syndromesManySoa(const RsWordBlock &block,
-                              std::span<std::uint8_t> syn) const
-{
-    if (block.n() != n_)
-        throw std::invalid_argument(
-            "RS syndromesManySoa: block has the wrong symbol count");
-    if (syn.size() != static_cast<std::size_t>(numCheck()) * block.size())
-        throw std::invalid_argument(
-            "RS syndromesManySoa: output must hold numCheck * size");
-    syndromesManyStrided(block.data(), block.stride(), block.size(),
-                         syn.data(), block.size());
-}
-
-std::size_t
-ReedSolomon::validManyStrided(const std::uint8_t *soa, std::size_t stride,
-                              std::size_t count,
-                              std::uint8_t *valid) const
-{
-    const unsigned r = numCheck();
-    std::size_t invalid = 0;
-    constexpr std::size_t chunk = 512;
-    std::uint8_t acc[chunk];
-    std::uint8_t bad[chunk];
-    for (std::size_t base = 0; base < count; base += chunk) {
-        const std::size_t m = std::min(chunk, count - base);
-        std::fill(bad, bad + m, 0);
-        for (unsigned j = 0; j < r; ++j) {
-            const std::uint8_t x = gf_.expAlpha(j);
-            std::fill(acc, acc + m, 0);
-            for (unsigned i = 0; i < n_; ++i) {
-                const std::uint8_t *lane = soa + i * stride + base;
-                if (j != 0)
-                    gf_.mulConstInto(x, acc, acc, m);
-                for (std::size_t c = 0; c < m; ++c)
-                    acc[c] ^= lane[c];
-            }
-            for (std::size_t c = 0; c < m; ++c)
-                bad[c] |= acc[c];
-        }
-        for (std::size_t c = 0; c < m; ++c) {
-            valid[base + c] = bad[c] == 0;
-            invalid += bad[c] != 0;
-        }
-    }
-    return invalid;
-}
-
-std::size_t
-ReedSolomon::isValidCodewordMany(std::span<const std::uint8_t> soa,
-                                 std::size_t count,
-                                 std::span<std::uint8_t> valid) const
-{
-    if (soa.size() != static_cast<std::size_t>(n_) * count)
-        throw std::invalid_argument(
-            "RS isValidCodewordMany: span must hold n * count symbols");
-    if (valid.size() != count)
-        throw std::invalid_argument(
-            "RS isValidCodewordMany: flag span must hold count bytes");
-    return validManyStrided(soa.data(), count, count, valid.data());
-}
-
-std::size_t
-ReedSolomon::isValidCodewordMany(const RsWordBlock &block,
-                                 std::span<std::uint8_t> valid) const
-{
-    if (block.n() != n_)
-        throw std::invalid_argument(
-            "RS isValidCodewordMany: block has the wrong symbol count");
-    if (valid.size() != block.size())
-        throw std::invalid_argument(
-            "RS isValidCodewordMany: flag span must hold size bytes");
-    return validManyStrided(block.data(), block.stride(), block.size(),
-                            valid.data());
-}
-
 bool
 ReedSolomon::isCodeword(const std::vector<std::uint8_t> &received) const
 {

@@ -24,7 +24,6 @@
 #define XED_ECC_REED_SOLOMON_HH
 
 #include <array>
-#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -78,107 +77,6 @@ struct RsScratch
     std::array<unsigned, maxN> positions;
     /** Chien evaluations Psi(alpha^{-deg(p)}) for all n positions. */
     std::array<std::uint8_t, maxN> evals;
-};
-
-/**
- * Transposed (symbol-major) staging block for the batch kernels.
- *
- * Word-major order defeats the vector GF(2^8) kernels: the syndrome
- * multiplier alpha^{j*deg(i)} changes with every symbol position, so a
- * pshufb nibble table would have to be reloaded per byte. Transposing
- * a block of codewords into n position planes -- plane i holds symbol
- * i of every staged word contiguously -- turns each Horner step into
- * one constant-multiplier pass over a whole plane, which is exactly
- * the GF256::mulConstInto() shape.
- *
- * Capacity is fixed at reset(); staging (push/openColumn/setSymbol)
- * never allocates, so controllers can keep one block per read batch
- * and stay allocation-free in steady state. The plane stride is the
- * capacity, not the current size.
- */
-class RsWordBlock
-{
-  public:
-    RsWordBlock() = default;
-    RsWordBlock(unsigned n, std::size_t capacity) { reset(n, capacity); }
-
-    /** (Re)shape to n symbol planes of @p capacity words; size() := 0.
-     *  The only allocating call; everything below is pointer math. */
-    void
-    reset(unsigned n, std::size_t capacity)
-    {
-        n_ = n;
-        capacity_ = capacity;
-        size_ = 0;
-        planes_.assign(static_cast<std::size_t>(n) * capacity, 0);
-    }
-
-    unsigned n() const { return n_; }
-    std::size_t capacity() const { return capacity_; }
-    std::size_t size() const { return size_; }
-    bool full() const { return size_ == capacity_; }
-    void clear() { size_ = 0; }
-
-    /** Distance between consecutive symbols of one position plane. */
-    std::size_t stride() const { return capacity_; }
-
-    /** Stage one word (n symbols, word-major); returns its column. */
-    std::size_t
-    push(std::span<const std::uint8_t> word)
-    {
-        assert(word.size() == n_ && size_ < capacity_);
-        std::uint8_t *base = planes_.data() + size_;
-        for (unsigned i = 0; i < n_; ++i)
-            base[static_cast<std::size_t>(i) * capacity_] = word[i];
-        return size_++;
-    }
-
-    /** Open the next column for plane-wise setSymbol() writes (the
-     *  gather order controllers prefer: per chip, then per word). */
-    std::size_t
-    openColumn()
-    {
-        assert(size_ < capacity_);
-        return size_++;
-    }
-
-    void
-    setSymbol(unsigned plane, std::size_t column, std::uint8_t value)
-    {
-        assert(plane < n_ && column < size_);
-        planes_[static_cast<std::size_t>(plane) * capacity_ + column] =
-            value;
-    }
-
-    std::uint8_t
-    symbol(unsigned plane, std::size_t column) const
-    {
-        assert(plane < n_ && column < size_);
-        return planes_[static_cast<std::size_t>(plane) * capacity_ +
-                       column];
-    }
-
-    const std::uint8_t *
-    plane(unsigned i) const
-    {
-        assert(i < n_);
-        return planes_.data() + static_cast<std::size_t>(i) * capacity_;
-    }
-
-    std::uint8_t *
-    plane(unsigned i)
-    {
-        assert(i < n_);
-        return planes_.data() + static_cast<std::size_t>(i) * capacity_;
-    }
-
-    const std::uint8_t *data() const { return planes_.data(); }
-
-  private:
-    unsigned n_ = 0;
-    std::size_t capacity_ = 0;
-    std::size_t size_ = 0;
-    std::vector<std::uint8_t> planes_;
 };
 
 class ReedSolomon
@@ -246,41 +144,6 @@ class ReedSolomon
      */
     bool isValidCodeword(std::span<const std::uint8_t> received) const;
 
-    /**
-     * Batch syndromes over a structure-of-arrays block: @p soa holds
-     * @p count codewords symbol-major, soa[i * count + c] = symbol i
-     * of codeword c. Writes syn[j * count + c] = S_j of codeword c
-     * for every check index j < numCheck(). Each Horner step is one
-     * constant-multiplier pass over the whole lane, so the kernel runs
-     * on the vector GF256 rows; the bytes written are identical to
-     * per-word syndromesInto() at every dispatch level.
-     */
-    void syndromesManySoa(std::span<const std::uint8_t> soa,
-                          std::size_t count,
-                          std::span<std::uint8_t> syn) const;
-
-    /** syndromesManySoa over a staged RsWordBlock (its size() words);
-     *  syn must hold numCheck() * block.size() bytes. */
-    void syndromesManySoa(const RsWordBlock &block,
-                          std::span<std::uint8_t> syn) const;
-
-    /**
-     * Batch validity flags over a structure-of-arrays block (layout as
-     * syndromesManySoa): sets valid[c] = 1 iff every syndrome of
-     * codeword c is zero (else 0) and returns the number of invalid
-     * codewords. The Horner multiplier per syndrome is a constant
-     * (alpha^j), so the whole lane runs through the vector
-     * GF256::mulConstInto() kernels; flag-for-flag identical to a
-     * per-word isValidCodeword() loop at every dispatch level.
-     */
-    std::size_t isValidCodewordMany(std::span<const std::uint8_t> soa,
-                                    std::size_t count,
-                                    std::span<std::uint8_t> valid) const;
-
-    /** isValidCodewordMany over a staged RsWordBlock (size() words). */
-    std::size_t isValidCodewordMany(const RsWordBlock &block,
-                                    std::span<std::uint8_t> valid) const;
-
   private:
     /** Map a data-first index to the polynomial degree position. */
     unsigned degreeOf(unsigned index) const { return n_ - 1 - index; }
@@ -288,18 +151,6 @@ class ReedSolomon
     /** Table-driven syndromes into @p syn (numCheck() entries). */
     void syndromesInto(const std::uint8_t *received,
                        std::uint8_t *syn) const;
-
-    /** Strided core behind both syndromesManySoa overloads: plane i
-     *  of the block starts at soa + i * stride; syndrome row j starts
-     *  at syn + j * synStride. */
-    void syndromesManyStrided(const std::uint8_t *soa, std::size_t stride,
-                              std::size_t count, std::uint8_t *syn,
-                              std::size_t synStride) const;
-
-    /** Strided core behind both isValidCodewordMany overloads. */
-    std::size_t validManyStrided(const std::uint8_t *soa,
-                                 std::size_t stride, std::size_t count,
-                                 std::uint8_t *valid) const;
 
     /** The allocation-free kernel behind both decode overloads. */
     RsResult decodeScratch(std::uint8_t *received,

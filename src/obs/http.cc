@@ -7,6 +7,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 namespace xed::obs
@@ -14,6 +15,9 @@ namespace xed::obs
 
 namespace
 {
+
+/** How long one recv(2) of a request head may wait for bytes. */
+constexpr time_t headTimeoutSeconds = 2;
 
 const char *
 reasonPhrase(int status)
@@ -137,6 +141,12 @@ HttpServer::serveOne()
         ::close(fd);
         return false;
     }
+    // The loop serves one connection at a time, so a client that
+    // connects and sends nothing (a browser preconnect) would block
+    // every other request. Its head read times out and it gets a 400.
+    timeval timeout{};
+    timeout.tv_sec = headTimeoutSeconds;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
 
     std::string head;
     HttpResponse response;

@@ -13,7 +13,9 @@
  *    supported (a 501-free simplification: GET/HEAD have none).
  *  - Single-threaded accept loop: requests are served strictly one
  *    at a time. A handler is a pure function of the request path, so
- *    there is no shared mutable state to race on.
+ *    there is no shared mutable state to race on. A connection that
+ *    sends no bytes for 2 s while its request head is read is
+ *    answered 400, so an idle client cannot stall the loop.
  *  - The handler never sees the connection: it maps a path string to
  *    (status, content type, body) and the server does the rest.
  *

@@ -25,8 +25,6 @@ ChipkillController::ChipkillController(const ChipkillConfig &config)
         catchWords_.push_back(rng_.next());
         chips_.back()->setCatchWord(catchWords_.back());
     }
-    beatBlock_.reset(rs_.n(), 8 * batchLines);
-    beatValid_.resize(8 * batchLines);
     // Boot-time initialization: check chips' background contents are
     // the RS check symbols of the data chips' backgrounds.
     for (unsigned j = 0; j < config_.checkChips; ++j) {
@@ -145,95 +143,6 @@ ChipkillController::readLine(const dram::WordAddr &addr)
     for (unsigned i = 0; i < k; ++i)
         result.data.push_back(values[i]);
     return result;
-}
-
-void
-ChipkillController::readMany(std::span<const dram::WordAddr> addrs,
-                             std::span<ChipkillReadResult> results)
-{
-    if (results.size() != addrs.size())
-        throw std::invalid_argument(
-            "ChipkillController::readMany: result span size mismatch");
-    const unsigned k = config_.dataChips;
-    const unsigned n = numChips();
-    const std::size_t count = addrs.size();
-    // Fixed stack staging per chunk (36 chips x 64 lines worst case);
-    // the RS block and flag vector were sized in the constructor, so
-    // steady-state batches never allocate.
-    constexpr std::size_t lines = batchLines;
-    alignas(64) std::uint8_t planes[9 * lines];
-    std::uint64_t values[maxChipkillChips][lines];
-    std::uint8_t syn[lines];
-    std::uint8_t lineBad[lines];
-
-    for (std::size_t base = 0; base < count; base += lines) {
-        const std::size_t m = std::min(lines, count - base);
-        std::fill(lineBad, lineBad + m, 0);
-        // Screen 1: per-chip on-die syndromes over transposed planes.
-        // A chip with a nonzero syndrome transmits on-die-corrected
-        // data (or a catch-word in erasure mode), not the raw word, so
-        // its line takes the scalar pipeline.
-        for (unsigned i = 0; i < n; ++i) {
-            const dram::Chip &device = *chips_[i];
-            for (std::size_t c = 0; c < m; ++c) {
-                const ecc::Word72 raw =
-                    device.rawCodeword(addrs[base + c]);
-                std::uint64_t lo = raw.lo;
-                for (unsigned lane = 0; lane < 8; ++lane) {
-                    planes[lane * lines + c] =
-                        static_cast<std::uint8_t>(lo & 0xFF);
-                    lo >>= 8;
-                }
-                planes[8 * lines + c] = raw.hi;
-                values[i][c] = onDieCode_.extractData(raw);
-            }
-            onDieCode_.syndromeManySoa(planes, lines, m, syn);
-            for (std::size_t c = 0; c < m; ++c)
-                lineBad[c] |= syn[c];
-        }
-        // Erasure mode: a clean value that equals a catch-word is an
-        // erasure in the scalar path, so it is flagged here too.
-        if (config_.useCatchWordErasures)
-            for (std::size_t c = 0; c < m; ++c)
-                for (unsigned i = 0; i < n; ++i)
-                    if (values[i][c] == catchWords_[i])
-                        lineBad[c] = 1;
-        // Screen 2: one transposed RS validity pass over every beat of
-        // the chunk (column c*8+b = beat b of line c). Flagged lines
-        // stage garbage columns; their flags are never read.
-        beatBlock_.clear();
-        for (std::size_t c = 0; c < 8 * m; ++c)
-            beatBlock_.openColumn();
-        for (unsigned i = 0; i < n; ++i)
-            for (std::size_t c = 0; c < m; ++c) {
-                const std::uint64_t v = values[i][c];
-                for (unsigned beat = 0; beat < 8; ++beat)
-                    beatBlock_.setSymbol(
-                        i, c * 8 + beat,
-                        static_cast<std::uint8_t>(v >> (8 * beat)));
-            }
-        rs_.isValidCodewordMany(
-            beatBlock_,
-            std::span<std::uint8_t>(beatValid_.data(), 8 * m));
-        for (std::size_t c = 0; c < m; ++c)
-            for (unsigned beat = 0; beat < 8; ++beat)
-                if (!beatValid_[c * 8 + beat])
-                    lineBad[c] = 1;
-        // Emit in line order; flagged lines take the scalar pipeline.
-        for (std::size_t c = 0; c < m; ++c) {
-            const std::size_t line = base + c;
-            if (lineBad[c]) {
-                results[line] = readLine(addrs[line]);
-                continue;
-            }
-            counters_.inc("reads");
-            ChipkillReadResult &result = results[line];
-            result = ChipkillReadResult{};
-            result.outcome = ChipkillOutcome::Clean;
-            for (unsigned i = 0; i < k; ++i)
-                result.data.push_back(values[i][c]);
-        }
-    }
 }
 
 } // namespace xed

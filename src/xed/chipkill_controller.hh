@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "common/inline_vec.hh"
@@ -75,37 +74,16 @@ class ChipkillController
 
     ChipkillReadResult readLine(const dram::WordAddr &addr);
 
-    /**
-     * Batched read (DESIGN.md section 4j): screens a block of lines
-     * with one vector on-die syndrome pass per chip and one transposed
-     * RS validity pass over all 8 beats of every screened line, then
-     * serves the proven-clean lines directly; anything flagged (a
-     * nonzero on-die syndrome, an invalid beat, or a catch-word value
-     * match in erasure mode) falls back to scalar readLine(), in line
-     * order. Counters and results are byte-identical to a readLine()
-     * loop.
-     */
-    void readMany(std::span<const dram::WordAddr> addrs,
-                  std::span<ChipkillReadResult> results);
-
     dram::Chip &chip(unsigned index) { return *chips_[index]; }
     const CounterSet &counters() const { return counters_; }
 
   private:
-    /** Lines staged per batch chunk; x8 beats = 512 RS words, the
-     *  campaign batch geometry the SoA kernels are tuned for. */
-    static constexpr std::size_t batchLines = 64;
-
     ChipkillConfig config_;
     ecc::Crc8Atm onDieCode_;
     ecc::ReedSolomon rs_;
     Rng rng_;
     std::vector<std::unique_ptr<dram::Chip>> chips_;
     std::vector<std::uint64_t> catchWords_;
-    /** Transposed beat staging for readMany (reset once, reused). */
-    ecc::RsWordBlock beatBlock_;
-    /** Per-beat validity flags for readMany (sized once, reused). */
-    std::vector<std::uint8_t> beatValid_;
     CounterSet counters_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "ecc/hamming7264.hh"
 
@@ -290,83 +289,6 @@ XedController::readLine(const dram::WordAddr &addr)
     auto result = diagnoseAndCorrect(addr, reread);
     result.catchWordChips = std::move(flagged);
     return result;
-}
-
-void
-XedController::readMany(std::span<const dram::WordAddr> addrs,
-                        std::span<LineReadResult> results)
-{
-    if (results.size() != addrs.size())
-        throw std::invalid_argument(
-            "XedController::readMany: result span size mismatch");
-    const std::size_t count = addrs.size();
-    // Per-chunk staging: 9 byte planes per chip (the transposed layout
-    // the vector syndrome kernels consume) plus the extracted data.
-    // All fixed-size stack arrays -- the batch path never allocates.
-    constexpr std::size_t chunk = 128;
-    alignas(64) std::uint8_t planes[numChips][9 * chunk];
-    std::uint64_t values[numChips][chunk];
-    std::uint8_t syn[chunk];
-    std::uint8_t flagged[chunk];
-
-    for (std::size_t base = 0; base < count; base += chunk) {
-        const std::size_t m = std::min(chunk, count - base);
-        std::fill(flagged, flagged + m, 0);
-        for (unsigned i = 0; i < numChips; ++i) {
-            const dram::Chip &device = *chips_[i];
-            for (std::size_t c = 0; c < m; ++c) {
-                const ecc::Word72 raw =
-                    device.rawCodeword(addrs[base + c]);
-                std::uint64_t lo = raw.lo;
-                for (unsigned lane = 0; lane < 8; ++lane) {
-                    planes[i][lane * chunk + c] =
-                        static_cast<std::uint8_t>(lo & 0xFF);
-                    lo >>= 8;
-                }
-                planes[i][8 * chunk + c] = raw.hi;
-                values[i][c] = onDieCode_->extractData(raw);
-            }
-            onDieCode_->syndromeManySoa(planes[i], chunk, m, syn);
-            for (std::size_t c = 0; c < m; ++c)
-                flagged[c] |= syn[c];
-        }
-        // Parity precheck over the extracted values. With every on-die
-        // syndrome zero each chip would transmit exactly this value, so
-        // a zero XOR here is precisely readLine()'s clean-parity test.
-        for (std::size_t c = 0; c < m; ++c) {
-            std::uint64_t acc = 0;
-            for (unsigned i = 0; i < numChips; ++i)
-                acc ^= values[i][c];
-            if (acc != 0)
-                flagged[c] = 1;
-        }
-        // Emit in line order. A fallback line may regenerate the
-        // catch-words or mark a chip faulty, changing how every LATER
-        // line classifies, so the collision compare runs against the
-        // live registers -- never a snapshot taken before the loop.
-        for (std::size_t c = 0; c < m; ++c) {
-            const std::size_t line = base + c;
-            if (markedChip_.has_value() || flagged[c]) {
-                results[line] = readLine(addrs[line]);
-                continue;
-            }
-            bool collides = false;
-            for (unsigned i = 0; i < numChips; ++i)
-                collides |= values[i][c] == catchWords_[i];
-            if (collides) {
-                // Clean data that happens to equal a catch-word takes
-                // the scalar erasure/serial machinery (Section V-D).
-                results[line] = readLine(addrs[line]);
-                continue;
-            }
-            counters_.inc("reads");
-            LineReadResult &result = results[line];
-            result = LineReadResult{};
-            result.outcome = ReadOutcome::Clean;
-            for (unsigned i = 0; i < numDataChips; ++i)
-                result.data[i] = values[i][c];
-        }
-    }
 }
 
 } // namespace xed

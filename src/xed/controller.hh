@@ -110,19 +110,6 @@ class XedController
     /** Read a 64-byte line through the full XED pipeline. */
     LineReadResult readLine(const dram::WordAddr &addr);
 
-    /**
-     * Batched read of a block of lines (DESIGN.md section 4j): gathers
-     * all 9 chips' raw codewords into transposed byte planes, runs one
-     * vector on-die syndrome pass per chip, and serves the lines the
-     * batch proves clean (zero syndromes, parity satisfied, no value
-     * colliding with a live catch-word) directly; every flagged line
-     * falls back to the scalar readLine() pipeline, in line order, so
-     * counters, RNG draws (catch-word regenerations) and results are
-     * byte-identical to calling readLine(addrs[c]) for each c.
-     */
-    void readMany(std::span<const dram::WordAddr> addrs,
-                  std::span<LineReadResult> results);
-
     /** Direct access to a chip for fault injection (8 = parity chip). */
     dram::Chip &chip(unsigned index) { return *chips_[index]; }
     const dram::Chip &chip(unsigned index) const { return *chips_[index]; }

@@ -208,11 +208,10 @@ TEST(CodecAllocation, Crc8DecodeIsAllocationFree)
 
 TEST(CodecAllocation, BatchKernelsAllocationFreeAtEveryLevel)
 {
-    // The SIMD batch kernels (detectMany, GF constant rows, the RS
-    // SoA validity sweep) must stay allocation-free at EVERY dispatch
-    // level, not just the detected one. Level forcing and all buffers
-    // live outside the counted window (simdForceLevel stores the
-    // origin string).
+    // The SIMD batch kernels (detectMany, GF constant rows) must stay
+    // allocation-free at EVERY dispatch level, not just the detected
+    // one. Level forcing and all buffers live outside the counted
+    // window (simdForceLevel stores the origin string).
     std::vector<SimdLevel> levels;
     for (const SimdLevel level :
          {SimdLevel::Scalar, SimdLevel::Neon, SimdLevel::Avx2,
@@ -223,7 +222,6 @@ TEST(CodecAllocation, BatchKernelsAllocationFreeAtEveryLevel)
 
     const Hamming7264 hamming;
     const Crc8Atm crc;
-    const ReedSolomon rs(18, 16);
     const GF256 &gf = GF256::instance();
     Rng rng(0x51A110C);
 
@@ -232,28 +230,9 @@ TEST(CodecAllocation, BatchKernelsAllocationFreeAtEveryLevel)
     for (Word72 &word : batch)
         word = clean ^ randomPattern(rng, 1 + rng.below(8));
 
-    constexpr std::size_t soaCount = 64;
-    std::vector<std::uint8_t> soa(rs.n() * soaCount);
-    for (auto &symbol : soa)
-        symbol = static_cast<std::uint8_t>(rng.below(256));
     std::vector<std::uint8_t> gfSrc(513), gfDst(513);
     for (auto &symbol : gfSrc)
         symbol = static_cast<std::uint8_t>(rng.below(256));
-
-    // Buffers for the batched faulty-path kernels (DESIGN.md section
-    // 4j): RS syndromes/validity flags, transposed catch-word planes,
-    // and a staged RsWordBlock -- all sized before the counted window.
-    std::vector<std::uint8_t> syn(rs.numCheck() * soaCount);
-    std::vector<std::uint8_t> valid(soaCount);
-    std::vector<std::uint8_t> planes(9 * batch.size());
-    for (std::size_t c = 0; c < batch.size(); ++c) {
-        for (unsigned b = 0; b < 8; ++b)
-            planes[b * batch.size() + c] =
-                static_cast<std::uint8_t>(batch[c].lo >> (8 * b));
-        planes[8 * batch.size() + c] = batch[c].hi;
-    }
-    std::vector<std::uint8_t> catchSyn(batch.size());
-    RsWordBlock block(rs.n(), soaCount);
 
     for (const SimdLevel level : levels) {
         simdForceLevel(level, "test");
@@ -262,30 +241,9 @@ TEST(CodecAllocation, BatchKernelsAllocationFreeAtEveryLevel)
         observed +=
             hamming.detectMany(std::span<const Word72>(batch));
         observed += crc.detectMany(std::span<const Word72>(batch));
-        gf.mulConstInto(0x53, gfSrc.data(), gfDst.data(),
-                        gfSrc.size());
         gf.mulConstXorInto(0xA7, gfSrc.data(), gfDst.data(),
                            gfSrc.size());
         observed += gfDst[0];
-        rs.syndromesManySoa(std::span<const std::uint8_t>(soa),
-                            soaCount, std::span<std::uint8_t>(syn));
-        observed += rs.isValidCodewordMany(
-            std::span<const std::uint8_t>(soa), soaCount,
-            std::span<std::uint8_t>(valid));
-        crc.syndromeManySoa(planes.data(), batch.size(), batch.size(),
-                            catchSyn.data());
-        hamming.syndromeManySoa(planes.data(), batch.size(),
-                                batch.size(), catchSyn.data());
-        observed += catchSyn[0];
-        block.clear();
-        for (std::size_t c = 0; c < soaCount; ++c) {
-            const std::size_t col = block.openColumn();
-            for (unsigned i = 0; i < rs.n(); ++i)
-                block.setSymbol(i, col, soa[i * soaCount + c]);
-        }
-        rs.syndromesManySoa(block, std::span<std::uint8_t>(syn));
-        observed += rs.isValidCodewordMany(
-            block, std::span<std::uint8_t>(valid));
         EXPECT_EQ(allocations() - before, 0u)
             << simdLevelName(level) << " batch kernels allocated ("
             << observed << " observed)";
@@ -329,12 +287,11 @@ TEST(CodecAllocation, ChipkillReadPathSteadyStateIsAllocationFree)
         << " steady-state allocations leaked into 1800 extra reads";
 }
 
-TEST(CodecAllocation, ControllerReadManySteadyStateIsAllocationFree)
+TEST(CodecAllocation, ControllerReadLineSteadyStateIsAllocationFree)
 {
-    // The batched read paths (DESIGN.md section 4j): the first
-    // readMany() call sizes the transposed staging planes; after that
-    // warm-up, batched reads -- including the scalar fallbacks for the
-    // faulty lines -- must not allocate at all.
+    // Both controllers' read paths over a 96-line block with one faulty
+    // line each: a warm-up pass registers the counter keys; after that,
+    // readLine() on clean and faulty lines alike must not allocate.
     using dram::WordAddr;
     {
         XedController controller;
@@ -347,18 +304,16 @@ TEST(CodecAllocation, ControllerReadManySteadyStateIsAllocationFree)
         fault.addr = addrs[10];
         fault.bitPos = 5;
         controller.chip(2).faults().add(fault);
-        std::vector<LineReadResult> results(addrs.size());
-        controller.readMany(std::span<const WordAddr>(addrs),
-                            std::span<LineReadResult>(results));
+        for (const WordAddr &addr : addrs)
+            controller.readLine(addr);
         const std::uint64_t before = allocations();
         std::uint64_t clean = 0;
-        for (unsigned round = 0; round < 50; ++round) {
-            controller.readMany(std::span<const WordAddr>(addrs),
-                                std::span<LineReadResult>(results));
-            clean += results[0].outcome == ReadOutcome::Clean;
-        }
+        for (unsigned round = 0; round < 50; ++round)
+            for (const WordAddr &addr : addrs)
+                clean += controller.readLine(addr).outcome ==
+                         ReadOutcome::Clean;
         EXPECT_EQ(allocations() - before, 0u)
-            << "XedController::readMany allocated in steady state ("
+            << "XedController::readLine allocated in steady state ("
             << clean << " clean)";
     }
     {
@@ -378,18 +333,16 @@ TEST(CodecAllocation, ControllerReadManySteadyStateIsAllocationFree)
         fault.addr = addrs[20];
         fault.seed = 17;
         controller.chip(4).faults().add(fault);
-        std::vector<ChipkillReadResult> results(addrs.size());
-        controller.readMany(std::span<const WordAddr>(addrs),
-                            std::span<ChipkillReadResult>(results));
+        for (const WordAddr &addr : addrs)
+            controller.readLine(addr);
         const std::uint64_t before = allocations();
         std::uint64_t clean = 0;
-        for (unsigned round = 0; round < 50; ++round) {
-            controller.readMany(std::span<const WordAddr>(addrs),
-                                std::span<ChipkillReadResult>(results));
-            clean += results[0].outcome == ChipkillOutcome::Clean;
-        }
+        for (unsigned round = 0; round < 50; ++round)
+            for (const WordAddr &addr : addrs)
+                clean += controller.readLine(addr).outcome ==
+                         ChipkillOutcome::Clean;
         EXPECT_EQ(allocations() - before, 0u)
-            << "ChipkillController::readMany allocated in steady state"
+            << "ChipkillController::readLine allocated in steady state"
             << " (" << clean << " clean)";
     }
 }

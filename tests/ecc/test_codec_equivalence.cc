@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
@@ -40,9 +39,6 @@ struct RsShape
 };
 
 constexpr RsShape shapes[] = {{18, 16}, {36, 32}, {15, 11}};
-
-/** The SoA batch kernels also run on the widest r = 2 shape. */
-constexpr RsShape soaShapes[] = {{18, 16}, {36, 32}, {15, 11}, {36, 34}};
 
 /** One random received word: codeword + random/burst/erasure damage. */
 struct RsCase
@@ -348,257 +344,6 @@ TEST(CodecEquivalence, RsDecodeIdenticalAcrossSimdLevels)
             }
         }
     }
-}
-
-/**
- * The RS SoA batch kernels (DESIGN.md section 4j) against the scalar
- * definition, through the real dispatch at every executable level: for
- * every block width 1..513 and head misalignment 0..3,
- * syndromesManySoa() must write the same bytes as per-word syndromes
- * (width-1 calls), and isValidCodewordMany() must reproduce a per-word
- * isValidCodeword() loop flag for flag and in its invalid count.
- */
-TEST(CodecEquivalence, RsSoaKernelsIdenticalAcrossSimdLevels)
-{
-    for (const RsShape shape : soaShapes) {
-        const ReedSolomon rs(shape.n, shape.k);
-        const unsigned n = shape.n;
-        const unsigned r = rs.numCheck();
-        Rng rng(0x50AF + shape.n);
-        constexpr std::size_t maxBatch = 513;
-        constexpr std::size_t maxOffset = 3;
-        const std::size_t poolSize = maxBatch + maxOffset;
-
-        // AoS pool: codewords, most lightly damaged.
-        std::vector<std::vector<std::uint8_t>> pool;
-        pool.reserve(poolSize);
-        std::vector<std::uint8_t> data(shape.k);
-        for (std::size_t w = 0; w < poolSize; ++w) {
-            for (auto &symbol : data)
-                symbol = static_cast<std::uint8_t>(rng.below(256));
-            std::vector<std::uint8_t> word = rs.encode(data);
-            const unsigned corrupt =
-                static_cast<unsigned>(rng.below(r + 2));
-            for (unsigned c = 0; c < corrupt; ++c)
-                word[rng.below(n)] ^=
-                    static_cast<std::uint8_t>(rng.below(256));
-            pool.push_back(std::move(word));
-        }
-
-        // Per-word references: validity flags from the public scalar
-        // check, syndrome bytes from width-1 SoA calls at Scalar.
-        std::vector<std::uint8_t> flagPool(poolSize);
-        std::vector<std::uint8_t> synPool(poolSize * r);
-        {
-            const ScopedSimdLevel forced(SimdLevel::Scalar);
-            for (std::size_t w = 0; w < poolSize; ++w) {
-                flagPool[w] =
-                    rs.isValidCodeword(
-                        std::span<const std::uint8_t>(pool[w]))
-                        ? 1
-                        : 0;
-                rs.syndromesManySoa(
-                    std::span<const std::uint8_t>(pool[w]), 1,
-                    std::span<std::uint8_t>(synPool.data() + w * r, r));
-                bool zero = true;
-                for (unsigned j = 0; j < r; ++j)
-                    zero = zero && synPool[w * r + j] == 0;
-                ASSERT_EQ(zero, flagPool[w] == 1) << "word " << w;
-            }
-        }
-
-        std::vector<std::uint8_t> soaBuf, expectedSyn, syn, valid;
-        for (std::size_t headOff = 0; headOff <= maxOffset; ++headOff) {
-            for (std::size_t size = 1; size <= maxBatch; ++size) {
-                soaBuf.assign(n * size + headOff, 0);
-                std::uint8_t *soa = soaBuf.data() + headOff;
-                for (std::size_t c = 0; c < size; ++c)
-                    for (unsigned i = 0; i < n; ++i)
-                        soa[i * size + c] = pool[headOff + c][i];
-                expectedSyn.assign(static_cast<std::size_t>(r) * size,
-                                   0);
-                std::size_t expectedInvalid = 0;
-                for (std::size_t c = 0; c < size; ++c) {
-                    for (unsigned j = 0; j < r; ++j)
-                        expectedSyn[j * size + c] =
-                            synPool[(headOff + c) * r + j];
-                    expectedInvalid += flagPool[headOff + c] == 0;
-                }
-                const std::span<const std::uint8_t> soaSpan(soa,
-                                                            n * size);
-                for (const SimdLevel level : executableLevels()) {
-                    const ScopedSimdLevel forced(level);
-                    syn.assign(expectedSyn.size(), 0xAA);
-                    rs.syndromesManySoa(soaSpan, size,
-                                        std::span<std::uint8_t>(syn));
-                    ASSERT_EQ(syn, expectedSyn)
-                        << simdLevelName(level) << " RS(" << n << ","
-                        << shape.k << ") offset " << headOff
-                        << " width " << size;
-                    valid.assign(size, 0xAA);
-                    ASSERT_EQ(rs.isValidCodewordMany(
-                                  soaSpan, size,
-                                  std::span<std::uint8_t>(valid)),
-                              expectedInvalid);
-                    ASSERT_TRUE(std::equal(valid.begin(), valid.end(),
-                                           flagPool.begin() + headOff))
-                        << simdLevelName(level) << " offset " << headOff
-                        << " width " << size;
-                }
-            }
-        }
-    }
-}
-
-/**
- * RsWordBlock staging (both the push() and the openColumn()/setSymbol()
- * gather order) against the flat SoA overloads: the plane stride is the
- * capacity, not the size, so every partially filled block exercises the
- * strided kernel cores at every dispatch level.
- */
-TEST(CodecEquivalence, RsWordBlockStagingMatchesFlatSoa)
-{
-    for (const RsShape shape : shapes) {
-        const ReedSolomon rs(shape.n, shape.k);
-        const unsigned n = shape.n;
-        const unsigned r = rs.numCheck();
-        Rng rng(0xB10C + shape.n);
-        constexpr std::size_t capacity = 192;
-        RsWordBlock pushed(n, capacity);
-        RsWordBlock columns(n, capacity);
-        ASSERT_EQ(pushed.stride(), capacity);
-        for (const std::size_t size :
-             {std::size_t{1}, std::size_t{7}, std::size_t{64},
-              std::size_t{191}, capacity}) {
-            pushed.clear();
-            columns.clear();
-            std::vector<std::vector<std::uint8_t>> words;
-            words.reserve(size);
-            for (std::size_t c = 0; c < size; ++c) {
-                std::vector<std::uint8_t> word(n);
-                if (rng.bernoulli(0.3)) {
-                    // A true codeword, so valid lanes appear too.
-                    std::vector<std::uint8_t> data(shape.k);
-                    for (auto &symbol : data)
-                        symbol =
-                            static_cast<std::uint8_t>(rng.below(256));
-                    word = rs.encode(data);
-                } else {
-                    for (auto &symbol : word)
-                        symbol =
-                            static_cast<std::uint8_t>(rng.below(256));
-                }
-                ASSERT_EQ(pushed.push(
-                              std::span<const std::uint8_t>(word)),
-                          c);
-                ASSERT_EQ(columns.openColumn(), c);
-                for (unsigned i = 0; i < n; ++i)
-                    columns.setSymbol(i, c, word[i]);
-                words.push_back(std::move(word));
-            }
-            ASSERT_EQ(pushed.size(), size);
-            ASSERT_EQ(columns.size(), size);
-            for (std::size_t c = 0; c < size; ++c)
-                for (unsigned i = 0; i < n; ++i) {
-                    ASSERT_EQ(pushed.symbol(i, c), words[c][i]);
-                    ASSERT_EQ(columns.symbol(i, c), words[c][i]);
-                }
-
-            // Flat SoA reference, computed once at the Scalar level.
-            std::vector<std::uint8_t> soa(n * size);
-            for (std::size_t c = 0; c < size; ++c)
-                for (unsigned i = 0; i < n; ++i)
-                    soa[i * size + c] = words[c][i];
-            std::vector<std::uint8_t> expectedSyn(
-                static_cast<std::size_t>(r) * size);
-            std::vector<std::uint8_t> expectedValid(size);
-            std::size_t expectedInvalid = 0;
-            {
-                const ScopedSimdLevel forced(SimdLevel::Scalar);
-                rs.syndromesManySoa(
-                    std::span<const std::uint8_t>(soa), size,
-                    std::span<std::uint8_t>(expectedSyn));
-                expectedInvalid = rs.isValidCodewordMany(
-                    std::span<const std::uint8_t>(soa), size,
-                    std::span<std::uint8_t>(expectedValid));
-            }
-
-            std::vector<std::uint8_t> syn(expectedSyn.size());
-            std::vector<std::uint8_t> valid(size);
-            for (const SimdLevel level : executableLevels()) {
-                const ScopedSimdLevel forced(level);
-                for (const RsWordBlock *block : {&pushed, &columns}) {
-                    syn.assign(expectedSyn.size(), 0xAA);
-                    rs.syndromesManySoa(*block,
-                                        std::span<std::uint8_t>(syn));
-                    ASSERT_EQ(syn, expectedSyn)
-                        << simdLevelName(level) << " RS(" << n << ","
-                        << shape.k << ") size " << size;
-                    valid.assign(size, 0xAA);
-                    ASSERT_EQ(rs.isValidCodewordMany(
-                                  *block,
-                                  std::span<std::uint8_t>(valid)),
-                              expectedInvalid);
-                    ASSERT_EQ(valid, expectedValid);
-                }
-            }
-        }
-    }
-}
-
-/**
- * The batched catch-word syndrome kernel over transposed byte planes
- * (DESIGN.md section 4j) against the per-word syndrome() definition:
- * every width 1..513, head misalignments 0..3 and a plane stride wider
- * than any batch, at every executable dispatch level.
- */
-template <typename Code>
-void
-checkSyndromeManySoaAcrossLevels(std::uint64_t seed)
-{
-    const Code code;
-    Rng rng(seed);
-    constexpr std::size_t maxBatch = 513;
-    constexpr std::size_t maxOffset = 3;
-    constexpr std::size_t stride = maxBatch + maxOffset;
-    std::vector<std::uint8_t> planes(9 * stride);
-    std::vector<std::uint8_t> expected(stride);
-    const Word72 clean = code.encode(0xFEEDFACECAFEBEEFull);
-    for (std::size_t c = 0; c < stride; ++c) {
-        Word72 word = clean;
-        if (rng.bernoulli(0.6))
-            word ^= randomPattern(rng, 1 + rng.below(8));
-        for (unsigned b = 0; b < 8; ++b)
-            planes[b * stride + c] =
-                static_cast<std::uint8_t>(word.lo >> (8 * b));
-        planes[8 * stride + c] = word.hi;
-        expected[c] = code.syndrome(word);
-    }
-    std::vector<std::uint8_t> out(maxBatch);
-    for (std::size_t offset = 0; offset <= maxOffset; ++offset)
-        for (const SimdLevel level : executableLevels()) {
-            const ScopedSimdLevel forced(level);
-            for (std::size_t size = 1; size <= maxBatch; ++size) {
-                out.assign(size, 0xAA);
-                code.syndromeManySoa(planes.data() + offset, stride,
-                                     size, out.data());
-                ASSERT_TRUE(std::equal(out.begin(), out.end(),
-                                       expected.begin() + offset))
-                    << simdLevelName(level) << " offset " << offset
-                    << " size " << size;
-            }
-        }
-}
-
-TEST(CodecEquivalence, CatchWordSyndromeSoaIdenticalAcrossSimdLevelsCrc8)
-{
-    checkSyndromeManySoaAcrossLevels<Crc8Atm>(0x50AC1);
-}
-
-TEST(CodecEquivalence,
-     CatchWordSyndromeSoaIdenticalAcrossSimdLevelsHamming)
-{
-    checkSyndromeManySoaAcrossLevels<Hamming7264>(0x50AC2);
 }
 
 /** Batched pattern fills must consume the RNG in scalar draw order. */

@@ -13,9 +13,12 @@
  *  - scanning is strictly read-only: every byte of the queue is
  *    identical before and after,
  *  - /metrics renders valid Prometheus text exposition (validated by
- *    a grammar checker, not substring luck), and
+ *    a grammar checker, not substring luck),
  *  - the serve endpoints answer over a real socket on an ephemeral
- *    port: /status.json parses, /metrics validates, junk 404s.
+ *    port: /status.json parses, /metrics validates, junk 404s, and an
+ *    idle connection does not stall the requests behind it, and
+ *  - shard and lease names too large for a u64 are skipped, not
+ *    fatal.
  */
 
 #include <gtest/gtest.h>
@@ -36,6 +39,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "campaign/runner.hh"
@@ -272,6 +276,29 @@ TEST(FleetStatus, ScanIsStrictlyReadOnly)
     EXPECT_EQ(before, after); // same files, byte-identical contents
 }
 
+TEST(FleetStatus, OversizedIndexNamesAreSkipped)
+{
+    // Shard and lease names whose number does not fit a u64 are not
+    // names the queue writes: the scan skips them like any other
+    // foreign file instead of aborting.
+    const CampaignSpec spec = statusSpec();
+    const std::string dir = freshDir("oversized");
+    const std::string queueDir = dir + "/queue";
+    runFleet(spec, queueDir, 2, 0);
+    const FleetStatus before = scanQueueDir(queueDir, StatusOptions{});
+    ASSERT_TRUE(before.ok) << before.error;
+
+    const std::string huge = "99999999999999999999999";
+    std::ofstream(queueDir + "/shard-" + huge + ".jsonl");
+    std::ofstream lease(queueDir + "/lease-" + huge + ".json");
+    lease << R"({"worker": "w9", "shard": 0})" << "\n";
+    lease.close();
+
+    const FleetStatus after = scanQueueDir(queueDir, StatusOptions{});
+    ASSERT_TRUE(after.ok) << after.error;
+    EXPECT_EQ(statusJson(after), statusJson(before));
+}
+
 TEST(FleetStatus, BackdatedLeaseClassifiesWorkerDead)
 {
     const CampaignSpec spec = statusSpec();
@@ -403,12 +430,16 @@ TEST(FleetStatus, PrometheusExpositionIsValid)
 namespace
 {
 
-/** One blocking HTTP GET against 127.0.0.1:@p port. */
-std::string
-httpGet(std::uint16_t port, const std::string &path)
+/** A socket connected to 127.0.0.1:@p port. Its reads give up after
+ *  10 s, so a stalled server fails the test instead of hanging it. */
+int
+connectLoopback(std::uint16_t port)
 {
     const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
     EXPECT_GE(fd, 0);
+    timeval timeout{};
+    timeout.tv_sec = 10;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(port);
@@ -416,6 +447,14 @@ httpGet(std::uint16_t port, const std::string &path)
     EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
                         sizeof addr),
               0);
+    return fd;
+}
+
+/** One blocking HTTP GET against 127.0.0.1:@p port. */
+std::string
+httpGet(std::uint16_t port, const std::string &path)
+{
+    const int fd = connectLoopback(port);
     const std::string request =
         "GET " + path + " HTTP/1.0\r\nHost: localhost\r\n\r\n";
     EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
@@ -436,6 +475,20 @@ bodyOf(const std::string &reply)
     return split == std::string::npos ? "" : reply.substr(split + 4);
 }
 
+/** The `serve` verb's handler over @p queueDir. */
+obs::HttpServer::Handler
+statusHandler(const std::string &queueDir)
+{
+    return [queueDir](const std::string &path) {
+        obs::HttpResponse response;
+        if (!statusEndpoint(path, queueDir, StatusOptions{},
+                            &response.status, &response.contentType,
+                            &response.body))
+            response = obs::httpNotFound(path);
+        return response;
+    };
+}
+
 } // namespace
 
 TEST(FleetStatus, ServeEndpointsAnswerOverARealSocket)
@@ -445,21 +498,9 @@ TEST(FleetStatus, ServeEndpointsAnswerOverARealSocket)
     const std::string queueDir = dir + "/queue";
     runFleet(spec, queueDir, 2, 0);
 
-    const StatusOptions options;
     obs::HttpServer server;
     std::string error;
-    ASSERT_TRUE(server.start(
-        0,
-        [queueDir, options](const std::string &path) {
-            obs::HttpResponse response;
-            if (!statusEndpoint(path, queueDir, options,
-                                &response.status,
-                                &response.contentType,
-                                &response.body))
-                response = obs::httpNotFound(path);
-            return response;
-        },
-        &error))
+    ASSERT_TRUE(server.start(0, statusHandler(queueDir), &error))
         << error;
     ASSERT_GT(server.port(), 0);
     std::thread serving([&server] { server.run(); });
@@ -484,6 +525,30 @@ TEST(FleetStatus, ServeEndpointsAnswerOverARealSocket)
 
     const std::string missing = httpGet(server.port(), "/nope");
     EXPECT_NE(missing.find("HTTP/1.0 404"), std::string::npos);
+
+    server.stop();
+    serving.join();
+}
+
+TEST(FleetStatus, ServeAnswersPastAnIdleConnection)
+{
+    const CampaignSpec spec = statusSpec();
+    const std::string dir = freshDir("serve_idle");
+    const std::string queueDir = dir + "/queue";
+    runFleet(spec, queueDir, 2, 0);
+
+    obs::HttpServer server;
+    std::string error;
+    ASSERT_TRUE(server.start(0, statusHandler(queueDir), &error))
+        << error;
+    std::thread serving([&server] { server.run(); });
+
+    // Connects and sends nothing, as a browser preconnect does. The
+    // single-threaded server must time it out and serve the next one.
+    const int idle = connectLoopback(server.port());
+    const std::string reply = httpGet(server.port(), "/status.json");
+    EXPECT_NE(reply.find("HTTP/1.0 200"), std::string::npos) << reply;
+    ::close(idle);
 
     server.stop();
     serving.join();
