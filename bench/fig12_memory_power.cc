@@ -25,16 +25,24 @@ main()
         ProtectionMode::Xed, ProtectionMode::Chipkill,
         ProtectionMode::XedChipkill, ProtectionMode::DoubleChipkill};
 
+    std::vector<RunCell> cells;
+    for (const auto &w : paperWorkloads()) {
+        cells.push_back({w, ProtectionMode::SecdedBaseline});
+        for (const auto mode : modes)
+            cells.push_back({w, mode});
+    }
+    const auto runs = simulateAll(cells, cfg);
+
     Table table({"Benchmark", "XED (9)", "Chipkill (18)",
                  "XED+CK (18)", "Double-CK (36)"});
     double logSum[4] = {0, 0, 0, 0};
     int count = 0;
+    std::size_t next = 0;
     for (const auto &w : paperWorkloads()) {
-        const auto baseline =
-            simulate(w, ProtectionMode::SecdedBaseline, cfg);
+        const auto &baseline = runs[next++];
         std::vector<std::string> row{w.name};
         for (int m = 0; m < 4; ++m) {
-            const auto run = simulate(w, modes[m], cfg);
+            const auto &run = runs[next++];
             const double norm =
                 run.memoryPowerWatts() / baseline.memoryPowerWatts();
             logSum[m] += std::log(norm);

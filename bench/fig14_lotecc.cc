@@ -21,12 +21,20 @@ main()
     PerfConfig cfg;
     cfg.memOpsPerCore = bench::perfOps();
 
+    std::vector<RunCell> cells;
+    for (const auto &w : paperWorkloads()) {
+        cells.push_back({w, ProtectionMode::Xed});
+        cells.push_back({w, ProtectionMode::LotEcc});
+    }
+    const auto runs = simulateAll(cells, cfg);
+
     std::map<Suite, std::pair<double, int>> bySuite;
     double totalLog = 0;
     int total = 0;
+    std::size_t next = 0;
     for (const auto &w : paperWorkloads()) {
-        const auto xed = simulate(w, ProtectionMode::Xed, cfg);
-        const auto lot = simulate(w, ProtectionMode::LotEcc, cfg);
+        const auto &xed = runs[next++];
+        const auto &lot = runs[next++];
         const double norm = static_cast<double>(lot.cycles) /
                             static_cast<double>(xed.cycles);
         bySuite[w.suite].first += std::log(norm);

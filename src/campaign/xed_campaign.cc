@@ -230,7 +230,7 @@ parseArgs(int argc, char **argv, CliArgs &args, std::string &error)
         // Strict numeric parses: a flag whose value fails to parse is
         // a usage error, never a silent zero (the old strtoul paths
         // turned "--threads 4x" into 4 and "--threads x" into 0,
-        // which resolveThreads then silently replaced with the
+        // which resolveWorkerThreads then silently replaced with the
         // hardware count).
         const auto u64Value = [&](std::uint64_t &out) {
             const char *v = value();

@@ -1,7 +1,7 @@
 /**
  * @file
  * Strict environment-variable parsing shared by the engine, the
- * campaign runner and the bench harnesses.
+ * campaign runner, the perfsim run matrix and the bench harnesses.
  *
  * The knobs (XED_MC_SYSTEMS, XED_MC_THREADS, XED_MC_SEED, XED_TRIALS,
  * ...) gate multi-hour simulation campaigns, so a typo must fail
@@ -13,6 +13,7 @@
 #ifndef XED_COMMON_ENV_HH
 #define XED_COMMON_ENV_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -20,6 +21,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 
 namespace xed
 {
@@ -98,6 +100,36 @@ envU64(const char *name)
             std::string(name) + ": expected an unsigned base-10 " +
             "integer, got \"" + value + "\"");
     return parsed;
+}
+
+/**
+ * Resolve a worker-thread count, the one rule behind every pool in the
+ * repo (Monte-Carlo engine, campaign runner, perfsim run matrix): a
+ * nonzero @p requested wins, else XED_MC_THREADS, else
+ * std::thread::hardware_concurrency(), else 1. The result is capped at
+ * max(@p tasks, 1) so no worker starts without work. A malformed or
+ * absurd XED_MC_THREADS throws instead of silently resolving to
+ * "auto"; an explicit 0 keeps its documented "auto" meaning.
+ */
+inline unsigned
+resolveWorkerThreads(unsigned requested, std::uint64_t tasks)
+{
+    std::uint64_t threads = requested;
+    if (threads == 0) {
+        if (const auto env = envU64("XED_MC_THREADS")) {
+            if (*env > std::numeric_limits<unsigned>::max())
+                throw std::runtime_error(
+                    "XED_MC_THREADS: " + std::to_string(*env) +
+                    " is not a sane worker-thread count");
+            threads = *env;
+        }
+        if (threads == 0)
+            threads = std::thread::hardware_concurrency();
+        if (threads == 0)
+            threads = 1;
+    }
+    return static_cast<unsigned>(std::min<std::uint64_t>(
+        threads, std::max<std::uint64_t>(tasks, 1)));
 }
 
 } // namespace xed

@@ -1,7 +1,6 @@
 #include "faultsim/engine.hh"
 
 #include <algorithm>
-#include <limits>
 #include <thread>
 #include <vector>
 
@@ -188,35 +187,6 @@ runShard(const Scheme &scheme, const McConfig &config,
         partial.failByYear[y].addMany(failByYear[y], systemsTotal);
 }
 
-/**
- * Resolve McConfig::threads: 0 = XED_MC_THREADS, else the hardware.
- * A malformed XED_MC_THREADS (garbage, sign, overflow) throws instead
- * of silently wrapping or resolving to "auto"; the explicit value 0
- * keeps its documented "auto" meaning.
- */
-unsigned
-resolveThreads(unsigned requested, std::uint64_t systems)
-{
-    std::uint64_t threads = requested;
-    if (threads == 0) {
-        if (const auto env = envU64("XED_MC_THREADS")) {
-            if (*env > std::numeric_limits<unsigned>::max())
-                throw std::runtime_error(
-                    "XED_MC_THREADS: " + std::to_string(*env) +
-                    " is not a sane worker-thread count");
-            threads = *env;
-        }
-        if (threads == 0)
-            threads = std::thread::hardware_concurrency();
-        if (threads == 0)
-            threads = 1;
-    }
-    // No point spawning workers with empty shards.
-    return static_cast<unsigned>(
-        std::min<std::uint64_t>(threads, std::max<std::uint64_t>(
-                                             systems, 1)));
-}
-
 } // namespace
 
 McResult
@@ -239,8 +209,8 @@ runMonteCarlo(const Scheme &scheme, const McConfig &config)
     const AddressLayout layout(config.geometry);
     const FitTable &fit = config.fit;
     const DimmShape shape = scheme.dimmShape();
-    const unsigned threads = resolveThreads(config.threads,
-                                            config.systems);
+    const unsigned threads =
+        resolveWorkerThreads(config.threads, config.systems);
 
     if (threads == 1) {
         McResult result;

@@ -44,7 +44,7 @@ Core::tick(std::uint64_t now, MemorySystem &memory)
                     params_.nonMemIpc;
             hasPending_ = true;
         }
-        if (computeReadyCpu_ > cpuNow + cpuPerMem_ - 1)
+        if (computeBound(now))
             break; // still chewing through compute
         if (pending_.isWrite) {
             if (!memory.canAcceptWrite(pending_.addr.channel))
@@ -73,6 +73,53 @@ Core::tick(std::uint64_t now, MemorySystem &memory)
             now, static_cast<std::uint64_t>(
                      std::ceil(computeReadyCpu_ / cpuPerMem_)));
     }
+}
+
+bool
+Core::computeBound(std::uint64_t now) const
+{
+    const double cpuNow = static_cast<double>(now * cpuPerMem_);
+    return computeReadyCpu_ > cpuNow + cpuPerMem_ - 1;
+}
+
+std::uint64_t
+Core::headDoneCycle() const
+{
+    const MemRequest &head = *outstanding_.front();
+    return head.done() ? static_cast<std::uint64_t>(head.doneCycle)
+                       : neverCycle;
+}
+
+std::uint64_t
+Core::nextWake(std::uint64_t now) const
+{
+    if (finished_)
+        return neverCycle;
+    if (!hasPending_) {
+        // Issue slots ran out this cycle: the next op is drawn at the
+        // next tick. Otherwise the budget is spent and the core waits
+        // for its last reads to retire.
+        return opsIssued_ < memOpBudget_ ? now + 1 : headDoneCycle();
+    }
+    if (computeBound(now)) {
+        // The first cycle n with !computeBound(n): estimate it, then
+        // settle it with the exact test tick() uses.
+        const double estimate = std::ceil(
+            (computeReadyCpu_ - (cpuPerMem_ - 1)) / cpuPerMem_);
+        if (!(estimate < 0x1p62))
+            return neverCycle;
+        std::uint64_t wake =
+            std::max(now + 1, static_cast<std::uint64_t>(estimate));
+        while (wake > now + 1 && !computeBound(wake - 1))
+            --wake;
+        while (computeBound(wake))
+            ++wake;
+        return wake;
+    }
+    if (!pending_.isWrite && outstanding_.size() >= window_)
+        return headDoneCycle(); // ROB / MLP window
+    // Blocked on queue space: only a request leaving it frees a slot.
+    return neverCycle;
 }
 
 } // namespace xed::perfsim

@@ -35,11 +35,23 @@ class Core
     /** Advance one memory cycle. */
     void tick(std::uint64_t now, MemorySystem &memory);
 
+    /**
+     * After tick(@p now): the first later cycle whose tick can change
+     * this core's state, or neverCycle when only a memory-system event
+     * (a request leaving a queue) can. Ticks before it are no-ops.
+     */
+    std::uint64_t nextWake(std::uint64_t now) const;
+
     bool finished() const { return finished_; }
     std::uint64_t finishCycle() const { return finishCycle_; }
     std::uint64_t opsIssued() const { return opsIssued_; }
 
   private:
+    /** The pending op's preceding compute is not done by @p now. */
+    bool computeBound(std::uint64_t now) const;
+    /** The head read's completion cycle, neverCycle while queued. */
+    std::uint64_t headDoneCycle() const;
+
     unsigned id_;
     Workload workload_;
     CoreParams params_;

@@ -57,9 +57,12 @@ MemorySystem::enqueueWrite(const Address &addr)
         // of the same bank (the T2EC region).
         Address parity = addr;
         parity.row = (addr.row ^ 0x5555u) % 32768u;
-        if (ch.writeQ.size() < writeQueueCap)
+        // A full queue drops the parity write; count only what will
+        // be served.
+        if (ch.writeQ.size() < writeQueueCap) {
             ch.writeQ.push_back({parity, 0});
-        ++stats_.extraWrites;
+            ++stats_.extraWrites;
+        }
     }
 }
 
@@ -134,19 +137,21 @@ MemorySystem::serve(Channel &ch, const Address &addr, bool isWrite,
     return dataDone;
 }
 
-void
-MemorySystem::issueTick(Channel &ch, std::uint64_t now)
+bool
+MemorySystem::writeTurn(Channel &ch)
 {
     // Write-drain hysteresis.
     if (ch.writeQ.size() >= drainHigh)
         ch.draining = true;
     else if (ch.writeQ.size() <= drainLow)
         ch.draining = false;
+    return !ch.writeQ.empty() && (ch.draining || ch.readQ.empty());
+}
 
-    const bool doWrites =
-        ch.draining || (ch.readQ.empty() && !ch.writeQ.empty());
-
-    if (doWrites && !ch.writeQ.empty()) {
+bool
+MemorySystem::issueTick(Channel &ch, std::uint64_t now)
+{
+    if (writeTurn(ch)) {
         // FR-FCFS over the write queue: prefer a row hit that can
         // start now, else the oldest request.
         std::size_t pick = 0;
@@ -166,11 +171,11 @@ MemorySystem::issueTick(Channel &ch, std::uint64_t now)
         serve(ch, ch.writeQ[pick].addr, true, now);
         ch.writeQ.erase(ch.writeQ.begin() +
                         static_cast<std::ptrdiff_t>(pick));
-        return;
+        return true;
     }
 
     if (ch.readQ.empty())
-        return;
+        return false;
     std::size_t pick = 0;
     bool found = false;
     for (std::size_t i = 0; i < ch.readQ.size(); ++i) {
@@ -197,20 +202,51 @@ MemorySystem::issueTick(Channel &ch, std::uint64_t now)
         }
     }
     if (!found)
-        return; // every bank is busy this cycle
+        return false; // every bank is busy this cycle
     MemRequest *req = ch.readQ[pick];
     ch.readQ.erase(ch.readQ.begin() + static_cast<std::ptrdiff_t>(pick));
     req->doneCycle =
         static_cast<std::int64_t>(serve(ch, req->addr, false, now));
+    return true;
 }
 
-void
+bool
 MemorySystem::tick(std::uint64_t now)
 {
+    bool popped = false;
     for (auto &ch : channels_) {
         refreshTick(ch, now);
-        issueTick(ch, now);
+        popped |= issueTick(ch, now);
     }
+    return popped;
+}
+
+std::uint64_t
+MemorySystem::nextEvent(std::uint64_t now)
+{
+    std::uint64_t next = neverCycle;
+    for (auto &ch : channels_) {
+        for (const auto &rank : ch.ranks)
+            next = std::min(next, rank.nextRefreshAt);
+        // Every channel commits its hysteresis, even once next is
+        // settled: the queue sizes cannot change before the next tick
+        // or enqueue, so the update the skipped ticks would make is
+        // this one.
+        if (writeTurn(ch)) {
+            next = std::min(next, now + 1); // a write turn always issues
+            continue;
+        }
+        // issueTick's read picks: a row hit whose CAS may issue, else
+        // any request whose bank may precharge.
+        for (const MemRequest *req : ch.readQ) {
+            const auto &a = req->addr;
+            const auto &bank = ch.banks[a.rank * banksPerRank + a.bank];
+            next = std::min(next, bank.prechargeableAt);
+            if (bank.openRow == static_cast<std::int64_t>(a.row))
+                next = std::min(next, bank.nextCasAt);
+        }
+    }
+    return std::max(next, now + 1);
 }
 
 bool

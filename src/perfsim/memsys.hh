@@ -60,8 +60,22 @@ class MemorySystem
     /** Posted write (no completion notification needed). */
     void enqueueWrite(const Address &addr);
 
-    /** Advance one memory cycle: refresh + issue per channel. */
-    void tick(std::uint64_t now);
+    /**
+     * Advance one memory cycle: refresh + issue per channel. Returns
+     * true when a request left a queue, which frees queue space and,
+     * for a read, sets its doneCycle.
+     */
+    bool tick(std::uint64_t now);
+
+    /**
+     * The first cycle after @p now whose tick can change state (a
+     * refresh falls due, a write issues, or a queued read's bank
+     * becomes ready), or neverCycle. Valid until the next tick or
+     * enqueue. Also commits the write-drain hysteresis the next tick
+     * would compute from the current queue sizes, so ticks skipped
+     * until then cannot lose a drain-mode change.
+     */
+    std::uint64_t nextEvent(std::uint64_t now);
 
     /** True when every queue is empty. */
     bool drained() const;
@@ -108,8 +122,10 @@ class MemorySystem
 
     Bank &bankOf(Channel &ch, const Address &a);
     void refreshTick(Channel &ch, std::uint64_t now);
-    /** Issue one request on the channel if possible. */
-    void issueTick(Channel &ch, std::uint64_t now);
+    /** Update the drain hysteresis; true when the channel writes now. */
+    static bool writeTurn(Channel &ch);
+    /** Issue one request on the channel if possible; true if it did. */
+    bool issueTick(Channel &ch, std::uint64_t now);
     /** Reserve timing for an access; returns data-done cycle. */
     std::uint64_t serve(Channel &ch, const Address &addr, bool isWrite,
                         std::uint64_t now);

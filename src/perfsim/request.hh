@@ -8,9 +8,14 @@
 #define XED_PERFSIM_REQUEST_HH
 
 #include <cstdint>
+#include <limits>
 
 namespace xed::perfsim
 {
+
+/** Wake-up sentinel: no future cycle is known to need a tick. */
+inline constexpr std::uint64_t neverCycle =
+    std::numeric_limits<std::uint64_t>::max();
 
 /** Decoded line address. */
 struct Address

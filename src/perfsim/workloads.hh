@@ -47,9 +47,11 @@ struct Workload
      * (libquantum, lbm).
      */
     unsigned mlp;
+
+    bool operator==(const Workload &) const = default;
 };
 
-/** The paper's 28 workloads (Figure 11 x-axis). */
+/** The paper's 31 workloads (Figure 11 x-axis). */
 const std::vector<Workload> &paperWorkloads();
 
 /** Lookup by name; throws std::out_of_range if unknown. */

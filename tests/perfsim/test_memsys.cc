@@ -164,12 +164,41 @@ TEST_F(MemsysTest, LotEccSpawnsExtraWrites)
 {
     const auto lot = modeEffects(ProtectionMode::LotEcc);
     MemorySystem lotMem(timing, lot, 99);
-    for (int i = 0; i < 2000; ++i)
+    for (int i = 0; i < 2000; ++i) {
         lotMem.enqueueWrite({0, 0, 0, static_cast<unsigned>(i % 32768),
                              0});
+        // Two ticks serve the data write and any parity write, so no
+        // parity write finds the queue full.
+        lotMem.tick(2 * i);
+        lotMem.tick(2 * i + 1);
+    }
     // ~10% of writes spawn a parity update.
     EXPECT_GT(lotMem.stats().extraWrites, 120u);
     EXPECT_LT(lotMem.stats().extraWrites, 280u);
+}
+
+TEST_F(MemsysTest, DroppedParityWritesAreNotCounted)
+{
+    // Every write spawns a parity write; one that finds the queue full
+    // is dropped and must not count, or reads + writes - extraWrites
+    // stops equalling the data ops served.
+    ModeEffects always = modeEffects(ProtectionMode::LotEcc);
+    always.extraWriteProb = 1.0;
+    MemorySystem lotMem(timing, always, 99);
+    const Address addr{0, 0, 0, 100, 0};
+    unsigned dataWrites = 0;
+    for (; dataWrites < 32; ++dataWrites)
+        lotMem.enqueueWrite(addr); // 32 data + 32 parity: a full queue
+    EXPECT_FALSE(lotMem.canAcceptWrite(0));
+    lotMem.tick(0); // drain mode: one write leaves, 63 remain
+    ASSERT_TRUE(lotMem.canAcceptWrite(0));
+    lotMem.enqueueWrite(addr); // fills the last slot; parity dropped
+    ++dataWrites;
+    for (std::uint64_t c = 1; c < 100000 && !lotMem.drained(); ++c)
+        lotMem.tick(c);
+    ASSERT_TRUE(lotMem.drained());
+    EXPECT_EQ(lotMem.stats().writes - lotMem.stats().extraWrites,
+              dataWrites);
 }
 
 TEST_F(MemsysTest, QueueCapacityEnforced)
