@@ -14,10 +14,13 @@
 #          Monte-Carlo engine's shard threads are not in this profile:
 #          build test_faultsim with -DXED_SANITIZE=thread to race them.
 #   ubsan  UndefinedBehaviorSanitizer build (default dir build-ubsan):
-#          ctest -L 'ecc|campaign|simd' runs every codec table lookup,
-#          shift and scratch-array access (the net for the
-#          GF256::div(a, 0) class of bugs), plus the SIMD dispatch
-#          layer and per-level fuzz at every level the host executes.
+#          ctest -L 'ecc|campaign|obs|simd' runs every codec table
+#          lookup, shift and scratch-array access (the net for the
+#          GF256::div(a, 0) class of bugs), the SIMD dispatch layer and
+#          per-level fuzz at every level the host executes, and the
+#          readers of bytes other processes wrote: the store and
+#          forensics loaders, the status scanner's fragment and
+#          queue.json decoding and the telemetry reader.
 #   simd   -DXED_NATIVE=ON Release build (default dir build-native),
 #          DESIGN.md section 4i: under XED_SIMD=scalar and under the
 #          detected level, ctest -L 'simd|ecc|golden' passes (the golden
@@ -78,8 +81,8 @@ tsan)
 ubsan)
     configure -DCMAKE_BUILD_TYPE=RelWithDebInfo -DXED_SANITIZE=undefined
     compile test_ecc test_codec_equivalence test_codec_alloc test_simd \
-        test_campaign xed_campaign_cli
-    label 'ecc|campaign|simd'
+        test_campaign test_obs xed_campaign_cli
+    label 'ecc|campaign|obs|simd'
     ;;
 
 simd)

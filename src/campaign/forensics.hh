@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -73,16 +72,16 @@ bool parseAttribution(const json::Value &record,
                       std::string *error);
 
 /**
- * Append a record's "autopsy" exemplars to @p autopsy. The decoded
- * AutopsyRecord::type pointers refer to copies pushed onto
- * @p strings, which must therefore outlive the autopsy vector.
- * Malformed entries are skipped (exemplars are best-effort evidence,
- * not accounting). The distributed merge path uses this to rebuild
- * each cell's exemplar set exactly as a single-process run would.
+ * The forensics-record decoder every reader uses: a "forensics" record
+ * of @p task (index, point and cell) with a well-formed attribution,
+ * decoded into the McResult parts it carries -- the attribution and the
+ * autopsy exemplars. Exemplars are best-effort evidence, not
+ * accounting: a malformed one is skipped, not an error. Their type
+ * labels are interned, so they never dangle.
  */
-void parseAutopsy(const json::Value &record,
-                  std::vector<faultsim::AutopsyRecord> &autopsy,
-                  std::vector<std::unique_ptr<std::string>> &strings);
+std::optional<faultsim::McResult>
+decodeForensicsRecord(const ShardTask &task, const json::Value &record,
+                      std::string *error);
 
 /** What loadForensics() recovered from an existing sidecar. */
 struct LoadedForensics
@@ -91,29 +90,25 @@ struct LoadedForensics
     std::string error;
     /** Per-shard records forming the plan prefix [0, shardRecords). */
     std::uint64_t shardRecords = 0;
-    /** Byte offset where the last valid per-shard record ends; resume
-     *  truncates here (dropping summaries / a torn line) to append. */
+    /** Byte offset where the last loaded shard record ends; resume
+     *  truncates here (dropping summaries, a torn line and any records
+     *  past its prefix) to append. */
     long long validBytes = 0;
-    /** validBytes after exactly the first n shard records, n <=
-     *  shardRecords -- the truncation point when the store replayed
-     *  fewer shards than the sidecar holds. */
-    std::vector<long long> bytesAfterShard;
-    /** Decoded per-shard attributions, indexed like bytesAfterShard;
-     *  resume merges the replayed prefix back into the cell results. */
-    std::vector<obs::FailureAttribution> attributions;
+    /** Those records merged per (point, cell), point-major. */
+    std::vector<faultsim::McResult> cells;
 };
 
-/** Read and validate a sidecar: per-shard records must be in plan
- *  order from index 0. A torn final line is tolerated. */
-LoadedForensics loadForensics(const std::string &path);
+/** Read and validate at most the first @p maxShards per-shard records
+ *  of a sidecar: in @p plan order from index 0, each one decoding. A
+ *  torn final line, or any line that is not a forensics record,
+ *  quietly ends the prefix. */
+LoadedForensics loadForensics(const std::string &path, const Plan &plan,
+                              std::uint64_t maxShards);
 
-/**
- * Aggregate a sidecar's shard records per (point, cell) and render
- * attribution tables (class x kind set, detection outcomes, autopsy
- * exemplars). Returns false only when the sidecar exists but cannot
- * be parsed; a missing sidecar prints nothing and returns true.
- */
-bool printForensics(const std::string &storePath,
+/** Render a loaded sidecar's per-cell attribution tables (class x
+ *  kind set, detection outcomes, autopsy exemplars). Returns false when
+ *  the sidecar did not load. */
+bool printForensics(const LoadedForensics &forensics,
                     const CampaignSpec &spec, const Plan &plan,
                     std::ostream &os, std::string *error);
 

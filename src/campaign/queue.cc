@@ -4,12 +4,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "campaign/store.hh"
+#include "common/file.hh"
 #include "obs/trace.hh"
 
 namespace xed::campaign
@@ -41,17 +41,6 @@ shardName(const char *prefix, std::uint64_t shard, const char *suffix)
     std::snprintf(buf, sizeof buf, "%s%06llu%s", prefix,
                   static_cast<unsigned long long>(shard), suffix);
     return buf;
-}
-
-std::optional<std::string>
-slurpFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return std::nullopt;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
 }
 
 /** Whole-file write + optional fsync; the building block for temp
@@ -102,7 +91,52 @@ queueManifest(const CampaignSpec &spec, const Plan &plan,
     record.set("shards", std::uint64_t{plan.tasks.size()});
     record.set("forensics",
                forensics && spec.kind == CampaignKind::Reliability);
+    record.set("spec", specToJson(spec));
     return record;
+}
+
+std::optional<QueueManifest>
+readQueueManifest(const std::string &dir, std::string *error)
+{
+    const std::string path = (fs::path(dir) / "queue.json").string();
+    const auto bytes = readFile(path);
+    if (!bytes) {
+        if (error)
+            *error = "cannot read " + path;
+        return std::nullopt;
+    }
+    std::string parseError;
+    const auto doc = json::parse(*bytes, &parseError);
+    if (!doc || !doc->isObject()) {
+        if (error)
+            *error = path + ": invalid queue manifest: " + parseError;
+        return std::nullopt;
+    }
+    const json::Value *format = doc->find("format");
+    if (!format || !format->isIntegral() ||
+        format->asInt() != queueFormatVersion) {
+        if (error)
+            *error = path + ": unsupported queue format";
+        return std::nullopt;
+    }
+    QueueManifest manifest;
+    if (const json::Value *name = doc->find("name"); name && name->isString())
+        manifest.name = name->asString();
+    if (const json::Value *hash = doc->find("specHash");
+        hash && hash->isString())
+        manifest.specHash = hash->asString();
+    if (const json::Value *shards = doc->find("shards");
+        shards && shards->isIntegral())
+        manifest.shards = shards->asUint();
+    const json::Value *forensics = doc->find("forensics");
+    manifest.forensics =
+        forensics && forensics->isBool() && forensics->asBool();
+    if (const json::Value *spec = doc->find("spec")) {
+        manifest.spec = parseSpec(*spec, nullptr);
+        if (manifest.spec && specHash(*manifest.spec) != manifest.specHash)
+            manifest.spec.reset();
+    }
+    return manifest;
 }
 
 std::string
@@ -162,49 +196,25 @@ ShardQueue::open(const CampaignSpec &spec, const Plan &plan,
             return false;
     }
 
-    const auto bytes = slurpFile(manifestPath);
-    if (!bytes) {
-        if (error)
-            *error = "cannot read " + manifestPath;
+    const auto manifest = readQueueManifest(dir_, error);
+    if (!manifest)
         return false;
-    }
-    std::string parseError;
-    const auto doc = json::parse(*bytes, &parseError);
-    if (!doc || !doc->isObject()) {
-        if (error)
-            *error = manifestPath + ": invalid queue manifest: " +
-                     parseError;
-        return false;
-    }
-    const json::Value *format = doc->find("format");
-    if (!format || !format->isIntegral() ||
-        format->asInt() != queueFormatVersion) {
-        if (error)
-            *error = manifestPath + ": unsupported queue format";
-        return false;
-    }
-    const json::Value *manifestHash = doc->find("specHash");
-    if (!manifestHash || !manifestHash->isString() ||
-        manifestHash->asString() != hash) {
+    if (manifest->specHash != hash) {
         if (error)
             *error = manifestPath + ": spec hash mismatch (queue " +
-                     (manifestHash && manifestHash->isString()
-                          ? manifestHash->asString()
-                          : "?") +
+                     (manifest->specHash.empty() ? "?"
+                                                 : manifest->specHash) +
                      ", spec " + hash +
                      "); refusing to join a different campaign's queue";
         return false;
     }
-    const json::Value *shards = doc->find("shards");
-    if (!shards || !shards->isIntegral() ||
-        shards->asUint() != plan.tasks.size()) {
+    if (manifest->shards != plan.tasks.size()) {
         if (error)
             *error = manifestPath +
                      ": shard count does not match the spec's plan";
         return false;
     }
-    const json::Value *forensics = doc->find("forensics");
-    forensics_ = forensics && forensics->isBool() && forensics->asBool();
+    forensics_ = manifest->forensics;
     return true;
 }
 
@@ -299,7 +309,7 @@ bool
 ShardQueue::renew(std::uint64_t shard, std::string *error)
 {
     const std::string lease = leasePath(shard);
-    const auto current = slurpFile(lease);
+    const auto current = readFile(lease);
     if (!current)
         return false; // broken by another worker after expiry
     std::string parseError;
@@ -342,7 +352,7 @@ ShardQueue::commit(std::uint64_t shard,
     if (wasDuplicate)
         *wasDuplicate = false;
     const std::string fragment = fragmentPath(shard);
-    if (const auto existing = slurpFile(fragment)) {
+    if (const auto existing = readFile(fragment)) {
         // A re-claimed shard was committed by someone else first.
         // Execution is deterministic, so the bytes MUST agree; a
         // mismatch means nondeterminism or corruption and must kill

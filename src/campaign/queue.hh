@@ -11,7 +11,9 @@
  *
  *   queue.json            queue manifest: format, spec name + hash,
  *                         shard count, whether fragments carry
- *                         forensics lines. Written atomically by the
+ *                         forensics lines, and the canonical spec
+ *                         (so a reader without the spec file can
+ *                         decode fragments). Written atomically by the
  *                         first worker; every later worker (and the
  *                         merge) validates its own spec against it,
  *                         so two different campaigns can never mix
@@ -54,6 +56,7 @@
 #define XED_CAMPAIGN_QUEUE_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "campaign/spec.hh"
@@ -150,6 +153,23 @@ class ShardQueue
 /** The queue manifest document (exposed for tests). */
 json::Value queueManifest(const CampaignSpec &spec, const Plan &plan,
                           const std::string &hash, bool forensics);
+
+/** What a queue directory's `queue.json` declares. */
+struct QueueManifest
+{
+    std::string name;
+    std::string specHash;
+    std::uint64_t shards = 0;
+    bool forensics = false;
+    /** Absent when the manifest predates its "spec" member, or when
+     *  that member does not parse or hash to specHash. */
+    std::optional<CampaignSpec> spec;
+};
+
+/** The one `queue.json` reader, shared by ShardQueue::open and the
+ *  status scan: the file must parse as an object of format 1. */
+std::optional<QueueManifest> readQueueManifest(const std::string &dir,
+                                               std::string *error);
 
 /** Initial poll-jitter state for @p workerId (FNV-1a of the id), so
  *  each worker walks its own deterministic jitter sequence. */

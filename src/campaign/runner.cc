@@ -192,19 +192,28 @@ campaignKindName(CampaignKind kind)
 
 } // namespace
 
+std::map<std::string, std::uint64_t>
+failuresByTypeOf(const CampaignSpec &spec, const ShardResult &result)
+{
+    if (spec.kind == CampaignKind::Detection)
+        return {{"escape", result.trials - result.detected}};
+    if (spec.kind == CampaignKind::Fleet) {
+        std::uint64_t due = 0, sdc = 0;
+        for (const auto &series : result.fleet.cohorts) {
+            due += series.totalDue();
+            sdc += series.totalSdc();
+        }
+        return {{"due", due}, {"sdc", sdc}};
+    }
+    const auto &types = result.mc.failureTypes.all();
+    return {types.begin(), types.end()};
+}
+
 std::uint64_t
 failedSystemsOf(const CampaignSpec &spec, const ShardResult &result)
 {
-    if (spec.kind == CampaignKind::Detection)
-        return result.trials - result.detected; // escapes, not failures
-    if (spec.kind == CampaignKind::Fleet) {
-        std::uint64_t failed = 0;
-        for (const auto &series : result.fleet.cohorts)
-            failed += series.totalDue() + series.totalSdc();
-        return failed;
-    }
     std::uint64_t failed = 0;
-    for (const auto &[name, count] : result.mc.failureTypes.all())
+    for (const auto &[type, count] : failuresByTypeOf(spec, result))
         failed += count;
     return failed;
 }
@@ -436,22 +445,20 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
                                       options.durableStore))
                 return outcome;
         } else {
-            const LoadedForensics loaded = loadForensics(sidecar);
+            const LoadedForensics loaded =
+                loadForensics(sidecar, plan, firstPending);
             if (!loaded.ok || loaded.shardRecords < firstPending) {
                 std::error_code ec;
                 std::filesystem::remove(sidecar, ec);
                 useForensics = false;
             } else {
-                for (std::uint64_t i = 0; i < firstPending; ++i) {
-                    const ShardTask &task = plan.tasks[i];
-                    outcome.cells[task.point * plan.cells + task.cell]
-                        .result.mc.attribution.merge(
-                            loaded.attributions[i]);
-                }
-                if (!forensicsWriter.open(
-                        sidecar,
-                        loaded.bytesAfterShard[firstPending - 1],
-                        &outcome.error, options.durableStore))
+                // The replayed prefix contributes its attributions.
+                for (std::size_t c = 0; c < outcome.cells.size(); ++c)
+                    outcome.cells[c].result.mc.attribution.merge(
+                        loaded.cells[c].attribution);
+                if (!forensicsWriter.open(sidecar, loaded.validBytes,
+                                          &outcome.error,
+                                          options.durableStore))
                     return outcome;
             }
         }
@@ -711,31 +718,13 @@ bool
 printReport(const std::string &storePath, std::ostream &os,
             std::string *error)
 {
-    std::ifstream in(storePath, std::ios::binary);
-    if (!in) {
-        if (error)
-            *error = "cannot open " + storePath;
+    const auto manifest = readStoreManifest(storePath, error);
+    if (!manifest)
         return false;
-    }
-    std::string firstLine;
-    std::getline(in, firstLine);
-    in.close();
-    std::string parseError;
-    const auto manifest = json::parse(firstLine, &parseError);
-    if (!manifest || !manifest->isObject() || !manifest->find("spec")) {
-        if (error)
-            *error = storePath + ": missing manifest record";
-        return false;
-    }
-    auto spec = parseSpec(*manifest->find("spec"), &parseError);
-    if (!spec) {
-        if (error)
-            *error = storePath + ": manifest spec invalid: " + parseError;
-        return false;
-    }
-    const Plan plan = buildPlan(*spec);
+    const CampaignSpec &spec = manifest->spec;
+    const Plan plan = buildPlan(spec);
     const LoadedStore loaded =
-        loadStore(storePath, specHash(*spec), *spec, plan);
+        loadStore(storePath, specHash(spec), spec, plan);
     if (!loaded.ok) {
         if (error)
             *error = loaded.error;
@@ -750,22 +739,22 @@ printReport(const std::string &storePath, std::ostream &os,
             loaded.shardResults[i]);
     }
 
-    os << "campaign: " << spec->name << "   shards: "
+    os << "campaign: " << spec.name << "   shards: "
        << loaded.completedShards << "/" << plan.tasks.size()
        << (loaded.hasSummary ? " (complete)" : " (partial)") << "\n\n";
 
     for (unsigned point = 0; point < plan.points; ++point) {
-        std::string title = spec->name;
-        if (spec->sweep.active())
-            title += ": " + spec->sweep.parameter + " = " +
-                     json::formatDouble(spec->sweep.values[point]);
-        if (spec->kind == CampaignKind::Reliability) {
+        std::string title = spec.name;
+        if (spec.sweep.active())
+            title += ": " + spec.sweep.parameter + " = " +
+                     json::formatDouble(spec.sweep.values[point]);
+        if (spec.kind == CampaignKind::Reliability) {
             Table table({"Scheme", "Y1", "Y2", "Y3", "Y4", "Y5", "Y6",
                          "Y7 P(fail)", "95% CI half-width"});
             for (unsigned cell = 0; cell < plan.cells; ++cell) {
                 const auto &mc =
                     cells[point * plan.cells + cell].result.mc;
-                std::vector<std::string> row{cellLabel(*spec, cell)};
+                std::vector<std::string> row{cellLabel(spec, cell)};
                 for (unsigned y = 1; y <= 7; ++y)
                     row.push_back(
                         Table::sci(mc.failByYear[y].value(), 2));
@@ -774,21 +763,21 @@ printReport(const std::string &storePath, std::ostream &os,
                 table.addRow(row);
             }
             table.print(os, title);
-        } else if (spec->kind == CampaignKind::Fleet) {
+        } else if (spec.kind == CampaignKind::Fleet) {
             const FleetDerived derived =
-                deriveFleet(*spec, cells[point].result.fleet);
+                deriveFleet(spec, cells[point].result.fleet);
             Table cohortTable({"Cohort", "Scheme", "DIMMs", "Installs",
                                "Repl", "Retired", "DUE", "SDC",
                                "Canary alert"});
-            for (std::size_t c = 0; c < spec->fleet.cohorts.size();
+            for (std::size_t c = 0; c < spec.fleet.cohorts.size();
                  ++c) {
-                const auto &cohort = spec->fleet.cohorts[c];
+                const auto &cohort = spec.fleet.cohorts[c];
                 const auto &series = derived.cohorts[c];
                 const auto alert =
                     cohort.canary
                         ? fleet::canaryAlertEpoch(
                               series, cohort.dimms,
-                              spec->fleet.policies.canaryDueThreshold)
+                              spec.fleet.policies.canaryDueThreshold)
                         : std::nullopt;
                 cohortTable.addRow(
                     {cohort.name,
@@ -810,7 +799,7 @@ printReport(const std::string &storePath, std::ostream &os,
             // whole number of years).
             const unsigned stride = std::max<unsigned>(
                 1, static_cast<unsigned>(
-                       hoursPerYear / spec->fleet.epochHours + 0.5));
+                       hoursPerYear / spec.fleet.epochHours + 0.5));
             Table seriesTable({"Epoch", "Years", "In service",
                                "Availability", "DUE (cum)", "SDC (cum)",
                                "Repl (cum)"});
@@ -821,7 +810,7 @@ printReport(const std::string &storePath, std::ostream &os,
                     last ? derived.epochs - 1 : e;
                 const double years =
                     static_cast<double>(row + 1) *
-                    spec->fleet.epochHours / hoursPerYear;
+                    spec.fleet.epochHours / hoursPerYear;
                 seriesTable.addRow(
                     {std::to_string(row),
                      json::formatDouble(years),
@@ -838,20 +827,20 @@ printReport(const std::string &storePath, std::ostream &os,
         } else {
             std::vector<std::string> headers{"Errors"};
             const unsigned pairs = static_cast<unsigned>(
-                spec->codes.size() * spec->patterns.size());
+                spec.codes.size() * spec.patterns.size());
             for (unsigned pair = 0; pair < pairs; ++pair) {
-                const unsigned cell = pair * spec->maxWeight;
-                const DetectionCell d = detectionCell(*spec, cell);
+                const unsigned cell = pair * spec.maxWeight;
+                const DetectionCell d = detectionCell(spec, cell);
                 headers.push_back(d.code +
                                   (d.burst ? " burst" : " random"));
             }
             Table table(headers);
-            for (unsigned weight = 1; weight <= spec->maxWeight;
+            for (unsigned weight = 1; weight <= spec.maxWeight;
                  ++weight) {
                 std::vector<std::string> row{std::to_string(weight)};
                 for (unsigned pair = 0; pair < pairs; ++pair) {
                     const unsigned cell =
-                        pair * spec->maxWeight + (weight - 1);
+                        pair * spec.maxWeight + (weight - 1);
                     const auto &r =
                         cells[point * plan.cells + cell].result;
                     row.push_back(
@@ -867,7 +856,13 @@ printReport(const std::string &storePath, std::ostream &os,
         }
         os << "\n";
     }
-    return printForensics(storePath, *spec, plan, os, error);
+
+    const std::string sidecar = forensicsPath(storePath);
+    if (spec.kind != CampaignKind::Reliability ||
+        !std::filesystem::exists(sidecar))
+        return true; // no sidecar: forensics were disabled
+    return printForensics(loadForensics(sidecar, plan, plan.tasks.size()),
+                          spec, plan, os, error);
 }
 
 } // namespace xed::campaign

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -138,8 +139,13 @@ ShardResult runFleetShard(const CampaignSpec &spec,
 ShardResult runShard(const CampaignSpec &spec, const ShardTask &task,
                      faultsim::McProgress *progress);
 
-/** Failed systems (reliability) or detection escapes of one result;
- *  feeds the per-cell "failed.<label>" telemetry counters. */
+/** One result's failures by type: the reliability failure types,
+ *  fleet "due" and "sdc" events, or detection "escape"s. */
+std::map<std::string, std::uint64_t>
+failuresByTypeOf(const CampaignSpec &spec, const ShardResult &result);
+
+/** The sum of failuresByTypeOf(). Feeds the summary's failure map,
+ *  the "failed.<label>" telemetry counters and the status totals. */
 std::uint64_t failedSystemsOf(const CampaignSpec &spec,
                               const ShardResult &result);
 

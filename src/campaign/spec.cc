@@ -1,11 +1,10 @@
 #include "campaign/spec.hh"
 
 #include <cstdio>
-#include <fstream>
 #include <limits>
-#include <sstream>
 
 #include "common/env.hh"
+#include "common/file.hh"
 
 namespace xed::campaign
 {
@@ -596,16 +595,14 @@ parseSpec(const json::Value &doc, std::string *error)
 std::optional<CampaignSpec>
 loadSpecFile(const std::string &path, std::string *error)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const auto text = readFile(path);
+    if (!text) {
         if (error)
             *error = "cannot open spec file " + path;
         return std::nullopt;
     }
-    std::ostringstream text;
-    text << in.rdbuf();
     std::string parseError;
-    const auto doc = json::parse(text.str(), &parseError);
+    const auto doc = json::parse(*text, &parseError);
     if (!doc) {
         if (error)
             *error = path + ": " + parseError;

@@ -4,11 +4,14 @@
 #include <charconv>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <ostream>
 #include <set>
 #include <sstream>
 
+#include "campaign/forensics.hh"
+#include "campaign/runner.hh"
+#include "campaign/worker.hh"
+#include "common/file.hh"
 #include "common/metrics.hh"
 #include "common/table.hh"
 #include "obs/telemetry.hh"
@@ -64,106 +67,34 @@ parseShardIndex(const std::string &digits, std::uint64_t &index)
     return ec == std::errc{} && ptr == end;
 }
 
-std::string
-slurp(const fs::path &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return buf.str();
-}
-
-bool
-recordTypeIs(const json::Value &record, std::string_view type)
-{
-    const json::Value *t = record.find("type");
-    return t && t->isString() && t->asString() == type;
-}
-
 void
-tallyOutcomes(const json::Value &record, FleetStatus &status)
+addOutcomes(const obs::FailureAttribution &attribution, FleetStatus &status)
 {
-    const json::Value *outcomes = record.find("outcomes");
-    if (!outcomes || !outcomes->isObject())
-        return;
-    for (const auto &[name, count] : outcomes->members())
-        if (count.isIntegral())
-            status.outcomes[name] += count.asUint();
+    for (unsigned o = 0; o < obs::numDetectionOutcomes; ++o)
+        if (const std::uint64_t count = attribution.byOutcome[o])
+            status.outcomes[obs::detectionOutcomeName(
+                static_cast<obs::DetectionOutcome>(o))] += count;
 }
 
-/**
- * Fold one committed "shard" record into the fleet totals. Extraction
- * is shape-based -- no spec needed -- and mirrors the runner's
- * failedSystemsOf() exactly, so the totals match what `report` prints
- * for the merged store:
- *
- *   result.failureTypes {name: n}   reliability: failed = sum(n)
- *   result.cohorts [{due, sdc,...}] fleet: failed = sum(due) + sum(sdc)
- *   result.{detected, trials}       detection: failed = trials-detected
- *                                   (escapes)
- */
-bool
-tallyShardRecord(const json::Value &record, FleetStatus &status)
+/** Fold one decoded shard into the totals: units from its plan task,
+ *  failures through the runner's own failedSystemsOf() (so they are
+ *  what the merged store's summary records), outcomes from its
+ *  reliability forensics or its fleet cohorts' attributions. */
+void
+tallyShard(const CampaignSpec &spec, const ShardTask &task,
+           const ShardResult &result, FleetStatus &status)
 {
-    if (!record.isObject() || !recordTypeIs(record, "shard"))
-        return false;
-    const json::Value *begin = record.find("begin");
-    const json::Value *end = record.find("end");
-    const json::Value *result = record.find("result");
-    if (!begin || !begin->isIntegral() || !end || !end->isIntegral() ||
-        !result || !result->isObject())
-        return false;
-    const std::uint64_t b = begin->asUint();
-    const std::uint64_t e = end->asUint();
-    if (e < b)
-        return false;
-    status.unitsDone += e - b;
-
-    std::uint64_t failed = 0;
-    if (const json::Value *types = result->find("failureTypes");
-        types && types->isObject()) {
-        for (const auto &[name, count] : types->members()) {
-            if (!count.isIntegral())
-                return false;
-            failed += count.asUint();
-            status.failuresByType[name] += count.asUint();
-        }
-    } else if (const json::Value *cohorts = result->find("cohorts");
-               cohorts && cohorts->isArray()) {
-        for (const json::Value &entry : cohorts->items()) {
-            if (!entry.isObject())
-                return false;
-            for (const char *key : {"due", "sdc"}) {
-                const json::Value *series = entry.find(key);
-                if (!series || !series->isArray())
-                    return false;
-                std::uint64_t sum = 0;
-                for (const json::Value &delta : series->items())
-                    if (delta.isIntegral())
-                        sum += delta.asUint();
-                failed += sum;
-                status.failuresByType[key] += sum;
-            }
-            tallyOutcomes(entry, status);
-        }
-    } else {
-        const json::Value *detected = result->find("detected");
-        const json::Value *trials = result->find("trials");
-        if (!detected || !detected->isIntegral() || !trials ||
-            !trials->isIntegral() ||
-            trials->asUint() < detected->asUint())
-            return false;
-        failed = trials->asUint() - detected->asUint();
-        status.failuresByType["escape"] += failed;
-    }
+    status.unitsDone += task.end - task.begin;
+    const std::uint64_t failed = failedSystemsOf(spec, result);
     status.failedUnits += failed;
-
     // Every committed cell appears in byCell, zero failures included
     // -- same convention as the run summary's failure map.
-    if (const json::Value *label = record.find("label");
-        label && label->isString())
-        status.failuresByCell[label->asString()] += failed;
-    return true;
+    status.failuresByCell[cellLabel(spec, task.cell)] += failed;
+    for (const auto &[type, count] : failuresByTypeOf(spec, result))
+        status.failuresByType[type] += count;
+    addOutcomes(result.mc.attribution, status);
+    for (const auto &series : result.fleet.cohorts)
+        addOutcomes(series.attribution, status);
 }
 
 std::uint64_t
@@ -302,21 +233,21 @@ scanQueueDir(const std::string &dir, const StatusOptions &options)
     status.source = "queue";
     status.path = dir;
 
-    const auto manifest = json::parse(slurp(fs::path(dir) / "queue.json"));
-    if (!manifest || !manifest->isObject() ||
-        !recordTypeIs(*manifest, "queue")) {
+    const auto manifest = readQueueManifest(dir, nullptr);
+    if (!manifest) {
         status.error =
             "not a queue directory (queue.json missing or invalid): " +
             dir;
         return status;
     }
-    if (const json::Value *name = manifest->find("name");
-        name && name->isString())
-        status.name = name->asString();
-    if (const json::Value *hash = manifest->find("specHash");
-        hash && hash->isString())
-        status.specHash = hash->asString();
-    status.shardsTotal = u64Field(*manifest, "shards");
+    status.name = manifest->name;
+    status.specHash = manifest->specHash;
+    status.shardsTotal = manifest->shards;
+    // Fragments decode against the plan of the manifest's spec. A
+    // queue.json written before it carried the spec leaves every
+    // fragment undecodable; identity, leases and telemetry still show.
+    const Plan plan =
+        manifest->spec ? buildPlan(*manifest->spec) : Plan{};
 
     Histogram shardSeconds;
     Histogram shardUnitsPerSec;
@@ -337,34 +268,22 @@ scanQueueDir(const std::string &dir, const StatusOptions &options)
         std::uint64_t index = 0;
         if (splitName(name, "shard-", ".jsonl", middle) &&
             parseShardIndex(middle, index)) {
-            // A committed fragment: line 1 is the store's shard
-            // record, line 2 (reliability campaigns) the forensics
-            // record. The fragment counts as done even when damaged
-            // -- the commit rename happened -- but its totals can
-            // only come from a parseable record.
+            if (index >= status.shardsTotal)
+                continue; // not a shard of this campaign's plan
+            // A committed fragment counts as done even when damaged --
+            // the commit rename happened -- but only one that decodes
+            // (the merge's own decoder) adds units and failures.
             doneShards.insert(index);
-            const std::string bytes = slurp(entry.path());
-            std::size_t pos = 0;
-            bool first = true;
-            bool tallied = false;
-            while (pos < bytes.size()) {
-                std::size_t eol = bytes.find('\n', pos);
-                if (eol == std::string::npos)
-                    eol = bytes.size();
-                const std::string_view line(bytes.data() + pos,
-                                            eol - pos);
-                pos = eol + 1;
-                if (line.empty())
-                    continue;
-                const auto record = json::parse(line);
-                if (record && first)
-                    tallied = tallyShardRecord(*record, status);
-                else if (record &&
-                         recordTypeIs(*record, "forensics"))
-                    tallyOutcomes(*record, status);
-                first = false;
-            }
-            if (!tallied)
+            const auto bytes = readFile(entry.path().string());
+            const auto fragment =
+                bytes && manifest->spec && index < plan.tasks.size()
+                    ? decodeFragment(*manifest->spec, plan.tasks[index],
+                                     *bytes, manifest->forensics, nullptr)
+                    : std::nullopt;
+            if (fragment)
+                tallyShard(*manifest->spec, plan.tasks[index],
+                           fragment->result, status);
+            else
                 ++status.damagedFragments;
         } else if (splitName(name, "lease-", ".json", middle) &&
                    parseShardIndex(middle, index)) {
@@ -372,7 +291,8 @@ scanQueueDir(const std::string &dir, const StatusOptions &options)
             // and never match the suffix. A lease torn mid-write
             // (claim in progress) parses as garbage; skip it, the
             // next scan sees it whole.
-            const auto lease = json::parse(slurp(entry.path()));
+            const auto bytes = readFile(entry.path().string());
+            const auto lease = bytes ? json::parse(*bytes) : std::nullopt;
             if (!lease || !lease->isObject())
                 continue;
             const json::Value *worker = lease->find("worker");
@@ -456,43 +376,36 @@ scanStore(const std::string &storePath, const StatusOptions &options)
         path.resize(path.size() - sidecarSuffix.size());
     status.path = path;
 
-    // The tolerant JSONL reader serves stores just as well as
-    // telemetry: same append-only discipline, same torn-tail mode.
-    const auto store = obs::readTelemetryRecords(path);
+    // The loader resume and report use: what it rejects, status
+    // rejects too, and a torn final line is not damage.
+    const auto manifest = readStoreManifest(path, &status.error);
+    if (!manifest)
+        return status;
+    const CampaignSpec &spec = manifest->spec;
+    const Plan plan = buildPlan(spec);
+    const LoadedStore store = loadStore(path, specHash(spec), spec, plan);
     if (!store.ok) {
         status.error = store.error;
         return status;
     }
-    status.damagedFragments += store.skippedLines;
+    status.name = spec.name;
+    status.specHash = manifest->specHash;
+    status.shardsTotal = plan.tasks.size();
+    status.shardsDone = store.completedShards;
+    status.shardsPending = status.shardsTotal - status.shardsDone;
+    status.complete = store.hasSummary;
 
-    bool sawManifest = false;
-    for (const json::Value &record : store.records) {
-        if (recordTypeIs(record, "manifest") && !sawManifest) {
-            sawManifest = true;
-            status.shardsTotal = u64Field(record, "shards");
-            if (const json::Value *hash = record.find("specHash");
-                hash && hash->isString())
-                status.specHash = hash->asString();
-            if (const json::Value *spec = record.find("spec"))
-                if (const json::Value *name = spec->find("name");
-                    name && name->isString())
-                    status.name = name->asString();
-        } else if (recordTypeIs(record, "shard")) {
-            if (tallyShardRecord(record, status))
-                ++status.shardsDone;
-            else
-                ++status.damagedFragments;
-        } else if (recordTypeIs(record, "summary")) {
-            status.complete = true;
-        }
-    }
-    if (!sawManifest) {
-        status.error = "not a result store (no manifest record): " + path;
-        return status;
-    }
-    status.shardsPending = status.shardsTotal > status.shardsDone
-                               ? status.shardsTotal - status.shardsDone
-                               : 0;
+    for (std::uint64_t i = 0; i < store.completedShards; ++i)
+        tallyShard(spec, plan.tasks[i], store.shardResults[i], status);
+    // A reliability run's detection outcomes live in its forensics
+    // sidecar, which may run one record ahead of the store: only the
+    // store's shard prefix counts, and a sidecar that fails to load
+    // adds nothing.
+    const LoadedForensics forensics =
+        loadForensics(forensicsPath(path), plan, store.completedShards);
+    if (forensics.ok)
+        for (const faultsim::McResult &cell : forensics.cells)
+            addOutcomes(cell.attribution, status);
 
     Histogram shardSeconds;
     Histogram shardUnitsPerSec;
@@ -518,18 +431,6 @@ scanStore(const std::string &storePath, const StatusOptions &options)
                                 options.leaseSeconds);
             status.workers.push_back(std::move(worker));
         }
-    }
-
-    // Detection-outcome counters live in the forensics sidecar for a
-    // single-process reliability run (per-shard records only -- the
-    // per-cell summaries would double-count).
-    const std::string forensics = path + ".forensics.jsonl";
-    if (fs::exists(forensics)) {
-        const auto records = obs::readTelemetryRecords(forensics);
-        if (records.ok)
-            for (const json::Value &record : records.records)
-                if (recordTypeIs(record, "forensics"))
-                    tallyOutcomes(record, status);
     }
 
     finalizeThroughput(status, shardSeconds, shardUnitsPerSec);

@@ -9,14 +9,11 @@
  * never perturb the run (DESIGN.md section 4k pins this contract,
  * and the smoke test cmp-verifies the queue bytes around a scan):
  *
- *   queue.json                    campaign identity + shard count
- *   shard-NNNNNN.jsonl            committed fragments: exact per-shard
- *                                 results -> done counts, simulated
- *                                 units and failure totals (these are
- *                                 the same bytes the merged store gets,
- *                                 so totals match a single-process run
- *                                 exactly), plus the forensics line's
- *                                 detection-outcome counters
+ *   queue.json                    identity, shard count and the spec
+ *                                 (readQueueManifest)
+ *   shard-NNNNNN.jsonl            committed fragments, decoded by the
+ *                                 merge's decodeFragment(): done counts,
+ *                                 units, failures, detection outcomes
  *   lease-NNNNNN.json             live claims: mtime age vs the lease
  *                                 lifetime -> per-worker liveness
  *   worker-<id>.telemetry.jsonl   volatile per-worker progress: rates,
@@ -24,16 +21,19 @@
  *                                 buckets (obs/telemetry.hh codec) that
  *                                 merge into fleet-wide p50/p90/p99
  *
- * The same snapshot type is built from a single-process run's result
- * store + `<out>.telemetry.jsonl` sidecar (scanStore), so a post-run
- * `report --format=json` and a live `/status.json` render one schema
- * and are diffable with one tool.
+ * scanStore reads a single-process run the same way: the store through
+ * loadStore(), detection outcomes from the forensics sidecar's records
+ * of the store's shards, and `<out>.telemetry.jsonl`. Failures go
+ * through the runner's failedSystemsOf(), so both scans total exactly
+ * what `merge` would write and `report --format=json` diffs cleanly
+ * against a live `/status.json`.
  *
- * Everything here tolerates a fleet mid-crash: torn telemetry tails
- * and unknown record types are skipped (obs::readTelemetryRecords),
- * damaged fragments are counted but never fatal, and a worker whose
- * lease mtime has aged past the lifetime is reported dead instead of
- * hiding the outage.
+ * Status tolerates what the merge rejects: a fragment that does not
+ * decode (or any fragment of a queue.json without a spec) counts as
+ * done and damaged but adds nothing; torn telemetry tails are skipped
+ * and counted; a worker whose lease has aged past the lifetime shows
+ * as dead. A store follows loadStore()'s rules: corruption is an
+ * error, a torn final line is not damage.
  */
 
 #ifndef XED_CAMPAIGN_STATUS_HH
@@ -141,8 +141,8 @@ struct FleetStatus
     std::uint64_t telemetryFiles = 0;
     /** Torn/unknown telemetry lines skipped across all sidecars. */
     std::uint64_t skippedTelemetryLines = 0;
-    /** Fragments whose record lines could not be parsed (counted,
-     *  never fatal: observability outlives corruption). */
+    /** Fragments that do not decode (counted, never fatal:
+     *  observability outlives corruption). */
     std::uint64_t damagedFragments = 0;
 };
 

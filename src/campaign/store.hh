@@ -26,7 +26,9 @@
 
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/spec.hh"
@@ -60,9 +62,34 @@ json::Value manifestRecord(const CampaignSpec &spec, const Plan &plan,
                            const std::string &hash);
 json::Value shardRecord(const CampaignSpec &spec, const ShardTask &task,
                         const ShardResult &result);
-/** Decode the "result" payload of a shard record. */
+
+/** What a store's manifest record declares. */
+struct StoreManifest
+{
+    std::string specHash;
+    std::uint64_t shards = 0;
+    /** The spec the store was written for, env overrides included. */
+    CampaignSpec spec;
+};
+
+/** Decode the manifest on a store's first line, for readers without a
+ *  spec in hand (report, status); loadStore() then checks the rest. */
+std::optional<StoreManifest> readStoreManifest(const std::string &path,
+                                               std::string *error);
+
+/** Decode the "result" payload of a shard record. A malformed one is
+ *  corruption: it decodes to an empty result and sets @p error. */
 ShardResult shardResultFromJson(const CampaignSpec &spec,
-                                const json::Value &record);
+                                const json::Value &record,
+                                std::string *error = nullptr);
+
+/** The shard-record decoder every reader uses: a "shard" record whose
+ *  index, point, cell and unit range are @p task's, with a well-formed
+ *  payload; nullopt and @p error otherwise. */
+std::optional<ShardResult> decodeShardRecord(const CampaignSpec &spec,
+                                             const ShardTask &task,
+                                             const json::Value &record,
+                                             std::string *error);
 
 /**
  * True unless XED_NO_FSYNC=1: whether campaign stores, forensics
@@ -99,7 +126,7 @@ class StoreWriter
     /** Append one pre-serialized record line verbatim (newline added).
      *  The distributed merge streams fragment bytes through this so
      *  no re-serialization can perturb the store's canonical bytes. */
-    bool writeLine(const std::string &line, std::string *error);
+    bool writeLine(std::string_view line, std::string *error);
 
   private:
     std::ofstream out_;
@@ -126,7 +153,8 @@ struct LoadedStore
  * Read and validate an existing store against the plan of the spec
  * being (re)run. Requires the manifest's specHash to equal
  * @p expectedHash and shard records to be exactly the plan prefix in
- * order; a torn final line is tolerated and reported via validBytes.
+ * order, each one decoding (decodeShardRecord); a torn final line is
+ * tolerated and reported via validBytes. Any other damage fails.
  */
 LoadedStore loadStore(const std::string &path,
                       const std::string &expectedHash,

@@ -1,17 +1,17 @@
 #include "campaign/worker.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
-#include <sstream>
 #include <thread>
 
 #include "campaign/forensics.hh"
 #include "campaign/store.hh"
 #include "campaign/telemetry.hh"
+#include "common/file.hh"
 #include "obs/trace.hh"
 
 namespace xed::campaign
@@ -21,17 +21,6 @@ namespace fs = std::filesystem;
 
 namespace
 {
-
-std::optional<std::string>
-slurpFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return std::nullopt;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
-}
 
 /**
  * Lease heartbeat: renews the shard currently being executed so a
@@ -370,106 +359,34 @@ mergeFragments(const CampaignSpec &spec, const MergeOptions &options)
         }
     }
 
-    // Autopsy type strings decoded from fragments live here; the
-    // merged exemplars are serialized into the summary records before
-    // this function returns, and the returned cells drop their
-    // autopsy vectors (the pointers would dangle otherwise).
-    std::vector<std::unique_ptr<std::string>> strings;
-
     // -- Assemble: fragment record lines are appended VERBATIM, in
     // plan order, so the store/sidecar bytes cannot be perturbed by a
-    // parse/re-serialize round trip; parsing below is validation and
+    // parse/re-serialize round trip; decoding is validation and
     // summary bookkeeping only.
     for (std::uint64_t i = 0; i < plan.tasks.size(); ++i) {
         const ShardTask &task = plan.tasks[i];
         const std::string path = queue.fragmentPath(i);
-        const auto bytes = slurpFile(path);
+        const auto bytes = readFile(path);
         if (!bytes) {
             outcome.error = "cannot read fragment " + path;
             return outcome;
         }
-        if (bytes->empty() || bytes->back() != '\n') {
-            outcome.error = path + ": truncated fragment";
+        std::string error;
+        const auto fragment =
+            decodeFragment(spec, task, *bytes, useForensics, &error);
+        if (!fragment) {
+            outcome.error = path + ": " + error;
             return outcome;
         }
-        std::vector<std::string> lines;
-        std::size_t start = 0;
-        while (start < bytes->size()) {
-            const std::size_t newline = bytes->find('\n', start);
-            lines.push_back(bytes->substr(start, newline - start));
-            start = newline + 1;
-        }
-        const std::size_t expectLines = useForensics ? 2 : 1;
-        if (lines.size() != expectLines) {
-            outcome.error = path + ": expected " +
-                            std::to_string(expectLines) +
-                            " record line(s), found " +
-                            std::to_string(lines.size());
+        // Sidecar record strictly before the store record, mirroring
+        // the single-process runner's write order.
+        if (useForensics && !forensicsWriter.writeLine(
+                                fragment->forensicsLine, &outcome.error))
             return outcome;
-        }
-
-        std::string parseError;
-        const auto record = json::parse(lines[0], &parseError);
-        if (!record || !record->isObject()) {
-            outcome.error = path + ": invalid shard record: " +
-                            parseError;
-            return outcome;
-        }
-        const json::Value *type = record->find("type");
-        const json::Value *index = record->find("index");
-        const json::Value *point = record->find("point");
-        const json::Value *cell = record->find("cell");
-        const json::Value *begin = record->find("begin");
-        const json::Value *end = record->find("end");
-        const bool matches =
-            type && type->isString() && type->asString() == "shard" &&
-            index && index->isIntegral() && index->asUint() == i &&
-            point && point->isIntegral() &&
-            point->asUint() == task.point && cell &&
-            cell->isIntegral() && cell->asUint() == task.cell &&
-            begin && begin->isIntegral() &&
-            begin->asUint() == task.begin && end &&
-            end->isIntegral() && end->asUint() == task.end;
-        if (!matches) {
-            outcome.error = path +
-                            ": shard record does not match the spec's "
-                            "plan (foreign or corrupt fragment)";
-            return outcome;
-        }
-        ShardResult result = shardResultFromJson(spec, *record);
-
-        if (useForensics) {
-            const auto forensics = json::parse(lines[1], &parseError);
-            if (!forensics || !forensics->isObject()) {
-                outcome.error = path + ": invalid forensics record: " +
-                                parseError;
-                return outcome;
-            }
-            const json::Value *ftype = forensics->find("type");
-            const json::Value *findex = forensics->find("index");
-            if (!ftype || !ftype->isString() ||
-                ftype->asString() != "forensics" || !findex ||
-                !findex->isIntegral() || findex->asUint() != i) {
-                outcome.error = path +
-                                ": forensics record does not match "
-                                "its shard";
-                return outcome;
-            }
-            if (!parseAttribution(*forensics, result.mc.attribution,
-                                  &parseError)) {
-                outcome.error = path + ": " + parseError;
-                return outcome;
-            }
-            parseAutopsy(*forensics, result.mc.autopsy, strings);
-            // Sidecar record strictly before the store record,
-            // mirroring the single-process runner's write order.
-            if (!forensicsWriter.writeLine(lines[1], &outcome.error))
-                return outcome;
-        }
-        if (!writer.writeLine(lines[0], &outcome.error))
+        if (!writer.writeLine(fragment->shardLine, &outcome.error))
             return outcome;
         outcome.cells[task.point * plan.cells + task.cell].result.merge(
-            result);
+            fragment->result);
         ++outcome.shardsMerged;
     }
 
@@ -489,14 +406,48 @@ mergeFragments(const CampaignSpec &spec, const MergeOptions &options)
                       &outcome.error))
         return outcome;
 
-    // The autopsy exemplars' type strings are owned by this frame;
-    // drop them from the returned cells rather than dangle.
-    for (auto &cell : outcome.cells)
-        cell.result.mc.autopsy.clear();
-
     outcome.forensicsWritten = useForensics;
     outcome.ok = true;
     return outcome;
+}
+
+std::optional<DecodedFragment>
+decodeFragment(const CampaignSpec &spec, const ShardTask &task,
+               std::string_view bytes, bool forensics, std::string *error)
+{
+    const auto fail = [&](const std::string &what) {
+        if (error)
+            *error = what;
+        return std::nullopt;
+    };
+    const std::size_t lines = forensics ? 2 : 1;
+    if (bytes.empty() || bytes.back() != '\n' ||
+        std::count(bytes.begin(), bytes.end(), '\n') !=
+            static_cast<std::ptrdiff_t>(lines))
+        return fail("expected " + std::to_string(lines) +
+                    " complete record line(s)");
+    const std::size_t split = bytes.find('\n');
+    DecodedFragment fragment;
+    fragment.shardLine = bytes.substr(0, split);
+    const auto record = json::parse(fragment.shardLine);
+    auto result = record ? decodeShardRecord(spec, task, *record, error)
+                         : fail("shard record is not JSON");
+    if (!result)
+        return std::nullopt;
+    fragment.result = std::move(*result);
+    if (!forensics)
+        return fragment;
+
+    fragment.forensicsLine =
+        bytes.substr(split + 1, bytes.size() - split - 2);
+    const auto forensicsRecord = json::parse(fragment.forensicsLine);
+    const auto part = forensicsRecord ? decodeForensicsRecord(
+                                            task, *forensicsRecord, error)
+                                      : fail("forensics record is not JSON");
+    if (!part)
+        return std::nullopt;
+    fragment.result.mc.merge(*part);
+    return fragment;
 }
 
 } // namespace xed::campaign

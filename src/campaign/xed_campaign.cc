@@ -91,9 +91,7 @@
 #include <chrono>
 #include <climits>
 #include <csignal>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 
@@ -105,6 +103,7 @@
 #include "campaign/worker.hh"
 #include "common/build_info.hh"
 #include "common/env.hh"
+#include "common/file.hh"
 #include "common/json.hh"
 #include "obs/http.hh"
 
@@ -160,15 +159,13 @@ usage(std::ostream &os)
 int
 checkJson(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const auto text = readFile(path);
+    if (!text) {
         std::cerr << "xed_campaign: cannot open " << path << "\n";
         return 1;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
     std::string error;
-    const auto doc = json::parse(buffer.str(), &error);
+    const auto doc = json::parse(*text, &error);
     if (!doc) {
         std::cerr << "xed_campaign: " << path << ": " << error << "\n";
         return 1;

@@ -1,7 +1,6 @@
 #include "obs/telemetry.hh"
 
-#include <fstream>
-#include <sstream>
+#include "common/file.hh"
 
 namespace xed::obs
 {
@@ -10,18 +9,12 @@ TelemetryRecords
 readTelemetryRecords(const std::string &path)
 {
     TelemetryRecords out;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const auto file = readFile(path);
+    if (!file) {
         out.error = "cannot open " + path;
         return out;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) {
-        out.error = "read failed on " + path;
-        return out;
-    }
-    const std::string bytes = buffer.str();
+    const std::string &bytes = *file;
 
     std::size_t start = 0;
     while (start < bytes.size()) {

@@ -2,13 +2,15 @@
  * @file
  * JSONL result store: shard-record round-trips, prefix recovery after
  * an interrupt (including a torn final line), and rejection of stores
- * that do not belong to the spec being resumed.
+ * that do not belong to the spec being resumed or whose shard payloads
+ * are malformed.
  */
 
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
 
+#include "campaign/runner.hh"
 #include "campaign/store.hh"
 
 using namespace xed;
@@ -163,4 +165,52 @@ TEST(CampaignStore, RejectsForeignAndCorruptStores)
     }
     auto corrupt = loadStore(path, specHash(spec), spec, plan);
     EXPECT_FALSE(corrupt.ok);
+}
+
+TEST(CampaignStore, MalformedShardPayloadIsRejected)
+{
+    // A partial store whose one shard record has its payload blanked:
+    // that is corruption, not an empty shard, so neither loadStore nor
+    // a resume may read it as a shard that simulated nothing.
+    const auto spec = tinySpec();
+    const Plan plan = buildPlan(spec);
+    const auto path = tempPath("store_blank_payload.jsonl");
+    std::filesystem::remove(path);
+    std::filesystem::remove(path + ".forensics.jsonl");
+    writeStore(path, spec, plan, 1);
+
+    std::string manifestLine, shardLine;
+    {
+        std::ifstream in(path, std::ios::binary);
+        std::getline(in, manifestLine);
+        std::getline(in, shardLine);
+    }
+    auto record = json::parse(shardLine);
+    ASSERT_TRUE(record);
+    auto payload = json::Value::object();
+    payload.set("failByYear", json::Value::array());
+    payload.set("failureTypes", json::Value::object());
+    record->set("result", std::move(payload));
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << manifestLine << '\n' << json::dump(*record) << '\n';
+    }
+    const auto blanked = std::filesystem::file_size(path);
+
+    const auto loaded = loadStore(path, specHash(spec), spec, plan);
+    EXPECT_FALSE(loaded.ok);
+    EXPECT_NE(loaded.error.find("byte " +
+                                std::to_string(manifestLine.size() + 1)),
+              std::string::npos)
+        << loaded.error;
+
+    RunOptions options;
+    options.outPath = path;
+    options.resume = true;
+    options.telemetrySidecar = false;
+    options.durableStore = false;
+    const RunOutcome outcome = runCampaign(spec, options);
+    EXPECT_FALSE(outcome.ok);
+    EXPECT_FALSE(outcome.complete);
+    EXPECT_EQ(std::filesystem::file_size(path), blanked); // no summary
 }

@@ -5,7 +5,8 @@
  *
  *  - kind-set names round-trip through every possible mask,
  *  - shard records written with forensicsShardRecord() load back via
- *    loadForensics() with exact attributions and byte offsets,
+ *    loadForensics() with exact per-cell attributions, exemplars and
+ *    byte offsets, stopping at a requested prefix,
  *  - the loader tolerates torn tails / foreign lines and rejects
  *    out-of-order records,
  *  - ProgressReporter always terminates its telemetry stream: "done"
@@ -109,8 +110,10 @@ syntheticResult(std::uint64_t firstSystem)
     return mc;
 }
 
-std::string
-shardLine(std::uint64_t index)
+/** Shard @p index of a synthetic plan: one point, two cells taking
+ *  turns, 1000 systems per shard. */
+ShardTask
+syntheticTask(std::uint64_t index)
 {
     ShardTask task;
     task.index = index;
@@ -118,6 +121,24 @@ shardLine(std::uint64_t index)
     task.cell = static_cast<unsigned>(index % 2);
     task.begin = index * 1000;
     task.end = (index + 1) * 1000;
+    return task;
+}
+
+Plan
+syntheticPlan(std::uint64_t shards)
+{
+    Plan plan;
+    plan.points = 1;
+    plan.cells = 2;
+    for (std::uint64_t i = 0; i < shards; ++i)
+        plan.tasks.push_back(syntheticTask(i));
+    return plan;
+}
+
+std::string
+shardLine(std::uint64_t index)
+{
+    const ShardTask task = syntheticTask(index);
     return json::dump(
         forensicsShardRecord(task, syntheticResult(task.begin)));
 }
@@ -137,23 +158,30 @@ TEST(ForensicsSidecar, ShardRecordsRoundTripThroughLoad)
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out << line0 << '\n' << line1 << '\n';
     }
+    const Plan plan = syntheticPlan(4);
 
-    const LoadedForensics loaded = loadForensics(path);
+    // A prefix bound stops at exactly that many records.
+    const LoadedForensics first = loadForensics(path, plan, 1);
+    EXPECT_TRUE(first.ok) << first.error;
+    EXPECT_EQ(first.shardRecords, 1u);
+    EXPECT_EQ(first.validBytes, static_cast<long long>(line0.size() + 1));
+
+    const LoadedForensics loaded = loadForensics(path, plan, 4);
     EXPECT_TRUE(loaded.ok) << loaded.error;
     EXPECT_EQ(loaded.shardRecords, 2u);
-    ASSERT_EQ(loaded.bytesAfterShard.size(), 2u);
-    EXPECT_EQ(loaded.bytesAfterShard[0],
-              static_cast<long long>(line0.size() + 1));
-    EXPECT_EQ(loaded.bytesAfterShard[1],
+    EXPECT_EQ(loaded.validBytes,
               static_cast<long long>(line0.size() + line1.size() + 2));
-    EXPECT_EQ(loaded.validBytes, loaded.bytesAfterShard[1]);
 
-    ASSERT_EQ(loaded.attributions.size(), 2u);
+    // One shard per cell: each cell holds exactly its shard's record.
+    ASSERT_EQ(loaded.cells.size(), 2u);
     const auto expected = syntheticResult(0).attribution;
-    for (const auto &attribution : loaded.attributions) {
-        EXPECT_EQ(attribution.byClassKinds, expected.byClassKinds);
-        EXPECT_EQ(attribution.byOutcome, expected.byOutcome);
+    for (const auto &cell : loaded.cells) {
+        EXPECT_EQ(cell.attribution.byClassKinds, expected.byClassKinds);
+        EXPECT_EQ(cell.attribution.byOutcome, expected.byOutcome);
+        ASSERT_EQ(cell.autopsy.size(), 1u);
     }
+    EXPECT_EQ(loaded.cells[1].autopsy[0].system, 1000u);
+    EXPECT_STREQ(loaded.cells[1].autopsy[0].type, "due-double-bit");
     std::remove(path.c_str());
 }
 
@@ -171,7 +199,7 @@ TEST(ForensicsSidecar, SummariesAndTornTailDoNotExtendThePrefix)
             << shardLine(1).substr(0, 17);
     }
 
-    const LoadedForensics loaded = loadForensics(path);
+    const LoadedForensics loaded = loadForensics(path, syntheticPlan(2), 2);
     EXPECT_TRUE(loaded.ok) << loaded.error;
     EXPECT_EQ(loaded.shardRecords, 1u);
     EXPECT_EQ(loaded.validBytes,
@@ -189,7 +217,7 @@ TEST(ForensicsSidecar, ForeignLineEndsThePrefixQuietly)
             << "not json at all\n"
             << shardLine(1) << '\n';
     }
-    const LoadedForensics loaded = loadForensics(path);
+    const LoadedForensics loaded = loadForensics(path, syntheticPlan(2), 2);
     EXPECT_TRUE(loaded.ok);
     EXPECT_EQ(loaded.shardRecords, 1u);
     std::remove(path.c_str());
@@ -203,7 +231,7 @@ TEST(ForensicsSidecar, OutOfOrderRecordsAreRejected)
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out << shardLine(0) << '\n' << shardLine(2) << '\n';
     }
-    const LoadedForensics loaded = loadForensics(path);
+    const LoadedForensics loaded = loadForensics(path, syntheticPlan(3), 3);
     EXPECT_FALSE(loaded.ok);
     EXPECT_FALSE(loaded.error.empty());
     std::remove(path.c_str());
@@ -211,8 +239,8 @@ TEST(ForensicsSidecar, OutOfOrderRecordsAreRejected)
 
 TEST(ForensicsSidecar, MissingFileIsAnError)
 {
-    const LoadedForensics loaded =
-        loadForensics(tempPath("xed_test_forensics_missing.jsonl"));
+    const LoadedForensics loaded = loadForensics(
+        tempPath("xed_test_forensics_missing.jsonl"), syntheticPlan(1), 1);
     EXPECT_FALSE(loaded.ok);
     EXPECT_FALSE(loaded.error.empty());
 }
