@@ -15,8 +15,8 @@
  * fleet status scanner, the HTTP endpoints and the tests: every
  * well-formed JSON *object* line is returned in file order; a torn or
  * otherwise unparseable line and any non-object line are skipped and
- * counted, not fatal. Only a file that cannot be opened at all is an
- * error.
+ * counted, not fatal. Only a file that cannot be opened or read at all
+ * is an error.
  *
  * The histogram codec serializes a common/metrics Histogram as its
  * sparse nonzero buckets -- `[[bucketIndex, count], ...]` in ascending
