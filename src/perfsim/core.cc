@@ -2,18 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace xed::perfsim
 {
 
-Core::Core(unsigned id, const Workload &workload, const CoreParams &params,
+Core::Core(const Workload &workload, const CoreParams &params,
            const TraceGen::AddressSpace &space, std::uint64_t memOpBudget,
            std::uint64_t seed, unsigned cpuCyclesPerMemCycle)
-    : id_(id), workload_(workload), params_(params),
-      gen_(workload, space, seed), memOpBudget_(memOpBudget),
-      cpuPerMem_(cpuCyclesPerMemCycle),
+    : params_(params), gen_(workload, space, seed),
+      memOpBudget_(memOpBudget), cpuPerMem_(cpuCyclesPerMemCycle),
       window_(std::min(params.maxMlp, std::max(1u, workload.mlp)))
 {
+    if (window_ == 0)
+        throw std::invalid_argument("perfsim: coreParams.maxMlp is 0");
+    ring_ = std::make_unique<MemRequest[]>(window_);
 }
 
 void
@@ -24,10 +27,10 @@ Core::tick(std::uint64_t now, MemorySystem &memory)
     const double cpuNow = static_cast<double>(now * cpuPerMem_);
 
     // Retire completed reads in program order (ROB head semantics).
-    while (!outstanding_.empty() && outstanding_.front()->done() &&
-           outstanding_.front()->doneCycle <=
-               static_cast<std::int64_t>(now)) {
-        outstanding_.pop_front();
+    while (outstanding_ > 0 && ring_[head_].done() &&
+           ring_[head_].doneCycle <= static_cast<std::int64_t>(now)) {
+        head_ = (head_ + 1) % window_;
+        --outstanding_;
     }
 
     // Issue as much of the in-order stream as this cycle allows.
@@ -51,23 +54,20 @@ Core::tick(std::uint64_t now, MemorySystem &memory)
                 break; // write buffer back-pressure
             memory.enqueueWrite(pending_.addr);
         } else {
-            if (outstanding_.size() >= window_)
+            if (outstanding_ >= window_)
                 break; // ROB / MLP limit
             if (!memory.canAcceptRead(pending_.addr.channel))
                 break;
-            auto req = std::make_unique<MemRequest>();
-            req->addr = pending_.addr;
-            req->core = id_;
-            req->arrivalCycle = now;
-            memory.enqueueRead(req.get());
-            outstanding_.push_back(std::move(req));
+            MemRequest &slot = ring_[(head_ + outstanding_) % window_];
+            slot = MemRequest{pending_.addr};
+            memory.enqueueRead(&slot);
+            ++outstanding_;
         }
         hasPending_ = false;
         ++opsIssued_;
     }
 
-    if (opsIssued_ >= memOpBudget_ && !hasPending_ &&
-        outstanding_.empty()) {
+    if (opsIssued_ >= memOpBudget_ && !hasPending_ && outstanding_ == 0) {
         finished_ = true;
         finishCycle_ = std::max(
             now, static_cast<std::uint64_t>(
@@ -85,7 +85,7 @@ Core::computeBound(std::uint64_t now) const
 std::uint64_t
 Core::headDoneCycle() const
 {
-    const MemRequest &head = *outstanding_.front();
+    const MemRequest &head = ring_[head_];
     return head.done() ? static_cast<std::uint64_t>(head.doneCycle)
                        : neverCycle;
 }
@@ -116,7 +116,7 @@ Core::nextWake(std::uint64_t now) const
             ++wake;
         return wake;
     }
-    if (!pending_.isWrite && outstanding_.size() >= window_)
+    if (!pending_.isWrite && outstanding_ >= window_)
         return headDoneCycle(); // ROB / MLP window
     // Blocked on queue space: only a request leaving it frees a slot.
     return neverCycle;

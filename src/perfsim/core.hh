@@ -15,7 +15,6 @@
 #define XED_PERFSIM_CORE_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 
 #include "perfsim/ddr_timing.hh"
@@ -28,7 +27,9 @@ namespace xed::perfsim
 class Core
 {
   public:
-    Core(unsigned id, const Workload &workload, const CoreParams &params,
+    /** Throws std::invalid_argument when params.maxMlp is 0: such a
+     *  core could never have a read outstanding. */
+    Core(const Workload &workload, const CoreParams &params,
          const TraceGen::AddressSpace &space, std::uint64_t memOpBudget,
          std::uint64_t seed, unsigned cpuCyclesPerMemCycle);
 
@@ -52,8 +53,6 @@ class Core
     /** The head read's completion cycle, neverCycle while queued. */
     std::uint64_t headDoneCycle() const;
 
-    unsigned id_;
-    Workload workload_;
     CoreParams params_;
     TraceGen gen_;
     std::uint64_t memOpBudget_;
@@ -61,7 +60,15 @@ class Core
     /** Outstanding-read limit: min(workload MLP, core cap). */
     unsigned window_;
 
-    std::deque<std::unique_ptr<MemRequest>> outstanding_;
+    /**
+     * Outstanding reads in program order: a ring of window_ slots, the
+     * oldest at head_. Memory holds a slot's address from enqueueRead
+     * until it sets the slot's doneCycle, and a slot is reused only
+     * after its read retires, so the address stays fixed meanwhile.
+     */
+    std::unique_ptr<MemRequest[]> ring_;
+    unsigned head_ = 0;
+    unsigned outstanding_ = 0;
     MemOp pending_{};
     bool hasPending_ = false;
     double computeReadyCpu_ = 0; ///< CPU cycle the next op is ready

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace xed::perfsim
 {
@@ -21,12 +22,6 @@ MemorySystem::MemorySystem(const TimingParams &timing,
     }
 }
 
-MemorySystem::Bank &
-MemorySystem::bankOf(Channel &ch, const Address &a)
-{
-    return ch.banks[a.rank * banksPerRank + a.bank];
-}
-
 bool
 MemorySystem::canAcceptRead(unsigned channel) const
 {
@@ -42,15 +37,24 @@ MemorySystem::canAcceptWrite(unsigned channel) const
 void
 MemorySystem::enqueueRead(MemRequest *req)
 {
-    assert(req->addr.channel < channels_.size());
-    channels_[req->addr.channel].readQ.push_back(req);
+    const Address &addr = req->addr;
+    assert(addr.channel < channels_.size());
+    if (!canAcceptRead(addr.channel))
+        throw std::logic_error("MemorySystem::enqueueRead: queue full");
+    auto &ch = channels_[addr.channel];
+    ch.readQ.push_back({req, bankIndex(addr), addr.row});
+    ch.wake = staleWake;
 }
 
 void
 MemorySystem::enqueueWrite(const Address &addr)
 {
+    assert(addr.channel < channels_.size());
+    if (!canAcceptWrite(addr.channel))
+        throw std::logic_error("MemorySystem::enqueueWrite: queue full");
     auto &ch = channels_[addr.channel];
-    ch.writeQ.push_back({addr, 0});
+    ch.writeQ.push_back(addr);
+    ch.wake = staleWake;
     if (mode_.extraWriteProb > 0 &&
         rng_.bernoulli(mode_.extraWriteProb)) {
         // LOT-ECC second-tier parity update: a write to a different row
@@ -60,7 +64,7 @@ MemorySystem::enqueueWrite(const Address &addr)
         // A full queue drops the parity write; count only what will
         // be served.
         if (ch.writeQ.size() < writeQueueCap) {
-            ch.writeQ.push_back({parity, 0});
+            ch.writeQ.push_back(parity);
             ++stats_.extraWrites;
         }
     }
@@ -91,9 +95,9 @@ std::uint64_t
 MemorySystem::serve(Channel &ch, const Address &addr, bool isWrite,
                     std::uint64_t now)
 {
-    auto &bank = bankOf(ch, addr);
+    auto &bank = ch.banks[bankIndex(addr)];
     auto &rank = ch.ranks[addr.rank];
-    const bool hit = bank.openRow == static_cast<std::int64_t>(addr.row);
+    const bool hit = bank.isOpen(addr.row);
 
     std::uint64_t cas;
     if (!hit) {
@@ -155,56 +159,40 @@ MemorySystem::issueTick(Channel &ch, std::uint64_t now)
         // FR-FCFS over the write queue: prefer a row hit that can
         // start now, else the oldest request.
         std::size_t pick = 0;
-        bool found = false;
         for (std::size_t i = 0; i < ch.writeQ.size(); ++i) {
-            const auto &a = ch.writeQ[i].addr;
-            const auto &bank = ch.banks[a.rank * banksPerRank + a.bank];
-            if (bank.openRow == static_cast<std::int64_t>(a.row) &&
-                bank.nextCasAt <= now) {
+            const Address &a = ch.writeQ[i];
+            const Bank &bank = ch.banks[bankIndex(a)];
+            if (bank.isOpen(a.row) && bank.nextCasAt <= now) {
                 pick = i;
-                found = true;
                 break;
             }
         }
-        if (!found)
-            pick = 0;
-        serve(ch, ch.writeQ[pick].addr, true, now);
-        ch.writeQ.erase(ch.writeQ.begin() +
-                        static_cast<std::ptrdiff_t>(pick));
+        serve(ch, ch.writeQ[pick], true, now);
+        ch.writeQ.erase(pick);
         return true;
     }
 
-    if (ch.readQ.empty())
-        return false;
-    std::size_t pick = 0;
-    bool found = false;
+    // FR-FCFS over the read queue: the oldest row hit whose CAS may
+    // issue now, else the oldest request whose bank may precharge now,
+    // else nothing (every bank is busy this cycle).
+    const std::size_t none = ch.readQ.size();
+    std::size_t hit = none;
+    std::size_t ready = none;
     for (std::size_t i = 0; i < ch.readQ.size(); ++i) {
-        const auto &a = ch.readQ[i]->addr;
-        const auto &bank = ch.banks[a.rank * banksPerRank + a.bank];
-        if (bank.openRow == static_cast<std::int64_t>(a.row) &&
-            bank.nextCasAt <= now) {
-            pick = i;
-            found = true;
+        const QueuedRead &r = ch.readQ[i];
+        const Bank &bank = ch.banks[r.bank];
+        if (bank.isOpen(r.row) && bank.nextCasAt <= now) {
+            hit = i;
             break;
         }
+        if (ready == none && bank.prechargeableAt <= now)
+            ready = i;
     }
-    if (!found) {
-        // Oldest-first among requests whose bank is ready; fall back to
-        // the oldest overall so the queue cannot deadlock.
-        for (std::size_t i = 0; i < ch.readQ.size(); ++i) {
-            const auto &a = ch.readQ[i]->addr;
-            const auto &bank = ch.banks[a.rank * banksPerRank + a.bank];
-            if (bank.prechargeableAt <= now) {
-                pick = i;
-                found = true;
-                break;
-            }
-        }
-    }
-    if (!found)
-        return false; // every bank is busy this cycle
-    MemRequest *req = ch.readQ[pick];
-    ch.readQ.erase(ch.readQ.begin() + static_cast<std::ptrdiff_t>(pick));
+    const std::size_t pick = hit != none ? hit : ready;
+    if (pick == none)
+        return false;
+    MemRequest *req = ch.readQ[pick].req;
+    ch.readQ.erase(pick);
     req->doneCycle =
         static_cast<std::int64_t>(serve(ch, req->addr, false, now));
     return true;
@@ -215,6 +203,9 @@ MemorySystem::tick(std::uint64_t now)
 {
     bool popped = false;
     for (auto &ch : channels_) {
+        if (ch.wake > now)
+            continue; // fresh and not due: the tick would be a no-op
+        ch.wake = staleWake;
         refreshTick(ch, now);
         popped |= issueTick(ch, now);
     }
@@ -222,29 +213,35 @@ MemorySystem::tick(std::uint64_t now)
 }
 
 std::uint64_t
+MemorySystem::channelWake(Channel &ch, std::uint64_t now)
+{
+    // Commit the drain hysteresis the next issueTick would apply: the
+    // queue sizes cannot change before the next tick or enqueue, so
+    // the update the skipped ticks would make is this one.
+    if (writeTurn(ch))
+        return now + 1; // a write turn always issues
+    std::uint64_t wake = neverCycle;
+    for (const auto &rank : ch.ranks)
+        wake = std::min(wake, rank.nextRefreshAt);
+    // issueTick's read picks: a row hit whose CAS may issue, else any
+    // request whose bank may precharge.
+    for (const QueuedRead &r : ch.readQ) {
+        const Bank &bank = ch.banks[r.bank];
+        wake = std::min(wake, bank.prechargeableAt);
+        if (bank.isOpen(r.row))
+            wake = std::min(wake, bank.nextCasAt);
+    }
+    return std::max(wake, now + 1);
+}
+
+std::uint64_t
 MemorySystem::nextEvent(std::uint64_t now)
 {
     std::uint64_t next = neverCycle;
     for (auto &ch : channels_) {
-        for (const auto &rank : ch.ranks)
-            next = std::min(next, rank.nextRefreshAt);
-        // Every channel commits its hysteresis, even once next is
-        // settled: the queue sizes cannot change before the next tick
-        // or enqueue, so the update the skipped ticks would make is
-        // this one.
-        if (writeTurn(ch)) {
-            next = std::min(next, now + 1); // a write turn always issues
-            continue;
-        }
-        // issueTick's read picks: a row hit whose CAS may issue, else
-        // any request whose bank may precharge.
-        for (const MemRequest *req : ch.readQ) {
-            const auto &a = req->addr;
-            const auto &bank = ch.banks[a.rank * banksPerRank + a.bank];
-            next = std::min(next, bank.prechargeableAt);
-            if (bank.openRow == static_cast<std::int64_t>(a.row))
-                next = std::min(next, bank.nextCasAt);
-        }
+        if (ch.wake == staleWake)
+            ch.wake = channelWake(ch, now);
+        next = std::min(next, ch.wake);
     }
     return std::max(next, now + 1);
 }

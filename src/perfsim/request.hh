@@ -40,8 +40,6 @@ struct MemOp
 struct MemRequest
 {
     Address addr{};
-    unsigned core = 0;
-    std::uint64_t arrivalCycle = 0;
     /** Completion cycle; negative while outstanding. */
     std::int64_t doneCycle = -1;
 

@@ -30,7 +30,7 @@ simulate(const Workload &workload, ProtectionMode mode,
     std::vector<std::unique_ptr<Core>> cores;
     for (unsigned c = 0; c < config.cores; ++c) {
         cores.push_back(std::make_unique<Core>(
-            c, workload, config.coreParams, space, config.memOpsPerCore,
+            workload, config.coreParams, space, config.memOpsPerCore,
             config.seed + 1000003ull * (c + 1),
             config.timing.cpuCyclesPerMemCycle));
     }

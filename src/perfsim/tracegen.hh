@@ -39,7 +39,10 @@ class TraceGen
     MemOp next();
 
   private:
-    Workload workload_;
+    /** Rate of the exponential gap, per non-memory instruction. */
+    double gapRate_;
+    double writeFraction_;
+    double rowHitRate_;
     AddressSpace space_;
     Rng rng_;
     Address current_{};

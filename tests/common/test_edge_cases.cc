@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
+#include "common/inline_vec.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
 
@@ -45,6 +47,23 @@ TEST(EdgeCases, BernoulliExtremes)
         EXPECT_FALSE(rng.bernoulli(0.0));
         EXPECT_TRUE(rng.bernoulli(1.0));
     }
+}
+
+TEST(EdgeCases, InlineVecEraseKeepsOrder)
+{
+    InlineVec<int, 5> v{10, 11, 12, 13, 14};
+    v.erase(0);
+    EXPECT_EQ(v, (std::vector<int>{11, 12, 13, 14}));
+    v.erase(2);
+    EXPECT_EQ(v, (std::vector<int>{11, 12, 14}));
+    v.erase(2);
+    EXPECT_EQ(v, (std::vector<int>{11, 12}));
+    v.push_back(15);
+    v.erase(1);
+    v.erase(0);
+    EXPECT_EQ(v, (std::vector<int>{15}));
+    v.erase(0);
+    EXPECT_TRUE(v.empty());
 }
 
 } // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "perfsim/system.hh"
 #include "tests/support/perfsim_reference.hh"
 #include "tests/support/scoped_threads_env.hh"
@@ -126,6 +128,16 @@ TEST(System, MlpDrivesLatencySensitivity)
                                              ProtectionMode::Chipkill,
                                              quick(8000));
     EXPECT_GT(n.execTime, 1.15);
+}
+
+TEST(System, ZeroMlpCapIsRejected)
+{
+    // No read could ever be outstanding, so no read could issue.
+    PerfConfig cfg = quick(100);
+    cfg.coreParams.maxMlp = 0;
+    EXPECT_THROW(simulate(workloadByName("mcf"),
+                          ProtectionMode::SecdedBaseline, cfg),
+                 std::invalid_argument);
 }
 
 std::vector<RunCell>
