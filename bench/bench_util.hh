@@ -16,8 +16,6 @@
  * defaults to 0 ("auto") and perfsim::simulateAll always sizes its
  * pool that way; resolveWorkerThreads (common/env.hh) turns "auto"
  * into XED_MC_THREADS and then std::thread::hardware_concurrency().
- * mcThreads() is for harnesses that want to surface the resolved
- * value.
  */
 
 #ifndef XED_BENCH_BENCH_UTIL_HH
@@ -52,13 +50,6 @@ inline std::uint64_t
 perfOps(std::uint64_t fallback = 8000)
 {
     return envScale("XED_PERF_OPS", fallback);
-}
-
-/** Worker threads: XED_MC_THREADS, else the hardware. */
-inline unsigned
-mcThreads()
-{
-    return resolveWorkerThreads(0, UINT64_MAX);
 }
 
 /** Monte-Carlo seed: XED_MC_SEED, else the bench's pinned seed. */

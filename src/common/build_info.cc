@@ -75,8 +75,8 @@ buildInfoJson()
     // Unlike the configure-time fields above, the SIMD block is
     // resolved at RUN time: which kernels executed (level), what the
     // host could have run (detected), and the override that forced a
-    // difference, null when none. Two otherwise-identical BENCH_*.json
-    // entries from different machines stay distinguishable.
+    // difference, null when none. Two otherwise-identical results from
+    // different machines stay distinguishable.
     auto simd = json::Value::object();
     simd.set("level", simdLevelName(simdLevel()));
     simd.set("detected", simdLevelName(simdDetectedLevel()));

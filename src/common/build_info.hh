@@ -2,9 +2,10 @@
  * @file
  * Build provenance baked in at configure time: git revision, compiler,
  * optimization flags, build type and instrumentation options. Stamped
- * into the telemetry run record and into every BENCH_*.json so a
- * bench-trajectory point (or a multi-hour campaign) is attributable
- * to the exact binary that produced it.
+ * into the telemetry run record and printed by `xed_campaign version`,
+ * whose output benchmark/run.py copies into every result's provenance,
+ * so a benchmark result (or a multi-hour campaign) is attributable to
+ * the exact binary that produced it.
  *
  * The git hash is captured when cmake configures (not per build), so
  * it can lag uncommitted edits; the telemetry sidecar additionally

@@ -66,20 +66,21 @@ bool simdLevelSupported(SimdLevel level);
 SimdLevel simdLevel();
 
 /**
- * Force the resolved level, e.g. the benches' --simd flag or the
- * per-level equivalence tests. Throws std::runtime_error when the
- * host cannot execute @p level. Takes effect for every subsequent
- * simdLevel() call; not meant to race running kernels.
+ * Force the resolved level, e.g. for the per-level equivalence and
+ * allocation tests. Throws std::runtime_error when the host cannot
+ * execute @p level. Takes effect for every subsequent simdLevel()
+ * call; not meant to race running kernels.
  *
  * @param origin provenance tag recorded by simdOverride(), e.g.
- *        "--simd=scalar"; the XED_SIMD resolution uses "XED_SIMD=...".
+ *        "test"; the XED_SIMD resolution uses "XED_SIMD=...".
  */
 void simdForceLevel(SimdLevel level, std::string_view origin);
 
 /**
- * The override in effect ("XED_SIMD=avx2", "--simd=scalar"), or empty
- * when simdLevel() is the detected level. Stamped into build
- * provenance so BENCH_*.json says which kernels actually ran.
+ * The override in effect ("XED_SIMD=avx2", or the origin passed to
+ * simdForceLevel()), or empty when simdLevel() is the detected level.
+ * Stamped into build provenance (buildInfoJson(), printed by
+ * `xed_campaign version`) so a result says which kernels actually ran.
  */
 std::string simdOverride();
 

@@ -1,9 +1,11 @@
 /**
  * @file
  * USIMM-style DDR3 memory system: per-channel FR-FCFS scheduling over
- * per-bank state machines with JEDEC timing (tRCD/tRP/tCL/tRAS/tRRD/
- * tFAW/tWR/tRFC/tREFI), a write buffer with watermark-based draining,
- * and periodic refresh.
+ * per-bank state machines with JEDEC timing (tRCD/tRP/tCL/tCWL/tRRD/
+ * tFAW/tWR/tRTP/tCCD/tRFC/tREFI), a write buffer with watermark-based
+ * draining, and periodic refresh. serve() does not enforce tRAS or tRC
+ * (only the power model reads them), and there is no write-to-read
+ * turnaround (tWTR); all three wait for ROADMAP.md item 1(b).
  *
  * Protection modes shape the system through ModeEffects: rank lockstep
  * reduces the number of independent ranks, channel ganging halves the

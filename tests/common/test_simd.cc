@@ -116,9 +116,9 @@ TEST(SimdDispatch, ForceRejectsUnexecutableLevel)
 TEST(SimdDispatch, ForceSetsLevelAndRecordsOrigin)
 {
     const SimdLevel original = simdLevel();
-    simdForceLevel(SimdLevel::Scalar, "--simd=scalar");
+    simdForceLevel(SimdLevel::Scalar, "forced-scalar");
     EXPECT_EQ(simdLevel(), SimdLevel::Scalar);
-    EXPECT_EQ(simdOverride(), "--simd=scalar");
+    EXPECT_EQ(simdOverride(), "forced-scalar");
     simdForceLevel(original, "test");
     EXPECT_EQ(simdLevel(), original);
     EXPECT_EQ(simdOverride(), "test");

@@ -41,6 +41,16 @@ tables()
     return t;
 }
 
+/** The original GF(2^8) multiply: zero branch + log/exp + `% 255`. */
+std::uint8_t
+gfMul(std::uint8_t a, std::uint8_t b)
+{
+    const LogExp &t = tables();
+    if (a == 0 || b == 0)
+        return 0;
+    return t.exp[(t.log[a] + t.log[b]) % groupOrder];
+}
+
 std::uint8_t
 gfDiv(std::uint8_t a, std::uint8_t b)
 {
@@ -117,15 +127,6 @@ crcTable()
 }
 
 } // namespace
-
-std::uint8_t
-gfMul(std::uint8_t a, std::uint8_t b)
-{
-    const LogExp &t = tables();
-    if (a == 0 || b == 0)
-        return 0;
-    return t.exp[(t.log[a] + t.log[b]) % groupOrder];
-}
 
 std::uint8_t
 crc8(std::uint64_t data)

@@ -1,15 +1,9 @@
 /**
  * @file
- * Frozen pre-optimization codec implementations, kept as the reference
- * half of two contracts:
- *
- *  - the randomized equivalence suite (tests/ecc/test_codec_equivalence)
- *    proves the table-driven scratch kernels return byte-identical
- *    results to these originals;
- *  - the throughput bench (bench/codec_throughput) measures the new
- *    kernels against them, so the before/after ratios in
- *    BENCH_codecs.json compare real implementations rather than
- *    guesses.
+ * Frozen pre-optimization codec implementations: the reference of the
+ * randomized equivalence suites (tests/ecc/test_codec_equivalence,
+ * tests/ecc/test_rs_param_sweep), which prove the table-driven scratch
+ * kernels return byte-identical results to these originals.
  *
  * These are deliberate verbatim copies of the algorithms as they stood
  * before the kernel rewrite (log/exp multiply with the zero branch and
@@ -29,9 +23,6 @@
 
 namespace xed::ecc::legacy
 {
-
-/** The original GF(2^8) multiply: zero branch + log/exp + `% 255`. */
-std::uint8_t gfMul(std::uint8_t a, std::uint8_t b);
 
 /** The original byte-at-a-time CRC8-ATM: an 8-step dependent chain. */
 std::uint8_t crc8(std::uint64_t data);
