@@ -14,15 +14,17 @@
 #          Monte-Carlo engine's shard threads are not in this profile:
 #          build test_faultsim with -DXED_SANITIZE=thread to race them.
 #   ubsan  UndefinedBehaviorSanitizer build (default dir build-ubsan):
-#          ctest -L 'ecc|campaign|obs|simd|perfsim' runs every codec
-#          table lookup, shift and scratch-array access (the net for the
-#          GF256::div(a, 0) class of bugs), the SIMD dispatch layer and
-#          per-level fuzz at every level the host executes, the readers
-#          of bytes other processes wrote (the store and forensics
-#          loaders, the status scanner's fragment and queue.json
-#          decoding and the telemetry reader), and the perfsim memory
-#          controller's inline queues, InlineVec::erase and the cores'
-#          request-ring indices.
+#          ctest -L 'ecc|campaign|obs|simd|perfsim|json' runs every
+#          codec table lookup, shift and scratch-array access (the net
+#          for the GF256::div(a, 0) class of bugs), the SIMD dispatch
+#          layer and per-level fuzz at every level the host executes,
+#          the readers of bytes other processes wrote (the store and
+#          forensics loaders, the status scanner's fragment and
+#          queue.json decoding and the telemetry reader), the perfsim
+#          memory controller's inline queues, InlineVec::erase and the
+#          cores' request-ring indices, and the strict JSON parser under
+#          mutation fuzz with its number I/O against the printf/strtod
+#          reference.
 #   simd   -DXED_NATIVE=ON Release build (default dir build-native),
 #          DESIGN.md section 4i: under XED_SIMD=scalar and under the
 #          detected level, ctest -L 'simd|ecc|golden' passes (the golden
@@ -83,8 +85,8 @@ tsan)
 ubsan)
     configure -DCMAKE_BUILD_TYPE=RelWithDebInfo -DXED_SANITIZE=undefined
     compile test_ecc test_codec_equivalence test_codec_alloc test_simd \
-        test_campaign test_obs test_perfsim xed_campaign_cli
-    label 'ecc|campaign|obs|simd|perfsim'
+        test_campaign test_obs test_perfsim test_json xed_campaign_cli
+    label 'ecc|campaign|obs|simd|perfsim|json'
     ;;
 
 simd)

@@ -29,6 +29,10 @@ namespace xed::campaign
 namespace
 {
 
+/** Shards each worker thread may run ahead of the writer (runCampaign
+ *  parks a worker on shard i until the writer has taken i - window). */
+constexpr std::uint64_t reorderWindowPerThread = 16;
+
 std::unique_ptr<ecc::Secded7264>
 makeCode(const std::string &name)
 {
@@ -402,12 +406,9 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
                 return outcome;
             }
             firstPending = loaded.completedShards;
-            for (std::uint64_t i = 0; i < firstPending; ++i) {
-                const ShardTask &task = plan.tasks[i];
-                outcome.cells[task.point * plan.cells + task.cell]
-                    .result.merge(loaded.shardResults[i]);
-                replayedUnits += task.end - task.begin;
-            }
+            replayedUnits = loaded.completedUnits;
+            for (std::size_t c = 0; c < outcome.cells.size(); ++c)
+                outcome.cells[c].result.merge(loaded.cells[c]);
             outcome.shardsReplayed = firstPending;
             if (loaded.hasSummary) {
                 // Nothing to do: resuming a finished run is a no-op.
@@ -512,12 +513,30 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
     reporter.start(runMetadata(spec.name, hash, threads, firstPending));
 
     // -- Execute pending shards; write strictly in plan order. --------
+    // The writer is fsync-bound and workers are not, so a worker that
+    // claims shard i first waits until the writer has taken shard
+    // i - window: at most `window` results wait in `ready`, whatever
+    // the disk's latency.
+    const std::uint64_t window = reorderWindowPerThread * threads;
     std::atomic<std::uint64_t> next{firstPending};
     std::atomic<bool> abort{false};
     std::mutex mutex;
-    std::condition_variable readyCv;
+    std::condition_variable readyCv;  ///< writer: shard `taken` ready
+    std::condition_variable windowCv; ///< workers: `taken` advanced
     std::map<std::uint64_t, ShardResult> ready;
+    std::uint64_t taken = firstPending; ///< next shard the writer takes
     std::string workerError; ///< first failure; guarded by mutex
+    // Every abort path goes through here: abort is set under the mutex,
+    // so no waiter can test it between its check and its sleep, and
+    // both sides are woken.
+    const auto abortRun = [&] {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            abort.store(true);
+        }
+        readyCv.notify_all();
+        windowCv.notify_all();
+    };
 
     // Shard-time distributions feed the telemetry quantiles. The
     // references are resolved once here so workers never touch the
@@ -534,6 +553,15 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
                     next.fetch_add(1, std::memory_order_relaxed);
                 if (i >= limit)
                     break;
+                {
+                    std::unique_lock<std::mutex> lock(mutex);
+                    windowCv.wait(lock, [&] {
+                        return i < taken + window ||
+                               abort.load(std::memory_order_relaxed);
+                    });
+                    if (abort.load(std::memory_order_relaxed))
+                        break;
+                }
                 // A throwing shard (bad spec interaction, OOM) must
                 // not terminate the process: surface the first error,
                 // wake the drain loop, and unwind cleanly so the
@@ -572,8 +600,7 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
                         if (workerError.empty())
                             workerError = e.what();
                     }
-                    abort.store(true);
-                    readyCv.notify_all();
+                    abortRun();
                     break;
                 }
             }
@@ -594,7 +621,9 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
                 break; // worker aborted before producing shard i
             result = std::move(ready.at(i));
             ready.erase(i);
+            taken = i + 1;
         }
+        windowCv.notify_all();
         const ShardTask &task = plan.tasks[i];
         // Forensics flush strictly before the store record: a kill
         // between the two leaves the sidecar one record ahead, never
@@ -607,10 +636,7 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
              !writer.write(shardRecord(spec, task, result),
                            &outcome.error))) {
             writeFailed = true;
-            abort.store(true);
-            // Unblock any worker parked on a full queue (none today,
-            // but keep the invariant that abort implies wake-up).
-            readyCv.notify_all();
+            abortRun(); // workers parked on the window must wake
             break;
         }
         outcome.cells[task.point * plan.cells + task.cell].result.merge(
@@ -731,13 +757,7 @@ printReport(const std::string &storePath, std::ostream &os,
         return false;
     }
 
-    std::vector<CellSummary> cells(
-        static_cast<std::size_t>(plan.points) * plan.cells);
-    for (std::uint64_t i = 0; i < loaded.completedShards; ++i) {
-        const ShardTask &task = plan.tasks[i];
-        cells[task.point * plan.cells + task.cell].result.merge(
-            loaded.shardResults[i]);
-    }
+    const std::vector<ShardResult> &cells = loaded.cells;
 
     os << "campaign: " << spec.name << "   shards: "
        << loaded.completedShards << "/" << plan.tasks.size()
@@ -752,8 +772,7 @@ printReport(const std::string &storePath, std::ostream &os,
             Table table({"Scheme", "Y1", "Y2", "Y3", "Y4", "Y5", "Y6",
                          "Y7 P(fail)", "95% CI half-width"});
             for (unsigned cell = 0; cell < plan.cells; ++cell) {
-                const auto &mc =
-                    cells[point * plan.cells + cell].result.mc;
+                const auto &mc = cells[point * plan.cells + cell].mc;
                 std::vector<std::string> row{cellLabel(spec, cell)};
                 for (unsigned y = 1; y <= 7; ++y)
                     row.push_back(
@@ -765,7 +784,7 @@ printReport(const std::string &storePath, std::ostream &os,
             table.print(os, title);
         } else if (spec.kind == CampaignKind::Fleet) {
             const FleetDerived derived =
-                deriveFleet(spec, cells[point].result.fleet);
+                deriveFleet(spec, cells[point].fleet);
             Table cohortTable({"Cohort", "Scheme", "DIMMs", "Installs",
                                "Repl", "Retired", "DUE", "SDC",
                                "Canary alert"});
@@ -841,8 +860,7 @@ printReport(const std::string &storePath, std::ostream &os,
                 for (unsigned pair = 0; pair < pairs; ++pair) {
                     const unsigned cell =
                         pair * spec.maxWeight + (weight - 1);
-                    const auto &r =
-                        cells[point * plan.cells + cell].result;
+                    const auto &r = cells[point * plan.cells + cell];
                     row.push_back(
                         r.trials
                             ? Table::pct(static_cast<double>(

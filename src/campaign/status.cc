@@ -76,20 +76,20 @@ addOutcomes(const obs::FailureAttribution &attribution, FleetStatus &status)
                 static_cast<obs::DetectionOutcome>(o))] += count;
 }
 
-/** Fold one decoded shard into the totals: units from its plan task,
- *  failures through the runner's own failedSystemsOf() (so they are
- *  what the merged store's summary records), outcomes from its
- *  reliability forensics or its fleet cohorts' attributions. */
+/** Fold one decoded result of @p cell -- a shard, or a cell's merged
+ *  shards -- into the failure totals: failures through the runner's
+ *  own failedSystemsOf() (so they are what the merged store's summary
+ *  records), outcomes from its reliability forensics or its fleet
+ *  cohorts' attributions. Callers count the units. */
 void
-tallyShard(const CampaignSpec &spec, const ShardTask &task,
-           const ShardResult &result, FleetStatus &status)
+tallyResult(const CampaignSpec &spec, unsigned cell,
+            const ShardResult &result, FleetStatus &status)
 {
-    status.unitsDone += task.end - task.begin;
     const std::uint64_t failed = failedSystemsOf(spec, result);
     status.failedUnits += failed;
     // Every committed cell appears in byCell, zero failures included
     // -- same convention as the run summary's failure map.
-    status.failuresByCell[cellLabel(spec, task.cell)] += failed;
+    status.failuresByCell[cellLabel(spec, cell)] += failed;
     for (const auto &[type, count] : failuresByTypeOf(spec, result))
         status.failuresByType[type] += count;
     addOutcomes(result.mc.attribution, status);
@@ -280,11 +280,14 @@ scanQueueDir(const std::string &dir, const StatusOptions &options)
                     ? decodeFragment(*manifest->spec, plan.tasks[index],
                                      *bytes, manifest->forensics, nullptr)
                     : std::nullopt;
-            if (fragment)
-                tallyShard(*manifest->spec, plan.tasks[index],
-                           fragment->result, status);
-            else
+            if (fragment) {
+                const ShardTask &task = plan.tasks[index];
+                status.unitsDone += task.end - task.begin;
+                tallyResult(*manifest->spec, task.cell, fragment->result,
+                            status);
+            } else {
                 ++status.damagedFragments;
+            }
         } else if (splitName(name, "lease-", ".json", middle) &&
                    parseShardIndex(middle, index)) {
             // Tombstoned leases are `lease-N.json.broken-<breaker>`
@@ -395,8 +398,14 @@ scanStore(const std::string &storePath, const StatusOptions &options)
     status.shardsPending = status.shardsTotal - status.shardsDone;
     status.complete = store.hasSummary;
 
+    status.unitsDone = store.completedUnits;
+    // The store's shards arrive merged per cell. A cell is committed
+    // once its first shard (begin 0) is in the prefix.
     for (std::uint64_t i = 0; i < store.completedShards; ++i)
-        tallyShard(spec, plan.tasks[i], store.shardResults[i], status);
+        if (const ShardTask &task = plan.tasks[i]; task.begin == 0)
+            tallyResult(spec, task.cell,
+                        store.cells[task.point * plan.cells + task.cell],
+                        status);
     // A reliability run's detection outcomes live in its forensics
     // sidecar, which may run one record ahead of the store: only the
     // store's shard prefix counts, and a sidecar that fails to load

@@ -427,7 +427,7 @@ loadStore(const std::string &path, const std::string &expectedHash,
         return loaded;
     }
 
-    loaded.shardResults.resize(plan.tasks.size());
+    loaded.cells.resize(static_cast<std::size_t>(plan.points) * plan.cells);
     loaded.validBytes = static_cast<long long>(++lineStart);
     while (lineStart < text.size() && !loaded.hasSummary) {
         const std::size_t newline = text.find('\n', lineStart);
@@ -458,13 +458,15 @@ loadStore(const std::string &path, const std::string &expectedHash,
                                "plan has shards";
                 return loaded;
             }
-            auto result = decodeShardRecord(
-                spec, plan.tasks[loaded.completedShards], *record, &error);
+            const ShardTask &task = plan.tasks[loaded.completedShards];
+            const auto result =
+                decodeShardRecord(spec, task, *record, &error);
             if (!result) {
                 loaded.error = path + at() + ": " + error;
                 return loaded;
             }
-            loaded.shardResults[loaded.completedShards] = std::move(*result);
+            loaded.cells[task.point * plan.cells + task.cell].merge(*result);
+            loaded.completedUnits += task.end - task.begin;
             ++loaded.completedShards;
         } else if (typeName == "summary") {
             loaded.hasSummary = true;

@@ -141,9 +141,13 @@ struct LoadedStore
     std::string error;
     /** Shard records form the plan prefix [0, completedShards). */
     std::uint64_t completedShards = 0;
+    /** Units (systems, trials, fleet slots) that prefix covers. */
+    std::uint64_t completedUnits = 0;
     bool hasSummary = false;
-    /** Decoded shard payloads, indexed by shard index. */
-    std::vector<ShardResult> shardResults;
+    /** The prefix's decoded payloads merged per (point, cell), at
+     *  index point * plan.cells + cell; a cell with no committed shard
+     *  holds an empty result. */
+    std::vector<ShardResult> cells;
     /** Byte offset where valid content ends; resume truncates here to
      *  drop a torn final line before appending. */
     long long validBytes = 0;

@@ -1,9 +1,11 @@
 #include "common/json.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 namespace xed::json
 {
@@ -96,6 +98,56 @@ namespace
 
 constexpr int maxDepth = 64;
 
+/**
+ * strtod's value of the number text [first, last). from_chars rounds
+ * exactly as strtod does wherever it returns a value. A token whose
+ * value underflows to zero or overflows to infinity makes it report
+ * result_out_of_range instead, so strtod decides those: 1e-400 reads
+ * as 0 and 1e309 as inf.
+ */
+double
+toDouble(const char *first, const char *last)
+{
+    double d = 0;
+    if (std::from_chars(first, last, d).ec == std::errc::result_out_of_range)
+        return std::strtod(std::string(first, last).c_str(), nullptr);
+    return d;
+}
+
+/** Room for any formatDoubleTo() text, "-2.2250738585072014e-308". */
+constexpr std::size_t doubleChars = 32;
+
+/** formatDouble() into @p buf (doubleChars bytes); returns the end. */
+char *
+formatDoubleTo(char *buf, double d)
+{
+    char *const end = buf + doubleChars;
+    // Integral values print as plain integers ("10", not "1e+01");
+    // below 2^53 the decimal form is exact, so it still round-trips.
+    if (std::abs(d) < 0x1.0p53 && d == std::floor(d))
+        return std::to_chars(buf, end, d, std::chars_format::fixed, 0).ptr;
+    // The shortest round-tripping decimal has n significant digits, so
+    // no "%.{P}g" with P < n round-trips: the search starts at n.
+    char *last =
+        std::to_chars(buf, end, d, std::chars_format::scientific).ptr;
+    if (!std::isfinite(d))
+        return last; // "inf", "-nan", ...: printf's spelling too
+    int precision = 0;
+    for (const char *c = buf; c != last && *c != 'e'; ++c)
+        precision += *c >= '0' && *c <= '9';
+    // "%.{P}g" (to_chars general with precision P) is the P-digit
+    // decimal nearest d. The shortest form can be a farther one, on the
+    // wide side of a power of two's lopsided rounding interval, so P = n
+    // can miss. "%.17g" always round-trips, so the loop ends there.
+    for (;; ++precision) {
+        last = std::to_chars(buf, end, d, std::chars_format::general,
+                             precision)
+                   .ptr;
+        if (precision >= 17 || toDouble(buf, last) == d)
+            return last;
+    }
+}
+
 /** Recursive-descent parser over a string_view with offset tracking. */
 class Parser
 {
@@ -162,7 +214,12 @@ class Parser
         switch (text_[pos_]) {
           case '{': return parseObject(depth);
           case '[': return parseArray(depth);
-          case '"': return parseString();
+          case '"': {
+              std::string s;
+              if (!parseString(s))
+                  return std::nullopt;
+              return Value(std::move(s));
+          }
           case 't': return parseLiteral("true", Value(true));
           case 'f': return parseLiteral("false", Value(false));
           case 'n': return parseLiteral("null", Value(nullptr));
@@ -196,11 +253,11 @@ class Parser
                 fail("expected object key string");
                 return std::nullopt;
             }
-            auto key = parseString();
-            if (!key)
+            std::string key;
+            if (!parseString(key))
                 return std::nullopt;
-            if (object.find(key->asString())) {
-                fail("duplicate object key \"" + key->asString() + "\"");
+            if (object.find(key)) {
+                fail("duplicate object key \"" + key + "\"");
                 return std::nullopt;
             }
             skipWs();
@@ -211,7 +268,7 @@ class Parser
             auto value = parseValue(depth + 1);
             if (!value)
                 return std::nullopt;
-            object.set(key->asString(), std::move(*value));
+            object.set(std::move(key), std::move(*value));
             skipWs();
             if (consume(','))
                 continue;
@@ -288,34 +345,38 @@ class Parser
         }
     }
 
-    std::optional<Value>
-    parseString()
+    /** Decode the string at pos_ into @p out; false on malformed input. */
+    bool
+    parseString(std::string &out)
     {
         ++pos_; // '"'
-        std::string out;
         while (true) {
+            // Copy each run of bytes that need no decoding in one go.
+            const std::size_t run = pos_;
+            while (pos_ < text_.size()) {
+                const unsigned char c = text_[pos_];
+                if (c == '"' || c == '\\' || c < 0x20)
+                    break;
+                ++pos_;
+            }
+            out.append(text_, run, pos_ - run);
             if (pos_ >= text_.size()) {
                 fail("unterminated string");
-                return std::nullopt;
+                return false;
             }
             const unsigned char c = text_[pos_];
             if (c == '"') {
                 ++pos_;
-                return Value(std::move(out));
+                return true;
             }
             if (c < 0x20) {
                 fail("unescaped control character in string");
-                return std::nullopt;
-            }
-            if (c != '\\') {
-                out += static_cast<char>(c);
-                ++pos_;
-                continue;
+                return false;
             }
             ++pos_; // '\'
             if (pos_ >= text_.size()) {
                 fail("unterminated escape");
-                return std::nullopt;
+                return false;
             }
             const char esc = text_[pos_++];
             switch (esc) {
@@ -331,31 +392,31 @@ class Parser
                   unsigned cp;
                   if (!parseHex4(cp)) {
                       fail("invalid \\u escape");
-                      return std::nullopt;
+                      return false;
                   }
                   if (cp >= 0xD800 && cp < 0xDC00) {
                       // High surrogate: a \uXXXX low surrogate must
                       // follow.
                       if (!(consume('\\') && consume('u'))) {
                           fail("unpaired high surrogate");
-                          return std::nullopt;
+                          return false;
                       }
                       unsigned low;
                       if (!parseHex4(low) || low < 0xDC00 || low > 0xDFFF) {
                           fail("invalid low surrogate");
-                          return std::nullopt;
+                          return false;
                       }
                       cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
                   } else if (cp >= 0xDC00 && cp < 0xE000) {
                       fail("unpaired low surrogate");
-                      return std::nullopt;
+                      return false;
                   }
                   appendUtf8(out, cp);
                   break;
               }
               default:
                 fail("invalid escape character");
-                return std::nullopt;
+                return false;
             }
         }
     }
@@ -406,28 +467,25 @@ class Parser
                    text_[pos_] <= '9')
                 ++pos_;
         }
-        const std::string token(text_.substr(start, pos_ - start));
+        // The token is valid JSON number syntax, which from_chars
+        // accepts whole.
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
         if (integral) {
             // Keep counts exact: parse into uint64 / int64 when they
             // fit, falling back to double only on overflow.
-            errno = 0;
-            char *end = nullptr;
             if (!negative) {
-                const std::uint64_t u =
-                    std::strtoull(token.c_str(), &end, 10);
-                if (errno == 0 && end && *end == '\0')
+                std::uint64_t u = 0;
+                if (std::from_chars(first, last, u).ec == std::errc())
                     return Value(u);
             } else {
-                const std::int64_t i =
-                    std::strtoll(token.c_str(), &end, 10);
-                if (errno == 0 && end && *end == '\0')
+                std::int64_t i = 0;
+                if (std::from_chars(first, last, i).ec == std::errc())
                     return Value(i);
             }
         }
-        errno = 0;
-        char *end = nullptr;
-        const double d = std::strtod(token.c_str(), &end);
-        if (!end || *end != '\0' || !std::isfinite(d)) {
+        const double d = toDouble(first, last);
+        if (!std::isfinite(d)) {
             fail("number out of range");
             return std::nullopt;
         }
@@ -468,13 +526,14 @@ appendEscaped(std::string &out, const std::string &s)
 void
 appendNumber(std::string &out, const Value &v)
 {
+    char buf[doubleChars];
     if (v.isIntegral()) {
         // asInt()/asUint() both reproduce the exact stored value for
         // in-range integers; pick by sign.
-        if (v.asDouble() < 0)
-            out += std::to_string(v.asInt());
-        else
-            out += std::to_string(v.asUint());
+        const std::to_chars_result digits =
+            v.asDouble() < 0 ? std::to_chars(buf, std::end(buf), v.asInt())
+                             : std::to_chars(buf, std::end(buf), v.asUint());
+        out.append(buf, digits.ptr);
         return;
     }
     const double d = v.asDouble();
@@ -482,7 +541,7 @@ appendNumber(std::string &out, const Value &v)
         out += "null"; // JSON cannot represent inf/nan
         return;
     }
-    out += formatDouble(d);
+    out.append(buf, formatDoubleTo(buf, d));
 }
 
 void
@@ -556,24 +615,8 @@ dumpPretty(const Value &value)
 std::string
 formatDouble(double d)
 {
-    char buf[40];
-    // Integral values print as plain integers ("10", not "1e+01");
-    // below 2^53 the decimal form is exact, so it still round-trips.
-    if (std::abs(d) < 0x1.0p53 && d == std::floor(d)) {
-        std::snprintf(buf, sizeof buf, "%.0f", d);
-        return buf;
-    }
-    // Shortest decimal form that strtod parses back to the same bits;
-    // %.17g always round-trips, so the loop terminates.
-    for (int precision = 1; precision <= 17; ++precision) {
-        std::snprintf(buf, sizeof buf, "%.*g", precision, d);
-        if (std::strtod(buf, nullptr) == d)
-            break;
-    }
-    // JSON requires a leading digit ("0.5", not ".5"); printf already
-    // emits that form. Normalize "-0" to "0"? No: keep the sign so the
-    // value round-trips exactly.
-    return buf;
+    char buf[doubleChars];
+    return std::string(buf, formatDoubleTo(buf, d));
 }
 
 } // namespace xed::json

@@ -7,9 +7,9 @@
  * Design constraints, in priority order:
  *  1. Deterministic output: dumping the same Value always yields the
  *     same bytes. Object members keep insertion order, integers print
- *     exactly, and doubles use the shortest representation that
- *     round-trips through strtod. This is what makes a resumed
- *     campaign's JSONL file byte-identical to an uninterrupted run.
+ *     exactly, and doubles print as formatDouble() spells them. This
+ *     is what makes a resumed campaign's JSONL file byte-identical to
+ *     an uninterrupted run.
  *  2. Exact integers: Monte-Carlo trial/success counts are uint64 and
  *     must survive a round-trip without drifting through a double.
  *  3. Strict parsing: malformed input (truncated documents, trailing
@@ -121,15 +121,23 @@ std::optional<Value> parse(std::string_view text,
 /**
  * Serialize compactly (no whitespace) and deterministically: members
  * in insertion order, integral numbers as exact integers, doubles as
- * the shortest string that strtod round-trips to the same bits.
- * Non-finite doubles (which JSON cannot represent) become null.
+ * formatDouble() prints them. Non-finite doubles (which JSON cannot
+ * represent) become null.
  */
 std::string dump(const Value &value);
 
 /** Serialize with 2-space indentation for human consumption. */
 std::string dumpPretty(const Value &value);
 
-/** Shortest strtod-round-tripping decimal form of a finite double. */
+/**
+ * Decimal form of a finite double that strtod reads back to the same
+ * bits. Integral values of magnitude below 2^53 print as integers
+ * ("%.0f": "10", "-0"). Any other value prints as printf's "%.{P}g" at
+ * the smallest precision P in 1..17 that round-trips: 0.0001 stays
+ * "0.0001" where the shortest round-trip form would be "1e-04", and
+ * 2^60 prints as "1.152921504606847e+18". Stores and specs pin these
+ * bytes.
+ */
 std::string formatDouble(double d);
 
 } // namespace xed::json

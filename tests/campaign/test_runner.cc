@@ -6,9 +6,16 @@
  * one written by an uninterrupted run.
  */
 
+#include <chrono>
+#include <csignal>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <gtest/gtest.h>
+#include <thread>
+
+#include <sys/resource.h>
 
 #include "campaign/runner.hh"
 
@@ -188,4 +195,62 @@ TEST(CampaignRunner, ResumeOfCompleteStoreIsNoOp)
     // only safe behavior.
     options.resume = false;
     EXPECT_FALSE(runCampaign(spec, options).ok);
+}
+
+TEST(CampaignRunner, FailingStoreWritesAbortAndJoinWorkers)
+{
+    // 800 quick shards on 4 workers: the workers outrun the writer and
+    // park on the reorder window. Capping the file size (with SIGXFSZ
+    // ignored, so write() fails with EFBIG instead of killing the
+    // process) makes a store write fail a few dozen records in; the
+    // run must then return an error, which it can only do after
+    // joining every worker, parked ones included.
+    std::string error;
+    auto doc = json::parse(R"({
+        "name": "runner-efbig", "seed": 7,
+        "schemes": ["secded", "xed"],
+        "systems": 40000, "shardSystems": 100
+    })",
+                           &error);
+    auto spec = parseSpec(*doc, &error);
+    ASSERT_TRUE(spec) << error;
+    const auto path = ::testing::TempDir() + "runner_efbig.jsonl";
+    removeIfPresent(path);
+    auto options = inMemory(4);
+    options.outPath = path;
+    options.forensicsSidecar = false;
+    options.durableStore = false;
+
+    constexpr rlim_t fileLimit = 8192;
+    rlimit saved{};
+    ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+    ASSERT_GT(saved.rlim_max, fileLimit);
+    const auto oldHandler = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit capped = saved;
+    capped.rlim_cur = fileLimit;
+    ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
+
+    std::packaged_task<RunOutcome()> run(
+        [&] { return runCampaign(*spec, options); });
+    auto done = run.get_future();
+    std::thread runner(std::move(run));
+    if (done.wait_for(std::chrono::seconds(120)) !=
+        std::future_status::ready) {
+        ADD_FAILURE() << "runCampaign never returned: a worker parked "
+                         "on the reorder window was not woken";
+        std::_Exit(1); // the parked workers cannot be joined
+    }
+    runner.join();
+    const RunOutcome outcome = done.get();
+    setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, oldHandler);
+
+    EXPECT_FALSE(outcome.ok);
+    EXPECT_FALSE(outcome.complete);
+    EXPECT_NE(outcome.error.find("write failed"), std::string::npos)
+        << outcome.error;
+    EXPECT_GT(outcome.shardsRun, 0u);
+    EXPECT_LT(outcome.shardsRun, buildPlan(*spec).tasks.size() / 4);
+    EXPECT_LE(std::filesystem::file_size(path), fileLimit);
+    removeIfPresent(path);
 }

@@ -109,7 +109,7 @@ TEST(CampaignStore, LoadRecoversCompletedPrefix)
               std::filesystem::file_size(path));
 
     const auto expected = simulatedShard(spec, plan.tasks[0]);
-    EXPECT_EQ(loaded.shardResults[0].mc.failByYear[7].trials(),
+    EXPECT_EQ(loaded.cells[0].mc.failByYear[7].trials(),
               expected.mc.failByYear[7].trials());
 }
 
