@@ -28,10 +28,11 @@
 #   simd   -DXED_NATIVE=ON Release build (default dir build-native),
 #          DESIGN.md section 4i: under XED_SIMD=scalar and under the
 #          detected level, ctest -L 'simd|ecc|golden' passes (the golden
-#          jobs run fig07, table2 and fig11-14, so all six are built);
-#          fig07 and table2 stdout are cmp-identical across the two
-#          levels and to tests/golden/; the smoke and table2 campaign
-#          stores are cmp-identical across the two levels.
+#          jobs run fig06, table3, fig07, table2 and fig11-14, so all
+#          eight are built); fig07 and table2 stdout are cmp-identical
+#          across the two levels and to tests/golden/; the smoke and
+#          table2 campaign stores are cmp-identical across the two
+#          levels.
 #   dist   default build (default dir build): ctest -L dist (queue
 #          protocol, worker/merge byte identity), the kill-and-reclaim
 #          smoke on fig07 (scripts/dist_smoke.sh: 4 workers, one
@@ -92,6 +93,7 @@ ubsan)
 simd)
     configure -DCMAKE_BUILD_TYPE=Release -DXED_NATIVE=ON
     compile test_simd test_codec_equivalence test_codec_alloc test_ecc \
+        fig06_collision_probability table3_multi_catchword \
         fig07_xed_reliability table2_detection_rates fig11_exec_time \
         fig12_memory_power fig13_alternatives fig14_lotecc xed_campaign_cli
     work="$build/check_simd"

@@ -25,6 +25,7 @@ if(NOT got STREQUAL want)
         "stdout differs from ${GOLDEN} "
         "(got ${gotLen} bytes, want ${wantLen}). The bench's output is "
         "pinned: an unexplained diff is a bug. See DESIGN.md section 4d "
-        "(sampling kernel) or 4l (perfsim) for which changes "
+        "(sampling kernel), 4b (stream scans) or 4l (perfsim) for which "
+        "changes "
         "legitimately alter a golden and how to regenerate it.")
 endif()
