@@ -5,17 +5,19 @@
  *
  * Every bench accepts:
  *   XED_MC_SYSTEMS  -- Monte-Carlo systems per scheme (reliability)
- *   XED_MC_THREADS  -- worker threads of the Monte-Carlo engine and of
- *                      the perfsim run matrix behind Figures 11-14
- *                      (default: hardware concurrency; every bench
- *                      prints the same bytes at any thread count)
+ *   XED_MC_THREADS  -- worker threads of the Monte-Carlo engine, of
+ *                      the perfsim run matrix behind Figures 11-14 and
+ *                      of the stream scans behind Figure 6 and
+ *                      Table III (default: hardware concurrency; every
+ *                      bench prints the same bytes at any thread count)
  *   XED_PERF_OPS    -- memory ops per core (performance)
  * so the full-fidelity (paper-scale) runs are one env var away.
  *
  * XED_MC_THREADS needs no per-bench plumbing: McConfig::threads
- * defaults to 0 ("auto") and perfsim::simulateAll always sizes its
- * pool that way; resolveWorkerThreads (common/env.hh) turns "auto"
- * into XED_MC_THREADS and then std::thread::hardware_concurrency().
+ * defaults to 0 ("auto"), and perfsim::simulateAll and scanStream
+ * (common/stream_scan.hh) always size their pools that way;
+ * resolveWorkerThreads (common/env.hh) turns "auto" into
+ * XED_MC_THREADS and then std::thread::hardware_concurrency().
  */
 
 #ifndef XED_BENCH_BENCH_UTIL_HH

@@ -12,7 +12,6 @@
 
 #include "analysis/collision.hh"
 #include "bench/bench_util.hh"
-#include "common/rng.hh"
 #include "common/table.hh"
 
 using namespace xed;
@@ -49,19 +48,13 @@ main()
 
     // Monte-Carlo validation with a 16-bit catch-word so collisions are
     // observable: the empirical mean writes-to-collision must be 2^16.
-    Rng rng(0xC0117);
     const std::uint64_t trials = bench::envScale("XED_TRIALS", 4000);
-    const std::uint64_t catchWord = rng.next() & 0xFFFF;
-    double sum = 0;
-    for (std::uint64_t t = 0; t < trials; ++t) {
-        std::uint64_t writes = 1;
-        while ((rng.next() & 0xFFFF) != catchWord)
-            ++writes;
-        sum += static_cast<double>(writes);
-    }
+    const std::uint64_t writes = monteCarloWritesToCollision(0xC0117, trials);
     std::cout << "\nScaled-down Monte-Carlo (16-bit catch-word, "
               << trials << " trials): mean writes to collision = "
-              << Table::fmt(sum / static_cast<double>(trials), 0)
+              << Table::fmt(static_cast<double>(writes) /
+                                static_cast<double>(trials),
+                            0)
               << " (model: 65536)\n";
     return 0;
 }

@@ -4,13 +4,15 @@
 # runs, runs a ctest label set and then its CLI smokes:
 #
 #   tsan   ThreadSanitizer build (default dir build-tsan). ctest -L
-#          'campaign|obs|dist|fleet|perfsim' races the campaign
+#          'campaign|obs|dist|fleet|perfsim|analysis' races the campaign
 #          runner's worker pool and progress thread, the metrics
 #          registry, the trace recorder, the distributed worker loop
-#          (the fleet suite drives the same pool and store) and the
-#          perfsim run-matrix pool (simulateAll). A final traced
-#          4-thread campaign races the span recorder against the
-#          worker pool and the progress sampler on purpose. The
+#          (the fleet suite drives the same pool and store), the
+#          perfsim run-matrix pool (simulateAll) and the stream-scan
+#          workers behind Figure 6 and Table III (scanStream, at 1 to 7
+#          workers). A final traced 4-thread campaign races the span
+#          recorder against the worker pool and the progress sampler on
+#          purpose. The
 #          Monte-Carlo engine's shard threads are not in this profile:
 #          build test_faultsim with -DXED_SANITIZE=thread to race them.
 #   ubsan  UndefinedBehaviorSanitizer build (default dir build-ubsan):
@@ -74,8 +76,8 @@ case $profile in
 tsan)
     configure -DCMAKE_BUILD_TYPE=RelWithDebInfo -DXED_SANITIZE=thread
     compile test_campaign test_obs test_dist test_fleet test_perfsim \
-        xed_campaign_cli
-    label 'campaign|obs|dist|fleet|perfsim'
+        test_analysis xed_campaign_cli
+    label 'campaign|obs|dist|fleet|perfsim|analysis'
     out="$build/tsan_trace_smoke.jsonl"
     rm -f "$out" "$out.trace.json" "$out.forensics.jsonl" \
         "$out.telemetry.jsonl"

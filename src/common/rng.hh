@@ -137,6 +137,14 @@ class Rng
         return Rng(next() ^ 0xD2B74407B1CE6E93ull);
     }
 
+    /**
+     * Advance the state by @p draws calls of next() in O(log draws)
+     * GF(2) polynomial steps plus 256 state updates (rng.cc), so a
+     * worker can start scanning one stream at any offset and the scan
+     * still sees the draws a serial loop would (DESIGN.md section 4b).
+     */
+    void jump(std::uint64_t draws);
+
   private:
     /** splitmix64 finalizer (Steele, Lea & Flood). */
     static std::uint64_t

@@ -9,18 +9,15 @@ modeEffects(ProtectionMode mode)
     ModeEffects fx;
     switch (mode) {
       case ProtectionMode::SecdedBaseline:
-        fx.label = "ECC-DIMM (SECDED)";
         break;
       case ProtectionMode::Xed:
         // Identical activation behaviour to the baseline: one rank, no
         // overfetch. Serial-mode re-reads happen once per ~200K
         // accesses (Table III) and are negligible (Section XI-A).
-        fx.label = "XED (9 chips)";
         break;
       case ProtectionMode::Chipkill:
         // Two x8 ranks lockstepped: rank parallelism halves and every
         // access transfers two cache lines (100% overfetch).
-        fx.label = "Chipkill (18 chips)";
         fx.effectiveRanks = 1;
         fx.ranksPerAccess = 2;
         fx.activateRankEquivalents = 1.0;
@@ -30,7 +27,6 @@ modeEffects(ProtectionMode mode)
       case ProtectionMode::XedChipkill:
         // Section IX: same 18-chip activation as Chipkill, so the same
         // performance shape -- but Double-Chipkill-level reliability.
-        fx.label = "XED + Single Chipkill (18 chips)";
         fx.effectiveRanks = 1;
         fx.ranksPerAccess = 2;
         fx.activateRankEquivalents = 1.0;
@@ -39,7 +35,6 @@ modeEffects(ProtectionMode mode)
         break;
       case ProtectionMode::DoubleChipkill:
         // 36 chips: two ranks on each of two ganged channels.
-        fx.label = "Double-Chipkill (36 chips)";
         fx.effectiveChannels = 2;
         fx.effectiveRanks = 1;
         fx.ranksPerAccess = 4;
@@ -51,7 +46,6 @@ modeEffects(ProtectionMode mode)
       case ProtectionMode::ChipkillExtraBurst:
         // Expose the on-die ECC by stretching every burst from 8 to 10
         // beats (+25% bus occupancy), Section XI-C.
-        fx.label = "Chipkill + extra burst";
         fx.effectiveRanks = 1;
         fx.ranksPerAccess = 2;
         fx.activateRankEquivalents = 1.0;
@@ -60,7 +54,6 @@ modeEffects(ProtectionMode mode)
         fx.ioEnergyScale = 1.5;
         break;
       case ProtectionMode::DoubleChipkillExtraBurst:
-        fx.label = "Double-Chipkill + extra burst";
         fx.effectiveChannels = 2;
         fx.effectiveRanks = 1;
         fx.ranksPerAccess = 4;
@@ -72,7 +65,6 @@ modeEffects(ProtectionMode mode)
         break;
       case ProtectionMode::ChipkillExtraTransaction:
         // Expose the on-die ECC with a second CAS per access.
-        fx.label = "Chipkill + extra transaction";
         fx.effectiveRanks = 1;
         fx.ranksPerAccess = 2;
         fx.activateRankEquivalents = 1.0;
@@ -81,7 +73,6 @@ modeEffects(ProtectionMode mode)
         fx.ioEnergyScale = 2.0;
         break;
       case ProtectionMode::DoubleChipkillExtraTransaction:
-        fx.label = "Double-Chipkill + extra transaction";
         fx.effectiveChannels = 2;
         fx.effectiveRanks = 1;
         fx.ranksPerAccess = 4;
@@ -97,11 +88,32 @@ modeEffects(ProtectionMode mode)
         // coalesce heavily in the write queue (Udipi et al., ISCA'12),
         // leaving ~10% extra write traffic -- calibrated to the 6.6%
         // slowdown over XED the paper reports (Figure 14).
-        fx.label = "LOT-ECC (write-coalescing)";
         fx.extraWriteProb = 0.10;
         break;
     }
     return fx;
+}
+
+const char *
+modeLabel(ProtectionMode mode)
+{
+    switch (mode) {
+      case ProtectionMode::SecdedBaseline: return "ECC-DIMM (SECDED)";
+      case ProtectionMode::Xed: return "XED (9 chips)";
+      case ProtectionMode::Chipkill: return "Chipkill (18 chips)";
+      case ProtectionMode::XedChipkill:
+        return "XED + Single Chipkill (18 chips)";
+      case ProtectionMode::DoubleChipkill: return "Double-Chipkill (36 chips)";
+      case ProtectionMode::ChipkillExtraBurst: return "Chipkill + extra burst";
+      case ProtectionMode::DoubleChipkillExtraBurst:
+        return "Double-Chipkill + extra burst";
+      case ProtectionMode::ChipkillExtraTransaction:
+        return "Chipkill + extra transaction";
+      case ProtectionMode::DoubleChipkillExtraTransaction:
+        return "Double-Chipkill + extra transaction";
+      case ProtectionMode::LotEcc: return "LOT-ECC (write-coalescing)";
+    }
+    return "?";
 }
 
 const char *

@@ -9,8 +9,6 @@
 #ifndef XED_PERFSIM_PROTECTION_HH
 #define XED_PERFSIM_PROTECTION_HH
 
-#include <string>
-
 namespace xed::perfsim
 {
 
@@ -38,10 +36,14 @@ enum class ProtectionMode
     LotEcc,
 };
 
-/** The knobs a mode turns. */
+/**
+ * The knobs a mode turns: everything simulate() reads of a mode. Two
+ * modes with equal effects simulate identically (XED shares the
+ * baseline's, XED + Chipkill shares Chipkill's), so simulateAll runs
+ * one of them for both; the display label is modeLabel()'s.
+ */
 struct ModeEffects
 {
-    std::string label;
     /** Independent channels (4, or 2 when channel pairs are ganged). */
     unsigned effectiveChannels = 4;
     /** Independent ranks per channel (2, or 1 under rank lockstep). */
@@ -75,9 +77,14 @@ struct ModeEffects
      * move real additional bits, costing power as well as time.
      */
     double ioEnergyScale = 1.0;
+
+    bool operator==(const ModeEffects &) const = default;
 };
 
 ModeEffects modeEffects(ProtectionMode mode);
+
+/** The label a RunResult and the figures print for @p mode. */
+const char *modeLabel(ProtectionMode mode);
 
 const char *protectionModeName(ProtectionMode mode);
 

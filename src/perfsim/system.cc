@@ -77,7 +77,7 @@ simulate(const Workload &workload, ProtectionMode mode,
         lastFinish = cycle;
 
     RunResult result;
-    result.mode = fx.label;
+    result.mode = modeLabel(mode);
     result.workload = workload.name;
     result.cycles = std::max(lastFinish, cycle);
     result.seconds =
@@ -95,16 +95,27 @@ simulate(const Workload &workload, ProtectionMode mode,
 std::vector<RunResult>
 simulateAll(const std::vector<RunCell> &cells, const PerfConfig &config)
 {
-    // Distinct cells in first-seen order; runOf[i] indexes cell i's.
-    std::vector<const RunCell *> distinct;
+    // Distinct runs in first-seen order, keyed on all that simulate()
+    // reads of a cell: its workload and its mode's effects. Modes with
+    // equal effects (XED and the baseline, XED + Chipkill and Chipkill)
+    // share a run. runOf[i] indexes cell i's.
+    struct Run
+    {
+        const RunCell *cell;
+        ModeEffects effects;
+    };
+    std::vector<Run> distinct;
     std::vector<std::size_t> runOf;
     runOf.reserve(cells.size());
     for (const RunCell &cell : cells) {
+        const ModeEffects effects = modeEffects(cell.mode);
         std::size_t d = 0;
-        while (d < distinct.size() && !(*distinct[d] == cell))
+        while (d < distinct.size() &&
+               !(distinct[d].cell->workload == cell.workload &&
+                 distinct[d].effects == effects))
             ++d;
         if (d == distinct.size())
-            distinct.push_back(&cell);
+            distinct.push_back({&cell, effects});
         runOf.push_back(d);
     }
 
@@ -118,8 +129,8 @@ simulateAll(const std::vector<RunCell> &cells, const PerfConfig &config)
     const auto work = [&] {
         try {
             for (std::size_t d; (d = next.fetch_add(1)) < distinct.size();)
-                runs[d] = simulate(distinct[d]->workload, distinct[d]->mode,
-                                   config);
+                runs[d] = simulate(distinct[d].cell->workload,
+                                   distinct[d].cell->mode, config);
         } catch (...) {
             next = distinct.size();
             const std::lock_guard<std::mutex> lock(failureMutex);
@@ -140,8 +151,10 @@ simulateAll(const std::vector<RunCell> &cells, const PerfConfig &config)
 
     std::vector<RunResult> results;
     results.reserve(cells.size());
-    for (const std::size_t d : runOf)
-        results.push_back(runs[d]);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        results.push_back(runs[runOf[i]]);
+        results.back().mode = modeLabel(cells[i].mode);
+    }
     return results;
 }
 

@@ -55,15 +55,15 @@ struct RunCell
 {
     Workload workload;
     ProtectionMode mode;
-
-    bool operator==(const RunCell &) const = default;
 };
 
 /**
  * simulate() every cell under @p config, one result per cell in
- * request order. Equal cells are simulated once and share a result.
- * Distinct cells run on XED_MC_THREADS workers (else the hardware's),
- * as resolveWorkerThreads resolves them; each run is independently
+ * request order. Cells with the same workload and equal modeEffects()
+ * are simulated once and share a result, except that each result
+ * carries its own cell's modeLabel(). The distinct runs go to
+ * XED_MC_THREADS workers (else the hardware's), as
+ * resolveWorkerThreads resolves them; each run is independently
  * seeded, so results do not depend on the thread count.
  */
 std::vector<RunResult> simulateAll(const std::vector<RunCell> &cells,

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include "common/rng.hh"
 
@@ -129,6 +133,50 @@ TEST(Rng, ForkProducesIndependentStream)
     for (int i = 0; i < 64; ++i)
         same += (child.next() == b.next()) ? 1 : 0;
     EXPECT_LT(same, 2);
+}
+
+/** Expect @p a and @p b to continue with the same draws. */
+void
+expectSameStream(Rng a, Rng b)
+{
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(a.next(), b.next());
+}
+
+TEST(Rng, JumpEqualsThatManyDraws)
+{
+    std::vector<std::uint64_t> counts = {
+        0, 1, 2, 63, 64, 65, (1 << 20) - 1, 1 << 20, (1 << 22) + 12345};
+    std::mt19937_64 pick(0x1A3E);
+    counts.push_back(pick() % (std::uint64_t{1} << 26));
+    std::sort(counts.begin(), counts.end());
+
+    const Rng start(0xC0117);
+    Rng stepped = start;
+    std::uint64_t steps = 0;
+    for (const std::uint64_t n : counts) {
+        SCOPED_TRACE(n);
+        for (; steps < n; ++steps)
+            stepped.next();
+        Rng jumped = start;
+        jumped.jump(n);
+        expectSameStream(jumped, stepped);
+    }
+}
+
+TEST(Rng, JumpsCompose)
+{
+    const std::uint64_t big = std::uint64_t{1} << 63;
+    for (const auto &[a, b] :
+         {std::pair<std::uint64_t, std::uint64_t>{0, 5}, {300, 1 << 20},
+          {(1ull << 40) + 7, 123456789}, {big - 1, big}}) {
+        SCOPED_TRACE(a);
+        Rng twice(0x7AB3), once(0x7AB3);
+        twice.jump(a);
+        twice.jump(b);
+        once.jump(a + b);
+        expectSameStream(twice, once);
+    }
 }
 
 } // namespace

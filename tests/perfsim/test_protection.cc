@@ -1,11 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "perfsim/protection.hh"
 
 namespace xed::perfsim
 {
 namespace
 {
+
+constexpr ProtectionMode allModes[] = {
+    ProtectionMode::SecdedBaseline,
+    ProtectionMode::Xed,
+    ProtectionMode::Chipkill,
+    ProtectionMode::XedChipkill,
+    ProtectionMode::DoubleChipkill,
+    ProtectionMode::ChipkillExtraBurst,
+    ProtectionMode::DoubleChipkillExtraBurst,
+    ProtectionMode::ChipkillExtraTransaction,
+    ProtectionMode::DoubleChipkillExtraTransaction,
+    ProtectionMode::LotEcc,
+};
 
 TEST(Protection, BaselineAndXedAreIdenticalInShape)
 {
@@ -16,7 +31,8 @@ TEST(Protection, BaselineAndXedAreIdenticalInShape)
     EXPECT_EQ(base.readBurstCycles, xed.readBurstCycles);
     EXPECT_EQ(base.ranksPerAccess, xed.ranksPerAccess);
     EXPECT_EQ(base.extraWriteProb, xed.extraWriteProb);
-    EXPECT_NE(base.label, xed.label);
+    EXPECT_STRNE(modeLabel(ProtectionMode::SecdedBaseline),
+                 modeLabel(ProtectionMode::Xed));
 }
 
 TEST(Protection, ChipkillLocksteps)
@@ -73,24 +89,39 @@ TEST(Protection, LotEccAddsWrites)
 
 TEST(Protection, NamesAreUnique)
 {
-    const ProtectionMode all[] = {
-        ProtectionMode::SecdedBaseline,
-        ProtectionMode::Xed,
-        ProtectionMode::Chipkill,
-        ProtectionMode::XedChipkill,
-        ProtectionMode::DoubleChipkill,
-        ProtectionMode::ChipkillExtraBurst,
-        ProtectionMode::DoubleChipkillExtraBurst,
-        ProtectionMode::ChipkillExtraTransaction,
-        ProtectionMode::DoubleChipkillExtraTransaction,
-        ProtectionMode::LotEcc,
-    };
+    const auto &all = allModes;
     for (std::size_t i = 0; i < std::size(all); ++i)
         for (std::size_t j = i + 1; j < std::size(all); ++j) {
             EXPECT_STRNE(protectionModeName(all[i]),
                          protectionModeName(all[j]));
-            EXPECT_NE(modeEffects(all[i]).label,
-                      modeEffects(all[j]).label);
+            EXPECT_STRNE(modeLabel(all[i]), modeLabel(all[j]));
+        }
+}
+
+TEST(Protection, OnlyTheXedTwinsShareEffects)
+{
+    // simulateAll runs one simulation for modes with equal effects, so
+    // the twins must compare equal as whole structs -- XED changes
+    // neither the protocol nor the bandwidth (Section XI-A) -- and
+    // every other pair must differ.
+    EXPECT_EQ(modeEffects(ProtectionMode::Xed),
+              modeEffects(ProtectionMode::SecdedBaseline));
+    EXPECT_EQ(modeEffects(ProtectionMode::XedChipkill),
+              modeEffects(ProtectionMode::Chipkill));
+    const auto twins = [](ProtectionMode a, ProtectionMode b) {
+        const auto is = [&](ProtectionMode x, ProtectionMode y) {
+            return (a == x && b == y) || (a == y && b == x);
+        };
+        return is(ProtectionMode::Xed, ProtectionMode::SecdedBaseline) ||
+               is(ProtectionMode::XedChipkill, ProtectionMode::Chipkill);
+    };
+    const auto &all = allModes;
+    for (std::size_t i = 0; i < std::size(all); ++i)
+        for (std::size_t j = i + 1; j < std::size(all); ++j) {
+            SCOPED_TRACE(std::string(protectionModeName(all[i])) + " vs " +
+                         protectionModeName(all[j]));
+            EXPECT_EQ(modeEffects(all[i]) == modeEffects(all[j]),
+                      twins(all[i], all[j]));
         }
 }
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 
+#include "common/json.hh"
+#include "obs/trace.hh"
 #include "perfsim/system.hh"
 #include "tests/support/perfsim_reference.hh"
 #include "tests/support/scoped_threads_env.hh"
@@ -155,7 +158,14 @@ smallMatrix()
 TEST(SimulateAll, MatchesSerialSimulateAtAnyThreadCount)
 {
     const auto cfg = quick(300);
-    const auto cells = smallMatrix();
+    // The XED twins share the baseline's and Chipkill's runs, and each
+    // result must still carry its own cell's label.
+    auto cells = smallMatrix();
+    for (const char *name : {"mcf", "lbm"})
+        for (const auto mode :
+             {ProtectionMode::Xed, ProtectionMode::Chipkill,
+              ProtectionMode::XedChipkill})
+            cells.push_back({workloadByName(name), mode});
     std::vector<RunResult> serial;
     for (const auto &cell : cells)
         serial.push_back(simulate(cell.workload, cell.mode, cfg));
@@ -178,11 +188,64 @@ TEST(SimulateAll, DuplicateCellsShareOneRunInRequestOrder)
     ASSERT_EQ(runs.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
         EXPECT_EQ(runs[i].workload, cells[i].workload.name);
-        EXPECT_EQ(runs[i].mode, modeEffects(cells[i].mode).label);
+        EXPECT_EQ(runs[i].mode, modeLabel(cells[i].mode));
     }
     reference::expectBitIdentical(runs[2], runs[0]);
     reference::expectBitIdentical(runs[5], runs[0]);
     reference::expectBitIdentical(runs[4], runs[1]);
+}
+
+/** perfsim.simulate spans that simulateAll(cells) records. */
+std::size_t
+simulateSpans(const std::vector<RunCell> &cells)
+{
+    auto &recorder = obs::TraceRecorder::instance();
+    recorder.clear();
+    recorder.setEnabled(true);
+    simulateAll(cells, quick(10));
+    recorder.setEnabled(false);
+    std::size_t spans = 0;
+    const auto doc = recorder.toJson();
+    const json::Value &events = *doc.find("traceEvents");
+    for (std::size_t i = 0; i < events.size(); ++i)
+        spans += events.at(i).find("name")->asString() == "perfsim.simulate";
+    recorder.clear();
+    return spans;
+}
+
+TEST(SimulateAll, FigureMatricesSimulateEachDistinctBehaviourOnce)
+{
+    if (!XED_TRACE)
+        GTEST_SKIP() << "trace spans compiled out (-DXED_TRACE=OFF)";
+    const ScopedThreadsEnv env("4");
+    // The matrices of bench/fig11_exec_time.cc (fig12 uses the same),
+    // fig13_alternatives.cc and fig14_lotecc.cc.
+    std::vector<RunCell> fig11, fig13, fig14;
+    for (const auto &w : paperWorkloads()) {
+        for (const auto mode :
+             {ProtectionMode::SecdedBaseline, ProtectionMode::Xed,
+              ProtectionMode::Chipkill, ProtectionMode::XedChipkill,
+              ProtectionMode::DoubleChipkill})
+            fig11.push_back({w, mode});
+        for (const auto &[reference, mode] :
+             {std::pair{ProtectionMode::XedChipkill,
+                        ProtectionMode::ChipkillExtraBurst},
+              std::pair{ProtectionMode::XedChipkill,
+                        ProtectionMode::ChipkillExtraTransaction},
+              std::pair{ProtectionMode::DoubleChipkill,
+                        ProtectionMode::DoubleChipkillExtraBurst},
+              std::pair{ProtectionMode::DoubleChipkill,
+                        ProtectionMode::DoubleChipkillExtraTransaction}}) {
+            fig13.push_back({w, reference});
+            fig13.push_back({w, mode});
+        }
+        fig14.push_back({w, ProtectionMode::Xed});
+        fig14.push_back({w, ProtectionMode::LotEcc});
+    }
+    ASSERT_EQ(paperWorkloads().size(), 31u);
+    EXPECT_EQ(simulateSpans(fig11), 93u);  // of 155 cells
+    EXPECT_EQ(simulateSpans(fig13), 186u); // of 248 cells
+    EXPECT_EQ(simulateSpans(fig14), 62u);
 }
 
 TEST(SimulateAll, EmptyMatrixHasNoResults)

@@ -49,7 +49,7 @@ simulate(const Workload &workload, ProtectionMode mode,
         lastFinish = cycle;
 
     RunResult result;
-    result.mode = fx.label;
+    result.mode = modeLabel(mode);
     result.workload = workload.name;
     result.cycles = std::max(lastFinish, cycle);
     result.seconds =
