@@ -68,15 +68,69 @@ unit(std::mt19937_64 &rng)
     return static_cast<double>(rng() >> 11) * 0x1.0p-53;
 }
 
+/**
+ * Values [begin, begin + 100k) of a seeded class of doubles. Each
+ * slice regenerates the class's whole stream up to its end and keeps
+ * its own range, so a class's slices hold exactly its values while
+ * ctest -j runs them side by side.
+ */
+template <class Draw>
+std::vector<double>
+slice(std::uint64_t seed, std::size_t begin, Draw draw)
+{
+    std::mt19937_64 rng(seed);
+    std::vector<double> values;
+    for (std::size_t i = 0; i < begin + 100'000; ++i) {
+        const double d = draw(rng);
+        if (i >= begin)
+            values.push_back(d);
+    }
+    return values;
+}
+
+double
+uniformBitPattern(std::mt19937_64 &rng)
+{
+    return fromBits(rng());
+}
+
+double
+subnormal(std::mt19937_64 &rng)
+{
+    // Zero exponent, random mantissa and sign.
+    const std::uint64_t mantissa = rng() & ((1ull << 52) - 1);
+    return fromBits((rng() & (1ull << 63)) | (mantissa ? mantissa : 1));
+}
+
+double
+timeHoursLike(std::mt19937_64 &rng)
+{
+    // Autopsy failure times: hours within a 7-year lifetime, the bulk
+    // of every forensics sidecar's numbers.
+    return unit(rng) * 61320.0;
+}
+
 } // namespace
 
-TEST(JsonEquivalence, FormatDoubleUniformBitPatterns)
+// 400k uniform bit patterns, in four slices.
+TEST(JsonEquivalence, FormatDoubleUniformBitPatternsSlice0)
 {
-    std::mt19937_64 rng(0x5eed0001);
-    std::vector<double> values(400'000);
-    for (double &d : values)
-        d = fromBits(rng());
-    expectSameFormat(values);
+    expectSameFormat(slice(0x5eed0001, 0, uniformBitPattern));
+}
+
+TEST(JsonEquivalence, FormatDoubleUniformBitPatternsSlice1)
+{
+    expectSameFormat(slice(0x5eed0001, 100'000, uniformBitPattern));
+}
+
+TEST(JsonEquivalence, FormatDoubleUniformBitPatternsSlice2)
+{
+    expectSameFormat(slice(0x5eed0001, 200'000, uniformBitPattern));
+}
+
+TEST(JsonEquivalence, FormatDoubleUniformBitPatternsSlice3)
+{
+    expectSameFormat(slice(0x5eed0001, 300'000, uniformBitPattern));
 }
 
 TEST(JsonEquivalence, FormatDoublePowersOfTwoAndNeighbours)
@@ -98,16 +152,15 @@ TEST(JsonEquivalence, FormatDoublePowersOfTwoAndNeighbours)
     expectSameFormat(values);
 }
 
-TEST(JsonEquivalence, FormatDoubleSubnormals)
+// 200k subnormals, in two slices.
+TEST(JsonEquivalence, FormatDoubleSubnormalsSlice0)
 {
-    std::mt19937_64 rng(0x5eed0002);
-    std::vector<double> values(200'000);
-    for (double &d : values) {
-        // Zero exponent, random mantissa and sign.
-        const std::uint64_t mantissa = rng() & ((1ull << 52) - 1);
-        d = fromBits((rng() & (1ull << 63)) | (mantissa ? mantissa : 1));
-    }
-    expectSameFormat(values);
+    expectSameFormat(slice(0x5eed0002, 0, subnormal));
+}
+
+TEST(JsonEquivalence, FormatDoubleSubnormalsSlice1)
+{
+    expectSameFormat(slice(0x5eed0002, 100'000, subnormal));
 }
 
 TEST(JsonEquivalence, FormatDoubleIntegersNearTwoTo53)
@@ -126,15 +179,20 @@ TEST(JsonEquivalence, FormatDoubleIntegersNearTwoTo53)
     expectSameFormat(values);
 }
 
-TEST(JsonEquivalence, FormatDoubleTimeHoursLikeValues)
+// 300k hour-like values, in three slices.
+TEST(JsonEquivalence, FormatDoubleTimeHoursLikeValuesSlice0)
 {
-    // Autopsy failure times: hours within a 7-year lifetime, the bulk
-    // of every forensics sidecar's numbers.
-    std::mt19937_64 rng(0x5eed0003);
-    std::vector<double> values(300'000);
-    for (double &d : values)
-        d = unit(rng) * 61320.0;
-    expectSameFormat(values);
+    expectSameFormat(slice(0x5eed0003, 0, timeHoursLike));
+}
+
+TEST(JsonEquivalence, FormatDoubleTimeHoursLikeValuesSlice1)
+{
+    expectSameFormat(slice(0x5eed0003, 100'000, timeHoursLike));
+}
+
+TEST(JsonEquivalence, FormatDoubleTimeHoursLikeValuesSlice2)
+{
+    expectSameFormat(slice(0x5eed0003, 200'000, timeHoursLike));
 }
 
 TEST(JsonEquivalence, FormatDoubleKeepsPrintfSpellings)
