@@ -40,11 +40,12 @@ accessesBetweenMultiCatchWords(double scalingRate, unsigned chips)
 
 std::uint64_t
 monteCarloMultiCatchWordAccesses(Rng &rng, double scalingRate,
-                                 std::uint64_t accesses, unsigned chips)
+                                 std::uint64_t accesses)
 {
     // No access draws more than `chips` values, so the accesses draw
     // from the first chips * accesses; replay them over the positions
     // of the catch-words (successes) among those draws.
+    constexpr std::uint64_t chips = 9;
     const double p = probWordHasScalingFault(scalingRate);
     std::uint64_t done = 0;  // accesses finished
     std::uint64_t start = 0; // first draw of access `done`

@@ -39,17 +39,16 @@ double accessesBetweenMultiCatchWords(double scalingRate,
 
 /**
  * Table III's Monte-Carlo: @p accesses accesses, each drawing
- * rng.bernoulli(probWordHasScalingFault(@p scalingRate)) for one chip
- * after another until two chips send a catch-word or all @p chips have
- * been drawn. Returns the accesses that got two catch-words and leaves
- * @p rng after the draws the accesses used, as the serial loop does.
- * The draws are scanned on XED_MC_THREADS workers, and the count is
- * the serial loop's at any thread count.
+ * rng.bernoulli(probWordHasScalingFault(@p scalingRate)) for one of
+ * the 9 chips after another until two chips send a catch-word or all
+ * 9 have been drawn. Returns the accesses that got two catch-words and
+ * leaves @p rng after the draws the accesses used, as the serial loop
+ * does. The draws are scanned on XED_MC_THREADS workers, and the count
+ * is the serial loop's at any thread count.
  */
 std::uint64_t monteCarloMultiCatchWordAccesses(Rng &rng,
                                                double scalingRate,
-                                               std::uint64_t accesses,
-                                               unsigned chips = 9);
+                                               std::uint64_t accesses);
 
 } // namespace xed::analysis
 
