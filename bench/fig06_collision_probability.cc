@@ -10,6 +10,7 @@
 
 #include <iostream>
 
+#include "analysis/catchword_mc.hh"
 #include "analysis/collision.hh"
 #include "bench/bench_util.hh"
 #include "common/table.hh"

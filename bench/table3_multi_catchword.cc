@@ -10,6 +10,7 @@
 
 #include <iostream>
 
+#include "analysis/catchword_mc.hh"
 #include "analysis/multi_catchword.hh"
 #include "bench/bench_util.hh"
 #include "common/rng.hh"

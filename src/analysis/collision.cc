@@ -1,10 +1,7 @@
 #include "analysis/collision.hh"
 
 #include <cmath>
-#include <limits>
 
-#include "common/rng.hh"
-#include "common/stream_scan.hh"
 #include "common/units.hh"
 
 namespace xed::analysis
@@ -50,29 +47,6 @@ CollisionModel
 raw4nsX8Model()
 {
     return {64, 4e-9};
-}
-
-std::uint64_t
-monteCarloWritesToCollision(std::uint64_t seed, std::uint64_t trials)
-{
-    Rng rng(seed);
-    const std::uint64_t catchWord = rng.next() & 0xFFFF;
-    if (trials == 0)
-        return 0;
-    // Trial t ends at the t-th matching write, so the writes of all
-    // trials sum to the stream offset of the last match, plus one.
-    std::uint64_t matches = 0;
-    std::uint64_t writes = 0;
-    scanStream(
-        rng, std::numeric_limits<std::uint64_t>::max(),
-        [catchWord](Rng &r) { return (r.next() & 0xFFFF) == catchWord; },
-        [&](std::uint64_t offset) {
-            if (++matches < trials)
-                return true;
-            writes = offset + 1;
-            return false;
-        });
-    return writes;
 }
 
 } // namespace xed::analysis

@@ -18,8 +18,6 @@
 #ifndef XED_ANALYSIS_COLLISION_HH
 #define XED_ANALYSIS_COLLISION_HH
 
-#include <cstdint>
-
 namespace xed::analysis
 {
 
@@ -52,17 +50,6 @@ CollisionModel paperX8Model();
 CollisionModel paperX4Model();
 /** The literal reading: a 64-bit write every 4ns. */
 CollisionModel raw4nsX8Model();
-
-/**
- * Figure 6's scaled-down Monte-Carlo: draw a 16-bit catch-word from
- * Rng(@p seed), then, @p trials times, count 16-bit writes from the
- * same stream up to and including the first that equals it. Returns
- * the writes summed over the trials; its mean over the trials must be
- * near 2^16. The stream is scanned on XED_MC_THREADS workers, and the
- * sum is the serial loop's at any thread count.
- */
-std::uint64_t monteCarloWritesToCollision(std::uint64_t seed,
-                                          std::uint64_t trials);
 
 } // namespace xed::analysis
 

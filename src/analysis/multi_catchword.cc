@@ -1,9 +1,6 @@
 #include "analysis/multi_catchword.hh"
 
-#include <algorithm>
 #include <cmath>
-
-#include "common/stream_scan.hh"
 
 namespace xed::analysis
 {
@@ -36,49 +33,6 @@ accessesBetweenMultiCatchWords(double scalingRate, unsigned chips)
 {
     const double p = probMultipleCatchWords(scalingRate, chips);
     return p > 0 ? 1.0 / p : 0.0;
-}
-
-std::uint64_t
-monteCarloMultiCatchWordAccesses(Rng &rng, double scalingRate,
-                                 std::uint64_t accesses)
-{
-    // No access draws more than `chips` values, so the accesses draw
-    // from the first chips * accesses; replay them over the positions
-    // of the catch-words (successes) among those draws.
-    constexpr std::uint64_t chips = 9;
-    const double p = probWordHasScalingFault(scalingRate);
-    std::uint64_t done = 0;  // accesses finished
-    std::uint64_t start = 0; // first draw of access `done`
-    bool oneSeen = false;    // access `done` has one catch-word so far
-    std::uint64_t multi = 0;
-    scanStream(
-        rng, chips * accesses, [p](Rng &r) { return r.bernoulli(p); },
-        [&](std::uint64_t success) {
-            // Accesses that end before this draw got at most one
-            // catch-word and used all `chips` draws.
-            const std::uint64_t ended =
-                std::min((success - start) / chips, accesses - done);
-            if (ended > 0) {
-                done += ended;
-                start += ended * chips;
-                oneSeen = false;
-            }
-            if (done == accesses)
-                return false;
-            if (!oneSeen) {
-                oneSeen = true;
-                return true;
-            }
-            ++multi;
-            ++done;
-            start = success + 1;
-            oneSeen = false;
-            return done < accesses;
-        });
-    // The rest find no second catch-word in their draws either.
-    start += (accesses - done) * chips;
-    rng.jump(start);
-    return multi;
 }
 
 } // namespace xed::analysis

@@ -9,10 +9,6 @@
 #ifndef XED_ANALYSIS_MULTI_CATCHWORD_HH
 #define XED_ANALYSIS_MULTI_CATCHWORD_HH
 
-#include <cstdint>
-
-#include "common/rng.hh"
-
 namespace xed::analysis
 {
 
@@ -36,19 +32,6 @@ double paperTable3Value(double scalingRate);
 /** Expected accesses between serial-mode episodes (1/p). */
 double accessesBetweenMultiCatchWords(double scalingRate,
                                       unsigned chips = 9);
-
-/**
- * Table III's Monte-Carlo: @p accesses accesses, each drawing
- * rng.bernoulli(probWordHasScalingFault(@p scalingRate)) for one of
- * the 9 chips after another until two chips send a catch-word or all
- * 9 have been drawn. Returns the accesses that got two catch-words and
- * leaves @p rng after the draws the accesses used, as the serial loop
- * does. The draws are scanned on XED_MC_THREADS workers, and the count
- * is the serial loop's at any thread count.
- */
-std::uint64_t monteCarloMultiCatchWordAccesses(Rng &rng,
-                                               double scalingRate,
-                                               std::uint64_t accesses);
 
 } // namespace xed::analysis
 

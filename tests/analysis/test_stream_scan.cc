@@ -16,8 +16,7 @@
 #include <thread>
 #include <vector>
 
-#include "analysis/collision.hh"
-#include "analysis/multi_catchword.hh"
+#include "analysis/catchword_mc.hh"
 #include "common/rng.hh"
 #include "common/stream_scan.hh"
 #include "tests/support/catchword_reference.hh"
