@@ -1,7 +1,7 @@
 /**
  * @file
  * Fleet-lifetime simulation: a population of heterogeneous DIMMs on
- * one shared timeline (ROADMAP item 5, DESIGN.md Section 4h).
+ * one shared timeline (DESIGN.md Section 4h).
  *
  * Where the Monte-Carlo engine treats each "system" as an independent
  * 7-year lifetime, fleet mode asks the deployment-team question: what
