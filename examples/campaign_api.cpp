@@ -4,7 +4,7 @@
  *
  *   ./build/examples/campaign_api [systems]
  *
- * The same spec as JSON (see specs/*.json for real ones):
+ * The same spec as JSON (the specs/ directory holds real ones):
  *
  *   {"name": "demo", "seed": 12345, "schemes": ["secded", "xed"],
  *    "systems": 20000, "shardSystems": 2000,

@@ -15,6 +15,13 @@
 #          purpose. The
 #          Monte-Carlo engine's shard threads are not in this profile:
 #          build test_faultsim with -DXED_SANITIZE=thread to race them.
+#   asan   AddressSanitizer build (default dir build-asan): ctest -L
+#          'campaign|obs|json' runs the campaign runner's batched store
+#          commits (failed writes, killed and resumed runs), the store,
+#          forensics, telemetry and status readers of bytes other
+#          processes wrote, the trace recorder's rings and the strict
+#          JSON parser under mutation fuzz, each for out-of-bounds
+#          access, use after free and leaks.
 #   ubsan  UndefinedBehaviorSanitizer build (default dir build-ubsan):
 #          ctest -L 'ecc|campaign|obs|simd|perfsim|json' runs every
 #          codec table lookup, shift and scratch-array access (the net
@@ -44,11 +51,11 @@
 #          scripts/fleet_smoke.sh (thread-count, resume and 2-worker
 #          runs of the fleet spec produce byte-identical stores).
 #
-# Usage: scripts/check.sh <tsan|ubsan|simd|dist|fleet> [build-dir]
+# Usage: scripts/check.sh <tsan|asan|ubsan|simd|dist|fleet> [build-dir]
 set -eu
 
 usage() {
-    echo "usage: $0 <tsan|ubsan|simd|dist|fleet> [build-dir]" >&2
+    echo "usage: $0 <tsan|asan|ubsan|simd|dist|fleet> [build-dir]" >&2
     exit 2
 }
 
@@ -60,6 +67,7 @@ cli_rel=src/campaign/xed_campaign
 
 case $profile in
 tsan) build=${2:-"$repo/build-tsan"} ;;
+asan) build=${2:-"$repo/build-asan"} ;;
 ubsan) build=${2:-"$repo/build-ubsan"} ;;
 simd) build=${2:-"$repo/build-native"} ;;
 dist | fleet) build=${2:-"$repo/build"} ;;
@@ -83,6 +91,12 @@ tsan)
         "$out.telemetry.jsonl"
     XED_TRACE=1 "$cli" run "$repo/specs/smoke.json" --out "$out" \
         --threads 4 --progress-interval 0.05 --quiet >/dev/null
+    ;;
+
+asan)
+    configure -DCMAKE_BUILD_TYPE=RelWithDebInfo -DXED_SANITIZE=address
+    compile test_campaign test_obs test_json xed_campaign_cli
+    label 'campaign|obs|json'
     ;;
 
 ubsan)

@@ -30,7 +30,8 @@ namespace
 {
 
 /** Shards each worker thread may run ahead of the writer (runCampaign
- *  parks a worker on shard i until the writer has taken i - window). */
+ *  parks a worker on shard i until the writer has committed
+ *  i - window). It also caps the batch the writer commits at once. */
 constexpr std::uint64_t reorderWindowPerThread = 16;
 
 std::unique_ptr<ecc::Secded7264>
@@ -430,7 +431,7 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
     }
 
     // -- Forensics sidecar: written alongside the store, shard record
-    // i flushed strictly BEFORE store record i, so after a kill the
+    // i committed strictly BEFORE store record i, so after a kill the
     // sidecar always covers the store's shard prefix. On resume it is
     // truncated back to exactly that prefix; a sidecar that cannot
     // cover the prefix (deleted, foreign, torn early) is discarded and
@@ -514,9 +515,9 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
 
     // -- Execute pending shards; write strictly in plan order. --------
     // The writer is fsync-bound and workers are not, so a worker that
-    // claims shard i first waits until the writer has taken shard
-    // i - window: at most `window` results wait in `ready`, whatever
-    // the disk's latency.
+    // claims shard i first waits until the writer has committed shard
+    // i - window: at most `window` results wait in `ready` and in the
+    // batch being committed, whatever the disk's latency.
     const std::uint64_t window = reorderWindowPerThread * threads;
     std::atomic<std::uint64_t> next{firstPending};
     std::atomic<bool> abort{false};
@@ -524,7 +525,7 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
     std::condition_variable readyCv;  ///< writer: shard `taken` ready
     std::condition_variable windowCv; ///< workers: `taken` advanced
     std::map<std::uint64_t, ShardResult> ready;
-    std::uint64_t taken = firstPending; ///< next shard the writer takes
+    std::uint64_t taken = firstPending; ///< first uncommitted shard
     std::string workerError; ///< first failure; guarded by mutex
     // Every abort path goes through here: abort is set under the mutex,
     // so no waiter can test it between its check and its sleep, and
@@ -607,45 +608,70 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
         });
     }
 
+    // The writer takes every consecutive ready shard at once -- at most
+    // `window` of them, since no worker runs further ahead -- and
+    // commits the batch with one fsync per file. The sidecar's lines
+    // are committed strictly before the store's, and the store gets
+    // only the lines the sidecar took, so after a kill or a failed
+    // write the sidecar is never behind the store; resume truncates it
+    // back. Only the shards whose store line was committed are merged
+    // and counted, and only then does the window advance past them.
     bool writeFailed = false;
-    for (std::uint64_t i = firstPending; i < limit && !writeFailed;
-         ++i) {
-        ShardResult result;
+    std::vector<ShardResult> batch;
+    std::string lines; ///< one batch's records, newline-terminated
+    const auto addLine = [&lines](const json::Value &record) {
+        lines += json::dump(record);
+        lines += '\n';
+    };
+    for (std::uint64_t i = firstPending; i < limit;) {
+        batch.clear();
         {
             std::unique_lock<std::mutex> lock(mutex);
             readyCv.wait(lock, [&] {
                 return ready.count(i) != 0 ||
                        abort.load(std::memory_order_relaxed);
             });
-            if (ready.count(i) == 0)
-                break; // worker aborted before producing shard i
-            result = std::move(ready.at(i));
-            ready.erase(i);
-            taken = i + 1;
+            for (auto it = ready.begin();
+                 it != ready.end() && it->first == i + batch.size();
+                 it = ready.erase(it))
+                batch.push_back(std::move(it->second));
         }
-        windowCv.notify_all();
-        const ShardTask &task = plan.tasks[i];
-        // Forensics flush strictly before the store record: a kill
-        // between the two leaves the sidecar one record ahead, never
-        // behind, which resume truncates back.
-        if ((useForensics &&
-             !forensicsWriter.write(forensicsShardRecord(task,
-                                                         result.mc),
-                                    &outcome.error)) ||
-            (useStore &&
-             !writer.write(shardRecord(spec, task, result),
-                           &outcome.error))) {
+        if (batch.empty())
+            break; // worker aborted before producing shard i
+        std::size_t committed = batch.size();
+        if (useForensics) {
+            lines.clear();
+            for (std::size_t k = 0; k < batch.size(); ++k)
+                addLine(
+                    forensicsShardRecord(plan.tasks[i + k], batch[k].mc));
+            committed = forensicsWriter.commit(lines, &outcome.error);
+        }
+        if (useStore && committed > 0) {
+            lines.clear();
+            for (std::size_t k = 0; k < committed; ++k)
+                addLine(shardRecord(spec, plan.tasks[i + k], batch[k]));
+            committed = writer.commit(lines, &outcome.error);
+        }
+        for (std::size_t k = 0; k < committed; ++k) {
+            const ShardTask &task = plan.tasks[i + k];
+            outcome.cells[task.point * plan.cells + task.cell]
+                .result.merge(batch[k]);
+            registry.counter("failed." + cellLabel(spec, task.cell))
+                .add(failedSystemsOf(spec, batch[k]));
+        }
+        registry.counter("shards.done").add(committed);
+        outcome.shardsRun += committed;
+        i += committed;
+        if (committed < batch.size()) {
             writeFailed = true;
             abortRun(); // workers parked on the window must wake
             break;
         }
-        outcome.cells[task.point * plan.cells + task.cell].result.merge(
-            result);
-        registry.counter("shards.done").add(1);
-        registry
-            .counter("failed." + cellLabel(spec, task.cell))
-            .add(failedSystemsOf(spec, result));
-        ++outcome.shardsRun;
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            taken = i;
+        }
+        windowCv.notify_all();
     }
     for (auto &worker : workers)
         worker.join();

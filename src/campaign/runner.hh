@@ -58,9 +58,10 @@ struct RunOptions
      *  defaults to `<outPath>.trace.json` (no export without a store
      *  unless set explicitly). */
     std::string traceOut;
-    /** fsync the result store and forensics sidecar after every
-     *  record (see store.hh durableWritesEnabled()); benches that only
-     *  measure throughput turn this off. */
+    /** fsync the result store and forensics sidecar once per commit:
+     *  per batch of consecutive ready shards, and per manifest or
+     *  summary record (see store.hh durableWritesEnabled()); benches
+     *  that only measure throughput turn this off. */
     bool durableStore = true;
 };
 

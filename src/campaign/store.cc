@@ -1,7 +1,10 @@
 #include "campaign/store.hh"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -278,65 +281,74 @@ StoreWriter::open(const std::string &path, long long appendAt,
                   std::string *error, bool durable)
 {
     path_ = path;
-    if (fd_ >= 0) {
+    durable_ = durable && durableWritesEnabled();
+    if (fd_ >= 0)
         ::close(fd_);
-        fd_ = -1;
-    }
-    if (appendAt >= 0) {
-        std::error_code ec;
-        std::filesystem::resize_file(path, appendAt, ec);
-        if (ec) {
-            if (error)
-                *error = "cannot truncate " + path + ": " + ec.message();
-            return false;
-        }
-        out_.open(path, std::ios::binary | std::ios::app);
-    } else {
-        out_.open(path, std::ios::binary | std::ios::trunc);
-    }
-    if (!out_) {
+    fd_ = ::open(path.c_str(),
+                 O_WRONLY | O_CLOEXEC |
+                     (appendAt >= 0 ? O_APPEND : O_CREAT | O_TRUNC),
+                 0666);
+    if (fd_ < 0) {
         if (error)
             *error = "cannot open result file " + path;
         return false;
     }
-    if (durable && durableWritesEnabled()) {
-        fd_ = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
-        if (fd_ < 0) {
-            if (error)
-                *error = "cannot open fsync descriptor for " + path;
-            return false;
-        }
+    if (appendAt >= 0 && ::ftruncate(fd_, appendAt) != 0) {
+        if (error)
+            *error = "cannot truncate " + path + ": " +
+                     std::strerror(errno);
+        return false;
     }
     return true;
+}
+
+std::size_t
+StoreWriter::commit(std::string_view lines, std::string *error)
+{
+    const auto newlines = [](std::string_view text) {
+        return static_cast<std::size_t>(
+            std::count(text.begin(), text.end(), '\n'));
+    };
+    const std::size_t given = newlines(lines);
+    XED_TRACE_SPAN_ARG("store.write", "io", "records", given);
+    std::string_view rest = lines;
+    while (!rest.empty()) {
+        const ssize_t n = ::write(fd_, rest.data(), rest.size());
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        rest.remove_prefix(static_cast<std::size_t>(n));
+    }
+    if (!rest.empty() && error)
+        *error = "write failed on " + path_;
+    // Written lines sit in the page cache; a host crash there would
+    // break the documented kill-safe contract (store.hh), so push them
+    // to stable storage before reporting them as committed.
+    if (durable_ && ::fsync(fd_) != 0) {
+        if (error)
+            *error = "fsync failed on " + path_;
+        return 0;
+    }
+    if (rest.empty())
+        return given;
+    return newlines(lines.substr(0, lines.size() - rest.size()));
 }
 
 bool
 StoreWriter::write(const json::Value &record, std::string *error)
 {
-    return writeLine(json::dump(record), error);
+    std::string line = json::dump(record);
+    line += '\n';
+    return commit(line, error) == 1;
 }
 
 bool
 StoreWriter::writeLine(std::string_view line, std::string *error)
 {
-    XED_TRACE_SPAN("store.write", "io");
-    out_ << line << '\n';
-    out_.flush();
-    if (!out_) {
-        if (error)
-            *error = "write failed on " + path_;
-        return false;
-    }
-    // The ofstream flush only moves the record into the page cache; a
-    // host crash there would break the documented kill-safe contract
-    // (store.hh), so push it to stable storage before reporting the
-    // record as written.
-    if (fd_ >= 0 && ::fsync(fd_) != 0) {
-        if (error)
-            *error = "fsync failed on " + path_;
-        return false;
-    }
-    return true;
+    std::string text(line);
+    text += '\n';
+    return commit(text, error) == 1;
 }
 
 namespace

@@ -25,7 +25,6 @@
 #define XED_CAMPAIGN_STORE_HH
 
 #include <cstdint>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -93,11 +92,12 @@ std::optional<ShardResult> decodeShardRecord(const CampaignSpec &spec,
 
 /**
  * True unless XED_NO_FSYNC=1: whether campaign stores, forensics
- * sidecars and queue lease/fragment files fsync their writes. The
- * kill-safe "plan prefix + at most one torn line" contract only
- * survives power loss or a worker-host crash when every record
- * reaches the platter before the next one starts; benches that only
- * care about throughput can opt out with the environment knob.
+ * sidecars and queue lease/fragment files fsync their writes. A store
+ * or sidecar commit (StoreWriter::commit) is fsynced before the writer
+ * reports its records as written, so the kill-safe "plan prefix + at
+ * most one torn line" contract also survives power loss or a host
+ * crash, losing at most the commit in flight; benches that only care
+ * about throughput can opt out with the environment knob.
  */
 bool durableWritesEnabled();
 
@@ -108,30 +108,44 @@ bool fsyncPath(const std::string &path, std::string *error);
  *  just-created directory entry durable. */
 bool fsyncParentDir(const std::string &path, std::string *error);
 
-/** Line-oriented appender; flushes after every record so a kill tears
- *  at most the final line, and (when durable) fsyncs so a power loss
- *  does too. */
+/** Line-oriented appender. A commit's lines reach the file in order,
+ *  so a kill tears at most the final line, and (when durable) the
+ *  commit is fsynced once, so a power loss does too. */
 class StoreWriter
 {
   public:
+    StoreWriter() = default;
+    StoreWriter(const StoreWriter &) = delete;
+    StoreWriter &operator=(const StoreWriter &) = delete;
     ~StoreWriter();
 
     /** Truncate-and-create (@p appendAt < 0) or reopen for append
      *  after truncating the file to @p appendAt bytes (resume).
-     *  @p durable: fsync after every record (AND-ed with the global
+     *  @p durable: fsync each commit (AND-ed with the global
      *  durableWritesEnabled() knob). */
     bool open(const std::string &path, long long appendAt,
               std::string *error, bool durable = true);
+    /**
+     * The one write path: append @p lines, whole lines each ending in a
+     * newline, in order, stopping at the first write that fails; then,
+     * when durable, fsync what was written. Returns how many lines were
+     * committed: all of them, those written in full before a failed
+     * write, or none when the fsync fails. Sets @p error whenever that
+     * is fewer than the lines given.
+     */
+    std::size_t commit(std::string_view lines, std::string *error);
+    /** A one-record commit. */
     bool write(const json::Value &record, std::string *error);
-    /** Append one pre-serialized record line verbatim (newline added).
-     *  The distributed merge streams fragment bytes through this so
-     *  no re-serialization can perturb the store's canonical bytes. */
+    /** A one-line commit of a pre-serialized record (no newline),
+     *  verbatim. The distributed merge streams fragment bytes through
+     *  this so no re-serialization can perturb the store's canonical
+     *  bytes. */
     bool writeLine(std::string_view line, std::string *error);
 
   private:
-    std::ofstream out_;
     std::string path_;
-    int fd_ = -1; ///< fsync descriptor; -1 when durability is off
+    int fd_ = -1;
+    bool durable_ = false;
 };
 
 /** What loadStore() recovered from an existing result file. */

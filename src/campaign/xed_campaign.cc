@@ -37,8 +37,9 @@
  *   --trace-out <file>      Chrome-trace export path (default:
  *                           <out>.trace.json when recording)
  *   --no-forensics          skip the <out>.forensics.jsonl sidecar
- *   --no-fsync              skip per-record fsync (benches; a crash
- *                           may then lose the documented durability)
+ *   --no-fsync              skip the fsync of each commit (benches; a
+ *                           crash may then lose the documented
+ *                           durability)
  *
  * Options for worker:
  *   --queue-dir <dir>       shared queue directory (required)
@@ -85,7 +86,8 @@
  * count, XED_TRACE / XED_TRACE_BUFFER the span recorder (run/resume
  * export a trace when XED_TRACE=1; a worker exports to
  * <queue-dir>/worker-<id>.trace.json), XED_NO_FSYNC=1 disables all
- * per-record fsyncs globally. Malformed values are errors.
+ * store, sidecar, fragment and lease fsyncs globally. Malformed values
+ * are errors.
  */
 
 #include <chrono>

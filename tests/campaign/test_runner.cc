@@ -6,6 +6,7 @@
  * one written by an uninterrupted run.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
@@ -16,8 +17,12 @@
 #include <thread>
 
 #include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include "campaign/forensics.hh"
 #include "campaign/runner.hh"
+#include "obs/trace.hh"
 
 using namespace xed;
 using namespace xed::campaign;
@@ -26,33 +31,34 @@ namespace
 {
 
 CampaignSpec
-reliabilitySpec()
+parsed(const char *text)
 {
     std::string error;
-    auto doc = json::parse(R"({
-        "name": "runner-test", "seed": 4242,
-        "schemes": ["secded", "xed"],
-        "systems": 600, "shardSystems": 100
-    })",
-                           &error);
+    auto doc = json::parse(text, &error);
+    EXPECT_TRUE(doc) << error;
     auto spec = parseSpec(*doc, &error);
     EXPECT_TRUE(spec) << error;
     return *spec;
 }
 
 CampaignSpec
+reliabilitySpec()
+{
+    return parsed(R"({
+        "name": "runner-test", "seed": 4242,
+        "schemes": ["secded", "xed"],
+        "systems": 600, "shardSystems": 100
+    })");
+}
+
+CampaignSpec
 detectionSpec()
 {
-    std::string error;
-    auto doc = json::parse(R"({
+    return parsed(R"({
         "name": "runner-det", "kind": "detection", "seed": 99,
         "codes": ["hamming7264"], "patterns": ["random", "burst"],
         "maxWeight": 4, "trials": 2000, "shardTrials": 500
-    })",
-                           &error);
-    auto spec = parseSpec(*doc, &error);
-    EXPECT_TRUE(spec) << error;
-    return *spec;
+    })");
 }
 
 std::string
@@ -78,6 +84,72 @@ removeIfPresent(const std::string &path)
     std::error_code ec;
     std::filesystem::remove(path, ec);
 }
+
+/** A temp path of this process's own, so two runs of this binary at
+ *  once (two build trees' ctest) never share a store. */
+std::string
+ownTempPath(const std::string &name)
+{
+    return ::testing::TempDir() + std::to_string(getpid()) + "_" + name;
+}
+
+/** A store and its forensics and trace sidecars. */
+void
+removeStore(const std::string &path)
+{
+    for (const char *suffix : {"", ".forensics.jsonl", ".trace.json"})
+        removeIfPresent(path + suffix);
+}
+
+/** The sidecar's per-shard lines, without its forensics-summary
+ *  lines. */
+std::vector<std::string>
+forensicsShardLines(const std::string &storePath)
+{
+    std::ifstream in(forensicsPath(storePath), std::ios::binary);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);)
+        if (line.starts_with(R"({"type":"forensics",)"))
+            lines.push_back(line);
+    return lines;
+}
+
+/** Complete (newline-terminated) lines in the file at @p path. */
+std::size_t
+completeLines(const std::string &path)
+{
+    const std::string text = slurp(path);
+    return static_cast<std::size_t>(
+        std::count(text.begin(), text.end(), '\n'));
+}
+
+/** Cap this process's file size at @p bytes for its lifetime, with
+ *  SIGXFSZ ignored, so a write past the cap fails with EFBIG instead
+ *  of killing the process. */
+class FileSizeCap
+{
+  public:
+    explicit FileSizeCap(rlim_t bytes)
+    {
+        EXPECT_EQ(getrlimit(RLIMIT_FSIZE, &saved_), 0);
+        EXPECT_GT(saved_.rlim_max, bytes);
+        oldHandler_ = std::signal(SIGXFSZ, SIG_IGN);
+        rlimit capped = saved_;
+        capped.rlim_cur = bytes;
+        EXPECT_EQ(setrlimit(RLIMIT_FSIZE, &capped), 0);
+    }
+    ~FileSizeCap()
+    {
+        setrlimit(RLIMIT_FSIZE, &saved_);
+        std::signal(SIGXFSZ, oldHandler_);
+    }
+    FileSizeCap(const FileSizeCap &) = delete;
+    FileSizeCap &operator=(const FileSizeCap &) = delete;
+
+  private:
+    rlimit saved_{};
+    void (*oldHandler_)(int) = SIG_DFL;
+};
 
 } // namespace
 
@@ -253,4 +325,179 @@ TEST(CampaignRunner, FailingStoreWritesAbortAndJoinWorkers)
     EXPECT_LT(outcome.shardsRun, buildPlan(*spec).tasks.size() / 4);
     EXPECT_LE(std::filesystem::file_size(path), fileLimit);
     removeIfPresent(path);
+}
+
+TEST(CampaignRunner, KilledDurableRunResumesByteIdentical)
+{
+    // A durable run with forensics on, SIGKILLed by the parent once its
+    // store holds at least k shard lines: a real kill, at whatever byte
+    // of whichever batch commit the child has reached. The killed store
+    // must be a plan prefix (plus at most one torn line) that the
+    // sidecar covers, and resuming it must complete the uninterrupted
+    // run's bytes.
+    const auto spec = parsed(R"({
+        "name": "runner-kill", "seed": 31337,
+        "schemes": ["secded", "xed"],
+        "systems": 1000000, "shardSystems": 1000
+    })");
+    const Plan plan = buildPlan(spec);
+    const std::string hash = specHash(spec);
+    constexpr std::uint64_t k = 16;
+
+    const auto full = ownTempPath("runner_kill_full.jsonl");
+    removeStore(full);
+    auto options = inMemory(4);
+    options.outPath = full;
+    const auto uninterrupted = runCampaign(spec, options);
+    ASSERT_TRUE(uninterrupted.ok) << uninterrupted.error;
+    ASSERT_TRUE(uninterrupted.complete);
+
+    for (const unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(std::to_string(threads) + " thread(s)");
+        const auto path =
+            ownTempPath("runner_kill_" + std::to_string(threads) + ".jsonl");
+        removeStore(path);
+        options = inMemory(threads);
+        options.outPath = path;
+
+        const pid_t child = fork();
+        ASSERT_GE(child, 0);
+        if (child == 0)
+            std::_Exit(runCampaign(spec, options).ok ? 0 : 1);
+        // The first line is the manifest; no summary comes before the
+        // last shard.
+        int status = 0;
+        pid_t ended = 0;
+        while (ended == 0 && (!std::filesystem::exists(path) ||
+                              completeLines(path) < 1 + k)) {
+            ended = waitpid(child, &status, WNOHANG);
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+        ASSERT_EQ(ended, 0) << "the child ended before the store held "
+                            << k << " shard lines";
+        kill(child, SIGKILL);
+        ASSERT_EQ(waitpid(child, &status, 0), child);
+        ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+            << "the child finished before the kill";
+
+        const LoadedStore killed = loadStore(path, hash, spec, plan);
+        ASSERT_TRUE(killed.ok) << killed.error;
+        EXPECT_GE(killed.completedShards, k);
+        EXPECT_FALSE(killed.hasSummary);
+        const LoadedForensics sidecar =
+            loadForensics(forensicsPath(path), plan, plan.tasks.size());
+        ASSERT_TRUE(sidecar.ok) << sidecar.error;
+        EXPECT_GE(sidecar.shardRecords, killed.completedShards);
+
+        options.resume = true;
+        const auto resumed = runCampaign(spec, options);
+        ASSERT_TRUE(resumed.ok) << resumed.error;
+        ASSERT_TRUE(resumed.complete);
+        EXPECT_EQ(resumed.shardsReplayed, killed.completedShards);
+        EXPECT_TRUE(resumed.forensicsWritten);
+        EXPECT_EQ(slurp(path), slurp(full));
+        // Shard lines only: resume drops the replayed shards' autopsy
+        // exemplars from its forensics-summary records, a known defect
+        // (ROADMAP.md, "Robustness at the input boundaries") whose fix
+        // changes the benchmark's pinned sidecar digest.
+        EXPECT_EQ(forensicsShardLines(path), forensicsShardLines(full));
+        removeStore(path);
+    }
+    removeStore(full);
+}
+
+TEST(CampaignRunner, SidecarCoversStoreAfterFailedWriteMidBatch)
+{
+    // A durable run with forensics on whose sidecar write fails with
+    // EFBIG partway through a batch commit. The store may take only
+    // the shards whose sidecar line was committed, and the run counts
+    // exactly the shards whose store line was; with the cap lifted,
+    // resume completes the uninterrupted run's bytes.
+    const auto spec = parsed(R"({
+        "name": "runner-efbig-durable", "seed": 7,
+        "schemes": ["secded", "xed"],
+        "systems": 40000, "shardSystems": 100
+    })");
+    const Plan plan = buildPlan(spec);
+    const auto full = ownTempPath("runner_cap_full.jsonl");
+    const auto path = ownTempPath("runner_cap.jsonl");
+    removeStore(full);
+    removeStore(path);
+    auto options = inMemory(4);
+    options.outPath = full;
+    ASSERT_TRUE(runCampaign(spec, options).complete);
+
+    constexpr rlim_t fileLimit = 64 * 1024;
+    options.outPath = path;
+    RunOutcome capped;
+    {
+        const FileSizeCap cap(fileLimit);
+        capped = runCampaign(spec, options);
+    }
+    EXPECT_FALSE(capped.ok);
+    // Sidecar lines are several times longer than store lines, so the
+    // sidecar reaches the cap first.
+    EXPECT_NE(capped.error.find("write failed on " + forensicsPath(path)),
+              std::string::npos)
+        << capped.error;
+
+    const LoadedStore store =
+        loadStore(path, specHash(spec), spec, plan);
+    ASSERT_TRUE(store.ok) << store.error;
+    EXPECT_GT(store.completedShards, 0u);
+    EXPECT_LT(store.completedShards, plan.tasks.size());
+    EXPECT_EQ(capped.shardsRun, store.completedShards);
+    const LoadedForensics sidecar =
+        loadForensics(forensicsPath(path), plan, plan.tasks.size());
+    ASSERT_TRUE(sidecar.ok) << sidecar.error;
+    EXPECT_GE(sidecar.shardRecords, store.completedShards);
+
+    options.resume = true;
+    const auto resumed = runCampaign(spec, options);
+    ASSERT_TRUE(resumed.ok) << resumed.error;
+    ASSERT_TRUE(resumed.complete);
+    EXPECT_EQ(resumed.shardsReplayed, store.completedShards);
+    EXPECT_EQ(slurp(path), slurp(full));
+    EXPECT_EQ(forensicsShardLines(path), forensicsShardLines(full));
+    removeStore(path);
+    removeStore(full);
+}
+
+TEST(CampaignRunner, StoreWriteSpansCountEveryLine)
+{
+    // One store.write span per commit, its "records" argument the
+    // number of lines the commit wrote: summed over a traced run they
+    // count every line of the store and of the forensics sidecar.
+    const auto spec = reliabilitySpec();
+    const auto path = ownTempPath("runner_spans.jsonl");
+    removeStore(path);
+    auto &recorder = obs::TraceRecorder::instance();
+    recorder.clear();
+    auto options = inMemory(2);
+    options.outPath = path;
+    options.trace = true;
+    const auto outcome = runCampaign(spec, options);
+    recorder.setEnabled(false);
+    recorder.clear();
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    ASSERT_FALSE(outcome.tracePath.empty());
+
+    const auto trace = json::parse(slurp(outcome.tracePath));
+    ASSERT_TRUE(trace && trace->find("traceEvents"));
+    std::uint64_t commits = 0, records = 0;
+    for (const json::Value &event : trace->find("traceEvents")->items()) {
+        const json::Value *name = event.find("name");
+        if (!name || name->asString() != "store.write")
+            continue;
+        const json::Value *args = event.find("args");
+        ASSERT_TRUE(args && args->find("records"));
+        ++commits;
+        records += args->find("records")->asUint();
+    }
+    const std::size_t lines =
+        completeLines(path) + completeLines(forensicsPath(path));
+    EXPECT_EQ(records, lines);
+    EXPECT_GT(commits, 0u);
+    EXPECT_LE(commits, lines);
+    removeStore(path);
 }
