@@ -6,8 +6,11 @@
 #include <ostream>
 #include <set>
 
+#include "campaign/line_blocks.hh"
+#include "common/env.hh"
 #include "common/table.hh"
 #include "common/units.hh"
+#include "obs/trace.hh"
 
 namespace xed::campaign
 {
@@ -292,9 +295,56 @@ decodeForensicsRecord(const ShardTask &task, const json::Value &record,
     return part;
 }
 
+namespace
+{
+
+/** One sidecar line, decoded on its own. */
+struct ForensicsLine
+{
+    /** Record: a "forensics" record; Summary: a forensics-summary,
+     *  skipped; End: a torn or foreign line, which ends the prefix. */
+    enum class Kind { Record, Summary, End };
+    Kind kind = Kind::End;
+    /** The plan position the record was decoded against: its own
+     *  "index", or the plan's size when that is not a plan position. */
+    std::uint64_t position = 0;
+    std::optional<faultsim::McResult> part;
+    std::string error; ///< when part is empty
+};
+
+/** A record is decoded against the plan task its own "index" names.
+ *  The fold keeps that decode only when it is the next position, the
+ *  task a serial read decodes the record against; a record out of plan
+ *  order (an error) is decoded again against that task. */
+ForensicsLine
+decodeForensicsLine(std::string_view line, const Plan &plan)
+{
+    ForensicsLine out;
+    const auto record = json::parse(line);
+    const json::Value *type = record ? record->find("type") : nullptr;
+    if (!type || !type->isString())
+        return out;
+    if (type->asString() == "forensics-summary") {
+        out.kind = ForensicsLine::Kind::Summary;
+        return out;
+    }
+    if (type->asString() != "forensics")
+        return out;
+    out.kind = ForensicsLine::Kind::Record;
+    const json::Value *index = record->find("index");
+    out.position = index && index->isIntegral() &&
+                           index->asUint() < plan.tasks.size()
+                       ? index->asUint()
+                       : plan.tasks.size();
+    if (out.position < plan.tasks.size())
+        out.part = decodeForensicsRecord(plan.tasks[out.position], *record,
+                                         &out.error);
+    return out;
+}
+
 LoadedForensics
-loadForensics(const std::string &path, const Plan &plan,
-              std::uint64_t maxShards)
+readForensics(const std::string &path, const Plan &plan,
+              std::uint64_t maxShards, unsigned threads)
 {
     LoadedForensics loaded;
     std::ifstream in(path, std::ios::binary);
@@ -305,36 +355,56 @@ loadForensics(const std::string &path, const Plan &plan,
     loaded.cells.resize(static_cast<std::size_t>(plan.points) * plan.cells);
     const std::uint64_t limit =
         std::min<std::uint64_t>(maxShards, plan.tasks.size());
-    std::string line;
-    long long offset = 0;
-    while (loaded.shardRecords < limit && std::getline(in, line)) {
-        if (in.eof())
-            break; // no trailing newline: torn final line
-        offset += static_cast<long long>(line.size()) + 1;
-        // A torn or foreign line ends the valid prefix quietly,
-        // mirroring the store loader's kill tolerance. Summaries follow
-        // the shard records; resume rewrites them, so they don't
-        // extend validBytes.
-        const auto record = json::parse(line);
-        const json::Value *type = record ? record->find("type") : nullptr;
-        if (!type || !type->isString())
-            break;
-        if (type->asString() == "forensics-summary")
-            continue;
-        if (type->asString() != "forensics")
-            break;
-        const ShardTask &task = plan.tasks[loaded.shardRecords];
-        std::string error;
-        const auto part = decodeForensicsRecord(task, *record, &error);
-        if (!part) {
-            loaded.error = path + ": " + error;
-            return loaded;
-        }
-        loaded.cells[task.point * plan.cells + task.cell].merge(*part);
-        ++loaded.shardRecords;
-        loaded.validBytes = offset;
+    if (limit == 0) {
+        loaded.ok = true;
+        return loaded;
     }
-    loaded.ok = true;
+    // A torn or foreign line ends the valid prefix quietly, mirroring
+    // the store loader's kill tolerance. Summaries follow the shard
+    // records; resume rewrites them, so they don't extend validBytes.
+    const auto fold = [&](ForensicsLine &decoded, std::string_view line,
+                          const LineSpan &at) {
+        if (decoded.kind == ForensicsLine::Kind::Summary)
+            return true;
+        if (decoded.kind == ForensicsLine::Kind::End)
+            return false;
+        const ShardTask &task = plan.tasks[loaded.shardRecords];
+        if (decoded.position != loaded.shardRecords)
+            decoded.part = decodeForensicsRecord(task, *json::parse(line),
+                                                 &decoded.error);
+        if (!decoded.part) {
+            loaded.error = path + ": " + decoded.error;
+            return false;
+        }
+        loaded.cells[task.point * plan.cells + task.cell].merge(*decoded.part);
+        ++loaded.shardRecords;
+        loaded.validBytes = at.end;
+        return loaded.shardRecords < limit;
+    };
+    try {
+        foldLineBlocks<ForensicsLine>(
+            in, 0,
+            [&] { return resolveWorkerThreads(threads, plan.tasks.size()); },
+            [&](std::string_view text, const LineSpan &) {
+                return decodeForensicsLine(text, plan);
+            },
+            fold);
+    } catch (const std::exception &e) {
+        loaded.error = path + ": " + e.what();
+    }
+    loaded.ok = loaded.error.empty();
+    return loaded;
+}
+
+} // namespace
+
+LoadedForensics
+loadForensics(const std::string &path, const Plan &plan,
+              std::uint64_t maxShards, unsigned threads)
+{
+    XED_TRACE_SPAN_LATE_ARG(span, "forensics.load", "io", "records");
+    LoadedForensics loaded = readForensics(path, plan, maxShards, threads);
+    XED_TRACE_SET_ARG(span, loaded.shardRecords);
     return loaded;
 }
 

@@ -98,12 +98,24 @@ struct LoadedForensics
     std::vector<faultsim::McResult> cells;
 };
 
-/** Read and validate at most the first @p maxShards per-shard records
- *  of a sidecar: in @p plan order from index 0, each one decoding. A
- *  torn final line, or any line that is not a forensics record,
- *  quietly ends the prefix. */
+/**
+ * Read and validate at most the first @p maxShards per-shard records
+ * of a sidecar: in @p plan order from index 0, each one decoding
+ * (decodeForensicsRecord); forensics-summary lines between them are
+ * skipped. A torn final line, or any line that is not a forensics
+ * record, quietly ends the prefix; a record out of plan order or with a
+ * malformed attribution fails the load.
+ *
+ * The sidecar is streamed like a store (loadStore()): blocks of lines
+ * decoded on resolveWorkerThreads(@p threads, plan.tasks.size())
+ * threads and folded in file order on the calling thread, no thread
+ * started for a sidecar that ends within the first block, the same
+ * result at any thread count. One "forensics.load" trace span covers
+ * the call, its "records" argument the shardRecords returned.
+ */
 LoadedForensics loadForensics(const std::string &path, const Plan &plan,
-                              std::uint64_t maxShards);
+                              std::uint64_t maxShards,
+                              unsigned threads = 0);
 
 /** Render a loaded sidecar's per-cell attribution tables (class x
  *  kind set, detection outcomes, autopsy exemplars). Returns false when

@@ -34,6 +34,24 @@ namespace
  *  i - window). It also caps the batch the writer commits at once. */
 constexpr std::uint64_t reorderWindowPerThread = 16;
 
+/** A finished shard waiting for the writer: its result and, with a
+ *  store, the lines its worker encoded for the writer to commit. */
+struct ReadyShard
+{
+    ShardResult result;
+    std::string storeLine;     ///< newline-terminated; "" in memory
+    std::string forensicsLine; ///< newline-terminated; "" without sidecar
+};
+
+/** json::dump(@p record) and a newline. */
+std::string
+recordLine(const json::Value &record)
+{
+    std::string line = json::dump(record);
+    line += '\n';
+    return line;
+}
+
 std::unique_ptr<ecc::Secded7264>
 makeCode(const std::string &name)
 {
@@ -387,6 +405,9 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
     }
 
     // -- Store setup: replay a resumable prefix, or start fresh. -----
+    // The loads decode on the thread count the shards run on.
+    const unsigned requestedThreads =
+        options.threads ? options.threads : spec.threads;
     const bool useStore = !options.outPath.empty();
     StoreWriter writer;
     std::uint64_t firstPending = 0;
@@ -400,8 +421,8 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
             return outcome;
         }
         if (exists) {
-            const LoadedStore loaded =
-                loadStore(options.outPath, hash, spec, plan);
+            const LoadedStore loaded = loadStore(options.outPath, hash, spec,
+                                                 plan, requestedThreads);
             if (!loaded.ok) {
                 outcome.error = loaded.error;
                 return outcome;
@@ -447,8 +468,8 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
                                       options.durableStore))
                 return outcome;
         } else {
-            const LoadedForensics loaded =
-                loadForensics(sidecar, plan, firstPending);
+            const LoadedForensics loaded = loadForensics(
+                sidecar, plan, firstPending, requestedThreads);
             if (!loaded.ok || loaded.shardRecords < firstPending) {
                 std::error_code ec;
                 std::filesystem::remove(sidecar, ec);
@@ -498,9 +519,7 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
 
     unsigned threads = 1;
     try {
-        threads = resolveWorkerThreads(
-            options.threads ? options.threads : spec.threads,
-            limit - firstPending);
+        threads = resolveWorkerThreads(requestedThreads, limit - firstPending);
     } catch (const std::exception &e) {
         outcome.error = e.what();
         return outcome;
@@ -524,7 +543,7 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
     std::mutex mutex;
     std::condition_variable readyCv;  ///< writer: shard `taken` ready
     std::condition_variable windowCv; ///< workers: `taken` advanced
-    std::map<std::uint64_t, ShardResult> ready;
+    std::map<std::uint64_t, ReadyShard> ready;
     std::uint64_t taken = firstPending; ///< first uncommitted shard
     std::string workerError; ///< first failure; guarded by mutex
     // Every abort path goes through here: abort is set under the mutex,
@@ -569,7 +588,8 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
                 // reporter can emit its "aborted" record.
                 try {
                     const ShardTask &task = plan.tasks[i];
-                    ShardResult result;
+                    ReadyShard shard;
+                    ShardResult &result = shard.result;
                     const auto t0 = std::chrono::steady_clock::now();
                     {
                         XED_TRACE_SPAN_ARG(
@@ -590,9 +610,20 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
                         shardRate.update(
                             static_cast<double>(task.end - task.begin) /
                             dt);
+                    // The worker, not the writer, encodes its shard's
+                    // lines, so the writer only concatenates a batch.
+                    if (useStore) {
+                        XED_TRACE_SPAN_ARG("shard.encode", "campaign",
+                                           "records", useForensics ? 2 : 1);
+                        if (useForensics)
+                            shard.forensicsLine = recordLine(
+                                forensicsShardRecord(task, result.mc));
+                        shard.storeLine =
+                            recordLine(shardRecord(spec, task, result));
+                    }
                     {
                         std::lock_guard<std::mutex> lock(mutex);
-                        ready.emplace(i, std::move(result));
+                        ready.emplace(i, std::move(shard));
                     }
                     readyCv.notify_one();
                 } catch (const std::exception &e) {
@@ -617,12 +648,8 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
     // back. Only the shards whose store line was committed are merged
     // and counted, and only then does the window advance past them.
     bool writeFailed = false;
-    std::vector<ShardResult> batch;
+    std::vector<ReadyShard> batch;
     std::string lines; ///< one batch's records, newline-terminated
-    const auto addLine = [&lines](const json::Value &record) {
-        lines += json::dump(record);
-        lines += '\n';
-    };
     for (std::uint64_t i = firstPending; i < limit;) {
         batch.clear();
         {
@@ -641,23 +668,22 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
         std::size_t committed = batch.size();
         if (useForensics) {
             lines.clear();
-            for (std::size_t k = 0; k < batch.size(); ++k)
-                addLine(
-                    forensicsShardRecord(plan.tasks[i + k], batch[k].mc));
+            for (const ReadyShard &shard : batch)
+                lines += shard.forensicsLine;
             committed = forensicsWriter.commit(lines, &outcome.error);
         }
         if (useStore && committed > 0) {
             lines.clear();
             for (std::size_t k = 0; k < committed; ++k)
-                addLine(shardRecord(spec, plan.tasks[i + k], batch[k]));
+                lines += batch[k].storeLine;
             committed = writer.commit(lines, &outcome.error);
         }
         for (std::size_t k = 0; k < committed; ++k) {
             const ShardTask &task = plan.tasks[i + k];
             outcome.cells[task.point * plan.cells + task.cell]
-                .result.merge(batch[k]);
+                .result.merge(batch[k].result);
             registry.counter("failed." + cellLabel(spec, task.cell))
-                .add(failedSystemsOf(spec, batch[k]));
+                .add(failedSystemsOf(spec, batch[k].result));
         }
         registry.counter("shards.done").add(committed);
         outcome.shardsRun += committed;
@@ -768,7 +794,7 @@ printPlan(const CampaignSpec &spec, std::ostream &os)
 
 bool
 printReport(const std::string &storePath, std::ostream &os,
-            std::string *error)
+            std::string *error, unsigned threads)
 {
     const auto manifest = readStoreManifest(storePath, error);
     if (!manifest)
@@ -776,7 +802,7 @@ printReport(const std::string &storePath, std::ostream &os,
     const CampaignSpec &spec = manifest->spec;
     const Plan plan = buildPlan(spec);
     const LoadedStore loaded =
-        loadStore(storePath, specHash(spec), spec, plan);
+        loadStore(storePath, specHash(spec), spec, plan, threads);
     if (!loaded.ok) {
         if (error)
             *error = loaded.error;
@@ -905,8 +931,11 @@ printReport(const std::string &storePath, std::ostream &os,
     if (spec.kind != CampaignKind::Reliability ||
         !std::filesystem::exists(sidecar))
         return true; // no sidecar: forensics were disabled
-    return printForensics(loadForensics(sidecar, plan, plan.tasks.size()),
-                          spec, plan, os, error);
+    // The sidecar may run a batch ahead of the store: only the store's
+    // shard prefix counts, as in status.
+    return printForensics(
+        loadForensics(sidecar, plan, loaded.completedShards, threads), spec,
+        plan, os, error);
 }
 
 } // namespace xed::campaign

@@ -157,9 +157,11 @@ json::Value summaryRecord(const CampaignSpec &spec,
 /** --dry-run: print the resolved spec, hash and shard plan. */
 void printPlan(const CampaignSpec &spec, std::ostream &os);
 
-/** Render a result store (complete or partial) as text tables. */
+/** Render a result store (complete or partial) as text tables, with
+ *  the forensics of the store's shard prefix when it has a sidecar.
+ *  @p threads: the loads' decoding threads (loadStore()). */
 bool printReport(const std::string &storePath, std::ostream &os,
-                 std::string *error);
+                 std::string *error, unsigned threads = 0);
 
 } // namespace xed::campaign
 

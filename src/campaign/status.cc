@@ -407,9 +407,9 @@ scanStore(const std::string &storePath, const StatusOptions &options)
                         store.cells[task.point * plan.cells + task.cell],
                         status);
     // A reliability run's detection outcomes live in its forensics
-    // sidecar, which may run one record ahead of the store: only the
-    // store's shard prefix counts, and a sidecar that fails to load
-    // adds nothing.
+    // sidecar, which may run up to one commit batch (16 x threads
+    // shards) ahead of the store: only the store's shard prefix counts,
+    // and a sidecar that fails to load adds nothing.
     const LoadedForensics forensics =
         loadForensics(forensicsPath(path), plan, store.completedShards);
     if (forensics.ok)

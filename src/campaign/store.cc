@@ -10,7 +10,8 @@
 #include <unistd.h>
 
 #include "campaign/forensics.hh"
-#include "common/file.hh"
+#include "campaign/line_blocks.hh"
+#include "common/env.hh"
 #include "obs/trace.hh"
 
 namespace xed::campaign
@@ -351,13 +352,8 @@ StoreWriter::writeLine(std::string_view line, std::string *error)
     return commit(text, error) == 1;
 }
 
-namespace
-{
-
-/** The store-manifest decoder behind readStoreManifest() and
- *  loadStore(): type, format, hash, shard count and a spec that parses. */
 std::optional<StoreManifest>
-manifestFromLine(std::string_view line, std::string *error)
+decodeStoreManifest(std::string_view line, std::string *error)
 {
     const auto fail = [&](const std::string &what) {
         if (error)
@@ -386,8 +382,6 @@ manifestFromLine(std::string_view line, std::string *error)
                          std::move(*parsed)};
 }
 
-} // namespace
-
 std::optional<StoreManifest>
 readStoreManifest(const std::string &path, std::string *error)
 {
@@ -398,31 +392,82 @@ readStoreManifest(const std::string &path, std::string *error)
             *error = "cannot open " + path;
         return std::nullopt;
     }
-    auto manifest = manifestFromLine(line, error);
+    auto manifest = decodeStoreManifest(line, error);
     if (!manifest && error)
         *error = path + ": " + *error;
     return manifest;
 }
 
+namespace
+{
+
+/** One store line after the manifest, decoded on its own. */
+struct StoreLine
+{
+    enum class Kind { Shard, Summary, Error };
+    Kind kind = Kind::Error;
+    ShardResult result; ///< Kind::Shard
+    std::string error;  ///< Kind::Error, without the path
+};
+
+/** Decode line @p span.number after the manifest as the plan's shard
+ *  of that index (only a file of shard records reaches it), the
+ *  summary, or the error a serial read would stop on. */
+StoreLine
+decodeStoreLine(std::string_view line, const LineSpan &span,
+                const CampaignSpec &spec, const Plan &plan)
+{
+    StoreLine out;
+    const auto at = [&] { return " at byte " + std::to_string(span.begin); };
+    std::string error;
+    const auto record = json::parse(line, &error);
+    if (!record || !record->isObject()) {
+        // A malformed *interior* line means the file was edited or
+        // corrupted, not torn by a kill; refuse to guess.
+        out.error = ": corrupt record" + at() + ": " + error;
+        return out;
+    }
+    const json::Value *type = record->find("type");
+    const std::string typeName =
+        type && type->isString() ? type->asString() : "";
+    if (typeName == "shard") {
+        if (span.number >= plan.tasks.size()) {
+            out.error = ": more shard records than the plan has shards";
+            return out;
+        }
+        auto result =
+            decodeShardRecord(spec, plan.tasks[span.number], *record, &error);
+        if (!result) {
+            out.error = at() + ": " + error;
+            return out;
+        }
+        out.kind = StoreLine::Kind::Shard;
+        out.result = std::move(*result);
+    } else if (typeName == "summary") {
+        out.kind = StoreLine::Kind::Summary;
+    } else {
+        out.error = ": unknown record type \"" + typeName + "\"" + at();
+    }
+    return out;
+}
+
 LoadedStore
-loadStore(const std::string &path, const std::string &expectedHash,
-          const CampaignSpec &spec, const Plan &plan)
+readStore(const std::string &path, const std::string &expectedHash,
+          const CampaignSpec &spec, const Plan &plan, unsigned threads)
 {
     LoadedStore loaded;
-    const auto file = readFile(path);
-    if (!file) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
         loaded.error = "cannot open " + path;
         return loaded;
     }
-    const std::string &text = *file;
-    std::size_t lineStart = text.find('\n');
-    if (lineStart == std::string::npos) {
+    std::string line;
+    if (!std::getline(in, line) || in.eof()) {
         loaded.error = path + ": no complete manifest record";
         return loaded;
     }
     std::string error;
-    const auto manifest =
-        manifestFromLine(std::string_view(text).substr(0, lineStart), &error);
+    const auto manifest = decodeStoreManifest(line, &error);
     if (!manifest) {
         loaded.error = path + ": " + error;
         return loaded;
@@ -440,61 +485,54 @@ loadStore(const std::string &path, const std::string &expectedHash,
     }
 
     loaded.cells.resize(static_cast<std::size_t>(plan.points) * plan.cells);
-    loaded.validBytes = static_cast<long long>(++lineStart);
-    while (lineStart < text.size() && !loaded.hasSummary) {
-        const std::size_t newline = text.find('\n', lineStart);
-        if (newline == std::string::npos) {
-            // Torn final line (killed mid-write): resume from here.
-            break;
-        }
-        const std::string_view line(text.data() + lineStart,
-                                    newline - lineStart);
-        const auto at = [&] {
-            return " at byte " + std::to_string(lineStart);
-        };
-        std::string parseError;
-        const auto record = json::parse(line, &parseError);
-        if (!record || !record->isObject()) {
-            // A malformed *interior* line means the file was edited or
-            // corrupted, not torn by a kill; refuse to guess.
-            loaded.error = path + ": corrupt record" + at() + ": " +
-                           parseError;
-            return loaded;
-        }
-        const json::Value *type = record->find("type");
-        const std::string typeName =
-            type && type->isString() ? type->asString() : "";
-        if (typeName == "shard") {
-            if (loaded.completedShards >= plan.tasks.size()) {
-                loaded.error = path + ": more shard records than the "
-                               "plan has shards";
-                return loaded;
-            }
-            const ShardTask &task = plan.tasks[loaded.completedShards];
-            const auto result =
-                decodeShardRecord(spec, task, *record, &error);
-            if (!result) {
-                loaded.error = path + at() + ": " + error;
-                return loaded;
-            }
-            loaded.cells[task.point * plan.cells + task.cell].merge(*result);
-            loaded.completedUnits += task.end - task.begin;
-            ++loaded.completedShards;
-        } else if (typeName == "summary") {
-            loaded.hasSummary = true;
-        } else {
-            loaded.error = path + ": unknown record type \"" + typeName +
-                           "\"" + at();
-            return loaded;
-        }
-        lineStart = newline + 1;
-        loaded.validBytes = static_cast<long long>(lineStart);
+    loaded.validBytes = static_cast<long long>(line.size() + 1);
+    try {
+        foldLineBlocks<StoreLine>(
+            in, loaded.validBytes,
+            [&] { return resolveWorkerThreads(threads, plan.tasks.size()); },
+            [&](std::string_view text, const LineSpan &at) {
+                return decodeStoreLine(text, at, spec, plan);
+            },
+            [&](StoreLine &decoded, std::string_view, const LineSpan &at) {
+                if (decoded.kind == StoreLine::Kind::Error) {
+                    loaded.error = path + decoded.error;
+                    return false;
+                }
+                if (decoded.kind == StoreLine::Kind::Shard) {
+                    const ShardTask &task =
+                        plan.tasks[loaded.completedShards];
+                    loaded.cells[task.point * plan.cells + task.cell].merge(
+                        decoded.result);
+                    loaded.completedUnits += task.end - task.begin;
+                    ++loaded.completedShards;
+                } else {
+                    loaded.hasSummary = true;
+                }
+                loaded.validBytes = at.end;
+                return !loaded.hasSummary;
+            });
+    } catch (const std::exception &e) {
+        loaded.error = path + ": " + e.what();
     }
+    if (!loaded.error.empty())
+        return loaded;
     if (loaded.hasSummary && loaded.completedShards != plan.tasks.size()) {
         loaded.error = path + ": summary present but shards missing";
         return loaded;
     }
     loaded.ok = true;
+    return loaded;
+}
+
+} // namespace
+
+LoadedStore
+loadStore(const std::string &path, const std::string &expectedHash,
+          const CampaignSpec &spec, const Plan &plan, unsigned threads)
+{
+    XED_TRACE_SPAN_LATE_ARG(span, "store.load", "io", "records");
+    LoadedStore loaded = readStore(path, expectedHash, spec, plan, threads);
+    XED_TRACE_SET_ARG(span, loaded.completedShards);
     return loaded;
 }
 

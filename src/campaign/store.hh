@@ -71,6 +71,11 @@ struct StoreManifest
     CampaignSpec spec;
 };
 
+/** The store-manifest decoder every reader uses: type, format, hash,
+ *  shard count and a spec that parses; nullopt and @p error otherwise. */
+std::optional<StoreManifest> decodeStoreManifest(std::string_view line,
+                                                 std::string *error);
+
 /** Decode the manifest on a store's first line, for readers without a
  *  spec in hand (report, status); loadStore() then checks the rest. */
 std::optional<StoreManifest> readStoreManifest(const std::string &path,
@@ -172,11 +177,21 @@ struct LoadedStore
  * being (re)run. Requires the manifest's specHash to equal
  * @p expectedHash and shard records to be exactly the plan prefix in
  * order, each one decoding (decodeShardRecord); a torn final line is
- * tolerated and reported via validBytes. Any other damage fails.
+ * tolerated and reported via validBytes. Any other damage fails, at the
+ * first damaged line in file order.
+ *
+ * The file is streamed through foldLineBlocks() (line_blocks.hh): in
+ * blocks of lines, each decoded on resolveWorkerThreads(@p threads,
+ * plan.tasks.size()) threads and folded on the calling thread in file
+ * order; a store that ends within the first block (64 lines) is read on
+ * the calling thread alone. The result does not depend on the thread
+ * count. One "store.load" trace span covers the call, its "records"
+ * argument the completedShards returned.
  */
 LoadedStore loadStore(const std::string &path,
                       const std::string &expectedHash,
-                      const CampaignSpec &spec, const Plan &plan);
+                      const CampaignSpec &spec, const Plan &plan,
+                      unsigned threads = 0);
 
 } // namespace xed::campaign
 

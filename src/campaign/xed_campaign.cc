@@ -646,8 +646,11 @@ main(int argc, char **argv)
             std::cerr << "xed_campaign: trace -> " << outcome.tracePath
                       << "\n";
     }
+    // The closing report decodes on the run's thread count too.
     if (outcome.complete &&
-        !printReport(args.options.outPath, std::cout, &error)) {
+        !printReport(args.options.outPath, std::cout, &error,
+                     args.options.threads ? args.options.threads
+                                          : spec->threads)) {
         std::cerr << "xed_campaign: " << error << "\n";
         return 1;
     }

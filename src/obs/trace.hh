@@ -209,6 +209,9 @@ class ScopedSpan
     ScopedSpan(const ScopedSpan &) = delete;
     ScopedSpan &operator=(const ScopedSpan &) = delete;
 
+    /** Set the numeric argument, for a count known only at the end. */
+    void setArg(std::uint64_t arg) { event_.arg = arg; }
+
   private:
     TraceRecorder *recorder_ = nullptr;
     TraceEvent event_;
@@ -227,11 +230,22 @@ class ScopedSpan
 #define XED_TRACE_SPAN_ARG(name, cat, argName, argValue)               \
     ::xed::obs::ScopedSpan XED_OBS_CONCAT(xedTraceSpan_, __COUNTER__)( \
         name, cat, argName, static_cast<std::uint64_t>(argValue))
+/** Same, as span @p var, whose argument XED_TRACE_SET_ARG sets later. */
+#define XED_TRACE_SPAN_LATE_ARG(var, name, cat, argName)               \
+    ::xed::obs::ScopedSpan var(name, cat, argName)
+#define XED_TRACE_SET_ARG(var, argValue)                               \
+    var.setArg(static_cast<std::uint64_t>(argValue))
 #else
 #define XED_TRACE_SPAN(name, cat)                                      \
     do {                                                               \
     } while (0)
 #define XED_TRACE_SPAN_ARG(name, cat, argName, argValue)               \
+    do {                                                               \
+    } while (0)
+#define XED_TRACE_SPAN_LATE_ARG(var, name, cat, argName)               \
+    do {                                                               \
+    } while (0)
+#define XED_TRACE_SET_ARG(var, argValue)                               \
     do {                                                               \
     } while (0)
 #endif

@@ -15,6 +15,7 @@
 
 #include "campaign/queue.hh"
 #include "campaign/spec.hh"
+#include "tests/support/temp_path.hh"
 
 using namespace xed;
 using namespace xed::campaign;
@@ -44,7 +45,7 @@ queueSpec(std::uint64_t seed = 4242)
 std::string
 freshDir(const std::string &name)
 {
-    const std::string dir = ::testing::TempDir() + "xed_queue_" + name;
+    const std::string dir = ownTempPath("xed_queue_" + name);
     fs::remove_all(dir);
     return dir;
 }

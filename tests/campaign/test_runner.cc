@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <sstream>
 #include <gtest/gtest.h>
 #include <thread>
 
@@ -23,6 +24,7 @@
 #include "campaign/forensics.hh"
 #include "campaign/runner.hh"
 #include "obs/trace.hh"
+#include "tests/support/temp_path.hh"
 
 using namespace xed;
 using namespace xed::campaign;
@@ -83,14 +85,6 @@ removeIfPresent(const std::string &path)
 {
     std::error_code ec;
     std::filesystem::remove(path, ec);
-}
-
-/** A temp path of this process's own, so two runs of this binary at
- *  once (two build trees' ctest) never share a store. */
-std::string
-ownTempPath(const std::string &name)
-{
-    return ::testing::TempDir() + std::to_string(getpid()) + "_" + name;
 }
 
 /** A store and its forensics and trace sidecars. */
@@ -210,10 +204,8 @@ TEST(CampaignRunner, ResumedStoreIsByteIdentical)
     const auto spec = reliabilitySpec();
     for (const unsigned threads : {1u, 4u}) {
         const auto tag = std::to_string(threads);
-        const auto full =
-            ::testing::TempDir() + "runner_full_" + tag + ".jsonl";
-        const auto split =
-            ::testing::TempDir() + "runner_split_" + tag + ".jsonl";
+        const auto full = ownTempPath("runner_full_" + tag + ".jsonl");
+        const auto split = ownTempPath("runner_split_" + tag + ".jsonl");
         removeIfPresent(full);
         removeIfPresent(split);
 
@@ -248,7 +240,7 @@ TEST(CampaignRunner, ResumedStoreIsByteIdentical)
 TEST(CampaignRunner, ResumeOfCompleteStoreIsNoOp)
 {
     const auto spec = reliabilitySpec();
-    const auto path = ::testing::TempDir() + "runner_done.jsonl";
+    const auto path = ownTempPath("runner_done.jsonl");
     removeIfPresent(path);
 
     auto options = inMemory(2);
@@ -286,7 +278,7 @@ TEST(CampaignRunner, FailingStoreWritesAbortAndJoinWorkers)
                            &error);
     auto spec = parseSpec(*doc, &error);
     ASSERT_TRUE(spec) << error;
-    const auto path = ::testing::TempDir() + "runner_efbig.jsonl";
+    const auto path = ownTempPath("runner_efbig.jsonl");
     removeIfPresent(path);
     auto options = inMemory(4);
     options.outPath = path;
@@ -484,20 +476,70 @@ TEST(CampaignRunner, StoreWriteSpansCountEveryLine)
 
     const auto trace = json::parse(slurp(outcome.tracePath));
     ASSERT_TRUE(trace && trace->find("traceEvents"));
-    std::uint64_t commits = 0, records = 0;
+    std::uint64_t commits = 0, records = 0, encodes = 0, encoded = 0;
     for (const json::Value &event : trace->find("traceEvents")->items()) {
         const json::Value *name = event.find("name");
-        if (!name || name->asString() != "store.write")
+        const bool write = name && name->asString() == "store.write";
+        if (!write && !(name && name->asString() == "shard.encode"))
             continue;
         const json::Value *args = event.find("args");
         ASSERT_TRUE(args && args->find("records"));
-        ++commits;
-        records += args->find("records")->asUint();
+        const std::uint64_t n = args->find("records")->asUint();
+        (write ? commits : encodes) += 1;
+        (write ? records : encoded) += n;
     }
     const std::size_t lines =
         completeLines(path) + completeLines(forensicsPath(path));
     EXPECT_EQ(records, lines);
     EXPECT_GT(commits, 0u);
     EXPECT_LE(commits, lines);
+    // One shard.encode span per shard, counting its store and sidecar
+    // lines.
+    const std::size_t shards = buildPlan(spec).tasks.size();
+    EXPECT_EQ(encodes, shards);
+    EXPECT_EQ(encoded, 2 * shards);
     removeStore(path);
+}
+
+TEST(CampaignRunner, ReportOfPartialStoreCountsOnlyItsShardsForensics)
+{
+    // A store cut back to k shard lines beside the sidecar of the whole
+    // run (the sidecar may run a commit batch ahead of the store): the
+    // report's forensics tables count the store's k shards, as a run
+    // stopped after k shards reports them.
+    const auto spec = reliabilitySpec();
+    const std::uint64_t k = 5;
+    const auto cut = ownTempPath("runner_report_cut.jsonl");
+    const auto stopped = ownTempPath("runner_report_stopped.jsonl");
+    removeStore(cut);
+    removeStore(stopped);
+    auto options = inMemory(2);
+    options.outPath = cut;
+    ASSERT_TRUE(runCampaign(spec, options).complete);
+    options.outPath = stopped;
+    options.maxShards = k;
+    ASSERT_TRUE(runCampaign(spec, options).ok);
+
+    std::vector<std::string> lines;
+    {
+        std::ifstream in(cut, std::ios::binary);
+        for (std::string line; lines.size() < 1 + k &&
+                               std::getline(in, line);)
+            lines.push_back(line);
+    }
+    {
+        std::ofstream out(cut, std::ios::binary | std::ios::trunc);
+        for (const std::string &line : lines)
+            out << line << '\n';
+    }
+    ASSERT_GT(completeLines(forensicsPath(cut)), k);
+
+    std::ostringstream fromCut, fromStopped;
+    std::string error;
+    ASSERT_TRUE(printReport(cut, fromCut, &error)) << error;
+    ASSERT_TRUE(printReport(stopped, fromStopped, &error)) << error;
+    EXPECT_NE(fromCut.str().find("Failure forensics"), std::string::npos);
+    EXPECT_EQ(fromCut.str(), fromStopped.str());
+    removeStore(cut);
+    removeStore(stopped);
 }

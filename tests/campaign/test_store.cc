@@ -12,6 +12,7 @@
 
 #include "campaign/runner.hh"
 #include "campaign/store.hh"
+#include "tests/support/temp_path.hh"
 
 using namespace xed;
 using namespace xed::campaign;
@@ -42,12 +43,6 @@ simulatedShard(const CampaignSpec &spec, const ShardTask &task)
     result.mc = runMonteCarloShard(*scheme, mcConfigFor(spec, task.point),
                                    task.begin, task.end);
     return result;
-}
-
-std::string
-tempPath(const char *name)
-{
-    return ::testing::TempDir() + name;
 }
 
 /** Write the manifest plus the first @p shards shard records. */
@@ -98,7 +93,7 @@ TEST(CampaignStore, LoadRecoversCompletedPrefix)
     const auto spec = tinySpec();
     const Plan plan = buildPlan(spec);
     ASSERT_EQ(plan.tasks.size(), 2u);
-    const auto path = tempPath("store_prefix.jsonl");
+    const auto path = ownTempPath("store_prefix.jsonl");
     writeStore(path, spec, plan, 1);
 
     const auto loaded = loadStore(path, specHash(spec), spec, plan);
@@ -117,7 +112,7 @@ TEST(CampaignStore, TornFinalLineIsDropped)
 {
     const auto spec = tinySpec();
     const Plan plan = buildPlan(spec);
-    const auto path = tempPath("store_torn.jsonl");
+    const auto path = ownTempPath("store_torn.jsonl");
     writeStore(path, spec, plan, 1);
     const auto intact = std::filesystem::file_size(path);
 
@@ -142,7 +137,7 @@ TEST(CampaignStore, RejectsForeignAndCorruptStores)
 {
     const auto spec = tinySpec();
     const Plan plan = buildPlan(spec);
-    const auto path = tempPath("store_reject.jsonl");
+    const auto path = ownTempPath("store_reject.jsonl");
     writeStore(path, spec, plan, 2);
 
     // A different spec hash means "this file is not your campaign".
@@ -174,7 +169,7 @@ TEST(CampaignStore, MalformedShardPayloadIsRejected)
     // a resume may read it as a shard that simulated nothing.
     const auto spec = tinySpec();
     const Plan plan = buildPlan(spec);
-    const auto path = tempPath("store_blank_payload.jsonl");
+    const auto path = ownTempPath("store_blank_payload.jsonl");
     std::filesystem::remove(path);
     std::filesystem::remove(path + ".forensics.jsonl");
     writeStore(path, spec, plan, 1);

@@ -18,6 +18,7 @@
 #include "campaign/queue.hh"
 #include "campaign/runner.hh"
 #include "campaign/worker.hh"
+#include "tests/support/temp_path.hh"
 
 using namespace xed;
 using namespace xed::campaign;
@@ -69,7 +70,7 @@ slurp(const std::string &path)
 std::string
 freshDir(const std::string &name)
 {
-    const std::string dir = ::testing::TempDir() + "xed_worker_" + name;
+    const std::string dir = ownTempPath("xed_worker_" + name);
     fs::remove_all(dir);
     fs::create_directories(dir);
     return dir;

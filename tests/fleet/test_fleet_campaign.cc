@@ -13,6 +13,7 @@
 
 #include "campaign/runner.hh"
 #include "campaign/worker.hh"
+#include "tests/support/temp_path.hh"
 
 using namespace xed;
 using namespace xed::campaign;
@@ -89,8 +90,8 @@ lastLine(const std::string &text)
 TEST(FleetCampaign, StoreBytesIdenticalAcrossThreadCounts)
 {
     const auto spec = fleetSpec();
-    const auto pathA = ::testing::TempDir() + "fleet_t1.jsonl";
-    const auto pathB = ::testing::TempDir() + "fleet_t4.jsonl";
+    const auto pathA = ownTempPath("fleet_t1.jsonl");
+    const auto pathB = ownTempPath("fleet_t4.jsonl");
     removeIfPresent(pathA);
     removeIfPresent(pathB);
 
@@ -115,8 +116,8 @@ TEST(FleetCampaign, StoreBytesIdenticalAcrossThreadCounts)
 TEST(FleetCampaign, InterruptedRunResumesToIdenticalBytes)
 {
     const auto spec = fleetSpec();
-    const auto full = ::testing::TempDir() + "fleet_full.jsonl";
-    const auto split = ::testing::TempDir() + "fleet_split.jsonl";
+    const auto full = ownTempPath("fleet_full.jsonl");
+    const auto split = ownTempPath("fleet_split.jsonl");
     removeIfPresent(full);
     removeIfPresent(split);
 
@@ -172,9 +173,9 @@ TEST(FleetCampaign, ShardPayloadRoundTripsThroughJson)
 TEST(FleetCampaign, WorkersAndMergeReproduceSingleProcessBytes)
 {
     const auto spec = fleetSpec();
-    const auto single = ::testing::TempDir() + "fleet_single.jsonl";
-    const auto merged = ::testing::TempDir() + "fleet_merged.jsonl";
-    const auto queueDir = ::testing::TempDir() + "fleet_queue";
+    const auto single = ownTempPath("fleet_single.jsonl");
+    const auto merged = ownTempPath("fleet_merged.jsonl");
+    const auto queueDir = ownTempPath("fleet_queue");
     removeIfPresent(single);
     removeIfPresent(merged);
     std::filesystem::remove_all(queueDir);
@@ -213,7 +214,7 @@ TEST(FleetCampaign, WorkersAndMergeReproduceSingleProcessBytes)
 TEST(FleetCampaign, SummaryCarriesFleetTimeSeries)
 {
     const auto spec = fleetSpec();
-    const auto path = ::testing::TempDir() + "fleet_summary.jsonl";
+    const auto path = ownTempPath("fleet_summary.jsonl");
     removeIfPresent(path);
     ASSERT_TRUE(runCampaign(spec, storeOptions(path, 2)).ok);
 
@@ -259,7 +260,7 @@ TEST(FleetCampaign, SummaryCarriesFleetTimeSeries)
 TEST(FleetCampaign, ReportRendersCohortAndSeriesTables)
 {
     const auto spec = fleetSpec();
-    const auto path = ::testing::TempDir() + "fleet_report.jsonl";
+    const auto path = ownTempPath("fleet_report.jsonl");
     removeIfPresent(path);
     ASSERT_TRUE(runCampaign(spec, storeOptions(path, 2)).ok);
 

@@ -32,6 +32,7 @@
 #include "faultsim/scheme.hh"
 #include "obs/forensics.hh"
 #include "obs/trace.hh"
+#include "tests/support/temp_path.hh"
 
 namespace xed::campaign
 {
@@ -143,17 +144,11 @@ shardLine(std::uint64_t index)
         forensicsShardRecord(task, syntheticResult(task.begin)));
 }
 
-std::string
-tempPath(const char *name)
-{
-    return ::testing::TempDir() + name;
-}
-
 TEST(ForensicsSidecar, ShardRecordsRoundTripThroughLoad)
 {
     const std::string line0 = shardLine(0);
     const std::string line1 = shardLine(1);
-    const std::string path = tempPath("xed_test_forensics_rt.jsonl");
+    const std::string path = ownTempPath("xed_test_forensics_rt.jsonl");
     {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out << line0 << '\n' << line1 << '\n';
@@ -190,7 +185,7 @@ TEST(ForensicsSidecar, SummariesAndTornTailDoNotExtendThePrefix)
     const std::string line0 = shardLine(0);
     const std::string summary = json::dump(forensicsSummaryRecord(
         0, 0, "secded", syntheticResult(0)));
-    const std::string path = tempPath("xed_test_forensics_torn.jsonl");
+    const std::string path = ownTempPath("xed_test_forensics_torn.jsonl");
     {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         // A completed run's summary plus a torn half-written record.
@@ -210,7 +205,7 @@ TEST(ForensicsSidecar, SummariesAndTornTailDoNotExtendThePrefix)
 TEST(ForensicsSidecar, ForeignLineEndsThePrefixQuietly)
 {
     const std::string path =
-        tempPath("xed_test_forensics_foreign.jsonl");
+        ownTempPath("xed_test_forensics_foreign.jsonl");
     {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out << shardLine(0) << '\n'
@@ -226,7 +221,7 @@ TEST(ForensicsSidecar, ForeignLineEndsThePrefixQuietly)
 TEST(ForensicsSidecar, OutOfOrderRecordsAreRejected)
 {
     const std::string path =
-        tempPath("xed_test_forensics_order.jsonl");
+        ownTempPath("xed_test_forensics_order.jsonl");
     {
         std::ofstream out(path, std::ios::binary | std::ios::trunc);
         out << shardLine(0) << '\n' << shardLine(2) << '\n';
@@ -240,7 +235,7 @@ TEST(ForensicsSidecar, OutOfOrderRecordsAreRejected)
 TEST(ForensicsSidecar, MissingFileIsAnError)
 {
     const LoadedForensics loaded = loadForensics(
-        tempPath("xed_test_forensics_missing.jsonl"), syntheticPlan(1), 1);
+        ownTempPath("xed_test_forensics_missing.jsonl"), syntheticPlan(1), 1);
     EXPECT_FALSE(loaded.ok);
     EXPECT_FALSE(loaded.error.empty());
 }
@@ -271,7 +266,7 @@ telemetryLines(const std::string &path)
 TEST(ProgressReporter, UnwindWithoutFinishEmitsAborted)
 {
     const std::string path =
-        tempPath("xed_test_telemetry_aborted.jsonl");
+        ownTempPath("xed_test_telemetry_aborted.jsonl");
     std::remove(path.c_str());
     MetricsRegistry registry;
     faultsim::McProgress progress;
@@ -295,7 +290,7 @@ TEST(ProgressReporter, UnwindWithoutFinishEmitsAborted)
 
 TEST(ProgressReporter, FinishSuppressesTheAbortedRecord)
 {
-    const std::string path = tempPath("xed_test_telemetry_done.jsonl");
+    const std::string path = ownTempPath("xed_test_telemetry_done.jsonl");
     std::remove(path.c_str());
     MetricsRegistry registry;
     faultsim::McProgress progress;

@@ -53,6 +53,7 @@
 #include "common/metrics.hh"
 #include "obs/http.hh"
 #include "obs/telemetry.hh"
+#include "tests/support/temp_path.hh"
 
 using namespace xed;
 using namespace xed::campaign;
@@ -80,7 +81,7 @@ statusSpec()
 std::string
 freshDir(const std::string &name)
 {
-    const std::string dir = ::testing::TempDir() + "xed_status_" + name;
+    const std::string dir = ownTempPath("xed_status_" + name);
     fs::remove_all(dir);
     fs::create_directories(dir);
     return dir;
@@ -787,7 +788,7 @@ TEST(FleetStatus, ReportJsonSchemaFromStoreScan)
 TEST(FleetStatus, MissingQueueIsACleanError)
 {
     const FleetStatus status = scanQueueDir(
-        ::testing::TempDir() + "xed_status_nonexistent",
+        ownTempPath("xed_status_nonexistent"),
         StatusOptions{});
     EXPECT_FALSE(status.ok);
     EXPECT_FALSE(status.error.empty());

@@ -24,6 +24,7 @@
 #include "common/json.hh"
 #include "common/metrics.hh"
 #include "obs/telemetry.hh"
+#include "tests/support/temp_path.hh"
 
 using namespace xed;
 using namespace xed::obs;
@@ -34,7 +35,7 @@ namespace
 std::string
 fixturePath(const std::string &name)
 {
-    return ::testing::TempDir() + "xed_telemetry_" + name + ".jsonl";
+    return ownTempPath("xed_telemetry_" + name + ".jsonl");
 }
 
 std::string
@@ -122,7 +123,7 @@ TEST(TelemetryReader, UnknownRecordTypesPassThrough)
 TEST(TelemetryReader, MissingFileIsTheOnlyError)
 {
     const TelemetryRecords telemetry = readTelemetryRecords(
-        ::testing::TempDir() + "xed_telemetry_does_not_exist.jsonl");
+        ownTempPath("xed_telemetry_does_not_exist.jsonl"));
     EXPECT_FALSE(telemetry.ok);
     EXPECT_FALSE(telemetry.error.empty());
 }

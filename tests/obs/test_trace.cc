@@ -21,6 +21,7 @@
 
 #include "common/json.hh"
 #include "obs/trace.hh"
+#include "tests/support/temp_path.hh"
 
 namespace xed::obs
 {
@@ -186,8 +187,7 @@ TEST_F(TraceTest, ExportToWritesParseableChromeTrace)
     {
         XED_TRACE_SPAN_ARG("export.span", "test", "n", 1);
     }
-    const std::string path =
-        ::testing::TempDir() + "xed_test_trace_export.json";
+    const std::string path = ownTempPath("xed_test_trace_export.json");
     std::string error;
     ASSERT_TRUE(recorder.exportTo(path, &error)) << error;
 
