@@ -258,7 +258,7 @@ withMember(const std::string &line, const char *key, json::Value value)
  *  (64, 256, 256 and 24 lines) and ten at 1; the damage positions fall
  *  in the SECDED half. */
 Campaign
-threeBlockCampaign(const char *name)
+multiBlockCampaign(const char *name)
 {
     const Campaign campaign = writeCampaign(name, 2, 300);
     EXPECT_EQ(campaign.plan.tasks.size(), 600u);
@@ -275,7 +275,7 @@ using Damage = std::function<void(std::vector<std::string> &lines,
 
 TEST(BlockLoaders, CleanStoreAndSidecarMatchTheSerialLoaders)
 {
-    const Campaign campaign = threeBlockCampaign("loaders_clean");
+    const Campaign campaign = multiBlockCampaign("loaders_clean");
     const LoadedStore store =
         expectStoreMatchesReference(campaign, "complete store");
     EXPECT_TRUE(store.ok && store.hasSummary);
@@ -304,7 +304,7 @@ TEST(BlockLoaders, CleanStoreAndSidecarMatchTheSerialLoaders)
 
 TEST(BlockLoaders, DamagedStoresFailOrStopWhereTheSerialLoaderDoes)
 {
-    const Campaign campaign = threeBlockCampaign("loaders_store");
+    const Campaign campaign = multiBlockCampaign("loaders_store");
     const std::string summary = campaign.storeLines.back();
     struct Case
     {
@@ -419,7 +419,7 @@ void
 expectDamagedSidecarsMatch(const char *name,
                            const std::vector<SidecarCase> &cases)
 {
-    const Campaign campaign = threeBlockCampaign(name);
+    const Campaign campaign = multiBlockCampaign(name);
     const std::uint64_t shards = campaign.plan.tasks.size();
     for (const SidecarCase &c : cases) {
         for (const std::uint64_t n : aroundBoundary) {
