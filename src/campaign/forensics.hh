@@ -106,10 +106,10 @@ struct LoadedForensics
  * record, quietly ends the prefix; a record out of plan order or with a
  * malformed attribution fails the load.
  *
- * The sidecar is streamed like a store (loadStore()): blocks of lines
+ * The sidecar is streamed like a store (loadStore()): the first 64
+ * lines as the serial loop read them, the rest in blocks of lines
  * decoded on resolveWorkerThreads(@p threads, plan.tasks.size())
- * threads and folded in file order on the calling thread, no thread
- * started for a sidecar that ends within the first block, the same
+ * threads and folded in file order on the calling thread, with the same
  * result at any thread count. One "forensics.load" trace span covers
  * the call, its "records" argument the shardRecords returned.
  */

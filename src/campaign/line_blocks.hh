@@ -67,12 +67,11 @@ struct LineSpan
  * stop; no line after it is folded. A final line without a newline (a
  * write torn by a kill) is never decoded or folded.
  *
- * The first block is linesPerThreadBlock lines. A file that ends within
- * it is decoded on the calling thread alone: it starts no thread and
- * never calls threads(). Otherwise threads() gives the decoding thread
- * count, the later blocks are lineBlockSize(threads()) lines, and
- * threads() - 1 workers decode every block beside the calling thread;
- * they are joined before return.
+ * The first block, linesPerThreadBlock lines, is read as a serial loop
+ * reads: each line decoded on the calling thread when the fold reaches
+ * it. Only a fold that goes on past it calls threads(); the later blocks
+ * are lineBlockSize(threads()) lines, decoded by threads() - 1 workers
+ * beside the calling thread, which are joined before return.
  *
  * An exception a decode throws on any thread is held with its line and
  * rethrown on the calling thread when the fold reaches that line, so it
@@ -136,20 +135,20 @@ foldLineBlocks(std::istream &in, long long offset, Threads threads,
         }
         return !lastBlock;
     };
-    // On the calling thread alone, a line is decoded only when the fold
-    // reaches it, as a serial loop would.
-    const auto serially = [&] {
+
+    // The first block is read as a serial loop reads, so a short file,
+    // or a prefix that ends in it, starts no thread.
+    readBlock();
+    if (!foldBlock(true))
+        return;
+    const unsigned workers = threads() - 1;
+    blockLines = lineBlockSize(workers + 1);
+    readBlock();
+    if (workers == 0) {
         while (foldBlock(true) && (readBlock(), true)) {
         }
-    };
-
-    readBlock();
-    if (lastBlock)
-        return serially();
-    const unsigned workers = threads() - 1;
-    if (workers == 0)
-        return serially();
-    blockLines = lineBlockSize(workers + 1);
+        return;
+    }
 
     // Workers and the calling thread claim the block's lines one at a
     // time. Each block is one generation: the caller publishes it,

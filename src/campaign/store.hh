@@ -180,12 +180,11 @@ struct LoadedStore
  * tolerated and reported via validBytes. Any other damage fails, at the
  * first damaged line in file order.
  *
- * The file is streamed through foldLineBlocks() (line_blocks.hh): in
- * blocks of lines, each decoded on resolveWorkerThreads(@p threads,
+ * The file is streamed through foldLineBlocks() (line_blocks.hh): its
+ * first 64 lines as the serial loop read them, the rest in blocks of
+ * lines, each decoded on resolveWorkerThreads(@p threads,
  * plan.tasks.size()) threads and folded on the calling thread in file
- * order; a store that ends within the first block (64 lines) is read on
- * the calling thread alone. The result does not depend on the thread
- * count. One "store.load" trace span covers the call, its "records"
+ * order. The result does not depend on the thread count. One "store.load" trace span covers the call, its "records"
  * argument the completedShards returned.
  */
 LoadedStore loadStore(const std::string &path,

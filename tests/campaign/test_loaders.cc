@@ -595,3 +595,27 @@ TEST(BlockLoaders, AThrowingDecodeIsRethrownAtItsLine)
         EXPECT_EQ(folded.size(), 300u);
     }
 }
+
+TEST(BlockLoaders, AThreadCountThatFailsIsTheLoadersError)
+{
+    // A malformed XED_MC_THREADS throws where the loaders resolve their
+    // thread count, which only a load that reads past its first block
+    // does; the loaders return it as their error.
+    const Campaign campaign = writeCampaign("loaders_bad_threads", 1, 100);
+    const ScopedThreadsEnv env("8x");
+    const LoadedStore store =
+        loadStore(campaign.store, campaign.hash, campaign.spec, campaign.plan);
+    EXPECT_FALSE(store.ok);
+    EXPECT_NE(store.error.find("XED_MC_THREADS"), std::string::npos)
+        << store.error;
+    const LoadedForensics sidecar =
+        loadForensics(forensicsPath(campaign.store), campaign.plan, 100);
+    EXPECT_FALSE(sidecar.ok);
+    EXPECT_NE(sidecar.error.find("XED_MC_THREADS"), std::string::npos)
+        << sidecar.error;
+
+    // A sidecar limit inside the first block reads no further.
+    EXPECT_TRUE(
+        loadForensics(forensicsPath(campaign.store), campaign.plan, 10).ok);
+    removeCampaign(campaign);
+}
