@@ -1,20 +1,20 @@
 #!/bin/sh
-# One entry point for the sanitizer, SIMD and scale-out checks. Each
+# One entry point for the sanitizer, SIMD and fleet checks. Each
 # profile configures its own build directory, builds only what it
 # runs, runs a ctest label set and then its CLI smokes:
 #
 #   tsan   ThreadSanitizer build (default dir build-tsan). ctest -L
-#          'campaign|obs|dist|fleet|perfsim|analysis' races the campaign
+#          'campaign|obs|fleet|perfsim|analysis' races the campaign
 #          runner's worker pool and progress thread, the metrics
-#          registry, the trace recorder, the distributed worker loop
-#          (the fleet suite drives the same pool and store), the
-#          perfsim run-matrix pool (simulateAll) and the stream-scan
-#          workers behind Figure 6 and Table III (scanStream, at 1 to 7
-#          workers). A final traced 4-thread campaign races the span
-#          recorder against the worker pool and the progress sampler on
-#          purpose. The
-#          Monte-Carlo engine's shard threads are not in this profile:
-#          build test_faultsim with -DXED_SANITIZE=thread to race them.
+#          registry, the trace recorder, the fleet suite (the same pool
+#          and store), status polled while a run writes its store
+#          (scripts/status_smoke.sh), the perfsim run-matrix pool
+#          (simulateAll) and the stream-scan workers behind Figure 6 and
+#          Table III (scanStream, at 1 to 7 workers). A final traced
+#          4-thread campaign races the span recorder against the worker
+#          pool and the progress sampler on purpose. The Monte-Carlo
+#          engine's shard threads are not in this profile: build
+#          test_faultsim with -DXED_SANITIZE=thread to race them.
 #   asan   AddressSanitizer build (default dir build-asan): ctest -L
 #          'campaign|obs|json' runs the campaign runner's batched store
 #          commits (failed writes, killed and resumed runs), the store,
@@ -28,8 +28,8 @@
 #          for the GF256::div(a, 0) class of bugs), the SIMD dispatch
 #          layer and per-level fuzz at every level the host executes,
 #          the readers of bytes other processes wrote (the store and
-#          forensics loaders, the status scanner's fragment and
-#          queue.json decoding and the telemetry reader), the perfsim
+#          forensics loaders, the status scanner, the telemetry reader
+#          and the spec parser under mutation fuzz), the perfsim
 #          memory controller's inline queues, InlineVec::erase and the
 #          cores' request-ring indices, and the strict JSON parser under
 #          mutation fuzz with its number I/O against the printf/strtod
@@ -42,20 +42,15 @@
 #          across the two levels and to tests/golden/; the smoke and
 #          table2 campaign stores are cmp-identical across the two
 #          levels.
-#   dist   default build (default dir build): ctest -L dist (queue
-#          protocol, worker/merge byte identity), the kill-and-reclaim
-#          smoke on fig07 (scripts/dist_smoke.sh: 4 workers, one
-#          SIGKILLed mid-shard, merge cmp-identical to one process) and
-#          the observability smoke (scripts/status_smoke.sh).
 #   fleet  default build (default dir build): ctest -L fleet, then
-#          scripts/fleet_smoke.sh (thread-count, resume and 2-worker
-#          runs of the fleet spec produce byte-identical stores).
+#          scripts/fleet_smoke.sh (thread-count and resumed runs of the
+#          fleet spec produce byte-identical stores).
 #
-# Usage: scripts/check.sh <tsan|asan|ubsan|simd|dist|fleet> [build-dir]
+# Usage: scripts/check.sh <tsan|asan|ubsan|simd|fleet> [build-dir]
 set -eu
 
 usage() {
-    echo "usage: $0 <tsan|asan|ubsan|simd|dist|fleet> [build-dir]" >&2
+    echo "usage: $0 <tsan|asan|ubsan|simd|fleet> [build-dir]" >&2
     exit 2
 }
 
@@ -70,7 +65,7 @@ tsan) build=${2:-"$repo/build-tsan"} ;;
 asan) build=${2:-"$repo/build-asan"} ;;
 ubsan) build=${2:-"$repo/build-ubsan"} ;;
 simd) build=${2:-"$repo/build-native"} ;;
-dist | fleet) build=${2:-"$repo/build"} ;;
+fleet) build=${2:-"$repo/build"} ;;
 *) usage ;;
 esac
 cli="$build/$cli_rel"
@@ -83,9 +78,9 @@ label() { (cd "$build" && ctest -L "$1" --output-on-failure -j "$jobs"); }
 case $profile in
 tsan)
     configure -DCMAKE_BUILD_TYPE=RelWithDebInfo -DXED_SANITIZE=thread
-    compile test_campaign test_obs test_dist test_fleet test_perfsim \
+    compile test_campaign test_obs test_fleet test_perfsim \
         test_analysis xed_campaign_cli
-    label 'campaign|obs|dist|fleet|perfsim|analysis'
+    label 'campaign|obs|fleet|perfsim|analysis'
     out="$build/tsan_trace_smoke.jsonl"
     rm -f "$out" "$out.trace.json" "$out.forensics.jsonl" \
         "$out.telemetry.jsonl"
@@ -147,24 +142,6 @@ simd)
     cmp "$work/table2.scalar.txt" "$repo/tests/golden/table2_20000.txt"
     cmp "$work/smoke.scalar.jsonl" "$work/smoke.native.jsonl"
     cmp "$work/table2.scalar.jsonl" "$work/table2.native.jsonl"
-    ;;
-
-dist)
-    configure
-    compile test_dist xed_campaign_cli
-    label dist
-    # fig07 shrunk to CI size; the override is part of the spec hash and
-    # must be identical for every process of the smoke, so it is set
-    # once for the whole script. The status smoke asserts its spec's own
-    # unit count, so it runs without the override.
-    XED_MC_SYSTEMS=${XED_MC_SYSTEMS:-30000} \
-        "$repo/scripts/dist_smoke.sh" "$cli" "$repo/specs/fig07.json" \
-        "$build/dist_smoke"
-    (
-        unset XED_MC_SYSTEMS
-        "$repo/scripts/status_smoke.sh" "$cli" \
-            "$repo/specs/status_smoke.json" "$build/status_smoke_check"
-    )
     ;;
 
 fleet)

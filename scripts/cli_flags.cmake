@@ -2,7 +2,9 @@
 # of the xed_campaign CLI must strictly reject malformed values with a
 # usage error (nonzero exit), never silently truncate them the way the
 # old bare strtoul/strtod parsing did ("--threads 4x" used to run with
-# 4 threads; "--threads x" with the hardware count). Invoked as
+# 4 threads; "--threads x" with the hardware count). The removed
+# `worker` and `merge` verbs and their flags must fail the same way,
+# naming what was refused. Invoked as
 #   cmake -DCLI=... -DSPEC=... -P cli_flags.cmake
 
 # flag|value pairs that must all be rejected. --dry-run would make the
@@ -24,11 +26,6 @@ set(rejected
     "--progress-interval|inf"
     "--progress-interval|1.5x"
     "--progress-interval|1,5"
-    "--lease-seconds|soon"
-    "--lease-seconds|0"              # positive lifetimes only
-    "--lease-seconds|-5"
-    "--poll-interval|fast"
-    "--timeout|later"
     "--port|http"                    # status/serve flags parse strictly
     "--port|-1"
     "--port|65536"                   # one past the TCP range
@@ -43,8 +40,7 @@ foreach(case IN LISTS rejected)
     list(GET parts 0 flag)
     list(GET parts 1 value)
     execute_process(
-        COMMAND "${CLI}" worker "${SPEC}" --queue-dir /nonexistent
-            --dry-run "${flag}" "${value}"
+        COMMAND "${CLI}" run "${SPEC}" --dry-run "${flag}" "${value}"
         RESULT_VARIABLE rc
         OUTPUT_QUIET ERROR_VARIABLE stderr)
     if(rc EQUAL 0)
@@ -54,6 +50,36 @@ foreach(case IN LISTS rejected)
     if(NOT stderr MATCHES "xed_campaign: ${flag}")
         message(FATAL_ERROR
             "${flag} ${value} died without naming the flag:\n${stderr}")
+    endif()
+endforeach()
+
+# The verbs and flags of the removed shard queue are errors that name
+# them, not silently ignored options.
+foreach(verb IN ITEMS worker merge)
+    execute_process(
+        COMMAND "${CLI}" ${verb} "${SPEC}" --dry-run
+        RESULT_VARIABLE rc
+        OUTPUT_QUIET ERROR_VARIABLE stderr)
+    if(rc EQUAL 0)
+        message(FATAL_ERROR "the removed verb ${verb} was accepted")
+    endif()
+    if(NOT stderr MATCHES "xed_campaign: unknown command \"${verb}\"")
+        message(FATAL_ERROR
+            "${verb} died without naming the verb:\n${stderr}")
+    endif()
+endforeach()
+foreach(flag IN ITEMS --queue-dir --worker-id --lease-seconds
+                      --poll-interval --wait --timeout)
+    execute_process(
+        COMMAND "${CLI}" run "${SPEC}" --dry-run "${flag}"
+        RESULT_VARIABLE rc
+        OUTPUT_QUIET ERROR_VARIABLE stderr)
+    if(rc EQUAL 0)
+        message(FATAL_ERROR "the removed flag ${flag} was accepted")
+    endif()
+    if(NOT stderr MATCHES "xed_campaign: unknown option ${flag}")
+        message(FATAL_ERROR
+            "${flag} died without naming the flag:\n${stderr}")
     endif()
 endforeach()
 

@@ -1,11 +1,10 @@
 #!/bin/sh
-# Fleet-lifetime CLI smoke: run the fleet spec four ways and require
+# Fleet-lifetime CLI smoke: run the fleet spec three ways and require
 # byte-identical result stores:
 #
 #   1. `xed_campaign fleet` on one thread (the reference),
 #   2. the same spec on four threads,
-#   3. an interrupted run (--max-shards 2) resumed to completion,
-#   4. a 2-worker shard-queue run merged with `xed_campaign merge`.
+#   3. an interrupted run (--max-shards 2) resumed to completion.
 #
 # Also checks that `xed_campaign version` emits parseable provenance
 # (the report verb strict-parses every JSON this repo writes, so a
@@ -22,7 +21,6 @@ work=${3:-"$(pwd)/fleet_smoke"}
 
 rm -rf "$work"
 mkdir -p "$work"
-queue="$work/queue"
 
 echo "fleet_smoke: version provenance"
 "$cli" version | grep -q '"compiler"'
@@ -41,15 +39,6 @@ echo "fleet_smoke: interrupted run + resume"
     --quiet >/dev/null
 "$cli" resume "$spec" --out "$work/resume.jsonl" --quiet >/dev/null
 cmp "$work/t1.jsonl" "$work/resume.jsonl"
-
-echo "fleet_smoke: 2-worker distributed run"
-"$cli" worker "$spec" --queue-dir "$queue" --worker-id w1 \
-    --max-shards 2 --quiet >/dev/null
-"$cli" worker "$spec" --queue-dir "$queue" --worker-id w2 \
-    --quiet >/dev/null
-"$cli" merge "$spec" --queue-dir "$queue" \
-    --out "$work/merged.jsonl" --quiet >/dev/null
-cmp "$work/t1.jsonl" "$work/merged.jsonl"
 
 echo "fleet_smoke: report renders the fleet tables"
 "$cli" report "$work/t1.jsonl" | grep -q "fleet time series"

@@ -118,8 +118,8 @@ ShardResult runDetectionShard(const CampaignSpec &spec,
 /**
  * Reliability shard: systems [task.begin, task.end) of one scheme
  * cell through runMonteCarloShard. System s draws Rng::stream(seed, s)
- * regardless of sharding, so any partition of the plan -- one
- * process, N threads, or N machines -- merges to identical results.
+ * regardless of sharding, so any partition of the plan over any
+ * number of threads merges to identical results.
  */
 ShardResult runReliabilityShard(const CampaignSpec &spec,
                                 const ShardTask &task,
@@ -135,8 +135,7 @@ ShardResult runFleetShard(const CampaignSpec &spec,
                           const ShardTask &task,
                           faultsim::McProgress *progress);
 
-/** Kind dispatch over the shard executors above. This is the whole
- *  per-shard engine surface a distributed worker needs. */
+/** Kind dispatch over the shard executors above. */
 ShardResult runShard(const CampaignSpec &spec, const ShardTask &task,
                      faultsim::McProgress *progress);
 

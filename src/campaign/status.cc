@@ -1,17 +1,12 @@
 #include "campaign/status.hh"
 
-#include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <filesystem>
 #include <ostream>
-#include <set>
 #include <sstream>
 
 #include "campaign/forensics.hh"
 #include "campaign/runner.hh"
-#include "campaign/worker.hh"
-#include "common/file.hh"
 #include "common/metrics.hh"
 #include "common/table.hh"
 #include "obs/telemetry.hh"
@@ -40,33 +35,6 @@ fileAgeSeconds(const fs::path &path)
     return age > 0 ? age : 0;
 }
 
-/** name == prefix + middle + suffix with nonempty middle. */
-bool
-splitName(const std::string &name, std::string_view prefix,
-          std::string_view suffix, std::string &middle)
-{
-    if (name.size() <= prefix.size() + suffix.size())
-        return false;
-    if (name.compare(0, prefix.size(), prefix) != 0)
-        return false;
-    if (name.compare(name.size() - suffix.size(), suffix.size(),
-                     suffix) != 0)
-        return false;
-    middle = name.substr(prefix.size(),
-                         name.size() - prefix.size() - suffix.size());
-    return true;
-}
-
-/** Digits only, and a value that fits a u64. Any other name is not one
- *  the queue writes, so the scan skips it instead of failing. */
-bool
-parseShardIndex(const std::string &digits, std::uint64_t &index)
-{
-    const char *end = digits.data() + digits.size();
-    const auto [ptr, ec] = std::from_chars(digits.data(), end, index);
-    return ec == std::errc{} && ptr == end;
-}
-
 void
 addOutcomes(const obs::FailureAttribution &attribution, FleetStatus &status)
 {
@@ -76,11 +44,11 @@ addOutcomes(const obs::FailureAttribution &attribution, FleetStatus &status)
                 static_cast<obs::DetectionOutcome>(o))] += count;
 }
 
-/** Fold one decoded result of @p cell -- a shard, or a cell's merged
- *  shards -- into the failure totals: failures through the runner's
- *  own failedSystemsOf() (so they are what the merged store's summary
- *  records), outcomes from its reliability forensics or its fleet
- *  cohorts' attributions. Callers count the units. */
+/** Fold one cell's merged shards into the failure totals: failures
+ *  through the runner's own failedSystemsOf() (so they are what the
+ *  store's summary records), outcomes from its fleet cohorts'
+ *  attributions (a reliability store's are in its forensics sidecar).
+ *  The caller counts the units. */
 void
 tallyResult(const CampaignSpec &spec, unsigned cell,
             const ShardResult &result, FleetStatus &status)
@@ -92,7 +60,6 @@ tallyResult(const CampaignSpec &spec, unsigned cell,
     status.failuresByCell[cellLabel(spec, cell)] += failed;
     for (const auto &[type, count] : failuresByTypeOf(spec, result))
         status.failuresByType[type] += count;
-    addOutcomes(result.mc.attribution, status);
     for (const auto &series : result.fleet.cohorts)
         addOutcomes(series.attribution, status);
 }
@@ -112,41 +79,44 @@ f64Field(const json::Value &record, const char *key)
 }
 
 WorkerLiveness
-classifyAge(double ageSeconds, double leaseSeconds)
+classifyAge(double ageSeconds)
 {
-    if (ageSeconds <= leaseSeconds * 0.5)
+    if (ageSeconds <= livenessSeconds * 0.5)
         return WorkerLiveness::Live;
-    if (ageSeconds <= leaseSeconds)
+    if (ageSeconds <= livenessSeconds)
         return WorkerLiveness::Stale;
     return WorkerLiveness::Dead;
 }
 
 /**
- * Digest one worker's telemetry sidecar: identity from the "run"
- * record, cumulative counters from the newest progress/terminal
- * record, exact histogram buckets merged into the fleet histograms.
- * Liveness is provisional (Dead) for a non-terminal worker until the
- * caller folds in lease ages and classifies.
+ * Digest a run's telemetry sidecar: the host from the "run" record,
+ * cumulative counters from the newest progress/terminal record, exact
+ * histogram buckets decoded into the two histograms, and liveness from
+ * a terminal record or else the sidecar's age. A resume appends to the
+ * sidecar of the run it continues, so only the records after the
+ * newest "run" record describe the run that writes it now.
  */
 WorkerStatus
-workerFromTelemetry(const std::string &id,
-                    const obs::TelemetryRecords &telemetry,
+workerFromTelemetry(const obs::TelemetryRecords &telemetry,
                     double sidecarAgeSeconds, FleetStatus &status,
                     Histogram &shardSeconds, Histogram &shardUnitsPerSec)
 {
     WorkerStatus worker;
-    worker.id = id;
+    worker.id = "local";
     if (const json::Value *run = obs::lastRecordOfType(telemetry, "run"))
         if (const json::Value *host = run->find("host");
             host && host->isString())
             worker.host = host->asString();
 
-    // The newest cumulative sample, whatever kind of record carried it.
+    // The current run's newest cumulative sample, whatever kind of
+    // record carried it.
     const json::Value *latest = nullptr;
     for (const json::Value &record : telemetry.records)
-        if (obs::recordIsType(record, "progress") ||
-            obs::recordIsType(record, "done") ||
-            obs::recordIsType(record, "aborted"))
+        if (obs::recordIsType(record, "run"))
+            latest = nullptr;
+        else if (obs::recordIsType(record, "progress") ||
+                 obs::recordIsType(record, "done") ||
+                 obs::recordIsType(record, "aborted"))
             latest = &record;
     if (latest) {
         worker.shardsDone = u64Field(*latest, "shardsDone");
@@ -167,12 +137,14 @@ workerFromTelemetry(const std::string &id,
         }
     }
 
-    if (obs::lastRecordOfType(telemetry, "done"))
+    if (latest && obs::recordIsType(*latest, "done")) {
         worker.liveness = WorkerLiveness::Done;
-    else if (obs::lastRecordOfType(telemetry, "aborted"))
+    } else if (latest && obs::recordIsType(*latest, "aborted")) {
         worker.liveness = WorkerLiveness::Aborted;
-    else
+    } else {
         worker.heartbeatAgeSeconds = sidecarAgeSeconds;
+        worker.liveness = classifyAge(sidecarAgeSeconds);
+    }
     return worker;
 }
 
@@ -193,7 +165,7 @@ summarize(const Histogram &histogram)
     return summary;
 }
 
-/** Fleet rate, ETA and histogram summaries, shared by both scanners. */
+/** Rate, ETA and histogram summaries. */
 void
 finalizeThroughput(FleetStatus &status, const Histogram &shardSeconds,
                    const Histogram &shardUnitsPerSec)
@@ -227,150 +199,9 @@ workerLivenessName(WorkerLiveness liveness)
 }
 
 FleetStatus
-scanQueueDir(const std::string &dir, const StatusOptions &options)
+scanStore(const std::string &storePath)
 {
     FleetStatus status;
-    status.source = "queue";
-    status.path = dir;
-
-    const auto manifest = readQueueManifest(dir, nullptr);
-    if (!manifest) {
-        status.error =
-            "not a queue directory (queue.json missing or invalid): " +
-            dir;
-        return status;
-    }
-    status.name = manifest->name;
-    status.specHash = manifest->specHash;
-    status.shardsTotal = manifest->shards;
-    // Fragments decode against the plan of the manifest's spec. A
-    // queue.json written before it carried the spec leaves every
-    // fragment undecodable; identity, leases and telemetry still show.
-    const Plan plan =
-        manifest->spec ? buildPlan(*manifest->spec) : Plan{};
-
-    Histogram shardSeconds;
-    Histogram shardUnitsPerSec;
-    std::map<std::string, WorkerStatus> workers;
-    struct LeaseInfo
-    {
-        std::string worker;
-        std::uint64_t shard;
-        double ageSeconds;
-    };
-    std::vector<LeaseInfo> leases;
-    std::set<std::uint64_t> doneShards;
-
-    std::error_code ec;
-    for (const auto &entry : fs::directory_iterator(dir, ec)) {
-        const std::string name = entry.path().filename().string();
-        std::string middle;
-        std::uint64_t index = 0;
-        if (splitName(name, "shard-", ".jsonl", middle) &&
-            parseShardIndex(middle, index)) {
-            if (index >= status.shardsTotal)
-                continue; // not a shard of this campaign's plan
-            // A committed fragment counts as done even when damaged --
-            // the commit rename happened -- but only one that decodes
-            // (the merge's own decoder) adds units and failures.
-            doneShards.insert(index);
-            const auto bytes = readFile(entry.path().string());
-            const auto fragment =
-                bytes && manifest->spec && index < plan.tasks.size()
-                    ? decodeFragment(*manifest->spec, plan.tasks[index],
-                                     *bytes, manifest->forensics, nullptr)
-                    : std::nullopt;
-            if (fragment) {
-                const ShardTask &task = plan.tasks[index];
-                status.unitsDone += task.end - task.begin;
-                tallyResult(*manifest->spec, task.cell, fragment->result,
-                            status);
-            } else {
-                ++status.damagedFragments;
-            }
-        } else if (splitName(name, "lease-", ".json", middle) &&
-                   parseShardIndex(middle, index)) {
-            // Tombstoned leases are `lease-N.json.broken-<breaker>`
-            // and never match the suffix. A lease torn mid-write
-            // (claim in progress) parses as garbage; skip it, the
-            // next scan sees it whole.
-            const auto bytes = readFile(entry.path().string());
-            const auto lease = bytes ? json::parse(*bytes) : std::nullopt;
-            if (!lease || !lease->isObject())
-                continue;
-            const json::Value *worker = lease->find("worker");
-            if (!worker || !worker->isString())
-                continue;
-            leases.push_back({worker->asString(), index,
-                              fileAgeSeconds(entry.path())});
-        } else if (splitName(name, "worker-", ".telemetry.jsonl",
-                             middle)) {
-            const auto telemetry =
-                obs::readTelemetryRecords(entry.path().string());
-            if (!telemetry.ok)
-                continue;
-            ++status.telemetryFiles;
-            status.skippedTelemetryLines += telemetry.skippedLines;
-            workers.emplace(
-                middle, workerFromTelemetry(
-                            middle, telemetry,
-                            fileAgeSeconds(entry.path()), status,
-                            shardSeconds, shardUnitsPerSec));
-        }
-    }
-
-    for (const LeaseInfo &lease : leases) {
-        if (doneShards.count(lease.shard))
-            continue; // committed while we scanned; the lease is moot
-        ++status.shardsClaimed;
-        // A worker with no sidecar (telemetry disabled) still shows
-        // up through its leases.
-        WorkerStatus &worker =
-            workers.emplace(lease.worker, WorkerStatus{})
-                .first->second;
-        if (worker.id.empty())
-            worker.id = lease.worker;
-        worker.leasedShards.push_back(lease.shard);
-        if (worker.liveness != WorkerLiveness::Done &&
-            worker.liveness != WorkerLiveness::Aborted) {
-            // Freshest evidence wins: a lease renewed after the last
-            // telemetry flush proves the worker lives.
-            if (!worker.heartbeatAgeSeconds ||
-                lease.ageSeconds < *worker.heartbeatAgeSeconds)
-                worker.heartbeatAgeSeconds = lease.ageSeconds;
-        }
-    }
-
-    status.shardsDone = doneShards.size();
-    const std::uint64_t accounted =
-        status.shardsDone + status.shardsClaimed;
-    status.shardsPending = status.shardsTotal > accounted
-                               ? status.shardsTotal - accounted
-                               : 0;
-    status.complete = status.shardsTotal > 0 &&
-                      status.shardsDone >= status.shardsTotal;
-
-    for (auto &[id, worker] : workers) {
-        std::sort(worker.leasedShards.begin(),
-                  worker.leasedShards.end());
-        if (worker.liveness != WorkerLiveness::Done &&
-            worker.liveness != WorkerLiveness::Aborted)
-            worker.liveness = classifyAge(
-                worker.heartbeatAgeSeconds.value_or(0),
-                options.leaseSeconds);
-        status.workers.push_back(std::move(worker));
-    }
-
-    finalizeThroughput(status, shardSeconds, shardUnitsPerSec);
-    status.ok = true;
-    return status;
-}
-
-FleetStatus
-scanStore(const std::string &storePath, const StatusOptions &options)
-{
-    FleetStatus status;
-    status.source = "store";
     std::string path = storePath;
     constexpr std::string_view sidecarSuffix = ".telemetry.jsonl";
     if (path.size() > sidecarSuffix.size() &&
@@ -424,36 +255,15 @@ scanStore(const std::string &storePath, const StatusOptions &options)
         if (telemetry.ok) {
             ++status.telemetryFiles;
             status.skippedTelemetryLines += telemetry.skippedLines;
-            std::string id = "local";
-            if (const json::Value *run =
-                    obs::lastRecordOfType(telemetry, "run"))
-                if (const json::Value *worker = run->find("worker");
-                    worker && worker->isString())
-                    id = worker->asString();
-            WorkerStatus worker = workerFromTelemetry(
-                id, telemetry, fileAgeSeconds(telemetryPath), status,
-                shardSeconds, shardUnitsPerSec);
-            if (worker.liveness != WorkerLiveness::Done &&
-                worker.liveness != WorkerLiveness::Aborted)
-                worker.liveness =
-                    classifyAge(worker.heartbeatAgeSeconds.value_or(0),
-                                options.leaseSeconds);
-            status.workers.push_back(std::move(worker));
+            status.workers.push_back(workerFromTelemetry(
+                telemetry, fileAgeSeconds(telemetryPath), status,
+                shardSeconds, shardUnitsPerSec));
         }
     }
 
     finalizeThroughput(status, shardSeconds, shardUnitsPerSec);
     status.ok = true;
     return status;
-}
-
-FleetStatus
-scanStatusSource(const std::string &path, const StatusOptions &options)
-{
-    std::error_code ec;
-    if (fs::is_directory(path, ec))
-        return scanQueueDir(path, options);
-    return scanStore(path, options);
 }
 
 namespace
@@ -490,7 +300,6 @@ statusJson(const FleetStatus &status)
         out.set("error", status.error);
         return out;
     }
-    out.set("source", status.source);
     out.set("name", status.name);
     out.set("specHash", status.specHash);
     out.set("complete", status.complete);
@@ -498,7 +307,6 @@ statusJson(const FleetStatus &status)
     auto shards = json::Value::object();
     shards.set("total", status.shardsTotal);
     shards.set("done", status.shardsDone);
-    shards.set("claimed", status.shardsClaimed);
     shards.set("pending", status.shardsPending);
     out.set("shards", std::move(shards));
 
@@ -538,12 +346,6 @@ statusJson(const FleetStatus &status)
         if (worker.heartbeatAgeSeconds)
             entry.set("heartbeatAgeSeconds",
                       *worker.heartbeatAgeSeconds);
-        if (!worker.leasedShards.empty()) {
-            auto shardList = json::Value::array();
-            for (const std::uint64_t shard : worker.leasedShards)
-                shardList.push(shard);
-            entry.set("leases", std::move(shardList));
-        }
         workers.push(std::move(entry));
     }
     out.set("workers", std::move(workers));
@@ -551,7 +353,6 @@ statusJson(const FleetStatus &status)
     auto telemetry = json::Value::object();
     telemetry.set("files", status.telemetryFiles);
     telemetry.set("skippedLines", status.skippedTelemetryLines);
-    telemetry.set("damagedFragments", status.damagedFragments);
     out.set("telemetry", std::move(telemetry));
     return out;
 }
@@ -564,10 +365,9 @@ printStatus(const FleetStatus &status, std::ostream &os)
         return;
     }
     os << "campaign " << status.name << " (" << status.specHash
-       << ")  [" << status.source << " " << status.path << "]\n";
+       << ")  [" << status.path << "]\n";
     os << "shards: " << status.shardsDone << "/" << status.shardsTotal
-       << " done, " << status.shardsClaimed << " claimed, "
-       << status.shardsPending << " pending"
+       << " done, " << status.shardsPending << " pending"
        << (status.complete ? "  -- complete" : "") << "\n";
     os << "units:  " << status.unitsDone;
     if (status.unitsTotal) {
@@ -591,19 +391,14 @@ printStatus(const FleetStatus &status, std::ostream &os)
            << Table::fmt(status.shardSeconds.p90, 3) << "  p99 "
            << Table::fmt(status.shardSeconds.p99, 3) << "  (n="
            << status.shardSeconds.count << ")\n";
-    if (status.skippedTelemetryLines > 0 || status.damagedFragments > 0)
+    if (status.skippedTelemetryLines > 0)
         os << "warnings: " << status.skippedTelemetryLines
-           << " skipped telemetry lines, " << status.damagedFragments
-           << " damaged fragments\n";
+           << " skipped telemetry lines\n";
 
     if (!status.workers.empty()) {
         Table table({"worker", "state", "beat(s)", "shards", "units",
-                     "failed", "units/s", "leases"});
-        for (const WorkerStatus &worker : status.workers) {
-            std::string leases;
-            for (const std::uint64_t shard : worker.leasedShards)
-                leases += (leases.empty() ? "" : ",") +
-                          std::to_string(shard);
+                     "failed", "units/s"});
+        for (const WorkerStatus &worker : status.workers)
             table.addRow(
                 {worker.id, workerLivenessName(worker.liveness),
                  worker.heartbeatAgeSeconds
@@ -612,9 +407,7 @@ printStatus(const FleetStatus &status, std::ostream &os)
                  std::to_string(worker.shardsDone),
                  std::to_string(worker.unitsDone),
                  std::to_string(worker.failedUnits),
-                 Table::fmt(worker.unitsPerSec, 1),
-                 leases.empty() ? "-" : leases});
-        }
+                 Table::fmt(worker.unitsPerSec, 1)});
         os << "\n";
         table.print(os, "workers");
     }
@@ -694,8 +487,7 @@ prometheusText(const FleetStatus &status)
     metricHeader(os, "xed_campaign_info",
                  "Campaign identity; the value is always 1.", "gauge");
     os << "xed_campaign_info{name=\"" << escapeLabel(status.name)
-       << "\",specHash=\"" << escapeLabel(status.specHash)
-       << "\",source=\"" << escapeLabel(status.source) << "\"} 1\n";
+       << "\",specHash=\"" << escapeLabel(status.specHash) << "\"} 1\n";
 
     metricHeader(os, "xed_campaign_complete",
                  "1 when every planned shard is committed.", "gauge");
@@ -706,10 +498,8 @@ prometheusText(const FleetStatus &status)
     os << "xed_shards_planned " << status.shardsTotal << "\n";
 
     metricHeader(os, "xed_shards",
-                 "Shards by state (done / claimed / pending).", "gauge");
+                 "Shards by state (done / pending).", "gauge");
     os << "xed_shards{state=\"done\"} " << status.shardsDone << "\n";
-    os << "xed_shards{state=\"claimed\"} " << status.shardsClaimed
-       << "\n";
     os << "xed_shards{state=\"pending\"} " << status.shardsPending
        << "\n";
 
@@ -761,8 +551,8 @@ prometheusText(const FleetStatus &status)
         os << "xed_workers{state=\"" << state << "\"} " << count << "\n";
 
     metricHeader(os, "xed_worker_up",
-                 "1 while a worker's heartbeat is within the lease "
-                 "lifetime.",
+                 "1 while a worker's heartbeat is within the liveness "
+                 "threshold.",
                  "gauge");
     for (const WorkerStatus &worker : status.workers)
         os << "xed_worker_up{worker=\"" << escapeLabel(worker.id)
@@ -801,12 +591,6 @@ prometheusText(const FleetStatus &status)
                  "counter");
     os << "xed_telemetry_skipped_lines_total "
        << status.skippedTelemetryLines << "\n";
-    metricHeader(os, "xed_damaged_fragments_total",
-                 "Committed fragments or store lines that failed to "
-                 "parse.",
-                 "counter");
-    os << "xed_damaged_fragments_total " << status.damagedFragments
-       << "\n";
 
     summaryMetric(os, "xed_shard_seconds",
                   "Exact cross-worker shard wall-time distribution "
@@ -866,8 +650,7 @@ async function refresh() {
         s.name + " (" + s.specHash + ")";
       document.getElementById("summary").textContent =
         "shards " + s.shards.done + "/" + s.shards.total +
-        " done, " + s.shards.claimed + " claimed, " +
-        s.shards.pending + " pending" +
+        " done, " + s.shards.pending + " pending" +
         (s.complete ? " — complete" : "") +
         " · units " + s.units.done +
         (s.units.total ? "/" + s.units.total : "") +
@@ -919,10 +702,9 @@ refresh();
 }
 
 bool
-statusEndpoint(const std::string &httpPath,
-               const std::string &sourcePath,
-               const StatusOptions &options, int *statusCode,
-               std::string *contentType, std::string *body)
+statusEndpoint(const std::string &httpPath, const std::string &storePath,
+               int *statusCode, std::string *contentType,
+               std::string *body)
 {
     if (httpPath == "/" || httpPath == "/index.html") {
         *statusCode = 200;
@@ -931,16 +713,14 @@ statusEndpoint(const std::string &httpPath,
         return true;
     }
     if (httpPath == "/status.json") {
-        const FleetStatus status =
-            scanStatusSource(sourcePath, options);
+        const FleetStatus status = scanStore(storePath);
         *statusCode = status.ok ? 200 : 503;
         *contentType = "application/json";
         *body = json::dump(statusJson(status)) + "\n";
         return true;
     }
     if (httpPath == "/metrics") {
-        const FleetStatus status =
-            scanStatusSource(sourcePath, options);
+        const FleetStatus status = scanStore(storePath);
         if (!status.ok) {
             *statusCode = 503;
             *contentType = "text/plain; charset=utf-8";

@@ -1,39 +1,33 @@
 /**
  * @file
- * Read-only fleet observability over the distributed-queue protocol.
+ * Read-only observability over a campaign's result store.
  *
- * A FleetStatus is one merged snapshot of a running (or finished)
- * campaign, assembled purely by READING what the queue protocol
- * already writes -- the scanner never creates, renames, touches or
- * deletes anything, so pointing `status`/`serve` at a live queue can
- * never perturb the run (DESIGN.md section 4k pins this contract,
- * and the smoke test cmp-verifies the queue bytes around a scan):
+ * A FleetStatus is one snapshot of a running (or finished) campaign,
+ * assembled purely by READING what `run` and `resume` already write --
+ * the scanner never creates, truncates, touches or deletes anything,
+ * so pointing `status`/`serve` at a live run can never perturb it
+ * (DESIGN.md section 4k pins this contract, and the smoke test
+ * cmp-verifies the store and its sidecars around a scan):
  *
- *   queue.json                    identity, shard count and the spec
- *                                 (readQueueManifest)
- *   shard-NNNNNN.jsonl            committed fragments, decoded by the
- *                                 merge's decodeFragment(): done counts,
- *                                 units, failures, detection outcomes
- *   lease-NNNNNN.json             live claims: mtime age vs the lease
- *                                 lifetime -> per-worker liveness
- *   worker-<id>.telemetry.jsonl   volatile per-worker progress: rates,
- *                                 counters and the exact histogram
- *                                 buckets (obs/telemetry.hh codec) that
- *                                 merge into fleet-wide p50/p90/p99
+ *   <out>                     the result store, through loadStore():
+ *                             identity, done shards, units and
+ *                             failures of its shard prefix
+ *   <out>.forensics.jsonl     detection outcomes of the store's shards
+ *                             (loadForensics)
+ *   <out>.telemetry.jsonl     volatile run progress: rates, counters,
+ *                             the exact histogram buckets
+ *                             (obs/telemetry.hh codec) behind the
+ *                             p50/p90/p99, and the sidecar's mtime as
+ *                             the run's heartbeat
  *
- * scanStore reads a single-process run the same way: the store through
- * loadStore(), detection outcomes from the forensics sidecar's records
- * of the store's shards, and `<out>.telemetry.jsonl`. Failures go
- * through the runner's failedSystemsOf(), so both scans total exactly
- * what `merge` would write and `report --format=json` diffs cleanly
- * against a live `/status.json`.
+ * Failures go through the runner's failedSystemsOf(), so the scan
+ * totals exactly what the store's summary records, and `report
+ * --format=json` diffs cleanly against a live `/status.json`.
  *
- * Status tolerates what the merge rejects: a fragment that does not
- * decode (or any fragment of a queue.json without a spec) counts as
- * done and damaged but adds nothing; torn telemetry tails are skipped
- * and counted; a worker whose lease has aged past the lifetime shows
- * as dead. A store follows loadStore()'s rules: corruption is an
- * error, a torn final line is not damage.
+ * The store follows loadStore()'s rules: corruption is an error, a
+ * torn final line is not damage. Telemetry is tolerant: torn or
+ * unknown sidecar lines are skipped and counted, and a run whose
+ * sidecar has not been written for livenessSeconds shows as dead.
  */
 
 #ifndef XED_CAMPAIGN_STATUS_HH
@@ -51,17 +45,17 @@
 namespace xed::campaign
 {
 
+/** A run whose telemetry sidecar is older than this is dead. */
+constexpr double livenessSeconds = 60.0;
+
 /**
- * Liveness classes, derived from the newest heartbeat evidence a
- * worker left behind (lease mtime or telemetry sidecar mtime,
- * whichever is fresher) against the lease lifetime L:
+ * Liveness classes, derived from the age of a run's telemetry sidecar
+ * (its last progress record) against livenessSeconds L:
  *
- *   live     age <= L/2   (workers renew at L/4: at most one missed
- *                          beat -- healthy)
- *   stale    age <= L     (several missed beats; the lease still
- *                          protects its shard, but something is wrong)
- *   dead     age >  L     (the lease is breakable; the worker is gone
- *                          or pathologically stalled)
+ *   live     age <= L/2   (healthy: the progress thread writes every
+ *                          second by default)
+ *   stale    age <= L     (many missed samples; something is wrong)
+ *   dead     age >  L     (the run is gone or pathologically stalled)
  *   done     telemetry ended with a terminal "done" record
  *   aborted  telemetry ended with a terminal "aborted" record
  */
@@ -90,19 +84,16 @@ struct WorkerStatus
     std::uint64_t unitsDone = 0;
     std::uint64_t failedUnits = 0;
     double unitsPerSec = 0;
-    /** Seconds since the freshest heartbeat evidence; absent for a
-     *  finished worker. */
+    /** Seconds since the sidecar was last written; absent for a
+     *  finished run. */
     std::optional<double> heartbeatAgeSeconds;
-    /** Shards this worker currently holds a lease on. */
-    std::vector<std::uint64_t> leasedShards;
 };
 
 struct FleetStatus
 {
     bool ok = false;
     std::string error;
-    std::string source; ///< "queue" or "store"
-    std::string path;   ///< the scanned queue dir / store file
+    std::string path; ///< the scanned store file
 
     std::string name;
     std::string specHash;
@@ -110,63 +101,43 @@ struct FleetStatus
 
     std::uint64_t shardsTotal = 0;
     std::uint64_t shardsDone = 0;
-    std::uint64_t shardsClaimed = 0; ///< leased, not yet committed
     std::uint64_t shardsPending = 0;
 
     /** Exact, from committed shard records: sum of [begin, end). */
     std::uint64_t unitsDone = 0;
-    /** Campaign-wide planned units, from telemetry (absent when no
-     *  sidecar has reported yet). */
+    /** Campaign-wide planned units, from telemetry (absent when the
+     *  sidecar has not reported yet). */
     std::optional<std::uint64_t> unitsTotal;
 
     /** Exact failure totals from committed shard records (identical
-     *  to the merged store's, byte-provenance and all). */
+     *  to the store summary's). */
     std::uint64_t failedUnits = 0;
     std::map<std::string, std::uint64_t> failuresByCell;
     std::map<std::string, std::uint64_t> failuresByType;
     /** Detection-outcome counters aggregated from the forensics
-     *  records (fragment second lines / the forensics sidecar). */
+     *  sidecar's records of the store's shards. */
     std::map<std::string, std::uint64_t> outcomes;
 
-    /** Sum of live/stale workers' last reported rates. */
+    /** The run's last reported rate while it is live or stale. */
     double unitsPerSec = 0;
     std::optional<double> etaSeconds;
 
-    /** Exact cross-worker merges of the telemetry histograms. */
+    /** The telemetry histograms' exact quantiles. */
     HistogramSummary shardSeconds;
     HistogramSummary shardUnitsPerSec;
 
-    std::vector<WorkerStatus> workers; ///< sorted by id
+    /** The run's telemetry sidecar, when it has one. */
+    std::vector<WorkerStatus> workers;
 
     std::uint64_t telemetryFiles = 0;
-    /** Torn/unknown telemetry lines skipped across all sidecars. */
+    /** Torn/unknown telemetry lines skipped. */
     std::uint64_t skippedTelemetryLines = 0;
-    /** Fragments that do not decode (counted, never fatal:
-     *  observability outlives corruption). */
-    std::uint64_t damagedFragments = 0;
 };
 
-struct StatusOptions
-{
-    /** Lease lifetime used to classify worker liveness; must match
-     *  the fleet's --lease-seconds for accurate live/stale/dead
-     *  boundaries (the protocol does not record it in the queue). */
-    double leaseSeconds = 60.0;
-};
-
-/** Snapshot a distributed queue directory. */
-FleetStatus scanQueueDir(const std::string &dir,
-                         const StatusOptions &options);
-
-/** Snapshot a single-process run: the result store plus its
- *  `<out>.telemetry.jsonl` / `<out>.forensics.jsonl` sidecars. */
-FleetStatus scanStore(const std::string &storePath,
-                      const StatusOptions &options);
-
-/** Dispatch on @p path: a directory scans as a queue, a file as a
- *  store (a `<out>.telemetry.jsonl` path is mapped to its store). */
-FleetStatus scanStatusSource(const std::string &path,
-                             const StatusOptions &options);
+/** Snapshot a run: the result store plus its `<out>.telemetry.jsonl`
+ *  and `<out>.forensics.jsonl` sidecars. A `<out>.telemetry.jsonl`
+ *  path is mapped to its store. */
+FleetStatus scanStore(const std::string &storePath);
 
 /** The canonical machine form (`status --json`, `/status.json`,
  *  `report --format=json`): one deterministic key order, exact
@@ -184,12 +155,11 @@ std::string prometheusText(const FleetStatus &status);
 std::string dashboardHtml();
 
 /** Map an HTTP path to the response body for `serve`: `/status.json`,
- *  `/metrics`, `/` (anything else 404s). Re-scans @p sourcePath per
+ *  `/metrics`, `/` (anything else 404s). Re-scans @p storePath per
  *  call, so every response is a fresh snapshot. Returns true when the
  *  path was recognized. */
 bool statusEndpoint(const std::string &httpPath,
-                    const std::string &sourcePath,
-                    const StatusOptions &options, int *status,
+                    const std::string &storePath, int *status,
                     std::string *contentType, std::string *body);
 
 } // namespace xed::campaign

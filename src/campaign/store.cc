@@ -300,7 +300,9 @@ StoreWriter::open(const std::string &path, long long appendAt,
                      std::strerror(errno);
         return false;
     }
-    return true;
+    // A commit's fsync covers the file, not its name: without this a
+    // host crash can lose a fresh file, every committed line with it.
+    return appendAt >= 0 || !durable_ || fsyncParentDir(path, error);
 }
 
 std::size_t

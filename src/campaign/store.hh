@@ -96,10 +96,11 @@ std::optional<ShardResult> decodeShardRecord(const CampaignSpec &spec,
                                              std::string *error);
 
 /**
- * True unless XED_NO_FSYNC=1: whether campaign stores, forensics
- * sidecars and queue lease/fragment files fsync their writes. A store
- * or sidecar commit (StoreWriter::commit) is fsynced before the writer
- * reports its records as written, so the kill-safe "plan prefix + at
+ * True unless XED_NO_FSYNC=1: whether campaign stores and forensics
+ * sidecars fsync their writes. A store or sidecar commit
+ * (StoreWriter::commit) is fsynced before the writer reports its
+ * records as written, and a file StoreWriter::open creates has its
+ * directory entry fsynced first, so the kill-safe "plan prefix + at
  * most one torn line" contract also survives power loss or a host
  * crash, losing at most the commit in flight; benches that only care
  * about throughput can opt out with the environment knob.
@@ -109,8 +110,8 @@ bool durableWritesEnabled();
 /** fsync(2) the file at @p path (data + metadata). */
 bool fsyncPath(const std::string &path, std::string *error);
 
-/** fsync the directory containing @p path, making a just-renamed or
- *  just-created directory entry durable. */
+/** fsync the directory containing @p path, making a just-created
+ *  directory entry durable. */
 bool fsyncParentDir(const std::string &path, std::string *error);
 
 /** Line-oriented appender. A commit's lines reach the file in order,
@@ -126,8 +127,9 @@ class StoreWriter
 
     /** Truncate-and-create (@p appendAt < 0) or reopen for append
      *  after truncating the file to @p appendAt bytes (resume).
-     *  @p durable: fsync each commit (AND-ed with the global
-     *  durableWritesEnabled() knob). */
+     *  @p durable: fsync the directory entry of a created file and
+     *  each commit (AND-ed with the global durableWritesEnabled()
+     *  knob). */
     bool open(const std::string &path, long long appendAt,
               std::string *error, bool durable = true);
     /**
@@ -142,9 +144,7 @@ class StoreWriter
     /** A one-record commit. */
     bool write(const json::Value &record, std::string *error);
     /** A one-line commit of a pre-serialized record (no newline),
-     *  verbatim. The distributed merge streams fragment bytes through
-     *  this so no re-serialization can perturb the store's canonical
-     *  bytes. */
+     *  verbatim. */
     bool writeLine(std::string_view line, std::string *error);
 
   private:

@@ -57,8 +57,7 @@ utcNow()
 
 json::Value
 runMetadata(const std::string &specName, const std::string &hash,
-            unsigned threads, std::uint64_t resumedFromShard,
-            const std::string &workerId)
+            unsigned threads, std::uint64_t resumedFromShard)
 {
     auto record = json::Value::object();
     record.set("type", "run");
@@ -69,8 +68,6 @@ runMetadata(const std::string &specName, const std::string &hash,
     record.set("startedAt", utcNow());
     record.set("threads", threads);
     record.set("resumedFromShard", resumedFromShard);
-    if (!workerId.empty())
-        record.set("worker", workerId);
     record.set("build", buildInfoJson());
     return record;
 }
@@ -198,10 +195,8 @@ ProgressReporter::sample() const
     record.set("shardUnitsPerSec",
                quantilesJson(histogram("shard.unitsPerSec")));
     // The exact sparse buckets ride along with the human-oriented
-    // quantiles: a fleet scanner merges every worker's real buckets
-    // (obs/telemetry.hh) and gets the same p50/p90/p99 one process
-    // observing all samples would report -- averaging per-worker
-    // quantiles could not.
+    // quantiles: the status scanner decodes the real buckets
+    // (obs/telemetry.hh) and reports the run's exact p50/p90/p99.
     const auto buckets = [](const Histogram *h) {
         return h ? obs::histogramJson(*h) : json::Value::array();
     };

@@ -40,14 +40,10 @@
 namespace xed::campaign
 {
 
-/** Volatile run manifest: spec hash + host + git + start time. A
- *  non-empty @p workerId (distributed workers pass their queue
- *  identity) is recorded as "worker" so a fleet's telemetry sidecars
- *  attribute every sample to the process that produced it. */
+/** Volatile run manifest: spec hash + host + git + start time. */
 json::Value runMetadata(const std::string &specName,
                         const std::string &hash, unsigned threads,
-                        std::uint64_t resumedFromShard,
-                        const std::string &workerId = "");
+                        std::uint64_t resumedFromShard);
 
 class ProgressReporter
 {

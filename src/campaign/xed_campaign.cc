@@ -9,18 +9,13 @@
  *   xed_campaign resume <spec.json> [options]   continue a killed run
  *   xed_campaign trace  <spec.json> [options]   run with the trace
  *                                               recorder forced on
- *   xed_campaign worker <spec.json> [options]   join a distributed
- *                                               queue and run shards
- *   xed_campaign merge  <spec.json> [options]   assemble a queue's
- *                                               fragments into the
- *                                               canonical store
  *   xed_campaign report <result.jsonl>          render result tables
  *                                               (--format=json: the
  *                                               canonical status JSON)
- *   xed_campaign status [<path>] [options]      one read-only fleet /
- *                                               store snapshot (human
- *                                               table or --json)
- *   xed_campaign serve  [<path>] [options]      HTTP observer: /,
+ *   xed_campaign status <result.jsonl>          one read-only store
+ *                                               snapshot (human table
+ *                                               or --json)
+ *   xed_campaign serve  <result.jsonl>          HTTP observer: /,
  *                                               /status.json, /metrics
  *   xed_campaign checkjson <file.json>          strict-parse a JSON
  *                                               document (trace smoke)
@@ -41,36 +36,10 @@
  *                           crash may then lose the documented
  *                           durability)
  *
- * Options for worker:
- *   --queue-dir <dir>       shared queue directory (required)
- *   --worker-id <id>        identity in leases/telemetry (default:
- *                           <host>-<pid>)
- *   --lease-seconds <s>     lease lifetime before other workers may
- *                           re-claim a shard (default 60)
- *   --poll-interval <s>     sleep between scans while all pending
- *                           shards are leased out (default 0.2)
- *   --max-shards / --progress-interval / --quiet / --no-forensics /
- *   --no-fsync              as above
- *
- * Options for merge:
- *   --queue-dir <dir>       shared queue directory (required)
- *   --out <file>            result JSONL (default: <name>.jsonl)
- *   --wait                  poll until every fragment exists instead
- *                           of failing fast
- *   --timeout <s>           give up --wait after s seconds (default:
- *                           wait forever)
- *   --poll-interval <s>     fragment poll period (default 0.5)
- *   --no-fsync              as above
- *
- * Options for status/serve (the source is a queue directory or a
- * result store, given positionally or via --queue-dir; both commands
- * are strictly read-only -- they never claim leases or write into the
- * queue):
- *   --queue-dir <dir>       queue directory to observe
- *   --lease-seconds <s>     liveness thresholds: a worker is live
- *                           within s/2 of its last heartbeat, stale
- *                           within s, dead beyond (default 60 --
- *                           match the fleet's --lease-seconds)
+ * Options for status/serve (the source is a result store or its
+ * `<out>.telemetry.jsonl` sidecar; both commands are strictly
+ * read-only -- they never write to the store or its sidecars; a run
+ * whose sidecar is over 60 s old shows as dead):
  *   --json                  status: canonical JSON instead of tables
  *   --watch                 status: refresh until interrupted
  *   --interval <s>          status --watch refresh period (default 2)
@@ -84,10 +53,8 @@
  * Environment: XED_MC_SYSTEMS / XED_TRIALS / XED_MC_SEED override
  * the spec (reflected in the spec hash), XED_MC_THREADS the worker
  * count, XED_TRACE / XED_TRACE_BUFFER the span recorder (run/resume
- * export a trace when XED_TRACE=1; a worker exports to
- * <queue-dir>/worker-<id>.trace.json), XED_NO_FSYNC=1 disables all
- * store, sidecar, fragment and lease fsyncs globally. Malformed values
- * are errors.
+ * export a trace when XED_TRACE=1), XED_NO_FSYNC=1 disables all store
+ * and sidecar fsyncs globally. Malformed values are errors.
  */
 
 #include <chrono>
@@ -102,7 +69,6 @@
 #include "campaign/runner.hh"
 #include "campaign/spec.hh"
 #include "campaign/status.hh"
-#include "campaign/worker.hh"
 #include "common/build_info.hh"
 #include "common/env.hh"
 #include "common/file.hh"
@@ -127,30 +93,13 @@ usage(std::ostream &os)
           "[--no-forensics] [--no-fsync]\n"
           "       xed_campaign resume <spec.json> [same options]\n"
           "       xed_campaign trace  <spec.json> [same options]\n"
-          "       xed_campaign worker <spec.json> --queue-dir <dir>\n"
-          "                           [--worker-id <id>] "
-          "[--lease-seconds <s>]\n"
-          "                           [--poll-interval <s>] "
-          "[--max-shards <n>]\n"
-          "                           [--progress-interval <seconds>] "
-          "[--quiet]\n"
-          "                           [--no-forensics] [--no-fsync]\n"
-          "       xed_campaign merge  <spec.json> --queue-dir <dir>\n"
-          "                           [--out <file>] [--wait] "
-          "[--timeout <s>]\n"
-          "                           [--poll-interval <s>] "
-          "[--no-fsync]\n"
           "       xed_campaign fleet  <spec.json> [run options; spec "
           "kind must be \"fleet\"]\n"
           "       xed_campaign report <result.jsonl> "
           "[--format=<text|json>]\n"
-          "       xed_campaign status [<path>] [--queue-dir <dir>] "
-          "[--json]\n"
-          "                           [--watch] [--interval <s>] "
-          "[--lease-seconds <s>]\n"
-          "       xed_campaign serve  [<path>] [--queue-dir <dir>] "
-          "[--port <n>]\n"
-          "                           [--lease-seconds <s>]\n"
+          "       xed_campaign status <result.jsonl> [--json] [--watch] "
+          "[--interval <s>]\n"
+          "       xed_campaign serve  <result.jsonl> [--port <n>]\n"
           "       xed_campaign checkjson <file.json>\n"
           "       xed_campaign version\n";
     return 2;
@@ -187,8 +136,6 @@ struct CliArgs
     std::string command;
     std::string path;
     RunOptions options;
-    WorkerOptions worker;
-    MergeOptions merge;
     bool dryRun = false;
     bool quiet = false;
     bool explicitOut = false;
@@ -208,9 +155,8 @@ parseArgs(int argc, char **argv, CliArgs &args, std::string &error)
         return false;
     }
     args.command = argv[1];
-    // status/serve take their source from --queue-dir alone; every
-    // other command requires the positional path (enforced after the
-    // parse, where the command is known).
+    // Every command requires the positional path (enforced after the
+    // parse, so a flags-only invocation gets a clear error).
     int first = 2;
     if (argv[2][0] != '-') {
         args.path = argv[2];
@@ -266,7 +212,6 @@ parseArgs(int argc, char **argv, CliArgs &args, std::string &error)
             if (!v)
                 return false;
             args.options.outPath = v;
-            args.merge.outPath = v;
             args.explicitOut = true;
         } else if (flag == "--threads") {
             std::uint64_t threads = 0;
@@ -283,13 +228,11 @@ parseArgs(int argc, char **argv, CliArgs &args, std::string &error)
             if (!u64Value(shards))
                 return false;
             args.options.maxShards = shards;
-            args.worker.maxShards = shards;
         } else if (flag == "--progress-interval") {
             double seconds = 0;
             if (!f64Value(seconds))
                 return false;
             args.options.progressIntervalSeconds = seconds;
-            args.worker.progressIntervalSeconds = seconds;
         } else if (flag == "--trace-out") {
             const char *v = value();
             if (!v)
@@ -297,44 +240,8 @@ parseArgs(int argc, char **argv, CliArgs &args, std::string &error)
             args.options.traceOut = v;
         } else if (flag == "--no-forensics") {
             args.options.forensicsSidecar = false;
-            args.worker.forensics = false;
         } else if (flag == "--no-fsync") {
             args.options.durableStore = false;
-            args.worker.durable = false;
-            args.merge.durable = false;
-        } else if (flag == "--queue-dir") {
-            const char *v = value();
-            if (!v)
-                return false;
-            args.worker.queueDir = v;
-            args.merge.queueDir = v;
-        } else if (flag == "--worker-id") {
-            const char *v = value();
-            if (!v)
-                return false;
-            args.worker.workerId = v;
-        } else if (flag == "--lease-seconds") {
-            double seconds = 0;
-            if (!f64Value(seconds))
-                return false;
-            if (seconds <= 0) {
-                error = flag + ": lease lifetime must be positive";
-                return false;
-            }
-            args.worker.leaseSeconds = seconds;
-        } else if (flag == "--poll-interval") {
-            double seconds = 0;
-            if (!f64Value(seconds))
-                return false;
-            args.worker.pollSeconds = seconds;
-            args.merge.pollSeconds = seconds;
-        } else if (flag == "--wait") {
-            args.merge.waitForFragments = true;
-        } else if (flag == "--timeout") {
-            double seconds = 0;
-            if (!f64Value(seconds))
-                return false;
-            args.merge.timeoutSeconds = seconds;
         } else if (flag == "--json") {
             args.jsonOut = true;
         } else if (flag == "--watch") {
@@ -384,91 +291,10 @@ parseArgs(int argc, char **argv, CliArgs &args, std::string &error)
 }
 
 int
-workerMain(const CampaignSpec &spec, CliArgs &args)
-{
-    if (args.worker.queueDir.empty()) {
-        std::cerr << "xed_campaign: worker requires --queue-dir\n";
-        return usage(std::cerr);
-    }
-    if (!args.quiet)
-        args.worker.progressOut = &std::cerr;
-    const WorkerOutcome outcome = runWorker(spec, args.worker);
-    if (!outcome.ok) {
-        std::cerr << "xed_campaign: " << outcome.error << "\n";
-        return 1;
-    }
-    if (!args.quiet) {
-        std::cerr << "xed_campaign: worker ran " << outcome.shardsRun
-                  << " shards";
-        if (outcome.duplicates)
-            std::cerr << " (" << outcome.duplicates
-                      << " already committed byte-identically)";
-        std::cerr << (outcome.queueDrained ? "; queue drained"
-                                           : "; queue not drained")
-                  << "\n";
-        if (!outcome.tracePath.empty())
-            std::cerr << "xed_campaign: trace -> " << outcome.tracePath
-                      << "\n";
-    }
-    return 0;
-}
-
-int
-mergeMain(const CampaignSpec &spec, CliArgs &args, std::string &error)
-{
-    if (args.merge.queueDir.empty()) {
-        std::cerr << "xed_campaign: merge requires --queue-dir\n";
-        return usage(std::cerr);
-    }
-    if (!args.explicitOut)
-        args.merge.outPath = spec.name + ".jsonl";
-    const MergeOutcome outcome = mergeFragments(spec, args.merge);
-    if (!outcome.ok) {
-        std::cerr << "xed_campaign: " << outcome.error << "\n";
-        return 1;
-    }
-    if (!args.quiet)
-        std::cerr << "xed_campaign: merged " << outcome.shardsMerged
-                  << " shards -> " << args.merge.outPath
-                  << (outcome.forensicsWritten ? " (+ forensics sidecar)"
-                                               : "")
-                  << "\n";
-    if (!printReport(args.merge.outPath, std::cout, &error)) {
-        std::cerr << "xed_campaign: " << error << "\n";
-        return 1;
-    }
-    return 0;
-}
-
-/** The queue dir or store the observability commands read. */
-std::string
-statusSource(const CliArgs &args)
-{
-    if (!args.path.empty())
-        return args.path;
-    return args.worker.queueDir;
-}
-
-StatusOptions
-statusOptionsOf(const CliArgs &args)
-{
-    StatusOptions options;
-    options.leaseSeconds = args.worker.leaseSeconds;
-    return options;
-}
-
-int
 statusMain(const CliArgs &args)
 {
-    const std::string source = statusSource(args);
-    if (source.empty()) {
-        std::cerr << "xed_campaign: status requires a queue directory "
-                     "or result store (positional or --queue-dir)\n";
-        return usage(std::cerr);
-    }
-    const StatusOptions options = statusOptionsOf(args);
     for (;;) {
-        const FleetStatus status = scanStatusSource(source, options);
+        const FleetStatus status = scanStore(args.path);
         if (args.jsonOut) {
             std::cout << json::dump(statusJson(status)) << "\n";
         } else {
@@ -500,19 +326,12 @@ serveStopHandler(int)
 int
 serveMain(const CliArgs &args)
 {
-    const std::string source = statusSource(args);
-    if (source.empty()) {
-        std::cerr << "xed_campaign: serve requires a queue directory "
-                     "or result store (positional or --queue-dir)\n";
-        return usage(std::cerr);
-    }
-    const StatusOptions options = statusOptionsOf(args);
+    const std::string source = args.path;
     static obs::HttpServer server;
     std::string error;
-    const auto handler = [source,
-                          options](const std::string &path) {
+    const auto handler = [source](const std::string &path) {
         obs::HttpResponse response;
-        if (!statusEndpoint(path, source, options, &response.status,
+        if (!statusEndpoint(path, source, &response.status,
                             &response.contentType, &response.body))
             response = obs::httpNotFound(path);
         return response;
@@ -555,26 +374,23 @@ main(int argc, char **argv)
         return usage(std::cerr);
     }
 
-    // The observability commands are the only ones whose source may
-    // come from --queue-dir instead of the positional path.
-    if (args.command == "status")
-        return statusMain(args);
-    if (args.command == "serve")
-        return serveMain(args);
     if (args.path.empty()) {
         // Flags-only invocation of a command that needs its
         // positional path (e.g. `run --dry-run`).
         std::cerr << "xed_campaign: missing path argument\n";
         return usage(std::cerr);
     }
+    if (args.command == "status")
+        return statusMain(args);
+    if (args.command == "serve")
+        return serveMain(args);
 
     if (args.command == "report") {
         if (args.format == "json") {
             // The same canonical schema `status --json` and the
             // server's /status.json emit, so post-run reports diff
             // cleanly against live snapshots.
-            const FleetStatus status =
-                scanStore(args.path, statusOptionsOf(args));
+            const FleetStatus status = scanStore(args.path);
             std::cout << json::dump(statusJson(status)) << "\n";
             if (!status.ok)
                 std::cerr << "xed_campaign: " << status.error << "\n";
@@ -589,8 +405,7 @@ main(int argc, char **argv)
     if (args.command == "checkjson")
         return checkJson(args.path);
     if (args.command != "run" && args.command != "fleet" &&
-        args.command != "resume" && args.command != "trace" &&
-        args.command != "worker" && args.command != "merge") {
+        args.command != "resume" && args.command != "trace") {
         std::cerr << "xed_campaign: unknown command \"" << args.command
                   << "\"\n";
         return usage(std::cerr);
@@ -618,11 +433,6 @@ main(int argc, char **argv)
         printPlan(*spec, std::cout);
         return 0;
     }
-
-    if (args.command == "worker")
-        return workerMain(*spec, args);
-    if (args.command == "merge")
-        return mergeMain(*spec, args, error);
 
     args.options.resume = args.command == "resume";
     args.options.trace = args.command == "trace";

@@ -52,7 +52,7 @@ parseU64(std::string_view text)
  * Parse a full string as a finite base-10 double. Returns nullopt for
  * anything else: empty input, leading/trailing junk or whitespace,
  * hex floats, inf/nan. The CLI routes every fractional option
- * (--progress-interval, --lease-seconds, ...) through this so
+ * (--progress-interval, --interval) through this so
  * "--progress-interval abc" is a usage error instead of silently
  * becoming 0.0 the way a bare strtod would make it.
  */

@@ -16,8 +16,7 @@
  * exactly, plus the standard obs::FailureAttribution breakdown.
  *
  * Determinism contract (what makes fleet runs shard-cut invariant,
- * byte-identical across thread counts, and mergeable over the
- * distributed queue):
+ * byte-identical across thread counts, interrupts and resumes):
  *
  *  - Every fleet SLOT (a physical socket that holds a succession of
  *    DIMMs as replacements happen) owns the counter-based RNG stream

@@ -2,17 +2,16 @@
  * @file
  * Tolerant telemetry-sidecar reading and the histogram wire codec.
  *
- * Telemetry sidecars (`<out>.telemetry.jsonl`, the per-worker
- * `worker-<id>.telemetry.jsonl` files of a distributed queue) are
- * append-only JSONL streams written by live processes that may be
- * SIGKILLed mid-append. A reader therefore has to tolerate exactly
+ * Telemetry sidecars (`<out>.telemetry.jsonl`) are append-only JSONL
+ * streams written by live processes that may be SIGKILLed
+ * mid-append. A reader therefore has to tolerate exactly
  * the damage the store's resume path tolerates: a torn final line.
  * It also has to tolerate records it does not know -- the sidecar
  * schema grows (new record types, new keys) and an old dashboard
- * pointed at a new fleet must degrade gracefully, never error.
+ * pointed at a new run must degrade gracefully, never error.
  *
  * readTelemetryRecords() implements that contract once, shared by the
- * fleet status scanner, the HTTP endpoints and the tests: every
+ * status scanner, the HTTP endpoints and the tests: every
  * well-formed JSON *object* line is returned in file order; a torn or
  * otherwise unparseable line and any non-object line are skipped and
  * counted, not fatal. Only a file that cannot be opened or read at all
@@ -21,12 +20,9 @@
  * The histogram codec serializes a common/metrics Histogram as its
  * sparse nonzero buckets -- `[[bucketIndex, count], ...]` in ascending
  * index order -- which round-trips exactly (integer counts, integer
- * indices). Because Histogram::merge is plain per-bucket addition,
- * decoding every worker's encoded histogram and merging gives the
- * *exact* histogram a single process observing all samples would
- * hold: fleet-wide p50/p90/p99 come from real merged buckets, not
- * from averaging per-worker quantiles (which is statistically
- * meaningless).
+ * indices), so the status scanner's p50/p90/p99 come from the run's
+ * real buckets. Decoding adds counts, so decoding several payloads
+ * into one histogram is their exact Histogram::merge.
  */
 
 #ifndef XED_OBS_TELEMETRY_HH
@@ -53,8 +49,8 @@ struct TelemetryRecords
     /** Torn, unparseable or non-object lines skipped (a kill
      *  mid-append tears at most the final line; more than one skip
      *  means genuine corruption, which is still not fatal here --
-     *  observability must not go down because one worker's sidecar
-     *  is damaged). */
+     *  observability must not go down because a sidecar is
+     *  damaged). */
     std::uint64_t skippedLines = 0;
 };
 
@@ -74,8 +70,8 @@ bool recordIsType(const json::Value &record, std::string_view type);
 json::Value histogramJson(const Histogram &histogram);
 
 /** Decode histogramJson() output, ADDING counts into @p histogram
- *  (so decoding N worker payloads into one histogram is the exact
- *  N-way Histogram::merge). Returns false on a malformed payload
+ *  (so decoding N payloads into one histogram is the exact N-way
+ *  Histogram::merge). Returns false on a malformed payload
  *  (wrong shape, out-of-range bucket index); @p histogram then holds
  *  whatever prefix was applied. */
 bool histogramFromJson(const json::Value &payload, Histogram &histogram);

@@ -44,20 +44,6 @@ TraceRecorder::instance()
     return recorder;
 }
 
-void
-TraceRecorder::setProcessLabel(const std::string &label)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    processLabel_ = label;
-}
-
-std::string
-TraceRecorder::processLabel() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return processLabel_;
-}
-
 TraceBuffer &
 TraceRecorder::buffer()
 {
@@ -126,18 +112,6 @@ TraceRecorder::toJson() const
                      });
 
     auto traceEvents = json::Value::array();
-    if (!processLabel_.empty()) {
-        // Chrome-trace metadata record: names this process in the
-        // viewer so merged multi-worker traces stay attributable.
-        auto meta = json::Value::object();
-        meta.set("name", "process_name");
-        meta.set("ph", "M");
-        meta.set("pid", 1);
-        auto args = json::Value::object();
-        args.set("name", processLabel_);
-        meta.set("args", std::move(args));
-        traceEvents.push(std::move(meta));
-    }
     for (const auto &[event, tid] : events) {
         auto entry = json::Value::object();
         entry.set("name", event->name);
@@ -161,8 +135,6 @@ TraceRecorder::toJson() const
     auto other = json::Value::object();
     other.set("droppedEvents", dropped);
     other.set("capacityPerThread", std::uint64_t{capacity_});
-    if (!processLabel_.empty())
-        other.set("process", processLabel_);
     doc.set("otherData", std::move(other));
     return doc;
 }

@@ -121,16 +121,6 @@ class TraceRecorder
         enabled_.store(on, std::memory_order_relaxed);
     }
 
-    /**
-     * Label this process in exported traces (Chrome-trace
-     * "process_name" metadata + otherData.process). Distributed
-     * campaign workers set their queue worker id here so a merged
-     * Perfetto view of N worker traces attributes every span to the
-     * worker that recorded it. Empty (the default) emits no metadata.
-     */
-    void setProcessLabel(const std::string &label);
-    std::string processLabel() const;
-
     /** Nanoseconds since the recorder was constructed. */
     std::uint64_t
     nowNs() const
@@ -172,7 +162,6 @@ class TraceRecorder
     std::chrono::steady_clock::time_point epoch_;
     mutable std::mutex mutex_; ///< guards buffers_ registration/export
     std::vector<std::unique_ptr<TraceBuffer>> buffers_;
-    std::string processLabel_; ///< guarded by mutex_
 };
 
 /**

@@ -2,8 +2,7 @@
  * @file
  * Fleet campaigns through the full campaign machinery: byte-identical
  * stores across thread counts, resume after an interrupt, the shard
- * payload (de)serialization round trip, distributed worker/merge
- * byte-identity, and report rendering.
+ * payload (de)serialization round trip, and report rendering.
  */
 
 #include <filesystem>
@@ -12,7 +11,6 @@
 #include <sstream>
 
 #include "campaign/runner.hh"
-#include "campaign/worker.hh"
 #include "tests/support/temp_path.hh"
 
 using namespace xed;
@@ -164,51 +162,9 @@ TEST(FleetCampaign, ShardPayloadRoundTripsThroughJson)
                   b.attribution.byClassKinds);
         EXPECT_EQ(a.attribution.byOutcome, b.attribution.byOutcome);
     }
-    // Re-encoding the decoded payload reproduces the record exactly
-    // (the distributed merge relies on byte-stable shard records).
+    // Re-encoding the decoded payload reproduces the record exactly.
     EXPECT_EQ(json::dump(shardRecord(spec, plan.tasks[0], decoded)),
               json::dump(record));
-}
-
-TEST(FleetCampaign, WorkersAndMergeReproduceSingleProcessBytes)
-{
-    const auto spec = fleetSpec();
-    const auto single = ownTempPath("fleet_single.jsonl");
-    const auto merged = ownTempPath("fleet_merged.jsonl");
-    const auto queueDir = ownTempPath("fleet_queue");
-    removeIfPresent(single);
-    removeIfPresent(merged);
-    std::filesystem::remove_all(queueDir);
-
-    ASSERT_TRUE(runCampaign(spec, storeOptions(single, 2)).ok);
-
-    WorkerOptions workerOptions;
-    workerOptions.queueDir = queueDir;
-    workerOptions.telemetrySidecar = false;
-    workerOptions.workerId = "w1";
-    workerOptions.maxShards = 2;
-    const auto w1 = runWorker(spec, workerOptions);
-    ASSERT_TRUE(w1.ok) << w1.error;
-    EXPECT_EQ(w1.shardsRun, 2u);
-
-    workerOptions.workerId = "w2";
-    workerOptions.maxShards = 0;
-    const auto w2 = runWorker(spec, workerOptions);
-    ASSERT_TRUE(w2.ok) << w2.error;
-    EXPECT_TRUE(w2.queueDrained);
-
-    MergeOptions mergeOptions;
-    mergeOptions.queueDir = queueDir;
-    mergeOptions.outPath = merged;
-    const auto m = mergeFragments(spec, mergeOptions);
-    ASSERT_TRUE(m.ok) << m.error;
-    EXPECT_EQ(m.shardsMerged, 5u);
-    EXPECT_FALSE(m.forensicsWritten);
-
-    EXPECT_EQ(slurp(single), slurp(merged));
-    removeIfPresent(single);
-    removeIfPresent(merged);
-    std::filesystem::remove_all(queueDir);
 }
 
 TEST(FleetCampaign, SummaryCarriesFleetTimeSeries)

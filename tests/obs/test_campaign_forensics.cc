@@ -356,17 +356,6 @@ TEST(ProgressReporter, EtaOmittedWhenAllUnitsWereReplayed)
     EXPECT_EQ(record.find("etaSeconds"), nullptr);
 }
 
-TEST(RunMetadata, RecordsWorkerProvenanceOnlyWhenGiven)
-{
-    const auto plain = runMetadata("probe", "hash", 2, 0);
-    EXPECT_EQ(plain.find("worker"), nullptr);
-
-    const auto tagged = runMetadata("probe", "hash", 1, 0, "host-77");
-    const json::Value *worker = tagged.find("worker");
-    ASSERT_NE(worker, nullptr);
-    EXPECT_EQ(worker->asString(), "host-77");
-}
-
 } // namespace
 } // namespace xed::campaign
 

@@ -1,27 +1,25 @@
 /**
  * @file
- * Fleet observability end to end (campaign/status.hh):
+ * Store observability end to end (campaign/status.hh):
  *
- *  - a real 4-worker queue directory scans to exactly the shard,
- *    unit and failure totals the single-process run of the same spec
- *    reports (the acceptance contract: status is derived from the
- *    same committed bytes the merge uses),
- *  - a worker whose lease mtime is back-dated beyond the lease
- *    lifetime classifies dead; a fresh lease classifies live,
- *  - fleet-wide shard-time quantiles come from exact cross-worker
- *    histogram merges (synthetic sidecars vs a reference histogram),
- *  - scanning is strictly read-only: every byte of the queue is
- *    identical before and after,
+ *  - for every campaign kind, a store scans to exactly the units,
+ *    failures by cell and by type, and detection outcomes that the
+ *    store's own summary record and its forensics sidecar hold,
+ *  - scanning is strictly read-only: the store and its sidecars are
+ *    byte-identical before and after,
+ *  - a run whose telemetry sidecar has no terminal record is dead once
+ *    the sidecar is 10 minutes old and live while it is fresh, and a
+ *    resume is judged by its own records, not by the terminal record
+ *    of the run it continues,
+ *  - shard-time quantiles come from the sidecar's exact histogram
+ *    buckets, and a torn sidecar tail is skipped and counted,
  *  - /metrics renders valid Prometheus text exposition (validated by
  *    a grammar checker, not substring luck),
  *  - the serve endpoints answer over a real socket on an ephemeral
  *    port: /status.json parses, /metrics validates, junk 404s, and an
  *    idle connection does not stall the requests behind it, and
- *  - shard and lease names too large for a u64 are skipped, not
- *    fatal, and
- *  - a fragment the merge would reject (malformed payload, a shard
- *    record off its plan task) is counted damaged and adds nothing,
- *    while a store's torn final line is not damage at all.
+ *  - a store's torn final line is not damage, while a corrupt middle
+ *    line, a missing store and a directory are clean errors.
  */
 
 #include <gtest/gtest.h>
@@ -32,7 +30,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -48,11 +45,11 @@
 
 #include "campaign/runner.hh"
 #include "campaign/status.hh"
-#include "campaign/worker.hh"
 #include "common/json.hh"
 #include "common/metrics.hh"
 #include "obs/http.hh"
 #include "obs/telemetry.hh"
+#include "obs/trace.hh"
 #include "tests/support/temp_path.hh"
 
 using namespace xed;
@@ -64,18 +61,25 @@ namespace
 namespace fs = std::filesystem;
 
 CampaignSpec
-statusSpec()
+specFrom(const char *text)
 {
     std::string error;
-    auto doc = json::parse(R"({
-        "name": "status-test", "seed": 7171,
-        "schemes": ["secded", "xed"],
-        "systems": 600, "shardSystems": 100
-    })",
-                           &error);
+    auto doc = json::parse(text, &error);
+    EXPECT_TRUE(doc) << error;
     auto spec = parseSpec(*doc, &error);
     EXPECT_TRUE(spec) << error;
     return *spec;
+}
+
+/** 2 schemes x 600 systems in shards of 100: 12 shards. */
+CampaignSpec
+statusSpec()
+{
+    return specFrom(R"({
+        "name": "status-test", "seed": 7171,
+        "schemes": ["secded", "xed"],
+        "systems": 600, "shardSystems": 100
+    })");
 }
 
 std::string
@@ -87,33 +91,125 @@ freshDir(const std::string &name)
     return dir;
 }
 
-/** Drain the queue with @p n sequential workers, telemetry on. */
-void
-runFleet(const CampaignSpec &spec, const std::string &queueDir,
-         unsigned n, std::uint64_t maxShardsEach = 0)
+/** Run @p spec into `<dir>/out.jsonl` with its sidecars; returns the
+ *  store path. */
+std::string
+runStore(const CampaignSpec &spec, const std::string &dir,
+         std::uint64_t maxShards = 0)
 {
-    for (unsigned w = 0; w < n; ++w) {
-        WorkerOptions options;
-        options.queueDir = queueDir;
-        options.workerId = "w" + std::to_string(w);
-        options.pollSeconds = 0.01;
-        options.maxShards = maxShardsEach;
-        options.durable = false;
-        const WorkerOutcome outcome = runWorker(spec, options);
-        ASSERT_TRUE(outcome.ok) << outcome.error;
+    RunOptions options;
+    options.outPath = dir + "/out.jsonl";
+    options.threads = 2;
+    options.maxShards = maxShards;
+    options.durableStore = false;
+    const RunOutcome outcome = runCampaign(spec, options);
+    EXPECT_TRUE(outcome.ok) << outcome.error;
+    return options.outPath;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
+}
+
+std::vector<json::Value>
+jsonLines(const std::string &path)
+{
+    std::vector<json::Value> records;
+    std::istringstream in(slurp(path));
+    std::string line;
+    while (std::getline(in, line)) {
+        auto record = json::parse(line);
+        EXPECT_TRUE(record) << line;
+        if (record)
+            records.push_back(std::move(*record));
     }
+    return records;
+}
+
+bool
+isType(const json::Value &record, const char *type)
+{
+    const json::Value *t = record.find("type");
+    return t && t->isString() && t->asString() == type;
+}
+
+using Counts = std::map<std::string, std::uint64_t>;
+
+void
+addCounts(const json::Value *object, Counts &counts)
+{
+    ASSERT_NE(object, nullptr);
+    for (const auto &[key, value] : object->members())
+        counts[key] += value.asUint();
+}
+
+/** What a finished store's own records say the scan must total. */
+struct StoreTotals
+{
+    std::uint64_t units = 0;
+    Counts byCell, byType, outcomes;
+};
+
+StoreTotals
+totalsFromRecords(const CampaignSpec &spec, const std::string &store)
+{
+    StoreTotals totals;
+    for (const json::Value &record : jsonLines(store)) {
+        if (isType(record, "shard") && spec.kind == CampaignKind::Fleet)
+            for (const json::Value &cohort :
+                 record.find("result")->find("cohorts")->items())
+                addCounts(cohort.find("outcomes"), totals.outcomes);
+        if (!isType(record, "summary"))
+            continue;
+        const json::Value *metrics = record.find("metrics");
+        totals.units = metrics->find("unitsSimulated")->asUint();
+        addCounts(metrics->find("failures"), totals.byCell);
+        for (const json::Value &cell : record.find("results")->items()) {
+            if (spec.kind == CampaignKind::Reliability) {
+                addCounts(cell.find("failureTypes"), totals.byType);
+            } else if (spec.kind == CampaignKind::Detection) {
+                totals.byType["escape"] +=
+                    cell.find("trials")->asUint() -
+                    cell.find("detected")->asUint();
+            } else {
+                for (const json::Value &cohort :
+                     cell.find("fleet")->find("cohorts")->items()) {
+                    totals.byType["due"] += cohort.find("due")->asUint();
+                    totals.byType["sdc"] += cohort.find("sdc")->asUint();
+                }
+            }
+        }
+    }
+    if (spec.kind == CampaignKind::Reliability)
+        for (const json::Value &record :
+             jsonLines(store + ".forensics.jsonl"))
+            if (isType(record, "forensics-summary"))
+                addCounts(record.find("outcomes"), totals.outcomes);
+    return totals;
 }
 
 std::map<std::string, std::string>
 snapshotDir(const std::string &dir)
 {
     std::map<std::string, std::string> bytes;
-    for (const auto &entry : fs::directory_iterator(dir)) {
-        std::ifstream in(entry.path(), std::ios::binary);
-        bytes[entry.path().filename().string()] = {
-            std::istreambuf_iterator<char>(in), {}};
-    }
+    for (const auto &entry : fs::directory_iterator(dir))
+        bytes[entry.path().filename().string()] =
+            slurp(entry.path().string());
     return bytes;
+}
+
+/** Rewrite @p path without its last line. */
+void
+dropLastLine(const std::string &path)
+{
+    std::string bytes = slurp(path);
+    ASSERT_FALSE(bytes.empty());
+    bytes.pop_back(); // the final newline
+    bytes.resize(bytes.rfind('\n') + 1);
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
 }
 
 /**
@@ -201,95 +297,12 @@ validatePrometheus(const std::string &text)
 
 } // namespace
 
-TEST(FleetStatus, FourWorkerQueueMatchesSingleProcessRun)
+TEST(FleetStatus, StoreScanMatchesItsSummaryForEveryKind)
 {
-    const CampaignSpec spec = statusSpec();
-    const std::string dir = freshDir("four");
-    const std::string queueDir = dir + "/queue";
-    // 12 shards, 4 workers, 3 shards each: every worker commits work.
-    runFleet(spec, queueDir, 4, 3);
-
-    // The single-process reference run of the same spec.
-    RunOptions options;
-    options.outPath = dir + "/single.jsonl";
-    options.threads = 2;
-    options.durableStore = false;
-    const RunOutcome outcome = runCampaign(spec, options);
-    ASSERT_TRUE(outcome.ok) << outcome.error;
-    ASSERT_TRUE(outcome.complete);
-
-    const StatusOptions statusOptions;
-    const FleetStatus queue = scanQueueDir(queueDir, statusOptions);
-    ASSERT_TRUE(queue.ok) << queue.error;
-    const FleetStatus store =
-        scanStore(options.outPath, statusOptions);
-    ASSERT_TRUE(store.ok) << store.error;
-
-    // Exact agreement between the live queue view and the
-    // single-process run: same committed bytes, same totals.
-    EXPECT_EQ(queue.name, spec.name);
-    EXPECT_EQ(queue.specHash, store.specHash);
-    EXPECT_TRUE(queue.complete);
-    EXPECT_TRUE(store.complete);
-    EXPECT_EQ(queue.shardsTotal, 12u);
-    EXPECT_EQ(queue.shardsDone, 12u);
-    EXPECT_EQ(queue.shardsClaimed, 0u);
-    EXPECT_EQ(queue.shardsPending, 0u);
-    EXPECT_EQ(store.shardsDone, queue.shardsDone);
-    EXPECT_EQ(queue.unitsDone, 1200u); // 600 systems x 2 schemes
-    EXPECT_EQ(store.unitsDone, queue.unitsDone);
-    EXPECT_EQ(store.failedUnits, queue.failedUnits);
-    EXPECT_EQ(store.failuresByCell, queue.failuresByCell);
-    EXPECT_EQ(store.failuresByType, queue.failuresByType);
-    EXPECT_EQ(store.outcomes, queue.outcomes);
-
-    // Four telemetry sidecars, all terminal, every shard accounted.
-    EXPECT_EQ(queue.telemetryFiles, 4u);
-    EXPECT_EQ(queue.workers.size(), 4u);
-    std::uint64_t shardsByWorkers = 0;
-    for (const WorkerStatus &worker : queue.workers) {
-        EXPECT_EQ(worker.liveness, WorkerLiveness::Done) << worker.id;
-        shardsByWorkers += worker.shardsDone;
-    }
-    EXPECT_EQ(shardsByWorkers, 12u);
-    // Exact merged histogram: one sample per committed shard.
-    EXPECT_EQ(queue.shardSeconds.count, 12u);
-    EXPECT_EQ(queue.shardUnitsPerSec.count, 12u);
-
-    // The canonical JSON agrees field-for-field where both sides are
-    // derived from committed bytes.
-    const json::Value a = statusJson(queue);
-    const json::Value b = statusJson(store);
-    EXPECT_EQ(*a.find("specHash"), *b.find("specHash"));
-    EXPECT_EQ(*a.find("shards"), *b.find("shards"));
-    EXPECT_EQ(*a.find("failures"), *b.find("failures"));
-    EXPECT_EQ(a.find("units")->find("done")->asUint(),
-              b.find("units")->find("done")->asUint());
-}
-
-namespace
-{
-
-CampaignSpec
-specFrom(const char *text)
-{
-    std::string error;
-    auto doc = json::parse(text, &error);
-    EXPECT_TRUE(doc) << error;
-    auto spec = parseSpec(*doc, &error);
-    EXPECT_TRUE(spec) << error;
-    return *spec;
-}
-
-} // namespace
-
-TEST(FleetStatus, QueueAndStoreAgreeForEveryKind)
-{
-    // One spec per campaign kind, each drained by a 2-worker queue and
-    // run once in a single process: a reliability spec with forensics,
+    // One spec per campaign kind: a reliability spec with forensics,
     // a shrunk specs/table2.json and a shrunk specs/fleet_smoke.json.
-    // Both scans must report the same totals, failure breakdown and
-    // detection outcomes.
+    // The scan must total what the store's summary record and its
+    // forensics sidecar record.
     const std::vector<CampaignSpec> specs = {
         statusSpec(),
         specFrom(R"({
@@ -323,43 +336,39 @@ TEST(FleetStatus, QueueAndStoreAgreeForEveryKind)
     };
     for (const CampaignSpec &spec : specs) {
         SCOPED_TRACE(spec.name);
-        const std::string dir = freshDir("kind_" + spec.name);
-        const std::string queueDir = dir + "/queue";
+        const std::string store =
+            runStore(spec, freshDir("kind_" + spec.name));
         const std::uint64_t shards = buildPlan(spec).tasks.size();
-        // Both workers commit: the first stops after half the plan.
-        runFleet(spec, queueDir, 2, (shards + 1) / 2);
 
-        RunOptions options;
-        options.outPath = dir + "/single.jsonl";
-        options.threads = 2;
-        options.durableStore = false;
-        const RunOutcome outcome = runCampaign(spec, options);
-        ASSERT_TRUE(outcome.ok) << outcome.error;
-        ASSERT_TRUE(outcome.complete);
+        const FleetStatus status = scanStore(store);
+        ASSERT_TRUE(status.ok) << status.error;
+        EXPECT_EQ(status.name, spec.name);
+        EXPECT_EQ(status.specHash, specHash(spec));
+        EXPECT_TRUE(status.complete);
+        EXPECT_EQ(status.shardsTotal, shards);
+        EXPECT_EQ(status.shardsDone, shards);
+        EXPECT_EQ(status.shardsPending, 0u);
 
-        const FleetStatus queue = scanQueueDir(queueDir, StatusOptions{});
-        ASSERT_TRUE(queue.ok) << queue.error;
-        const FleetStatus store =
-            scanStore(options.outPath, StatusOptions{});
-        ASSERT_TRUE(store.ok) << store.error;
-        EXPECT_EQ(queue.shardsDone, shards);
-        EXPECT_EQ(queue.damagedFragments, 0u);
-
-        const json::Value a = statusJson(queue);
-        const json::Value b = statusJson(store);
-        EXPECT_EQ(*a.find("specHash"), *b.find("specHash"));
-        EXPECT_EQ(*a.find("shards"), *b.find("shards"));
-        EXPECT_EQ(*a.find("units")->find("done"),
-                  *b.find("units")->find("done"));
-        EXPECT_EQ(*a.find("failures"), *b.find("failures"))
-            << json::dump(*a.find("failures")) << "\nvs\n"
-            << json::dump(*b.find("failures"));
+        const StoreTotals totals = totalsFromRecords(spec, store);
+        EXPECT_EQ(status.unitsDone, totals.units);
+        EXPECT_EQ(status.failuresByCell, totals.byCell);
+        EXPECT_EQ(status.failuresByType, totals.byType);
+        EXPECT_EQ(status.outcomes, totals.outcomes);
         // Each kind's own failure path was exercised, not just zeros.
-        EXPECT_GT(queue.failedUnits, 0u);
-        EXPECT_FALSE(queue.failuresByType.empty());
+        EXPECT_GT(status.failedUnits, 0u);
+        EXPECT_FALSE(status.failuresByType.empty());
         if (spec.kind != CampaignKind::Detection) {
-            EXPECT_FALSE(queue.outcomes.empty());
+            EXPECT_FALSE(status.outcomes.empty());
         }
+
+        // One terminal sidecar; its histograms hold one sample per
+        // shard.
+        EXPECT_EQ(status.telemetryFiles, 1u);
+        ASSERT_EQ(status.workers.size(), 1u);
+        EXPECT_EQ(status.workers[0].liveness, WorkerLiveness::Done);
+        EXPECT_EQ(status.workers[0].shardsDone, shards);
+        EXPECT_EQ(status.shardSeconds.count, shards);
+        EXPECT_EQ(status.shardUnitsPerSec.count, shards);
     }
 }
 
@@ -367,112 +376,21 @@ TEST(FleetStatus, ScanIsStrictlyReadOnly)
 {
     const CampaignSpec spec = statusSpec();
     const std::string dir = freshDir("readonly");
-    const std::string queueDir = dir + "/queue";
-    runFleet(spec, queueDir, 2, 0);
+    RunOptions options;
+    options.outPath = dir + "/out.jsonl";
+    options.threads = 2;
+    options.durableStore = false;
+    options.trace = true; // the third sidecar: <out>.trace.json
+    const RunOutcome outcome = runCampaign(spec, options);
+    obs::TraceRecorder::instance().setEnabled(false);
+    obs::TraceRecorder::instance().clear();
+    ASSERT_TRUE(outcome.ok) << outcome.error;
 
-    const auto before = snapshotDir(queueDir);
-    const FleetStatus status = scanQueueDir(queueDir, StatusOptions{});
+    const auto before = snapshotDir(dir);
+    ASSERT_EQ(before.size(), 4u); // the store and three sidecars
+    const FleetStatus status = scanStore(options.outPath);
     ASSERT_TRUE(status.ok) << status.error;
-    const auto after = snapshotDir(queueDir);
-    EXPECT_EQ(before, after); // same files, byte-identical contents
-}
-
-TEST(FleetStatus, OversizedIndexNamesAreSkipped)
-{
-    // Shard and lease names whose number does not fit a u64 are not
-    // names the queue writes: the scan skips them like any other
-    // foreign file instead of aborting.
-    const CampaignSpec spec = statusSpec();
-    const std::string dir = freshDir("oversized");
-    const std::string queueDir = dir + "/queue";
-    runFleet(spec, queueDir, 2, 0);
-    const FleetStatus before = scanQueueDir(queueDir, StatusOptions{});
-    ASSERT_TRUE(before.ok) << before.error;
-
-    const std::string huge = "99999999999999999999999";
-    std::ofstream(queueDir + "/shard-" + huge + ".jsonl");
-    std::ofstream lease(queueDir + "/lease-" + huge + ".json");
-    lease << R"({"worker": "w9", "shard": 0})" << "\n";
-    lease.close();
-
-    const FleetStatus after = scanQueueDir(queueDir, StatusOptions{});
-    ASSERT_TRUE(after.ok) << after.error;
-    EXPECT_EQ(statusJson(after), statusJson(before));
-}
-
-namespace
-{
-
-/** Rewrite the shard record (first line) of a committed fragment. */
-void
-editShardLine(const std::string &fragment,
-              const std::function<void(json::Value &)> &edit)
-{
-    std::string first, rest;
-    {
-        std::ifstream in(fragment, std::ios::binary);
-        std::getline(in, first);
-        rest.assign(std::istreambuf_iterator<char>(in), {});
-    }
-    auto record = json::parse(first);
-    ASSERT_TRUE(record);
-    edit(*record);
-    std::ofstream out(fragment, std::ios::binary | std::ios::trunc);
-    out << json::dump(*record) << '\n' << rest;
-}
-
-} // namespace
-
-TEST(FleetStatus, MalformedFragmentPayloadIsDamage)
-{
-    const CampaignSpec spec = statusSpec();
-    const std::string dir = freshDir("blank_payload");
-    const std::string queueDir = dir + "/queue";
-    runFleet(spec, queueDir, 2, 0);
-    const std::string fragment = queueDir + "/shard-000003.jsonl";
-    editShardLine(fragment, [](json::Value &record) {
-        auto payload = json::Value::object();
-        payload.set("failByYear", json::Value::array());
-        payload.set("failureTypes", json::Value::object());
-        record.set("result", std::move(payload));
-    });
-
-    MergeOptions merge;
-    merge.queueDir = queueDir;
-    merge.outPath = dir + "/merged.jsonl";
-    merge.durable = false;
-    const MergeOutcome merged = mergeFragments(spec, merge);
-    EXPECT_FALSE(merged.ok);
-    EXPECT_NE(merged.error.find("shard-000003.jsonl"), std::string::npos)
-        << merged.error;
-
-    // Status counts the fragment done and damaged, and, like the merge,
-    // takes nothing from it: 11 of 12 shards' units.
-    const FleetStatus status = scanQueueDir(queueDir, StatusOptions{});
-    ASSERT_TRUE(status.ok) << status.error;
-    EXPECT_EQ(status.shardsDone, 12u);
-    EXPECT_EQ(status.damagedFragments, 1u);
-    EXPECT_EQ(status.unitsDone, 1100u);
-}
-
-TEST(FleetStatus, FragmentOffItsPlanTaskIsDamage)
-{
-    const CampaignSpec spec = statusSpec();
-    const std::string dir = freshDir("off_plan");
-    const std::string queueDir = dir + "/queue";
-    runFleet(spec, queueDir, 2, 0);
-    // Shard 3 covers systems [300, 400) of its cell; claim [0, 100).
-    editShardLine(queueDir + "/shard-000003.jsonl",
-                  [](json::Value &record) {
-                      record.set("begin", std::uint64_t{0});
-                      record.set("end", std::uint64_t{100});
-                  });
-
-    const FleetStatus status = scanQueueDir(queueDir, StatusOptions{});
-    ASSERT_TRUE(status.ok) << status.error;
-    EXPECT_EQ(status.shardsDone, 12u);
-    EXPECT_EQ(status.damagedFragments, 1u);
-    EXPECT_EQ(status.unitsDone, 1100u);
+    EXPECT_EQ(before, snapshotDir(dir)); // byte-identical contents
 }
 
 TEST(FleetStatus, TornStoreTailIsNotDamage)
@@ -480,82 +398,110 @@ TEST(FleetStatus, TornStoreTailIsNotDamage)
     // A run killed mid-append leaves a torn final store line; resume
     // truncates it, so it is crash debris, not a damaged shard.
     const CampaignSpec spec = statusSpec();
-    const std::string dir = freshDir("torn_store");
-    RunOptions options;
-    options.outPath = dir + "/out.jsonl";
-    options.maxShards = 6;
-    options.durableStore = false;
-    const RunOutcome outcome = runCampaign(spec, options);
-    ASSERT_TRUE(outcome.ok) << outcome.error;
+    const std::string store = runStore(spec, freshDir("torn_store"), 6);
     {
-        std::ofstream app(options.outPath,
-                          std::ios::app | std::ios::binary);
+        std::ofstream app(store, std::ios::app | std::ios::binary);
         app << R"({"type":"shard","index":6,"point":0,"ce)";
     }
 
-    const FleetStatus status = scanStore(options.outPath, StatusOptions{});
+    const FleetStatus status = scanStore(store);
     ASSERT_TRUE(status.ok) << status.error;
     EXPECT_EQ(status.shardsDone, 6u);
     EXPECT_EQ(status.unitsDone, 600u);
-    EXPECT_EQ(status.damagedFragments, 0u);
     EXPECT_FALSE(status.complete);
 }
 
-TEST(FleetStatus, BackdatedLeaseClassifiesWorkerDead)
+TEST(FleetStatus, CorruptMiddleStoreLineFailsWithTheLoadersError)
 {
     const CampaignSpec spec = statusSpec();
-    const std::string dir = freshDir("dead");
-    const std::string queueDir = dir + "/queue";
-    // Commit 4 of the 12 shards, leaving real pending work.
-    runFleet(spec, queueDir, 1, 4);
+    const std::string store = runStore(spec, freshDir("corrupt"));
+    // Shard 2 is the fourth line: cut its record short mid-file.
+    std::string bytes = slurp(store);
+    std::size_t line = 0;
+    for (int n = 0; n < 3; ++n)
+        line = bytes.find('\n', line) + 1;
+    bytes.erase(line + 20, bytes.find('\n', line) - line - 20);
+    std::ofstream(store, std::ios::binary | std::ios::trunc) << bytes;
 
-    // A dead worker: its lease's mtime is 10 lease lifetimes old.
-    {
-        std::ofstream lease(queueDir + "/lease-000006.json");
-        lease << R"({"worker":"w-dead","shard":6})" << "\n";
-    }
-    fs::last_write_time(queueDir + "/lease-000006.json",
-                        fs::file_time_type::clock::now() -
-                            std::chrono::seconds(600));
-    // A live worker: lease written just now.
-    {
-        std::ofstream lease(queueDir + "/lease-000007.json");
-        lease << R"({"worker":"w-live","shard":7})" << "\n";
-    }
+    const Plan plan = buildPlan(spec);
+    const LoadedStore loaded =
+        loadStore(store, specHash(spec), spec, plan);
+    ASSERT_FALSE(loaded.ok);
+    const FleetStatus status = scanStore(store);
+    EXPECT_FALSE(status.ok);
+    EXPECT_EQ(status.error, loaded.error);
+    EXPECT_EQ(statusJson(status).find("error")->asString(), loaded.error);
+}
 
-    StatusOptions options;
-    options.leaseSeconds = 60;
-    const FleetStatus status = scanQueueDir(queueDir, options);
-    ASSERT_TRUE(status.ok) << status.error;
+TEST(FleetStatus, StaleSidecarClassifiesRunDead)
+{
+    const CampaignSpec spec = statusSpec();
+    const std::string store = runStore(spec, freshDir("dead"), 4);
+    const std::string sidecar = store + ".telemetry.jsonl";
+    // Without its terminal record the sidecar is a run still going, or
+    // one that died before it could say so.
+    dropLastLine(sidecar);
 
-    EXPECT_EQ(status.shardsDone, 4u);
-    EXPECT_EQ(status.shardsClaimed, 2u);
-    EXPECT_EQ(status.shardsPending, 6u);
-    EXPECT_FALSE(status.complete);
+    fs::last_write_time(sidecar, fs::file_time_type::clock::now() -
+                                     std::chrono::seconds(600));
+    const FleetStatus dead = scanStore(store);
+    ASSERT_TRUE(dead.ok) << dead.error;
+    EXPECT_EQ(dead.shardsDone, 4u);
+    EXPECT_EQ(dead.shardsPending, 8u);
+    EXPECT_FALSE(dead.complete);
+    ASSERT_EQ(dead.workers.size(), 1u);
+    EXPECT_EQ(dead.workers[0].liveness, WorkerLiveness::Dead);
+    ASSERT_TRUE(dead.workers[0].heartbeatAgeSeconds);
+    EXPECT_GT(*dead.workers[0].heartbeatAgeSeconds, livenessSeconds);
 
-    std::map<std::string, WorkerLiveness> liveness;
-    for (const WorkerStatus &worker : status.workers)
-        liveness[worker.id] = worker.liveness;
-    ASSERT_TRUE(liveness.count("w-dead"));
-    ASSERT_TRUE(liveness.count("w-live"));
-    EXPECT_EQ(liveness["w-dead"], WorkerLiveness::Dead);
-    EXPECT_EQ(liveness["w-live"], WorkerLiveness::Live);
-    EXPECT_EQ(liveness["w0"], WorkerLiveness::Done);
+    fs::last_write_time(sidecar, fs::file_time_type::clock::now());
+    const FleetStatus live = scanStore(store);
+    ASSERT_TRUE(live.ok) << live.error;
+    ASSERT_EQ(live.workers.size(), 1u);
+    EXPECT_EQ(live.workers[0].liveness, WorkerLiveness::Live);
+}
+
+TEST(FleetStatus, ResumedRunIsLiveDespiteTheTerminalRecordItContinues)
+{
+    // A resume appends to the sidecar of the run it continues, whose
+    // terminal record stays behind the resume's own "run" record. Until
+    // the resume writes its terminal record, it is live, not done.
+    const CampaignSpec spec = statusSpec();
+    const std::string store = runStore(spec, freshDir("resumed"), 4);
+    RunOptions options;
+    options.outPath = store;
+    options.resume = true;
+    options.maxShards = 8;
+    options.durableStore = false;
+    const RunOutcome outcome = runCampaign(spec, options);
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    const std::string sidecar = store + ".telemetry.jsonl";
+    dropLastLine(sidecar); // the resume's own terminal record
+
+    const FleetStatus live = scanStore(store);
+    ASSERT_TRUE(live.ok) << live.error;
+    EXPECT_EQ(live.shardsDone, 8u);
+    ASSERT_EQ(live.workers.size(), 1u);
+    EXPECT_EQ(live.workers[0].liveness, WorkerLiveness::Live);
+    EXPECT_TRUE(live.workers[0].heartbeatAgeSeconds);
+
+    fs::last_write_time(sidecar, fs::file_time_type::clock::now() -
+                                     std::chrono::seconds(600));
+    const FleetStatus dead = scanStore(store);
+    ASSERT_TRUE(dead.ok) << dead.error;
+    ASSERT_EQ(dead.workers.size(), 1u);
+    EXPECT_EQ(dead.workers[0].liveness, WorkerLiveness::Dead);
 }
 
 TEST(FleetStatus, MergedQuantilesEqualSingleObserverHistogram)
 {
-    // Synthetic queue: 4 sidecars whose "hist" payloads cover
-    // disjoint slices of one sample set. The scanner's merged
-    // summary must equal the reference histogram's quantiles exactly.
-    const std::string dir = freshDir("quantiles");
-    {
-        std::ofstream manifest(dir + "/queue.json");
-        manifest << R"({"type":"queue","format":1,"name":"synthetic",)"
-                 << R"("specHash":"feedbeef","shards":4,)"
-                 << R"("forensics":false})" << "\n";
-    }
+    // The sidecar's newest record carries a histogram merged from four
+    // disjoint slices of one sample set; the scan's quantiles must
+    // equal those of one histogram that observed every sample.
+    const CampaignSpec spec = statusSpec();
+    const std::string store = runStore(spec, freshDir("quantiles"));
     Histogram reference;
+    Histogram merged;
     for (unsigned w = 0; w < 4; ++w) {
         Histogram slice;
         for (int i = 0; i < 1000; ++i) {
@@ -564,41 +510,42 @@ TEST(FleetStatus, MergedQuantilesEqualSingleObserverHistogram)
             reference.update(value);
             slice.update(value);
         }
-        auto hist = json::Value::object();
-        hist.set("shardSeconds", obs::histogramJson(slice));
-        hist.set("shardUnitsPerSec", json::Value::array());
-        auto progress = json::Value::object();
-        progress.set("type", "progress");
-        progress.set("unitsDone", std::uint64_t{1000});
-        progress.set("hist", std::move(hist));
-        std::ofstream sidecar(dir + "/worker-w" + std::to_string(w) +
-                              ".telemetry.jsonl");
-        sidecar << R"({"type":"run","host":"synthetic"})" << "\n"
-                << json::dump(progress) << "\n";
+        merged.merge(slice);
     }
+    auto hist = json::Value::object();
+    hist.set("shardSeconds", obs::histogramJson(merged));
+    hist.set("shardUnitsPerSec", json::Value::array());
+    auto progress = json::Value::object();
+    progress.set("type", "progress");
+    progress.set("unitsDone", std::uint64_t{1000});
+    progress.set("hist", std::move(hist));
+    std::ofstream(store + ".telemetry.jsonl",
+                  std::ios::binary | std::ios::trunc)
+        << R"({"type":"run","host":"synthetic"})" << "\n"
+        << json::dump(progress) << "\n";
 
-    const FleetStatus status = scanQueueDir(dir, StatusOptions{});
+    const FleetStatus status = scanStore(store);
     ASSERT_TRUE(status.ok) << status.error;
     EXPECT_EQ(status.shardSeconds.count, reference.count());
     EXPECT_EQ(status.shardSeconds.p50, reference.quantile(0.50));
     EXPECT_EQ(status.shardSeconds.p90, reference.quantile(0.90));
     EXPECT_EQ(status.shardSeconds.p99, reference.quantile(0.99));
+    ASSERT_EQ(status.workers.size(), 1u);
+    EXPECT_EQ(status.workers[0].host, "synthetic");
 }
 
 TEST(FleetStatus, TornTelemetryTailIsToleratedAndCounted)
 {
     const CampaignSpec spec = statusSpec();
-    const std::string dir = freshDir("torn");
-    const std::string queueDir = dir + "/queue";
-    runFleet(spec, queueDir, 1, 0);
+    const std::string store = runStore(spec, freshDir("torn"));
 
     // Tear the sidecar the way a SIGKILL mid-append would.
     {
-        std::ofstream sidecar(queueDir + "/worker-w0.telemetry.jsonl",
+        std::ofstream sidecar(store + ".telemetry.jsonl",
                               std::ios::app | std::ios::binary);
         sidecar << "{\"type\":\"progress\",\"unitsDo";
     }
-    const FleetStatus status = scanQueueDir(queueDir, StatusOptions{});
+    const FleetStatus status = scanStore(store);
     ASSERT_TRUE(status.ok) << status.error;
     EXPECT_EQ(status.skippedTelemetryLines, 1u);
     EXPECT_TRUE(status.complete); // damage never hides real totals
@@ -608,11 +555,7 @@ TEST(FleetStatus, TornTelemetryTailIsToleratedAndCounted)
 TEST(FleetStatus, PrometheusExpositionIsValid)
 {
     const CampaignSpec spec = statusSpec();
-    const std::string dir = freshDir("prom");
-    const std::string queueDir = dir + "/queue";
-    runFleet(spec, queueDir, 2, 0);
-
-    const FleetStatus status = scanQueueDir(queueDir, StatusOptions{});
+    const FleetStatus status = scanStore(runStore(spec, freshDir("prom")));
     ASSERT_TRUE(status.ok) << status.error;
     const std::string text = prometheusText(status);
     validatePrometheus(text);
@@ -677,15 +620,14 @@ bodyOf(const std::string &reply)
     return split == std::string::npos ? "" : reply.substr(split + 4);
 }
 
-/** The `serve` verb's handler over @p queueDir. */
+/** The `serve` verb's handler over @p store. */
 obs::HttpServer::Handler
-statusHandler(const std::string &queueDir)
+statusHandler(const std::string &store)
 {
-    return [queueDir](const std::string &path) {
+    return [store](const std::string &path) {
         obs::HttpResponse response;
-        if (!statusEndpoint(path, queueDir, StatusOptions{},
-                            &response.status, &response.contentType,
-                            &response.body))
+        if (!statusEndpoint(path, store, &response.status,
+                            &response.contentType, &response.body))
             response = obs::httpNotFound(path);
         return response;
     };
@@ -696,14 +638,11 @@ statusHandler(const std::string &queueDir)
 TEST(FleetStatus, ServeEndpointsAnswerOverARealSocket)
 {
     const CampaignSpec spec = statusSpec();
-    const std::string dir = freshDir("serve");
-    const std::string queueDir = dir + "/queue";
-    runFleet(spec, queueDir, 2, 0);
+    const std::string store = runStore(spec, freshDir("serve"));
 
     obs::HttpServer server;
     std::string error;
-    ASSERT_TRUE(server.start(0, statusHandler(queueDir), &error))
-        << error;
+    ASSERT_TRUE(server.start(0, statusHandler(store), &error)) << error;
     ASSERT_GT(server.port(), 0);
     std::thread serving([&server] { server.run(); });
 
@@ -735,14 +674,11 @@ TEST(FleetStatus, ServeEndpointsAnswerOverARealSocket)
 TEST(FleetStatus, ServeAnswersPastAnIdleConnection)
 {
     const CampaignSpec spec = statusSpec();
-    const std::string dir = freshDir("serve_idle");
-    const std::string queueDir = dir + "/queue";
-    runFleet(spec, queueDir, 2, 0);
+    const std::string store = runStore(spec, freshDir("serve_idle"));
 
     obs::HttpServer server;
     std::string error;
-    ASSERT_TRUE(server.start(0, statusHandler(queueDir), &error))
-        << error;
+    ASSERT_TRUE(server.start(0, statusHandler(store), &error)) << error;
     std::thread serving([&server] { server.run(); });
 
     // Connects and sends nothing, as a browser preconnect does. The
@@ -760,39 +696,41 @@ TEST(FleetStatus, ReportJsonSchemaFromStoreScan)
 {
     const CampaignSpec spec = statusSpec();
     const std::string dir = freshDir("store");
-    RunOptions options;
-    options.outPath = dir + "/out.jsonl";
-    options.threads = 2;
-    options.durableStore = false;
-    const RunOutcome outcome = runCampaign(spec, options);
-    ASSERT_TRUE(outcome.ok) << outcome.error;
+    runStore(spec, dir);
 
     // Scanning the sidecar path resolves to the store.
     const FleetStatus status =
-        scanStatusSource(dir + "/out.jsonl.telemetry.jsonl",
-                         StatusOptions{});
+        scanStore(dir + "/out.jsonl.telemetry.jsonl");
     ASSERT_TRUE(status.ok) << status.error;
-    EXPECT_EQ(status.source, "store");
+    EXPECT_EQ(status.path, dir + "/out.jsonl");
     EXPECT_TRUE(status.complete);
     EXPECT_EQ(status.shardsDone, 12u);
     ASSERT_EQ(status.workers.size(), 1u);
     EXPECT_EQ(status.workers[0].liveness, WorkerLiveness::Done);
 
     const json::Value doc = statusJson(status);
-    for (const char *key : {"type", "source", "name", "specHash",
-                            "complete", "shards", "units", "failures",
-                            "throughput", "workers", "telemetry"})
+    for (const char *key : {"type", "name", "specHash", "complete",
+                            "shards", "units", "failures", "throughput",
+                            "workers", "telemetry"})
         EXPECT_NE(doc.find(key), nullptr) << key;
 }
 
-TEST(FleetStatus, MissingQueueIsACleanError)
+TEST(FleetStatus, MissingStoreIsACleanError)
 {
-    const FleetStatus status = scanQueueDir(
-        ownTempPath("xed_status_nonexistent"),
-        StatusOptions{});
+    const FleetStatus status =
+        scanStore(ownTempPath("xed_status_nonexistent.jsonl"));
     EXPECT_FALSE(status.ok);
     EXPECT_FALSE(status.error.empty());
     const json::Value doc = statusJson(status);
     EXPECT_NE(doc.find("error"), nullptr);
 }
 
+TEST(FleetStatus, DirectoryPathIsACleanError)
+{
+    const std::string dir = freshDir("directory");
+    const FleetStatus status = scanStore(dir);
+    EXPECT_FALSE(status.ok);
+    EXPECT_NE(status.error.find(dir), std::string::npos) << status.error;
+    const json::Value doc = statusJson(status);
+    EXPECT_NE(doc.find("error"), nullptr);
+}

@@ -38,7 +38,6 @@ class TraceTest : public ::testing::Test
     reset()
     {
         TraceRecorder::instance().setEnabled(false);
-        TraceRecorder::instance().setProcessLabel("");
         TraceRecorder::instance().clear();
     }
 };
@@ -202,43 +201,6 @@ TEST_F(TraceTest, ExportToWritesParseableChromeTrace)
     ASSERT_EQ(events->size(), 1u);
     EXPECT_EQ(events->at(0).find("name")->asString(), "export.span");
     std::remove(path.c_str());
-}
-
-TEST_F(TraceTest, ProcessLabelBecomesChromeTraceMetadata)
-{
-    auto &recorder = TraceRecorder::instance();
-    recorder.setEnabled(true);
-    recorder.setProcessLabel("worker:host-42");
-    {
-        XED_TRACE_SPAN("labeled.span", "test");
-    }
-    const auto doc = recorder.toJson();
-    const json::Value *events = doc.find("traceEvents");
-    ASSERT_NE(events, nullptr);
-    ASSERT_EQ(events->size(), 2u);
-    // Metadata event first, so viewers label the track before any
-    // span lands on it.
-    const json::Value &meta = events->at(0);
-    EXPECT_EQ(meta.find("name")->asString(), "process_name");
-    EXPECT_EQ(meta.find("ph")->asString(), "M");
-    EXPECT_EQ(meta.find("args")->find("name")->asString(),
-              "worker:host-42");
-    EXPECT_EQ(events->at(1).find("name")->asString(), "labeled.span");
-    const json::Value *other = doc.find("otherData");
-    ASSERT_NE(other, nullptr);
-    EXPECT_EQ(other->find("process")->asString(), "worker:host-42");
-}
-
-TEST_F(TraceTest, NoProcessLabelMeansNoMetadataEvent)
-{
-    auto &recorder = TraceRecorder::instance();
-    recorder.setEnabled(true);
-    {
-        XED_TRACE_SPAN("plain.span", "test");
-    }
-    const auto doc = recorder.toJson();
-    ASSERT_EQ(doc.find("traceEvents")->size(), 1u);
-    EXPECT_EQ(doc.find("otherData")->find("process"), nullptr);
 }
 
 TEST_F(TraceTest, ExportToFailsCleanlyOnBadPath)
