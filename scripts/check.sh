@@ -35,13 +35,15 @@
 #          mutation fuzz with its number I/O against the printf/strtod
 #          reference.
 #   simd   -DXED_NATIVE=ON Release build (default dir build-native),
-#          DESIGN.md section 4i: under XED_SIMD=scalar and under the
-#          detected level, ctest -L 'simd|ecc|golden' passes (the golden
-#          jobs run fig06, table3, fig07, table2 and fig11-14, so all
-#          eight are built); fig07 and table2 stdout are cmp-identical
-#          across the two levels and to tests/golden/; the smoke and
-#          table2 campaign stores are cmp-identical across the two
-#          levels.
+#          DESIGN.md section 4i: under XED_SIMD=scalar, under the
+#          detected level and, on an AVX-512 host, under XED_SIMD=avx2
+#          too, ctest -L 'simd|ecc|golden' passes (the golden jobs run
+#          fig06, table3, fig07, table2 and fig11-14, so all eight are
+#          built); every vector level's fig07 stdout, table2 stdout at
+#          XED_TRIALS=20000 and 170000 (1 and 4 shards per cell), smoke
+#          store and table2 stores at both trial counts are
+#          cmp-identical to the scalar level's, and the scalar stdout
+#          to tests/golden/.
 #   fleet  default build (default dir build): ctest -L fleet, then
 #          scripts/fleet_smoke.sh (thread-count and resumed runs of the
 #          fleet spec produce byte-identical stores).
@@ -116,32 +118,47 @@ simd)
         exit 1
     fi
 
-    for level in scalar native; do
-        if [ "$level" = scalar ]; then
-            export XED_SIMD=scalar
-        else
+    # Each vector level is compared with scalar: the detected level
+    # and, where that is AVX-512, AVX2 as well.
+    unset XED_SIMD || true
+    levels="scalar native"
+    case $("$cli" version) in
+    *'"detected":"avx512"'*) levels="scalar avx2 native" ;;
+    esac
+    outputs="fig07.txt table2_20000.txt table2_170000.txt smoke.jsonl
+        table2_20000.jsonl table2_170000.jsonl"
+    for level in $levels; do
+        if [ "$level" = native ]; then
             unset XED_SIMD || true
+        else
+            export XED_SIMD=$level
         fi
+        out="$work/$level"
+        rm -rf "$out"
+        mkdir -p "$out"
         echo "== ctest (simd|ecc|golden) at level: $level"
         label 'simd|ecc|golden'
         XED_MC_SYSTEMS=20000 XED_MC_THREADS=4 \
-            "$build/bench/fig07_xed_reliability" >"$work/fig07.$level.txt"
-        XED_TRIALS=20000 \
-            "$build/bench/table2_detection_rates" >"$work/table2.$level.txt"
-        for spec in smoke table2; do
-            store="$work/$spec.$level.jsonl"
-            rm -f "$store" "$store.telemetry.jsonl"
-            XED_TRIALS=20000 "$cli" run "$repo/specs/$spec.json" \
-                --out "$store" --quiet
+            "$build/bench/fig07_xed_reliability" >"$out/fig07.txt"
+        "$cli" run "$repo/specs/smoke.json" --out "$out/smoke.jsonl" --quiet
+        for trials in 20000 170000; do
+            XED_TRIALS=$trials "$build/bench/table2_detection_rates" \
+                >"$out/table2_$trials.txt"
+            XED_TRIALS=$trials "$cli" run "$repo/specs/table2.json" \
+                --out "$out/table2_$trials.jsonl" --quiet
         done
     done
 
-    cmp "$work/fig07.scalar.txt" "$work/fig07.native.txt"
-    cmp "$work/table2.scalar.txt" "$work/table2.native.txt"
-    cmp "$work/fig07.scalar.txt" "$repo/tests/golden/fig07_20000.txt"
-    cmp "$work/table2.scalar.txt" "$repo/tests/golden/table2_20000.txt"
-    cmp "$work/smoke.scalar.jsonl" "$work/smoke.native.jsonl"
-    cmp "$work/table2.scalar.jsonl" "$work/table2.native.jsonl"
+    for level in $levels; do
+        for file in $outputs; do
+            cmp "$work/scalar/$file" "$work/$level/$file"
+        done
+    done
+    cmp "$work/scalar/fig07.txt" "$repo/tests/golden/fig07_20000.txt"
+    for trials in 20000 170000; do
+        cmp "$work/scalar/table2_$trials.txt" \
+            "$repo/tests/golden/table2_$trials.txt"
+    done
     ;;
 
 fleet)

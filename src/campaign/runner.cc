@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <ostream>
 #include <stdexcept>
@@ -19,7 +18,7 @@
 #include "common/env.hh"
 #include "common/table.hh"
 #include "ecc/crc8atm.hh"
-#include "ecc/error_patterns.hh"
+#include "ecc/detect_lanes.hh"
 #include "ecc/hamming7264.hh"
 #include "obs/trace.hh"
 
@@ -52,12 +51,14 @@ recordLine(const json::Value &record)
     return line;
 }
 
-std::unique_ptr<ecc::Secded7264>
-makeCode(const std::string &name)
+/** The column tables of a detection cell's code, built once per
+ *  process. */
+const ecc::DetectTables &
+detectTables(const std::string &code)
 {
-    if (name == "crc8atm")
-        return std::make_unique<ecc::Crc8Atm>();
-    return std::make_unique<ecc::Hamming7264>();
+    static const ecc::DetectTables hamming{ecc::Hamming7264()};
+    static const ecc::DetectTables crc{ecc::Crc8Atm()};
+    return code == "crc8atm" ? crc : hamming;
 }
 
 json::Value
@@ -279,44 +280,48 @@ ShardResult
 runDetectionShard(const CampaignSpec &spec, const ShardTask &task,
                   faultsim::McProgress *progress)
 {
-    const DetectionCell cell = detectionCell(spec, task.cell);
-    const auto code = makeCode(cell.code);
-    const ecc::Word72 clean = code->encode(0x0123456789ABCDEFull);
-    const std::uint64_t shardOrdinal = task.begin / spec.shardTrials;
-    Rng rng = Rng::stream(spec.seed,
-                          (static_cast<std::uint64_t>(task.cell) << 40) +
-                              shardOrdinal);
     ShardResult out;
-    out.trials = task.end - task.begin;
-    // Stream the shard through the batched kernel: fill a stack batch
-    // of error patterns (consuming the RNG in exactly the scalar
-    // per-trial order), turn them into received words, count
-    // non-codewords in one detectMany pass.
-    constexpr std::size_t batchSize = 512;
-    std::array<ecc::Word72, batchSize> batch;
-    std::uint64_t remaining = out.trials;
-    while (remaining > 0) {
-        XED_TRACE_SPAN_ARG("detect.batch", "ecc", "remaining",
-                           remaining);
-        const std::size_t count = static_cast<std::size_t>(
-            std::min<std::uint64_t>(remaining, batchSize));
-        const std::span<ecc::Word72> span(batch.data(), count);
-        if (cell.burst)
-            ecc::solidBurstPatternsInto(rng, cell.weight, span);
-        else
-            ecc::randomPatternsInto(rng, cell.weight, span);
-        for (ecc::Word72 &word : span)
-            word = clean ^ word;
-        out.detected += code->detectMany(span);
-        remaining -= count;
-    }
-    if (progress) {
-        progress->systemsDone.fetch_add(out.trials,
-                                        std::memory_order_relaxed);
-        progress->failedSystems.fetch_add(out.trials - out.detected,
-                                          std::memory_order_relaxed);
-    }
+    runDetectionShards(spec, {&task, 1}, {&out, 1}, progress);
     return out;
+}
+
+void
+runDetectionShards(const CampaignSpec &spec,
+                   std::span<const ShardTask> tasks,
+                   std::span<ShardResult> results,
+                   faultsim::McProgress *progress)
+{
+    const auto otherCell = [&](const ShardTask &task) {
+        return task.point != tasks[0].point || task.cell != tasks[0].cell;
+    };
+    if (tasks.empty() || tasks.size() > ecc::maxDetectLanes ||
+        results.size() != tasks.size() ||
+        std::any_of(tasks.begin(), tasks.end(), otherCell))
+        throw std::invalid_argument("runDetectionShards: 1 to 8 shards "
+                                    "of one cell, one result each");
+    XED_TRACE_SPAN_ARG2("detection-group", "campaign", "index",
+                        tasks[0].index, "shards", tasks.size());
+    const DetectionCell cell = detectionCell(spec, tasks[0].cell);
+    std::array<ecc::DetectLane, ecc::maxDetectLanes> lanes;
+    for (std::size_t k = 0; k < tasks.size(); ++k) {
+        const std::uint64_t shardOrdinal = tasks[k].begin / spec.shardTrials;
+        lanes[k].rng = Rng::stream(
+            spec.seed, (std::uint64_t{tasks[k].cell} << 40) + shardOrdinal);
+        lanes[k].trials = tasks[k].end - tasks[k].begin;
+    }
+    ecc::detectLanes(detectTables(cell.code), cell.burst, cell.weight,
+                     std::span(lanes).first(tasks.size()));
+    for (std::size_t k = 0; k < tasks.size(); ++k) {
+        results[k].trials = lanes[k].trials;
+        results[k].detected = lanes[k].detected;
+        if (progress) {
+            progress->systemsDone.fetch_add(lanes[k].trials,
+                                            std::memory_order_relaxed);
+            progress->failedSystems.fetch_add(
+                lanes[k].trials - lanes[k].detected,
+                std::memory_order_relaxed);
+        }
+    }
 }
 
 json::Value
@@ -564,19 +569,36 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
     Histogram &shardSeconds = registry.histogram("shard.seconds");
     Histogram &shardRate = registry.histogram("shard.unitsPerSec");
 
+    // A worker claims shards [first, end): on a detection spec up to
+    // ecc::maxDetectLanes consecutive shards of one (point, cell) -- the
+    // plan orders shards point, cell, shard -- which it runs side by
+    // side, otherwise one shard. False once the plan is claimed.
+    const std::uint64_t claimMost =
+        spec.kind == CampaignKind::Detection ? ecc::maxDetectLanes : 1;
+    const auto claim = [&](std::uint64_t &first, std::uint64_t &end) {
+        first = next.load(std::memory_order_relaxed);
+        do {
+            if (first >= limit)
+                return false;
+            const std::uint64_t cellEnd =
+                (first / plan.shardsPerCell + 1) * plan.shardsPerCell;
+            end = std::min({first + claimMost, cellEnd, limit});
+        } while (!next.compare_exchange_weak(first, end,
+                                             std::memory_order_relaxed));
+        return true;
+    };
+
     std::vector<std::thread> workers;
     workers.reserve(threads);
     for (unsigned t = 0; t < threads; ++t) {
         workers.emplace_back([&] {
-            while (!abort.load(std::memory_order_relaxed)) {
-                const std::uint64_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= limit)
-                    break;
+            std::uint64_t first = 0, end = 0;
+            while (!abort.load(std::memory_order_relaxed) &&
+                   claim(first, end)) {
                 {
                     std::unique_lock<std::mutex> lock(mutex);
                     windowCv.wait(lock, [&] {
-                        return i < taken + window ||
+                        return end - 1 < taken + window ||
                                abort.load(std::memory_order_relaxed);
                     });
                     if (abort.load(std::memory_order_relaxed))
@@ -587,43 +609,55 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
                 // wake the drain loop, and unwind cleanly so the
                 // reporter can emit its "aborted" record.
                 try {
-                    const ShardTask &task = plan.tasks[i];
-                    ReadyShard shard;
-                    ShardResult &result = shard.result;
+                    const std::span<const ShardTask> tasks(
+                        plan.tasks.data() + first, end - first);
+                    std::array<ShardResult, ecc::maxDetectLanes> results;
                     const auto t0 = std::chrono::steady_clock::now();
-                    {
+                    if (spec.kind == CampaignKind::Detection) {
+                        runDetectionShards(
+                            spec, tasks,
+                            std::span(results).first(tasks.size()),
+                            &progress);
+                    } else {
                         XED_TRACE_SPAN_ARG(
                             spec.kind == CampaignKind::Reliability
                                 ? "reliability-shard"
-                                : spec.kind == CampaignKind::Fleet
-                                      ? "fleet-shard"
-                                      : "detection-shard",
-                            "campaign", "index", i);
-                        result = runShard(spec, task, &progress);
+                                : "fleet-shard",
+                            "campaign", "index", first);
+                        results[0] = runShard(spec, tasks[0], &progress);
                     }
+                    // Shards run side by side share the group's time.
                     const double dt =
                         std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
-                            .count();
-                    shardSeconds.update(dt);
-                    if (dt > 0)
-                        shardRate.update(
-                            static_cast<double>(task.end - task.begin) /
-                            dt);
-                    // The worker, not the writer, encodes its shard's
-                    // lines, so the writer only concatenates a batch.
-                    if (useStore) {
-                        XED_TRACE_SPAN_ARG("shard.encode", "campaign",
-                                           "records", useForensics ? 2 : 1);
-                        if (useForensics)
-                            shard.forensicsLine = recordLine(
-                                forensicsShardRecord(task, result.mc));
-                        shard.storeLine =
-                            recordLine(shardRecord(spec, task, result));
-                    }
-                    {
+                            .count() /
+                        static_cast<double>(tasks.size());
+                    for (std::size_t k = 0; k < tasks.size(); ++k) {
+                        const ShardTask &task = tasks[k];
+                        ReadyShard shard;
+                        shard.result = std::move(results[k]);
+                        shardSeconds.update(dt);
+                        if (dt > 0)
+                            shardRate.update(
+                                static_cast<double>(task.end -
+                                                    task.begin) /
+                                dt);
+                        // The worker, not the writer, encodes its
+                        // shards' lines, so the writer only
+                        // concatenates a batch.
+                        if (useStore) {
+                            XED_TRACE_SPAN_ARG("shard.encode", "campaign",
+                                               "records",
+                                               useForensics ? 2 : 1);
+                            if (useForensics)
+                                shard.forensicsLine =
+                                    recordLine(forensicsShardRecord(
+                                        task, shard.result.mc));
+                            shard.storeLine = recordLine(
+                                shardRecord(spec, task, shard.result));
+                        }
                         std::lock_guard<std::mutex> lock(mutex);
-                        ready.emplace(i, std::move(shard));
+                        ready.emplace(first + k, std::move(shard));
                     }
                     readyCv.notify_one();
                 } catch (const std::exception &e) {

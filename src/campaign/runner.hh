@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -103,17 +104,27 @@ RunOutcome runCampaign(const CampaignSpec &spec,
 
 /**
  * Detection shard: trials [task.begin, task.end) of one
- * (code, pattern, weight) cell, streamed through the batched
- * Code::detectMany kernel on stack scratch (no steady-state
- * allocation after the code object is built). Each shard draws from
- * its own counter-based stream keyed by (cell, shard ordinal), so
- * results are independent of thread count and batching, and resumable
- * at shard granularity. Exposed for the allocation and throughput
- * tests; campaign workers call it through runCampaign().
+ * (code, pattern, weight) cell, runDetectionShards() for one task.
+ * Exposed for the allocation and throughput tests.
  */
 ShardResult runDetectionShard(const CampaignSpec &spec,
                               const ShardTask &task,
                               faultsim::McProgress *progress);
+
+/**
+ * Up to ecc::maxDetectLanes detection shards of one (point, cell) side
+ * by side on the lane kernel (ecc/detect_lanes.hh); results[k] is
+ * tasks[k]'s. Each shard draws its own stream, keyed by (cell, shard
+ * ordinal), so its result depends on nothing else: not the shards
+ * beside it, the thread count or an interrupt. No steady-state
+ * allocation. One "detection-group" trace span carries the first
+ * task's index and the shard count. Throws std::invalid_argument on an
+ * empty, oversized or mixed-cell group.
+ */
+void runDetectionShards(const CampaignSpec &spec,
+                        std::span<const ShardTask> tasks,
+                        std::span<ShardResult> results,
+                        faultsim::McProgress *progress);
 
 /**
  * Reliability shard: systems [task.begin, task.end) of one scheme

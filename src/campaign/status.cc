@@ -1,5 +1,6 @@
 #include "campaign/status.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <ostream>
@@ -92,13 +93,13 @@ classifyAge(double ageSeconds)
  * Digest a run's telemetry sidecar: the host from the "run" record,
  * cumulative counters from the newest progress/terminal record, exact
  * histogram buckets decoded into the two histograms, and liveness from
- * a terminal record or else the sidecar's age. A resume appends to the
- * sidecar of the run it continues, so only the records after the
+ * a terminal record or else the heartbeat's age. A resume appends to
+ * the sidecar of the run it continues, so only the records after the
  * newest "run" record describe the run that writes it now.
  */
 WorkerStatus
 workerFromTelemetry(const obs::TelemetryRecords &telemetry,
-                    double sidecarAgeSeconds, FleetStatus &status,
+                    double heartbeatAgeSeconds, FleetStatus &status,
                     Histogram &shardSeconds, Histogram &shardUnitsPerSec)
 {
     WorkerStatus worker;
@@ -142,8 +143,8 @@ workerFromTelemetry(const obs::TelemetryRecords &telemetry,
     } else if (latest && obs::recordIsType(*latest, "aborted")) {
         worker.liveness = WorkerLiveness::Aborted;
     } else {
-        worker.heartbeatAgeSeconds = sidecarAgeSeconds;
-        worker.liveness = classifyAge(sidecarAgeSeconds);
+        worker.heartbeatAgeSeconds = heartbeatAgeSeconds;
+        worker.liveness = classifyAge(heartbeatAgeSeconds);
     }
     return worker;
 }
@@ -255,9 +256,13 @@ scanStore(const std::string &storePath)
         if (telemetry.ok) {
             ++status.telemetryFiles;
             status.skippedTelemetryLines += telemetry.skippedLines;
-            status.workers.push_back(workerFromTelemetry(
-                telemetry, fileAgeSeconds(telemetryPath), status,
-                shardSeconds, shardUnitsPerSec));
+            // A run started with --progress-interval 0 writes no
+            // progress records, but it still commits to its store.
+            const double heartbeatAge = std::min(
+                fileAgeSeconds(telemetryPath), fileAgeSeconds(path));
+            status.workers.push_back(
+                workerFromTelemetry(telemetry, heartbeatAge, status,
+                                    shardSeconds, shardUnitsPerSec));
         }
     }
 

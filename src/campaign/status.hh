@@ -17,8 +17,8 @@
  *   <out>.telemetry.jsonl     volatile run progress: rates, counters,
  *                             the exact histogram buckets
  *                             (obs/telemetry.hh codec) behind the
- *                             p50/p90/p99, and the sidecar's mtime as
- *                             the run's heartbeat
+ *                             p50/p90/p99; the newer of its mtime and
+ *                             the store's is the run's heartbeat
  *
  * Failures go through the runner's failedSystemsOf(), so the scan
  * totals exactly what the store's summary records, and `report
@@ -26,8 +26,9 @@
  *
  * The store follows loadStore()'s rules: corruption is an error, a
  * torn final line is not damage. Telemetry is tolerant: torn or
- * unknown sidecar lines are skipped and counted, and a run whose
- * sidecar has not been written for livenessSeconds shows as dead.
+ * unknown sidecar lines are skipped and counted, and a run that has
+ * written neither its sidecar nor its store for livenessSeconds shows
+ * as dead.
  */
 
 #ifndef XED_CAMPAIGN_STATUS_HH
@@ -45,15 +46,17 @@
 namespace xed::campaign
 {
 
-/** A run whose telemetry sidecar is older than this is dead. */
+/** A run whose heartbeat is older than this is dead. */
 constexpr double livenessSeconds = 60.0;
 
 /**
- * Liveness classes, derived from the age of a run's telemetry sidecar
- * (its last progress record) against livenessSeconds L:
+ * Liveness classes, derived from the age of a run's heartbeat -- the
+ * newer of its telemetry sidecar's mtime (its last progress record)
+ * and its store's (its last commit) -- against livenessSeconds L:
  *
  *   live     age <= L/2   (healthy: the progress thread writes every
- *                          second by default)
+ *                          second by default, and a run without one
+ *                          still commits shards)
  *   stale    age <= L     (many missed samples; something is wrong)
  *   dead     age >  L     (the run is gone or pathologically stalled)
  *   done     telemetry ended with a terminal "done" record
@@ -84,8 +87,8 @@ struct WorkerStatus
     std::uint64_t unitsDone = 0;
     std::uint64_t failedUnits = 0;
     double unitsPerSec = 0;
-    /** Seconds since the sidecar was last written; absent for a
-     *  finished run. */
+    /** Seconds since the sidecar or the store was last written,
+     *  whichever is newer; absent for a finished run. */
     std::optional<double> heartbeatAgeSeconds;
 };
 

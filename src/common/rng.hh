@@ -12,6 +12,7 @@
 #ifndef XED_COMMON_RNG_HH
 #define XED_COMMON_RNG_HH
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -144,6 +145,14 @@ class Rng
      * still sees the draws a serial loop would (DESIGN.md section 4b).
      */
     void jump(std::uint64_t draws);
+
+    /** The raw xoshiro256** state, for kernels that step several
+     *  streams side by side (ecc/detect_lanes.cc). */
+    std::array<std::uint64_t, 4>
+    state() const
+    {
+        return {state_[0], state_[1], state_[2], state_[3]};
+    }
 
   private:
     /** splitmix64 finalizer (Steele, Lea & Flood). */

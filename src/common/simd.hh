@@ -1,7 +1,7 @@
 /**
  * @file
- * Runtime SIMD dispatch for the batch kernels (SECDED detection,
- * GF(2^8) constant-multiplier rows, the Monte-Carlo zero-fault
+ * Runtime SIMD dispatch for the batch kernels (Table II's detection
+ * lanes, GF(2^8) constant-multiplier rows, the Monte-Carlo zero-fault
  * filter).
  *
  * The level is decided ONCE per process from the running CPU

@@ -65,17 +65,24 @@ class Secded7264
     /** Decode a received 72-bit word. */
     virtual DecodeResult decode(const Word72 &received) const = 0;
 
+    /** 8-bit syndrome of a received word (0 iff valid). */
+    virtual std::uint8_t syndrome(const Word72 &received) const = 0;
+
     /** True iff @p received has a zero syndrome. */
-    virtual bool isValidCodeword(const Word72 &received) const = 0;
+    bool
+    isValidCodeword(const Word72 &received) const
+    {
+        return syndrome(received) == 0;
+    }
 
     /** Extract the data bits of a codeword without decoding. */
     virtual std::uint64_t extractData(const Word72 &word) const = 0;
 
     /**
-     * Batched detection kernel: the number of words in @p received that
-     * are NOT valid codewords. Semantically identical to looping
-     * isValidCodeword(), as a branch-light syndrome-only loop for the
-     * campaign hot paths. No allocation.
+     * Batched detection: the number of words in @p received that are
+     * NOT valid codewords. Semantically identical to looping
+     * isValidCodeword(), as one branch-light syndrome table loop. No
+     * allocation.
      */
     virtual std::size_t
     detectMany(std::span<const Word72> received) const = 0;

@@ -36,8 +36,6 @@ Crc8Atm::Crc8Atm()
                "CRC8-ATM single-bit syndromes must be distinct for SEC");
         singleBitPos_[r] = static_cast<std::uint8_t>(p + 1);
     }
-
-    nib_ = detail::makeNibbleTables(slice_);
 }
 
 Word72
@@ -54,12 +52,10 @@ Crc8Atm::encode(std::uint64_t data) const
 std::size_t
 Crc8Atm::detectMany(std::span<const Word72> received) const
 {
-    const SimdLevel level = simdLevel();
-    if (level != SimdLevel::Scalar)
-        return detail::detectManySimd(level, nib_, received);
     std::size_t detected = 0;
+    // Qualified, so the lookups inline instead of a virtual call a word.
     for (const Word72 &word : received)
-        detected += syndrome(word) != 0;
+        detected += Crc8Atm::syndrome(word) != 0;
     return detected;
 }
 

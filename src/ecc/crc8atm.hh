@@ -24,7 +24,6 @@
 #include <cstdint>
 
 #include "ecc/code.hh"
-#include "ecc/detect_simd.hh"
 
 namespace xed::ecc
 {
@@ -41,12 +40,6 @@ class Crc8Atm : public Secded7264
     Word72 encode(std::uint64_t data) const override;
     DecodeResult decode(const Word72 &received) const override;
 
-    bool
-    isValidCodeword(const Word72 &received) const override
-    {
-        return syndrome(received) == 0;
-    }
-
     std::uint64_t
     extractData(const Word72 &word) const override
     {
@@ -57,7 +50,7 @@ class Crc8Atm : public Secded7264
 
     /** Remainder of the received polynomial mod g (0 iff valid). */
     std::uint8_t
-    syndrome(const Word72 &received) const
+    syndrome(const Word72 &received) const override
     {
         // Codeword byte lane j sits at degrees 8j..8j+7: lo bytes cover
         // lanes 0..7 (lane 0 being the check byte), hi is lane 8. Nine
@@ -91,8 +84,6 @@ class Crc8Atm : public Secded7264
     std::array<std::array<std::uint8_t, 256>, 9> slice_{};
     /** syndrome -> codeword position + 1, or 0 if not a 1-bit pattern. */
     std::array<std::uint8_t, 256> singleBitPos_{};
-    /** Split-nibble form of slice_ for the vector detect kernels. */
-    detail::SecdedNibbleTables nib_{};
 };
 
 } // namespace xed::ecc

@@ -3,50 +3,11 @@
 namespace xed::ecc
 {
 
-Word72
-randomPattern(Rng &rng, unsigned weight)
-{
-    Word72 pattern;
-    unsigned placed = 0;
-    while (placed < weight) {
-        const unsigned pos = static_cast<unsigned>(rng.below(codeLength));
-        if (!pattern.bit(pos)) {
-            pattern.setBitTo(pos, 1);
-            ++placed;
-        }
-    }
-    return pattern;
-}
-
-Word72
-solidBurstPattern(Rng &rng, unsigned length)
-{
-    Word72 pattern;
-    const unsigned start =
-        static_cast<unsigned>(rng.below(codeLength - length + 1));
-    for (unsigned i = 0; i < length; ++i)
-        pattern.setBitTo(start + i, 1);
-    return pattern;
-}
-
-Word72
-burstPattern(Rng &rng, unsigned length)
-{
-    Word72 pattern;
-    const unsigned start =
-        static_cast<unsigned>(rng.below(codeLength - length + 1));
-    pattern.setBitTo(start, 1);
-    pattern.setBitTo(start + length - 1, 1);
-    for (unsigned i = 1; i + 1 < length; ++i)
-        pattern.setBitTo(start + i, rng.bernoulli(0.5) ? 1 : 0);
-    return pattern;
-}
-
-// The batch fills keep the scalar functions' RNG draw sequence exactly
-// (same below() calls, same rejection rule), so batch and scalar runs
-// produce identical patterns -- pinned by the equivalence suite. They
-// build the 72 bits in a 128-bit accumulator so placing a bit is one
-// branchless shift instead of Word72's per-position lo/hi branching.
+// The fills draw exactly as the per-trial generators of
+// tests/support/pattern_reference do (same below() calls, same
+// rejection rule), pinned by the equivalence suite. They build the 72
+// bits in a 128-bit accumulator so placing a bit is one branchless
+// shift instead of Word72's per-position lo/hi branching.
 
 void
 randomPatternsInto(Rng &rng, unsigned weight, std::span<Word72> out)
@@ -66,13 +27,6 @@ randomPatternsInto(Rng &rng, unsigned weight, std::span<Word72> out)
         pattern.lo = static_cast<std::uint64_t>(bits);
         pattern.hi = static_cast<std::uint8_t>(bits >> 64);
     }
-}
-
-void
-burstPatternsInto(Rng &rng, unsigned length, std::span<Word72> out)
-{
-    for (Word72 &pattern : out)
-        pattern = burstPattern(rng, length);
 }
 
 void

@@ -1,7 +1,7 @@
 /**
  * @file
- * Error-pattern generators for the detection-rate study (Table II):
- * exact-weight random patterns and burst patterns over a 72-bit word.
+ * Error-pattern fills for the detection-rate study (Table II):
+ * exact-weight random patterns and solid bursts over a 72-bit word.
  */
 
 #ifndef XED_ECC_ERROR_PATTERNS_HH
@@ -15,32 +15,14 @@
 namespace xed::ecc
 {
 
-/** A random pattern with exactly @p weight bits set among 72. */
-Word72 randomPattern(Rng &rng, unsigned weight);
-
-/**
- * A burst pattern of span exactly @p length: a uniformly random window
- * start, the first and last bits of the window flipped, interior bits
- * flipped independently with probability 1/2. For length <= 2 this is a
- * solid flip of the whole window.
- */
-Word72 burstPattern(Rng &rng, unsigned length);
-
-/**
- * A solid burst: @p length consecutive bit flips at a random start.
- * This is the adversarial case for naturally-ordered Hamming codes
- * (about half of all aligned 4-bursts have a zero syndrome).
- */
-Word72 solidBurstPattern(Rng &rng, unsigned length);
-
-/**
- * Batched generators: fill @p out with patterns, drawing from @p rng in
- * exactly the per-pattern order of the scalar functions above, so a
- * batched campaign consumes the identical RNG stream (and therefore
- * produces byte-identical result stores). No allocation.
- */
+/** Fill @p out with random patterns of exactly @p weight bits among
+ *  72, each drawing rng.below(72) until @p weight distinct positions
+ *  are set. No allocation. */
 void randomPatternsInto(Rng &rng, unsigned weight, std::span<Word72> out);
-void burstPatternsInto(Rng &rng, unsigned length, std::span<Word72> out);
+
+/** Fill @p out with solid bursts of @p length flips at a start drawn
+ *  as rng.below(73 - length), the adversarial case for the naturally
+ *  ordered Hamming code. No allocation. */
 void solidBurstPatternsInto(Rng &rng, unsigned length,
                             std::span<Word72> out);
 

@@ -116,7 +116,6 @@ Hamming7264::Hamming7264()
             synTable_[lane][v] = s;
         }
     }
-    nib_ = detail::makeNibbleTables(synTable_);
 }
 
 Word72
@@ -150,18 +149,9 @@ Hamming7264::syndrome(const Word72 &received) const
     return s;
 }
 
-bool
-Hamming7264::isValidCodeword(const Word72 &received) const
-{
-    return syndrome(received) == 0;
-}
-
 std::size_t
 Hamming7264::detectMany(std::span<const Word72> received) const
 {
-    const SimdLevel level = simdLevel();
-    if (level != SimdLevel::Scalar)
-        return detail::detectManySimd(level, nib_, received);
     std::size_t detected = 0;
     for (const Word72 &word : received) {
         std::uint8_t s = synTable_[8][word.hi];

@@ -18,7 +18,6 @@
 #include <cstdint>
 
 #include "ecc/code.hh"
-#include "ecc/detect_simd.hh"
 
 namespace xed::ecc
 {
@@ -31,12 +30,9 @@ class Hamming7264 : public Secded7264
     std::string name() const override { return "(72,64) Hamming"; }
     Word72 encode(std::uint64_t data) const override;
     DecodeResult decode(const Word72 &received) const override;
-    bool isValidCodeword(const Word72 &received) const override;
     std::uint64_t extractData(const Word72 &word) const override;
     std::size_t detectMany(std::span<const Word72> received) const override;
-
-    /** 8-bit syndrome of a received word (0 iff valid). */
-    std::uint8_t syndrome(const Word72 &received) const;
+    std::uint8_t syndrome(const Word72 &received) const override;
 
   private:
     /** Parity-check column of position p: (p+1) | overall-parity row. */
@@ -56,8 +52,6 @@ class Hamming7264 : public Secded7264
     std::array<std::uint8_t, 256> singleBitPos_{};
     /** Per-byte syndrome tables: 9 byte lanes x 256 values. */
     std::array<std::array<std::uint8_t, 256>, 9> synTable_{};
-    /** Split-nibble form of synTable_ for the vector detect kernels. */
-    detail::SecdedNibbleTables nib_{};
 };
 
 } // namespace xed::ecc

@@ -124,6 +124,8 @@ TraceRecorder::toJson() const
         if (event->argName) {
             auto args = json::Value::object();
             args.set(event->argName, event->arg);
+            if (event->arg2Name)
+                args.set(event->arg2Name, event->arg2);
             entry.set("args", std::move(args));
         }
         traceEvents.push(std::move(entry));

@@ -56,9 +56,11 @@ struct TraceEvent
     const char *cat = nullptr;
     std::uint64_t startNs = 0;
     std::uint64_t durNs = 0;
-    /** Optional numeric payload; argName == nullptr means none. */
+    /** Optional numeric payloads; a null name means none. */
     const char *argName = nullptr;
     std::uint64_t arg = 0;
+    const char *arg2Name = nullptr;
+    std::uint64_t arg2 = 0;
 };
 
 /**
@@ -174,7 +176,8 @@ class ScopedSpan
 {
   public:
     ScopedSpan(const char *name, const char *cat,
-               const char *argName = nullptr, std::uint64_t arg = 0)
+               const char *argName = nullptr, std::uint64_t arg = 0,
+               const char *arg2Name = nullptr, std::uint64_t arg2 = 0)
     {
         TraceRecorder &recorder = TraceRecorder::instance();
         if (!recorder.enabled())
@@ -184,6 +187,8 @@ class ScopedSpan
         event_.cat = cat;
         event_.argName = argName;
         event_.arg = arg;
+        event_.arg2Name = arg2Name;
+        event_.arg2 = arg2;
         event_.startNs = recorder.nowNs();
     }
 
@@ -219,6 +224,12 @@ class ScopedSpan
 #define XED_TRACE_SPAN_ARG(name, cat, argName, argValue)               \
     ::xed::obs::ScopedSpan XED_OBS_CONCAT(xedTraceSpan_, __COUNTER__)( \
         name, cat, argName, static_cast<std::uint64_t>(argValue))
+/** Same, with two named numeric arguments. */
+#define XED_TRACE_SPAN_ARG2(name, cat, argName, argValue, arg2Name,     \
+                            arg2Value)                                 \
+    ::xed::obs::ScopedSpan XED_OBS_CONCAT(xedTraceSpan_, __COUNTER__)( \
+        name, cat, argName, static_cast<std::uint64_t>(argValue),      \
+        arg2Name, static_cast<std::uint64_t>(arg2Value))
 /** Same, as span @p var, whose argument XED_TRACE_SET_ARG sets later. */
 #define XED_TRACE_SPAN_LATE_ARG(var, name, cat, argName)               \
     ::xed::obs::ScopedSpan var(name, cat, argName)
@@ -229,6 +240,9 @@ class ScopedSpan
     do {                                                               \
     } while (0)
 #define XED_TRACE_SPAN_ARG(name, cat, argName, argValue)               \
+    do {                                                               \
+    } while (0)
+#define XED_TRACE_SPAN_ARG2(...)                                       \
     do {                                                               \
     } while (0)
 #define XED_TRACE_SPAN_LATE_ARG(var, name, cat, argName)               \

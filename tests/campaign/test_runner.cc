@@ -13,8 +13,10 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <span>
 #include <sstream>
 #include <gtest/gtest.h>
+#include <stdexcept>
 #include <thread>
 
 #include <sys/resource.h>
@@ -197,6 +199,124 @@ TEST(CampaignRunner, DetectionRunIsThreadInvariant)
     }
     // Weight-1 errors are always detected by a distance-4 code.
     EXPECT_EQ(one.cells[0].result.detected, spec.trials);
+}
+
+/** 2 codes x 2 patterns x 3 weights, 10 shards per cell, the last of
+ *  200 trials. */
+CampaignSpec
+groupedDetectionSpec()
+{
+    return parsed(R"({
+        "name": "runner-det-groups", "kind": "detection", "seed": 7,
+        "codes": ["hamming7264", "crc8atm"],
+        "patterns": ["random", "burst"],
+        "maxWeight": 3, "trials": 4700, "shardTrials": 500
+    })");
+}
+
+TEST(CampaignRunner, DetectionGroupsMatchSingleShards)
+{
+    // A shard's result must not depend on the shards it runs beside:
+    // every group of 1..8 consecutive shards of a cell, starting
+    // anywhere in it, gives each shard what it gives alone.
+    const auto spec = groupedDetectionSpec();
+    const Plan plan = buildPlan(spec);
+    ASSERT_EQ(plan.shardsPerCell, 10u);
+    std::vector<ShardResult> alone;
+    for (const ShardTask &task : plan.tasks)
+        alone.push_back(runDetectionShard(spec, task, nullptr));
+    for (std::uint64_t cellFirst = 0; cellFirst < plan.tasks.size();
+         cellFirst += plan.shardsPerCell) {
+        for (std::uint64_t first = cellFirst;
+             first < cellFirst + plan.shardsPerCell; ++first) {
+            const std::uint64_t most = std::min<std::uint64_t>(
+                8, cellFirst + plan.shardsPerCell - first);
+            for (std::uint64_t size = 1; size <= most; ++size) {
+                std::vector<ShardResult> results(size);
+                runDetectionShards(
+                    spec,
+                    std::span(plan.tasks).subspan(first, size),
+                    results, nullptr);
+                for (std::uint64_t k = 0; k < size; ++k) {
+                    ASSERT_EQ(results[k].trials, alone[first + k].trials);
+                    ASSERT_EQ(results[k].detected,
+                              alone[first + k].detected)
+                        << "shard " << first + k << " in a group of "
+                        << size << " from " << first;
+                }
+            }
+        }
+    }
+
+    std::vector<ShardResult> results(9);
+    EXPECT_THROW(runDetectionShards(spec, std::span(plan.tasks).first(9),
+                                    results, nullptr),
+                 std::invalid_argument);
+    EXPECT_THROW(runDetectionShards(spec,
+                                    std::span(plan.tasks).subspan(8, 4),
+                                    std::span(results).first(4), nullptr),
+                 std::invalid_argument);
+}
+
+TEST(CampaignRunner, DetectionStoreCutInsideAGroupResumesByteIdentical)
+{
+    // 13 shards end inside the second lane group of cell 1; the resume
+    // runs on another thread count and starts its groups there.
+    const auto spec = groupedDetectionSpec();
+    const auto full = ownTempPath("runner_det_full.jsonl");
+    const auto split = ownTempPath("runner_det_split.jsonl");
+    removeStore(full);
+    removeStore(split);
+
+    auto options = inMemory(1);
+    options.outPath = full;
+    ASSERT_TRUE(runCampaign(spec, options).complete);
+
+    options = inMemory(2);
+    options.outPath = split;
+    options.maxShards = 13;
+    const auto interrupted = runCampaign(spec, options);
+    ASSERT_TRUE(interrupted.ok) << interrupted.error;
+    EXPECT_EQ(interrupted.shardsRun, 13u);
+
+    options = inMemory(3);
+    options.outPath = split;
+    options.resume = true;
+    options.trace = true;
+    obs::TraceRecorder::instance().clear();
+    const auto resumed = runCampaign(spec, options);
+    obs::TraceRecorder::instance().setEnabled(false);
+    ASSERT_TRUE(resumed.ok) << resumed.error;
+    ASSERT_TRUE(resumed.complete);
+    EXPECT_EQ(slurp(split), slurp(full));
+
+    // One detection-group span per group: 1..8 shards of one cell,
+    // together covering each resumed shard once.
+    const auto trace = json::parse(slurp(resumed.tracePath));
+    obs::TraceRecorder::instance().clear();
+    ASSERT_TRUE(trace && trace->find("traceEvents"));
+    const Plan plan = buildPlan(spec);
+    std::vector<unsigned> covered(plan.tasks.size(), 0);
+    for (const json::Value &event : trace->find("traceEvents")->items()) {
+        const json::Value *name = event.find("name");
+        if (!name || name->asString() != "detection-group")
+            continue;
+        const json::Value *args = event.find("args");
+        ASSERT_TRUE(args && args->find("index") && args->find("shards"));
+        const std::uint64_t index = args->find("index")->asUint();
+        const std::uint64_t shards = args->find("shards")->asUint();
+        ASSERT_GE(shards, 1u);
+        ASSERT_LE(shards, 8u);
+        ASSERT_LE(index + shards, plan.tasks.size());
+        EXPECT_EQ(index / plan.shardsPerCell,
+                  (index + shards - 1) / plan.shardsPerCell);
+        for (std::uint64_t i = index; i < index + shards; ++i)
+            ++covered[i];
+    }
+    for (std::size_t i = 0; i < covered.size(); ++i)
+        EXPECT_EQ(covered[i], i < 13 ? 0u : 1u) << "shard " << i;
+    removeStore(full);
+    removeStore(split);
 }
 
 TEST(CampaignRunner, ResumedStoreIsByteIdentical)

@@ -3,10 +3,10 @@
  * The SIMD dispatch layer and the per-level byte-identity contract
  * (DESIGN.md section 4i): level names and strict parsing, host support
  * probing, forced overrides, and -- for every level the host can
- * execute -- GF(2^8) constant rows, the nibble-table linearity fence,
- * the Monte-Carlo zero-fault filter, and full-engine McResult
- * identity. RS decode and detectMany are covered per level by
- * tests/ecc/test_codec_equivalence.cc.
+ * execute -- GF(2^8) constant rows, the detection lane tables'
+ * linearity fence, the Monte-Carlo zero-fault filter, and full-engine
+ * McResult identity. RS decode and the detection lanes are covered
+ * per level by tests/ecc/test_codec_equivalence.cc.
  */
 
 #include <gtest/gtest.h>
@@ -18,10 +18,13 @@
 
 #include "common/rng.hh"
 #include "common/simd.hh"
-#include "ecc/detect_simd.hh"
+#include "ecc/crc8atm.hh"
+#include "ecc/detect_lanes.hh"
 #include "ecc/gf256.hh"
+#include "ecc/hamming7264.hh"
 #include "faultsim/engine.hh"
 #include "faultsim/zero_filter.hh"
+#include "tests/support/simd_levels.hh"
 
 namespace xed
 {
@@ -30,33 +33,6 @@ namespace
 
 constexpr SimdLevel allLevels[] = {SimdLevel::Scalar, SimdLevel::Neon,
                                    SimdLevel::Avx2, SimdLevel::Avx512};
-
-/** Every level this host can execute, Scalar first. */
-std::vector<SimdLevel>
-executableLevels()
-{
-    std::vector<SimdLevel> levels;
-    for (const SimdLevel level : allLevels)
-        if (simdLevelSupported(level))
-            levels.push_back(level);
-    return levels;
-}
-
-/** Force a dispatch level for one scope; restores the previous one. */
-class ScopedSimdLevel
-{
-  public:
-    explicit ScopedSimdLevel(SimdLevel level) : prev_(simdLevel())
-    {
-        simdForceLevel(level, "test");
-    }
-    ~ScopedSimdLevel() { simdForceLevel(prev_, "test"); }
-    ScopedSimdLevel(const ScopedSimdLevel &) = delete;
-    ScopedSimdLevel &operator=(const ScopedSimdLevel &) = delete;
-
-  private:
-    SimdLevel prev_;
-};
 
 TEST(SimdDispatch, LevelNamesRoundTrip)
 {
@@ -160,20 +136,28 @@ TEST(SimdGf256, MulConstMatchesScalarRowAtEveryLevel)
     }
 }
 
-TEST(SimdDetect, NibbleTablesVerifyLinearity)
+/** Hamming whose syndrome of one word is bent off linearity: the word
+ *  with 0x33 in byte lane 4. */
+class BentHamming final : public ecc::Hamming7264
 {
-    // Identity lanes are GF(2)-linear: b == (b & 0x0F) ^ (b & 0xF0).
-    std::array<std::array<std::uint8_t, 256>, 9> lanes{};
-    for (auto &lane : lanes)
-        for (unsigned b = 0; b < 256; ++b)
-            lane[b] = static_cast<std::uint8_t>(b);
-    EXPECT_NO_THROW(ecc::detail::makeNibbleTables(lanes));
+  public:
+    std::uint8_t
+    syndrome(const ecc::Word72 &received) const override
+    {
+        const std::uint8_t s = Hamming7264::syndrome(received);
+        return received == ecc::Word72{0x33ull << 32, 0}
+                   ? static_cast<std::uint8_t>(s ^ 1)
+                   : s;
+    }
+};
 
-    // One non-linear entry in one lane must be rejected: a silently
-    // wrong nibble split would corrupt every vector detection result.
-    lanes[4][0x33] ^= 1;
-    EXPECT_THROW(ecc::detail::makeNibbleTables(lanes),
-                 std::logic_error);
+TEST(SimdDetect, LaneTablesRejectNonLinearCode)
+{
+    EXPECT_NO_THROW(ecc::DetectTables{ecc::Hamming7264()});
+    EXPECT_NO_THROW(ecc::DetectTables{ecc::Crc8Atm()});
+    // One non-linear syndrome must be rejected: the lane kernel XORs
+    // columns, so it would silently miscount every pattern over it.
+    EXPECT_THROW(ecc::DetectTables{BentHamming()}, std::logic_error);
 }
 
 TEST(SimdZeroFilter, WidthIsZeroOrServedByTheMaskKernels)

@@ -2,10 +2,11 @@
  * @file
  * Counting-allocator proof of the codec layer's allocation contract:
  * once a code object exists, the hot paths -- RS scratch decode with
- * errors and erasures, CRC/Hamming decode, batched detection, and a
- * whole campaign detection shard -- perform ZERO steady-state heap
- * allocations. Same technique as tests/faultsim/test_alloc.cc: global
- * operator new is replaced with a counting forwarder.
+ * errors and erasures, CRC/Hamming decode, batched detection, a
+ * detection lane group, and a whole campaign detection shard --
+ * perform ZERO steady-state heap allocations. Same technique as
+ * tests/faultsim/test_alloc.cc: global operator new is replaced with
+ * a counting forwarder.
  *
  * This binary must stay separate from test_ecc: the global operator
  * new replacement applies process-wide.
@@ -28,9 +29,11 @@
 #include "common/simd.hh"
 #include "obs/trace.hh"
 #include "ecc/crc8atm.hh"
+#include "ecc/detect_lanes.hh"
 #include "ecc/error_patterns.hh"
 #include "ecc/hamming7264.hh"
 #include "ecc/reed_solomon.hh"
+#include "tests/support/pattern_reference.hh"
 #include "xed/chipkill_controller.hh"
 #include "xed/controller.hh"
 
@@ -185,7 +188,7 @@ checkSecdedDecodeAllocationFree(std::uint64_t seed)
     for (unsigned trial = 0; trial < 20000; ++trial) {
         Word72 word = clean;
         if (rng.bernoulli(0.75))
-            word ^= randomPattern(rng, 1 + rng.below(8));
+            word ^= reference::randomPattern(rng, 1 + rng.below(8));
         observed += code.decode(word).errorObserved();
     }
     randomPatternsInto(rng, 4, std::span<Word72>(batch));
@@ -208,10 +211,11 @@ TEST(CodecAllocation, Crc8DecodeIsAllocationFree)
 
 TEST(CodecAllocation, BatchKernelsAllocationFreeAtEveryLevel)
 {
-    // The SIMD batch kernels (detectMany, GF constant rows) must stay
-    // allocation-free at EVERY dispatch level, not just the detected
-    // one. Level forcing and all buffers live outside the counted
-    // window (simdForceLevel stores the origin string).
+    // The SIMD batch kernels (detection lane groups, GF constant rows)
+    // must stay allocation-free at EVERY dispatch level, not just the
+    // detected one. Level forcing, the lane tables and all buffers live
+    // outside the counted window (simdForceLevel stores the origin
+    // string).
     std::vector<SimdLevel> levels;
     for (const SimdLevel level :
          {SimdLevel::Scalar, SimdLevel::Neon, SimdLevel::Avx2,
@@ -220,15 +224,16 @@ TEST(CodecAllocation, BatchKernelsAllocationFreeAtEveryLevel)
             levels.push_back(level);
     const SimdLevel original = simdLevel();
 
-    const Hamming7264 hamming;
-    const Crc8Atm crc;
+    const DetectTables hamming{Hamming7264()};
+    const DetectTables crc{Crc8Atm()};
     const GF256 &gf = GF256::instance();
     Rng rng(0x51A110C);
 
-    std::vector<Word72> batch(513);
-    const Word72 clean = hamming.encode(0xDEADBEEFCAFEF00Dull);
-    for (Word72 &word : batch)
-        word = clean ^ randomPattern(rng, 1 + rng.below(8));
+    std::array<DetectLane, maxDetectLanes> lanes;
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+        lanes[i].rng = Rng::stream(0x51A110C, i);
+        lanes[i].trials = 500 + 37 * i;
+    }
 
     std::vector<std::uint8_t> gfSrc(513), gfDst(513);
     for (auto &symbol : gfSrc)
@@ -238,9 +243,10 @@ TEST(CodecAllocation, BatchKernelsAllocationFreeAtEveryLevel)
         simdForceLevel(level, "test");
         const std::uint64_t before = allocations();
         std::uint64_t observed = 0;
-        observed +=
-            hamming.detectMany(std::span<const Word72>(batch));
-        observed += crc.detectMany(std::span<const Word72>(batch));
+        detectLanes(hamming, false, 4, lanes);
+        observed += lanes[0].detected;
+        detectLanes(crc, true, 8, std::span(lanes).first(5));
+        observed += lanes[4].detected;
         gf.mulConstXorInto(0xA7, gfSrc.data(), gfDst.data(),
                            gfSrc.size());
         observed += gfDst[0];
@@ -374,9 +380,9 @@ shardAllocations(const CampaignSpec &spec, std::uint64_t trials)
 
 TEST(CodecAllocation, DetectionShardSteadyStateIsAllocationFree)
 {
-    // A full runDetectionShard cell: code construction and the result
-    // are the only allocations, so doubling the trial count must not
-    // change the total.
+    // A full runDetectionShard cell: the result is the only possible
+    // allocation (the code tables are built once per process), so
+    // quadrupling the trial count must not change the total.
     for (const char *code : {"hamming7264", "crc8atm"}) {
         for (const bool burst : {false, true}) {
             CampaignSpec spec;
@@ -402,10 +408,10 @@ TEST(CodecAllocation, DetectionShardSteadyStateIsAllocationFree)
 
 TEST(CodecAllocation, TracedDetectionShardSteadyStateIsAllocationFree)
 {
-    // Same contract with the span recorder enabled: every per-batch
-    // span is a struct store into the thread's preallocated ring, so
-    // quadrupling the trial count (and the span count with it) must
-    // not change the allocation total after the ring is registered.
+    // Same contract with the span recorder enabled: the shard's
+    // detection-group span is a struct store into the thread's
+    // preallocated ring, so quadrupling the trial count must not
+    // change the allocation total after the ring is registered.
     CampaignSpec spec;
     spec.name = "alloc-probe-traced";
     spec.kind = CampaignKind::Detection;

@@ -5,11 +5,13 @@
  * byte-identical results to the frozen pre-optimization implementations
  * in tests/support/codec_reference.* -- same statuses, same corrected
  * words, same syndromes, same RNG draw order for the batched pattern
- * generators. The AcrossSimdLevels suites force every dispatch level
- * the host can execute (DESIGN.md section 4i) through the real
- * dispatch and demand the same bytes from each. Together with the
- * golden_table2 stdout fixture this pins the PR's bit-identicality
- * contract.
+ * generators. The per-level suites force every dispatch level the
+ * host can execute (DESIGN.md section 4i) through the real dispatch
+ * and demand the same bytes from each: RS decode against the Scalar
+ * level, and the detection lanes against the per-trial loop over the
+ * reference generators of tests/support/pattern_reference. Together
+ * with the golden_table2 stdout fixtures this pins the codec layer's
+ * bit-identicality contract.
  */
 
 #include <gtest/gtest.h>
@@ -22,10 +24,13 @@
 #include "common/rng.hh"
 #include "common/simd.hh"
 #include "ecc/crc8atm.hh"
+#include "ecc/detect_lanes.hh"
 #include "ecc/error_patterns.hh"
 #include "ecc/hamming7264.hh"
 #include "ecc/reed_solomon.hh"
 #include "tests/support/codec_reference.hh"
+#include "tests/support/pattern_reference.hh"
+#include "tests/support/simd_levels.hh"
 
 namespace xed::ecc
 {
@@ -197,7 +202,7 @@ checkDetectMany(std::uint64_t seed)
             // Mix clean words, lightly corrupted words and noise.
             word = clean;
             if (rng.bernoulli(0.7))
-                word ^= randomPattern(rng, 1 + rng.below(8));
+                word ^= reference::randomPattern(rng, 1 + rng.below(8));
         }
         std::size_t expected = 0;
         for (const Word72 &word : batch)
@@ -217,83 +222,92 @@ TEST(CodecEquivalence, DetectManyMatchesScalarLoopCrc8)
     checkDetectMany<Crc8Atm>(0xC4C4);
 }
 
-/** Every SIMD level this host can execute, Scalar first. */
-std::vector<SimdLevel>
-executableLevels()
+/**
+ * One detection shard by the per-trial loop: the reference generator's
+ * patterns from @p rng's stream, each XORed onto a codeword and
+ * counted unless isValidCodeword().
+ */
+std::uint64_t
+perTrialDetected(const Secded7264 &code, Rng rng, bool burst,
+                 unsigned weight, std::uint64_t trials)
 {
-    std::vector<SimdLevel> levels;
-    for (const SimdLevel level :
-         {SimdLevel::Scalar, SimdLevel::Neon, SimdLevel::Avx2,
-          SimdLevel::Avx512})
-        if (simdLevelSupported(level))
-            levels.push_back(level);
-    return levels;
+    const Word72 clean = code.encode(0xFEEDFACECAFEBEEFull);
+    std::uint64_t detected = 0;
+    for (std::uint64_t t = 0; t < trials; ++t) {
+        const Word72 pattern =
+            burst ? reference::solidBurstPattern(rng, weight)
+                  : reference::randomPattern(rng, weight);
+        detected += !code.isValidCodeword(clean ^ pattern);
+    }
+    return detected;
 }
 
-/** Force a dispatch level for one scope; restores the previous one. */
-class ScopedSimdLevel
-{
-  public:
-    explicit ScopedSimdLevel(SimdLevel level) : prev_(simdLevel())
-    {
-        simdForceLevel(level, "test");
-    }
-    ~ScopedSimdLevel() { simdForceLevel(prev_, "test"); }
-    ScopedSimdLevel(const ScopedSimdLevel &) = delete;
-    ScopedSimdLevel &operator=(const ScopedSimdLevel &) = delete;
-
-  private:
-    SimdLevel prev_;
-};
-
 /**
- * detectMany through the real dispatch at every executable level, for
- * every batch size 1..513 and every element offset 0..3 into the pool
- * (word alignment 16 bytes, so offsets cover all head misalignments
- * relative to the 32/64-byte vector blocks). The reference count comes
- * from per-word isValidCodeword(), independent of any batch kernel.
+ * detectLanes through the real dispatch at every executable level, for
+ * random weights 1..9, 36 and 72 and burst lengths 1..8 and 72, in
+ * groups of 1..8 lanes with unequal trial counts (lane 2 has none):
+ * every lane's count must be the per-trial loop's over its stream.
  */
 template <typename Code>
 void
-checkDetectManyAcrossLevels(std::uint64_t seed)
+checkDetectLanesAcrossLevels(std::uint64_t seed)
 {
     const Code code;
-    Rng rng(seed);
-    constexpr std::size_t maxBatch = 513;
-    constexpr std::size_t maxOffset = 3;
-    std::vector<Word72> pool(maxBatch + maxOffset);
-    const Word72 clean = code.encode(0xFEEDFACECAFEBEEFull);
-    for (Word72 &word : pool) {
-        word = clean;
-        if (rng.bernoulli(0.6))
-            word ^= randomPattern(rng, 1 + rng.below(8));
-    }
-    for (std::size_t offset = 0; offset <= maxOffset; ++offset) {
-        // prefix[i] = invalid words among pool[offset .. offset+i).
-        std::vector<std::size_t> prefix(maxBatch + 1, 0);
-        for (std::size_t i = 0; i < maxBatch; ++i)
-            prefix[i + 1] =
-                prefix[i] + !code.isValidCodeword(pool[offset + i]);
-        for (const SimdLevel level : executableLevels()) {
-            const ScopedSimdLevel forced(level);
-            for (std::size_t size = 1; size <= maxBatch; ++size)
-                ASSERT_EQ(code.detectMany(std::span<const Word72>(
-                              pool.data() + offset, size)),
-                          prefix[size])
-                    << simdLevelName(level) << " offset " << offset
-                    << " size " << size;
+    const DetectTables tables(code);
+    std::vector<std::pair<bool, unsigned>> cells;
+    for (const unsigned weight : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 9u, 36u,
+                                  72u})
+        cells.emplace_back(false, weight);
+    for (const unsigned length : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 72u})
+        cells.emplace_back(true, length);
+    Rng draw(seed);
+    for (const auto &[burst, weight] : cells) {
+        const std::uint64_t maxTrials = !burst && weight >= 36 ? 40 : 600;
+        for (std::size_t size = 1; size <= maxDetectLanes; ++size) {
+            std::array<DetectLane, maxDetectLanes> lanes;
+            std::array<std::uint64_t, maxDetectLanes> expected{};
+            for (std::size_t i = 0; i < size; ++i) {
+                lanes[i].rng = Rng::stream(seed, draw.next());
+                lanes[i].trials = i == 2 ? 0 : 1 + draw.below(maxTrials);
+                expected[i] = perTrialDetected(code, lanes[i].rng, burst,
+                                               weight, lanes[i].trials);
+            }
+            for (const SimdLevel level : executableLevels()) {
+                const ScopedSimdLevel forced(level);
+                for (DetectLane &lane : lanes)
+                    lane.detected = ~std::uint64_t{0};
+                detectLanes(tables, burst, weight,
+                            std::span(lanes).first(size));
+                for (std::size_t i = 0; i < size; ++i)
+                    ASSERT_EQ(lanes[i].detected, expected[i])
+                        << simdLevelName(level)
+                        << (burst ? " burst " : " random ") << weight
+                        << " lanes " << size << " lane " << i;
+            }
         }
     }
 }
 
-TEST(CodecEquivalence, DetectManyIdenticalAcrossSimdLevelsHamming)
+TEST(CodecEquivalence, DetectLanesMatchPerTrialLoopAtEveryLevelHamming)
 {
-    checkDetectManyAcrossLevels<Hamming7264>(0x51AD1);
+    checkDetectLanesAcrossLevels<Hamming7264>(0x51AD1);
 }
 
-TEST(CodecEquivalence, DetectManyIdenticalAcrossSimdLevelsCrc8)
+TEST(CodecEquivalence, DetectLanesMatchPerTrialLoopAtEveryLevelCrc8)
 {
-    checkDetectManyAcrossLevels<Crc8Atm>(0x51AD2);
+    checkDetectLanesAcrossLevels<Crc8Atm>(0x51AD2);
+}
+
+TEST(CodecEquivalence, DetectLanesRejectBadGroups)
+{
+    const DetectTables tables{Hamming7264()};
+    std::array<DetectLane, maxDetectLanes + 1> lanes;
+    EXPECT_THROW(detectLanes(tables, false, 4, lanes),
+                 std::invalid_argument);
+    const std::span<DetectLane> one = std::span(lanes).first(1);
+    EXPECT_THROW(detectLanes(tables, false, 0, one), std::invalid_argument);
+    EXPECT_THROW(detectLanes(tables, true, 73, one), std::invalid_argument);
+    EXPECT_NO_THROW(detectLanes(tables, true, 72, one));
 }
 
 /**
@@ -356,19 +370,22 @@ TEST(CodecEquivalence, BatchedPatternsPreserveDrawOrder)
 
         randomPatternsInto(batchRng, weight, std::span<Word72>(batch));
         for (const Word72 &pattern : batch)
-            ASSERT_EQ(pattern, randomPattern(scalarRng, weight));
+            ASSERT_EQ(pattern, reference::randomPattern(scalarRng, weight));
         ASSERT_EQ(batchRng.next(), scalarRng.next());
 
         solidBurstPatternsInto(batchRng, weight,
                                std::span<Word72>(batch));
         for (const Word72 &pattern : batch)
-            ASSERT_EQ(pattern, solidBurstPattern(scalarRng, weight));
+            ASSERT_EQ(pattern,
+                      reference::solidBurstPattern(scalarRng, weight));
         ASSERT_EQ(batchRng.next(), scalarRng.next());
 
         if (weight >= 2) {
-            burstPatternsInto(batchRng, weight, std::span<Word72>(batch));
+            reference::burstPatternsInto(batchRng, weight,
+                                         std::span<Word72>(batch));
             for (const Word72 &pattern : batch)
-                ASSERT_EQ(pattern, burstPattern(scalarRng, weight));
+                ASSERT_EQ(pattern,
+                          reference::burstPattern(scalarRng, weight));
             ASSERT_EQ(batchRng.next(), scalarRng.next());
         }
     }

