@@ -281,24 +281,25 @@ runDetectionShard(const CampaignSpec &spec, const ShardTask &task,
                   faultsim::McProgress *progress)
 {
     ShardResult out;
-    runDetectionShards(spec, {&task, 1}, {&out, 1}, progress);
+    out.trials = task.end - task.begin;
+    runDetectionShards(spec, {&task, 1}, {&out.detected, 1}, progress);
     return out;
 }
 
 void
 runDetectionShards(const CampaignSpec &spec,
                    std::span<const ShardTask> tasks,
-                   std::span<ShardResult> results,
+                   std::span<std::uint64_t> detected,
                    faultsim::McProgress *progress)
 {
     const auto otherCell = [&](const ShardTask &task) {
         return task.point != tasks[0].point || task.cell != tasks[0].cell;
     };
     if (tasks.empty() || tasks.size() > ecc::maxDetectLanes ||
-        results.size() != tasks.size() ||
+        detected.size() != tasks.size() ||
         std::any_of(tasks.begin(), tasks.end(), otherCell))
         throw std::invalid_argument("runDetectionShards: 1 to 8 shards "
-                                    "of one cell, one result each");
+                                    "of one cell, one count each");
     XED_TRACE_SPAN_ARG2("detection-group", "campaign", "index",
                         tasks[0].index, "shards", tasks.size());
     const DetectionCell cell = detectionCell(spec, tasks[0].cell);
@@ -312,8 +313,7 @@ runDetectionShards(const CampaignSpec &spec,
     ecc::detectLanes(detectTables(cell.code), cell.burst, cell.weight,
                      std::span(lanes).first(tasks.size()));
     for (std::size_t k = 0; k < tasks.size(); ++k) {
-        results[k].trials = lanes[k].trials;
-        results[k].detected = lanes[k].detected;
+        detected[k] = lanes[k].detected;
         if (progress) {
             progress->systemsDone.fetch_add(lanes[k].trials,
                                             std::memory_order_relaxed);
@@ -573,8 +573,8 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
     // ecc::maxDetectLanes consecutive shards of one (point, cell) -- the
     // plan orders shards point, cell, shard -- which it runs side by
     // side, otherwise one shard. False once the plan is claimed.
-    const std::uint64_t claimMost =
-        spec.kind == CampaignKind::Detection ? ecc::maxDetectLanes : 1;
+    const bool detection = spec.kind == CampaignKind::Detection;
+    const std::uint64_t claimMost = detection ? ecc::maxDetectLanes : 1;
     const auto claim = [&](std::uint64_t &first, std::uint64_t &end) {
         first = next.load(std::memory_order_relaxed);
         do {
@@ -611,12 +611,13 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
                 try {
                     const std::span<const ShardTask> tasks(
                         plan.tasks.data() + first, end - first);
-                    std::array<ShardResult, ecc::maxDetectLanes> results;
+                    std::array<std::uint64_t, ecc::maxDetectLanes> detected{};
+                    ShardResult result; // a reliability or fleet shard
                     const auto t0 = std::chrono::steady_clock::now();
-                    if (spec.kind == CampaignKind::Detection) {
+                    if (detection) {
                         runDetectionShards(
                             spec, tasks,
-                            std::span(results).first(tasks.size()),
+                            std::span(detected).first(tasks.size()),
                             &progress);
                     } else {
                         XED_TRACE_SPAN_ARG(
@@ -624,7 +625,7 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
                                 ? "reliability-shard"
                                 : "fleet-shard",
                             "campaign", "index", first);
-                        results[0] = runShard(spec, tasks[0], &progress);
+                        result = runShard(spec, tasks[0], &progress);
                     }
                     // Shards run side by side share the group's time.
                     const double dt =
@@ -635,7 +636,12 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
                     for (std::size_t k = 0; k < tasks.size(); ++k) {
                         const ShardTask &task = tasks[k];
                         ReadyShard shard;
-                        shard.result = std::move(results[k]);
+                        if (detection) {
+                            shard.result.trials = task.end - task.begin;
+                            shard.result.detected = detected[k];
+                        } else {
+                            shard.result = std::move(result);
+                        }
                         shardSeconds.update(dt);
                         if (dt > 0)
                             shardRate.update(

@@ -113,17 +113,17 @@ ShardResult runDetectionShard(const CampaignSpec &spec,
 
 /**
  * Up to ecc::maxDetectLanes detection shards of one (point, cell) side
- * by side on the lane kernel (ecc/detect_lanes.hh); results[k] is
- * tasks[k]'s. Each shard draws its own stream, keyed by (cell, shard
- * ordinal), so its result depends on nothing else: not the shards
- * beside it, the thread count or an interrupt. No steady-state
- * allocation. One "detection-group" trace span carries the first
- * task's index and the shard count. Throws std::invalid_argument on an
- * empty, oversized or mixed-cell group.
+ * by side on the lane kernel (ecc/detect_lanes.hh); detected[k] is
+ * tasks[k]'s count of detected patterns. Each shard draws its own
+ * stream, keyed by (cell, shard ordinal), so its count depends on
+ * nothing else: not the shards beside it, the thread count or an
+ * interrupt. No steady-state allocation. One "detection-group" trace
+ * span carries the first task's index and the shard count. Throws
+ * std::invalid_argument on an empty, oversized or mixed-cell group.
  */
 void runDetectionShards(const CampaignSpec &spec,
                         std::span<const ShardTask> tasks,
-                        std::span<ShardResult> results,
+                        std::span<std::uint64_t> detected,
                         faultsim::McProgress *progress);
 
 /**
