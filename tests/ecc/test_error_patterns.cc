@@ -13,7 +13,8 @@ TEST(ErrorPatterns, RandomPatternHasExactWeight)
     Rng rng(1);
     for (unsigned w = 1; w <= 8; ++w)
         for (int i = 0; i < 200; ++i)
-            EXPECT_EQ(reference::randomPattern(rng, w).weight(), static_cast<int>(w));
+            EXPECT_EQ(reference::randomPattern(rng, w).weight(),
+                      static_cast<int>(w));
 }
 
 TEST(ErrorPatterns, RandomPatternCoversAllPositions)
