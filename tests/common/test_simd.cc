@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
