@@ -38,8 +38,8 @@
 #          DESIGN.md section 4i: under XED_SIMD=scalar, under the
 #          detected level and, on an AVX-512 host, under XED_SIMD=avx2
 #          too, ctest -L 'simd|ecc|golden' passes (the golden jobs run
-#          fig06, table3, fig07, table2 and fig11-14, so all eight are
-#          built); every vector level's fig07 stdout, table2 stdout at
+#          fig01, fig06-fig10, table2-table4, fig11-14 and the scrubbing
+#          and on-die-code ablations, so all are built); every vector level's fig07 stdout, table2 stdout at
 #          XED_TRIALS=20000 and 170000 (1 and 4 shards per cell), smoke
 #          store and table2 stores at both trial counts are
 #          cmp-identical to the scalar level's, and the scalar stdout
@@ -108,7 +108,10 @@ simd)
     compile test_simd test_codec_equivalence test_codec_alloc test_ecc \
         fig06_collision_probability table3_multi_catchword \
         fig07_xed_reliability table2_detection_rates fig11_exec_time \
-        fig12_memory_power fig13_alternatives fig14_lotecc xed_campaign_cli
+        fig12_memory_power fig13_alternatives fig14_lotecc \
+        fig01_ondie_vs_dimm_ecc fig08_xed_scaling fig09_double_chipkill \
+        fig10_double_chipkill_scaling table4_sdc_due ablation_scrubbing \
+        ablation_ondie_code xed_campaign_cli
     work="$build/check_simd"
     mkdir -p "$work"
 
