@@ -140,10 +140,17 @@ struct McResult
 };
 
 /**
- * Run the Monte-Carlo for one scheme, sharding the system loop over
- * config.threads workers (see McConfig::threads). System s derives its
- * RNG as Rng::stream(config.seed, s), so the returned McResult is
- * bit-identical for any thread count.
+ * Systems a runMonteCarlo() worker takes from the shared index at a
+ * time: enough that the atomic costs nothing, few enough that no
+ * worker is left with a long tail when the others finish.
+ */
+constexpr std::uint64_t mcWorkerChunk = 4096;
+
+/**
+ * Run the Monte-Carlo for one scheme on config.threads workers (see
+ * McConfig::threads), which take chunks of mcWorkerChunk systems in
+ * turn. System s derives its RNG as Rng::stream(config.seed, s), so
+ * the returned McResult is bit-identical for any thread count.
  */
 McResult runMonteCarlo(const Scheme &scheme, const McConfig &config);
 

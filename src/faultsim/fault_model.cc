@@ -37,6 +37,7 @@ SampleContext::SampleContext(const FitTable &fit,
         kindTransient_[i] = entry.transient;
         cumulative += entry.total();
         kindCdf_[i] = cumulative;
+        rangeMask_[i] = rangeWildcard(layout, static_cast<FaultKind>(i));
     }
     totalFit_ = cumulative;
 

@@ -108,8 +108,17 @@ class SampleContext
         // floor(exp(-lambda) * 2^53): u0 <= threshold iff
         // u0 * 2^-53 <= exp(-lambda).
         const std::uint64_t u0 = rng.next() >> 11;
-        if (u0 <= knuthZeroMax_)
-            return 0;
+        return u0 <= knuthZeroMax_ ? 0 : faultCountAfter(u0, rng);
+    }
+
+    /**
+     * The rest of sampleFaultCount() after a first raw 53-bit draw
+     * @p u0 above knuthZeroMax(): the count (at least 1) of a lifetime
+     * whose first draw the zero-fault filter already made.
+     */
+    unsigned
+    faultCountAfter(std::uint64_t u0, Rng &rng) const
+    {
         double p = static_cast<double>(u0) * 0x1.0p-53;
         unsigned k = 1;
         do {
@@ -121,17 +130,25 @@ class SampleContext
 
     /**
      * Map a draw in [0, totalFit()) to its fault kind via the prefix
-     * CDF. Matches pickFaultKind(fit, draw) exactly, boundary rule
-     * included (a draw on a bracket boundary belongs to the next
-     * kind).
+     * CDF: the number of CDF entries at or below the draw. Matches
+     * pickFaultKind(fit, draw) exactly, boundary rule included (a draw
+     * on a bracket boundary belongs to the next kind), because FIT
+     * rates are non-negative and the CDF never decreases.
      */
     FaultKind
     pickKind(double draw) const
     {
+        unsigned kind = 0;
         for (unsigned i = 0; i + 1 < numFaultKinds; ++i)
-            if (draw < kindCdf_[i])
-                return static_cast<FaultKind>(i);
-        return static_cast<FaultKind>(numFaultKinds - 1);
+            kind += kindCdf_[i] <= draw;
+        return static_cast<FaultKind>(kind);
+    }
+
+    /** randomRange()'s wildcard mask for @p kind, from a table. */
+    std::uint64_t
+    rangeMask(FaultKind kind) const
+    {
+        return rangeMask_[static_cast<unsigned>(kind)];
     }
 
     double totalFit() const { return totalFit_; }
@@ -153,6 +170,23 @@ class SampleContext
     {
         return kindTransient_[static_cast<unsigned>(k)];
     }
+    /** Per-kind tables for the survivor lanes (sample_lanes.cc). */
+    const std::array<double, numFaultKinds> &kindCdf() const
+    {
+        return kindCdf_;
+    }
+    const std::array<double, numFaultKinds> &kindTotals() const
+    {
+        return kindTotal_;
+    }
+    const std::array<double, numFaultKinds> &kindTransients() const
+    {
+        return kindTransient_;
+    }
+    const std::array<std::uint64_t, numFaultKinds> &rangeMasks() const
+    {
+        return rangeMask_;
+    }
 
   private:
     AddressLayout layout_;
@@ -170,77 +204,83 @@ class SampleContext
     std::array<double, numFaultKinds> kindCdf_;
     std::array<double, numFaultKinds> kindTotal_;
     std::array<double, numFaultKinds> kindTransient_;
+    std::array<std::uint64_t, numFaultKinds> rangeMask_;
 };
 
 /**
+ * Append one sampled event on chip @p chipLinear (rank-major over
+ * @p shape) to @p out, @p ev carrying every other field, followed by
+ * its twin on every other rank when it is a multi-rank event and the
+ * shape expands those. The shape comes by value: the vector writes
+ * could alias the members of a referenced one, which would force a
+ * reload after every push.
+ */
+inline void
+pushFaultEvent(std::vector<FaultEvent> &out, DimmShape shape,
+               unsigned chipLinear, FaultEvent ev)
+{
+    // chipLinear -> (rank, chip). Every shape in the paper is
+    // dual-rank, where the split is a branchless compare + subtract;
+    // the general division only runs for exotic shapes.
+    if (shape.ranks == 2) {
+        ev.rank = chipLinear >= shape.chipsPerRank ? 1u : 0u;
+        ev.chip = chipLinear - ev.rank * shape.chipsPerRank;
+    } else {
+        ev.rank = chipLinear / shape.chipsPerRank;
+        ev.chip = chipLinear % shape.chipsPerRank;
+    }
+    out.push_back(ev);
+
+    if (ev.kind == FaultKind::MultiRank && shape.twinMultiRank) {
+        // Shared circuitry: the same chip position fails in every
+        // other rank of the DIMM at the same time.
+        for (unsigned r = 0; r < shape.ranks; ++r) {
+            if (r == ev.rank)
+                continue;
+            FaultEvent twin = ev;
+            twin.rank = r;
+            out.push_back(twin);
+        }
+    }
+}
+
+/**
  * Materialize @p count already-drawn fault events into @p out
- * (cleared first). The engine's hot loop draws the count inline via
- * ctx.sampleFaultCount() and only pays this call when count > 0.
- * Allocation-free once @p out has warmed up to its high-water
- * capacity. Inline so the materialization fuses into the engine loop.
+ * (cleared first): five draws per event -- chip, kind, permanence,
+ * time, address -- in that order. The engine's survivor lanes
+ * (sample_lanes.hh) make the same draws side by side. Allocation-free
+ * once @p out has warmed up to its high-water capacity. Inline so the
+ * materialization fuses into the caller's loop.
  */
 inline void
 sampleDimmFaultsInto(Rng &rng, const SampleContext &ctx, unsigned count,
                      std::vector<FaultEvent> &out)
 {
     out.clear();
-
-    // Attribute each of the @p count sampled events to a chip, kind,
-    // permanence, time and address range. The shape fields are hoisted
-    // into locals: the vector writes below could alias same-typed
-    // members behind the references, which would otherwise force a
-    // reload every iteration.
-    const DimmShape &shape = ctx.shape();
-    const AddressLayout &layout = ctx.layout();
-    const unsigned ranks = shape.ranks;
-    const unsigned chipsPerRank = shape.chipsPerRank;
-    const unsigned chips = ranks * chipsPerRank;
-    const bool twinMultiRank = shape.twinMultiRank;
+    const DimmShape shape = ctx.shape();
+    const unsigned chips = shape.chips();
+    const std::uint64_t allMask = ctx.layout().allMask();
     const double hours = ctx.hours();
     const double scrubIntervalHours = ctx.scrubIntervalHours();
     for (unsigned e = 0; e < count; ++e) {
         const unsigned chipLinear =
             static_cast<unsigned>(rng.below(chips));
-        const auto kind = ctx.pickKind(rng.uniform() * ctx.totalFit());
-        const bool transient =
-            rng.uniform() * ctx.kindTotal(kind) < ctx.kindTransient(kind);
-        const double time = rng.uniform() * hours;
-
         FaultEvent ev;
-        // chipLinear -> (rank, chip). Every shape in the paper is
-        // dual-rank, where the split is a branchless compare +
-        // subtract; the general division only runs for exotic shapes.
-        if (ranks == 2) {
-            ev.rank = chipLinear >= chipsPerRank ? 1u : 0u;
-            ev.chip = chipLinear - ev.rank * chipsPerRank;
-        } else {
-            ev.rank = chipLinear / chipsPerRank;
-            ev.chip = chipLinear % chipsPerRank;
-        }
-        ev.kind = kind;
-        ev.transient = transient;
-        ev.timeHours = time;
-        if (transient && scrubIntervalHours > 0) {
+        ev.kind = ctx.pickKind(rng.uniform() * ctx.totalFit());
+        ev.transient = rng.uniform() * ctx.kindTotal(ev.kind) <
+                       ctx.kindTransient(ev.kind);
+        ev.timeHours = rng.uniform() * hours;
+        if (ev.transient && scrubIntervalHours > 0) {
             // The patrol scrubber rewrites (and thereby heals) the
             // affected cells at the next scrub boundary.
             ev.expiresHours =
-                (std::floor(time / scrubIntervalHours) + 1.0) *
+                (std::floor(ev.timeHours / scrubIntervalHours) + 1.0) *
                 scrubIntervalHours;
         }
-        ev.range = randomRange(rng, layout, kind);
-        out.push_back(ev);
-
-        if (kind == FaultKind::MultiRank && twinMultiRank) {
-            // Shared circuitry: the same chip position fails in every
-            // other rank of the DIMM at the same time.
-            for (unsigned r = 0; r < ranks; ++r) {
-                if (r == ev.rank)
-                    continue;
-                FaultEvent twin = ev;
-                twin.rank = r;
-                out.push_back(twin);
-            }
-        }
+        // randomRange(rng, layout, kind), its mask from the table.
+        ev.range.mask = ctx.rangeMask(ev.kind);
+        ev.range.addr = rng.next() & allMask & ~ev.range.mask;
+        pushFaultEvent(out, shape, chipLinear, ev);
     }
 }
 

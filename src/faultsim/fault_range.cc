@@ -3,35 +3,35 @@
 namespace xed::faultsim
 {
 
+std::uint64_t
+rangeWildcard(const AddressLayout &layout, FaultKind kind)
+{
+    switch (kind) {
+      case FaultKind::Bit:
+        return 0;
+      case FaultKind::Word:
+        return layout.bitMask();
+      case FaultKind::Column:
+        // One column through a bank: fixed bank, column and bit
+        // position; every row affected.
+        return layout.rowMask();
+      case FaultKind::Row:
+        return layout.colMask() | layout.bitMask();
+      case FaultKind::Bank:
+        return layout.rowMask() | layout.colMask() | layout.bitMask();
+      case FaultKind::MultiBank:
+      case FaultKind::MultiRank:
+        return layout.allMask();
+    }
+    return 0;
+}
+
 FaultRange
 randomRange(Rng &rng, const AddressLayout &layout, FaultKind kind)
 {
     FaultRange r;
-    r.addr = rng.next() & layout.allMask();
-    switch (kind) {
-      case FaultKind::Bit:
-        r.mask = 0;
-        break;
-      case FaultKind::Word:
-        r.mask = layout.bitMask();
-        break;
-      case FaultKind::Column:
-        // One column through a bank: fixed bank, column and bit
-        // position; every row affected.
-        r.mask = layout.rowMask();
-        break;
-      case FaultKind::Row:
-        r.mask = layout.colMask() | layout.bitMask();
-        break;
-      case FaultKind::Bank:
-        r.mask = layout.rowMask() | layout.colMask() | layout.bitMask();
-        break;
-      case FaultKind::MultiBank:
-      case FaultKind::MultiRank:
-        r.mask = layout.allMask();
-        break;
-    }
-    r.addr &= ~r.mask;
+    r.mask = rangeWildcard(layout, kind);
+    r.addr = rng.next() & layout.allMask() & ~r.mask;
     return r;
 }
 

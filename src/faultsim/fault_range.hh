@@ -69,6 +69,9 @@ struct AddressLayout
     }
 };
 
+/** The wildcard mask of every fault range of @p kind. */
+std::uint64_t rangeWildcard(const AddressLayout &layout, FaultKind kind);
+
 /** Draw a random fault range of the given kind. */
 FaultRange randomRange(Rng &rng, const AddressLayout &layout,
                        FaultKind kind);

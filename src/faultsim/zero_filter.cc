@@ -1,5 +1,6 @@
 #include "faultsim/zero_filter.hh"
 
+#include <array>
 #include <cassert>
 
 #include "common/rng.hh"
@@ -21,21 +22,26 @@ constexpr std::uint64_t kMix1 = 0xBF58476D1CE4E5B9ull;
 constexpr std::uint64_t kMix2 = 0x94D049BB133111EBull;
 constexpr std::uint64_t kStream = 0xD2B74407B1CE6E93ull;
 
-/** Reference path: replay the exact Rng draws lane by lane. */
-std::uint32_t
-zeroFaultMaskScalar(std::uint64_t mixedSeed, std::uint64_t firstSystem,
-                    unsigned count, unsigned channels,
-                    std::uint64_t zeroMax)
+/** Replay each stream with an Rng (Scalar and Neon). */
+void
+screenScalar(std::uint64_t mixedSeed, std::uint64_t first, unsigned count,
+             unsigned channels, std::uint64_t zeroMax, SurvivorBlock &block)
 {
-    std::uint32_t mask = 0;
     for (unsigned i = 0; i < count; ++i) {
-        Rng rng = Rng::streamMixed(mixedSeed, firstSystem + i);
-        bool zero = true;
-        for (unsigned ch = 0; zero && ch < channels; ++ch)
-            zero = (rng.next() >> 11) <= zeroMax;
-        mask |= static_cast<std::uint32_t>(zero) << i;
+        Rng rng = Rng::streamMixed(mixedSeed, first + i);
+        for (unsigned ch = 0; ch < channels; ++ch) {
+            const std::uint64_t draw = rng.next() >> 11;
+            if (draw <= zeroMax)
+                continue;
+            const std::array<std::uint64_t, 4> state = rng.state();
+            for (unsigned w = 0; w < 4; ++w)
+                block.state[w][i] = state[w];
+            block.draw[i] = draw;
+            block.channel[i] = ch;
+            block.survivors |= std::uint64_t{1} << i;
+            break;
+        }
     }
-    return mask;
 }
 
 #if defined(__x86_64__)
@@ -74,21 +80,22 @@ mixAvx2(__m256i z)
 }
 
 /**
- * 4 lanes of splitmix64 + xoshiro256** on AVX2. The 64x64 multiplies
- * (splitmix64 seeding only; the xoshiro step needs none) use the
- * classic three-vpmuludq emulation; everything else is shifts, adds
- * and xors, so each value is computed with exactly the scalar
- * semantics -- the compare threshold and the draw are both below
- * 2^53, which keeps the signed 64-bit compare valid.
+ * Systems [first + at, first + at + 4) on AVX2; returns their 4-bit
+ * survivor mask. The 64x64 multiplies (splitmix64 seeding only; the
+ * xoshiro step needs none) use the classic three-vpmuludq emulation;
+ * everything else is shifts, adds and xors, so each value is computed
+ * with exactly the scalar semantics -- the compare threshold and the
+ * draw are both below 2^53, which keeps the signed 64-bit compare
+ * valid.
  */
-__attribute__((target("avx2"))) std::uint32_t
-zeroFaultMask4Avx2(std::uint64_t mixedSeed, std::uint64_t firstSystem,
-                   unsigned channels, std::uint64_t zeroMax)
+__attribute__((target("avx2"))) unsigned
+screen4Avx2(std::uint64_t mixedSeed, std::uint64_t first, unsigned at,
+            unsigned channels, std::uint64_t zeroMax, SurvivorBlock &block)
 {
     // seed = mixedSeed ^ mix64(~index * kStream); mix64 adds kGolden
     // before finalizing.
     const __m256i idx = _mm256_add_epi64(
-        _mm256_set1_epi64x(static_cast<long long>(firstSystem)),
+        _mm256_set1_epi64x(static_cast<long long>(first + at)),
         _mm256_setr_epi64x(0, 1, 2, 3));
     __m256i z = mul64Avx2(_mm256_xor_si256(idx, _mm256_set1_epi64x(-1)),
                       _mm256_set1_epi64x(static_cast<long long>(kStream)));
@@ -107,15 +114,15 @@ zeroFaultMask4Avx2(std::uint64_t mixedSeed, std::uint64_t firstSystem,
 
     const __m256i zeroMaxV =
         _mm256_set1_epi64x(static_cast<long long>(zeroMax));
-    __m256i bad = _mm256_setzero_si256();
+    __m256i found = _mm256_setzero_si256();
+    __m256i h[4] = {found, found, found, found};
+    __m256i hDraw = found, hChannel = found;
     for (unsigned ch = 0; ch < channels; ++ch) {
         // result = rotl(s1 * 5, 7) * 9; *5 and *9 are shift-adds.
         __m256i r = rotlAvx2(
             _mm256_add_epi64(s[1], _mm256_slli_epi64(s[1], 2)), 7);
         r = _mm256_add_epi64(r, _mm256_slli_epi64(r, 3));
         const __m256i draw = _mm256_srli_epi64(r, 11);
-        bad = _mm256_or_si256(bad,
-                              _mm256_cmpgt_epi64(draw, zeroMaxV));
 
         const __m256i t = _mm256_slli_epi64(s[1], 17);
         s[2] = _mm256_xor_si256(s[2], s[0]);
@@ -124,10 +131,28 @@ zeroFaultMask4Avx2(std::uint64_t mixedSeed, std::uint64_t firstSystem,
         s[0] = _mm256_xor_si256(s[0], s[3]);
         s[2] = _mm256_xor_si256(s[2], t);
         s[3] = rotlAvx2(s[3], 45);
+
+        // Lanes whose first nonzero draw this is keep the state after
+        // it, the draw and the channel.
+        const __m256i fresh = _mm256_andnot_si256(
+            found, _mm256_cmpgt_epi64(draw, zeroMaxV));
+        for (int w = 0; w < 4; ++w)
+            h[w] = _mm256_blendv_epi8(h[w], s[w], fresh);
+        hDraw = _mm256_blendv_epi8(hDraw, draw, fresh);
+        hChannel = _mm256_blendv_epi8(
+            hChannel, _mm256_set1_epi64x(static_cast<long long>(ch)),
+            fresh);
+        found = _mm256_or_si256(found, fresh);
     }
-    const unsigned badBits = static_cast<unsigned>(
-        _mm256_movemask_pd(_mm256_castsi256_pd(bad)));
-    return ~badBits & 0xFu;
+    for (int w = 0; w < 4; ++w)
+        _mm256_store_si256(
+            reinterpret_cast<__m256i *>(block.state[w] + at), h[w]);
+    _mm256_store_si256(reinterpret_cast<__m256i *>(block.draw + at),
+                       hDraw);
+    _mm256_store_si256(reinterpret_cast<__m256i *>(block.channel + at),
+                       hChannel);
+    return static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_castsi256_pd(found)));
 }
 
 // _mm512_undefined_epi32() inside the GCC intrinsic headers trips
@@ -150,14 +175,16 @@ mixAvx512(__m512i z)
     return _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
 }
 
-/** 8 lanes on AVX-512 (F+DQ: vpmullq does the 64-bit multiplies). */
+/** Systems [first + at, first + at + 8) on AVX-512 (F+DQ: vpmullq
+ *  does the 64-bit multiplies); returns their survivor mask. */
 __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl")))
-std::uint32_t
-zeroFaultMask8Avx512(std::uint64_t mixedSeed, std::uint64_t firstSystem,
-                     unsigned channels, std::uint64_t zeroMax)
+unsigned
+screen8Avx512(std::uint64_t mixedSeed, std::uint64_t first, unsigned at,
+              unsigned channels, std::uint64_t zeroMax,
+              SurvivorBlock &block)
 {
     const __m512i idx = _mm512_add_epi64(
-        _mm512_set1_epi64(static_cast<long long>(firstSystem)),
+        _mm512_set1_epi64(static_cast<long long>(first + at)),
         _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
     __m512i z = _mm512_mullo_epi64(
         _mm512_xor_si512(idx, _mm512_set1_epi64(-1)),
@@ -176,14 +203,14 @@ zeroFaultMask8Avx512(std::uint64_t mixedSeed, std::uint64_t firstSystem,
 
     const __m512i zeroMaxV =
         _mm512_set1_epi64(static_cast<long long>(zeroMax));
-    __mmask8 bad = 0;
+    __mmask8 found = 0;
+    __m512i h[4], hDraw, hChannel;
+    h[0] = h[1] = h[2] = h[3] = hDraw = hChannel = _mm512_setzero_si512();
     for (unsigned ch = 0; ch < channels; ++ch) {
         __m512i r = _mm512_rol_epi64(
             _mm512_add_epi64(s[1], _mm512_slli_epi64(s[1], 2)), 7);
         r = _mm512_add_epi64(r, _mm512_slli_epi64(r, 3));
         const __m512i draw = _mm512_srli_epi64(r, 11);
-        bad = static_cast<__mmask8>(
-            bad | _mm512_cmpgt_epu64_mask(draw, zeroMaxV));
 
         const __m512i t = _mm512_slli_epi64(s[1], 17);
         s[2] = _mm512_xor_si512(s[2], s[0]);
@@ -192,8 +219,21 @@ zeroFaultMask8Avx512(std::uint64_t mixedSeed, std::uint64_t firstSystem,
         s[0] = _mm512_xor_si512(s[0], s[3]);
         s[2] = _mm512_xor_si512(s[2], t);
         s[3] = _mm512_rol_epi64(s[3], 45);
+
+        const __mmask8 fresh = static_cast<__mmask8>(
+            _mm512_cmpgt_epu64_mask(draw, zeroMaxV) & ~found);
+        for (int w = 0; w < 4; ++w)
+            h[w] = _mm512_mask_mov_epi64(h[w], fresh, s[w]);
+        hDraw = _mm512_mask_mov_epi64(hDraw, fresh, draw);
+        hChannel = _mm512_mask_mov_epi64(
+            hChannel, fresh, _mm512_set1_epi64(static_cast<long long>(ch)));
+        found = static_cast<__mmask8>(found | fresh);
     }
-    return static_cast<std::uint32_t>(static_cast<std::uint8_t>(~bad));
+    for (int w = 0; w < 4; ++w)
+        _mm512_store_si512(block.state[w] + at, h[w]);
+    _mm512_store_si512(block.draw + at, hDraw);
+    _mm512_store_si512(block.channel + at, hChannel);
+    return found;
 }
 #pragma GCC diagnostic pop
 
@@ -201,42 +241,41 @@ zeroFaultMask8Avx512(std::uint64_t mixedSeed, std::uint64_t firstSystem,
 
 } // namespace
 
-unsigned
-zeroFilterWidth(SimdLevel level)
+void
+screenBlock(SimdLevel level, std::uint64_t mixedSeed, std::uint64_t first,
+            unsigned count, unsigned channels, std::uint64_t zeroMax,
+            SurvivorBlock &block)
 {
-    switch (level) {
-    case SimdLevel::Avx2:
-    case SimdLevel::Avx512:
-        return 8;
-    default:
-        return 0;
-    }
-}
-
-std::uint32_t
-zeroFaultMask(SimdLevel level, std::uint64_t mixedSeed,
-              std::uint64_t firstSystem, unsigned count,
-              unsigned channels, std::uint64_t zeroMax)
-{
-    assert(count <= 32);
+    assert(count <= blockSystems);
+    block.survivors = 0;
 #if defined(__x86_64__)
-    if (level == SimdLevel::Avx512 && count == 8)
-        return zeroFaultMask8Avx512(mixedSeed, firstSystem, channels,
-                                    zeroMax);
-    if (level == SimdLevel::Avx2 && count == 8)
-        return zeroFaultMask4Avx2(mixedSeed, firstSystem, channels,
-                                  zeroMax) |
-               (zeroFaultMask4Avx2(mixedSeed, firstSystem + 4, channels,
-                                   zeroMax)
-                << 4);
-    if (level == SimdLevel::Avx2 && count == 4)
-        return zeroFaultMask4Avx2(mixedSeed, firstSystem, channels,
-                                  zeroMax);
+    // Lanes past count screen systems beyond the block; their bits are
+    // dropped, so they cost time and change nothing.
+    const std::uint64_t inBlock =
+        count == blockSystems ? ~std::uint64_t{0}
+                              : (std::uint64_t{1} << count) - 1;
+    if (level == SimdLevel::Avx512) {
+        for (unsigned at = 0; at < count; at += 8)
+            block.survivors |= static_cast<std::uint64_t>(screen8Avx512(
+                                   mixedSeed, first, at, channels,
+                                   zeroMax, block))
+                               << at;
+        block.survivors &= inBlock;
+        return;
+    }
+    if (level == SimdLevel::Avx2) {
+        for (unsigned at = 0; at < count; at += 4)
+            block.survivors |= static_cast<std::uint64_t>(screen4Avx2(
+                                   mixedSeed, first, at, channels,
+                                   zeroMax, block))
+                               << at;
+        block.survivors &= inBlock;
+        return;
+    }
 #else
     (void)level;
 #endif
-    return zeroFaultMaskScalar(mixedSeed, firstSystem, count, channels,
-                               zeroMax);
+    screenScalar(mixedSeed, first, count, channels, zeroMax, block);
 }
 
 } // namespace xed::faultsim

@@ -1,26 +1,26 @@
 /**
  * @file
- * Vectorized zero-fault filter for the Monte-Carlo engine.
+ * Vectorized zero-fault filter for the Monte-Carlo engine, and the
+ * hand-off of its survivors to the fault-sampling lanes.
  *
  * Under the Knuth Poisson sampler, a channel lifetime is zero-fault
  * iff its single count draw satisfies (next() >> 11) <= zeroMax
  * (SampleContext's integer form of u <= exp(-lambda)), and a
  * zero-fault channel consumes exactly that one draw. So a whole
  * system is zero-fault iff the FIRST `channels` raw draws of its
- * stream each pass the compare -- and when any draw fails, the system
- * is nonzero regardless of what the later draws mean. That makes the
- * filter a pure function of (mixedSeed, system index): the kernels
- * run splitmix64 seeding plus `channels` xoshiro256** steps across 8
- * lanes of 64-bit vectors and one compare rejects 8 systems at a
- * time. At Table I rates >= 93% of channels are zero-fault, so this
- * is the dominant branch of the engine loop.
+ * stream each pass the compare. That makes the filter a pure function
+ * of (mixedSeed, system index): the kernels run splitmix64 seeding
+ * plus `channels` xoshiro256** steps across 8 lanes of 64-bit
+ * vectors. At Table I rates >= 93% of channels are zero-fault, so
+ * this is the dominant branch of the engine loop.
  *
- * Byte-identity: the filter never touches any Rng object. Systems it
- * flags as zero-fault produce exactly the bookkeeping a full scalar
- * simulation of a zero-fault system produces (one system credited,
- * no failure, no autopsy); systems it cannot prove zero are re-run
- * through the unmodified scalar body from a freshly derived stream.
- * Campaign stores and goldens are unchanged at every dispatch level.
+ * A system that fails the compare on some channel (a survivor) does
+ * not start over: with masked blends in the same channel loop the
+ * kernels keep its stream state just after its first nonzero draw,
+ * that draw and its channel, which is exactly where the scalar body
+ * stands after SampleContext::sampleFaultCount() has drawn u0 > zeroMax
+ * on that channel. The survivor lanes (sample_lanes.hh) continue from
+ * there. Every level returns the same block.
  */
 
 #ifndef XED_FAULTSIM_ZERO_FILTER_HH
@@ -33,29 +33,37 @@
 namespace xed::faultsim
 {
 
-/**
- * Lane count of the vector zero-fault kernel at @p level: 8 for
- * Avx2/Avx512, 0 where no vector path exists (Scalar, and Neon --
- * AdvSIMD has no packed 64-bit multiply, so splitmix64 seeding does
- * not vectorize profitably there). Width 0 tells the engine to skip
- * batching entirely.
- */
-unsigned zeroFilterWidth(SimdLevel level);
+/** Systems one screenBlock() call covers: one 64-bit survivor mask. */
+constexpr unsigned blockSystems = 64;
 
 /**
- * Bitmask over systems [firstSystem, firstSystem + count): bit i is
- * set iff each of the first @p channels draws of stream
- * (mixedSeed, firstSystem + i) satisfies (draw >> 11) <= zeroMax,
- * i.e. the system is provably all-zero-fault under the Knuth sampler.
- *
- * @p count must be at most 32; the vector kernels serve count ==
- * zeroFilterWidth(level) (and the AVX2 4-lane half), anything else
- * falls back to a scalar replay of the same draws. All levels return
- * identical masks.
+ * The systems of one block that drew a fault, and where each one's
+ * stream stands. Entries of systems that are not survivors are
+ * unspecified.
  */
-std::uint32_t zeroFaultMask(SimdLevel level, std::uint64_t mixedSeed,
-                            std::uint64_t firstSystem, unsigned count,
-                            unsigned channels, std::uint64_t zeroMax);
+struct SurvivorBlock
+{
+    /** Bit i set iff system first + i drew a fault on some channel. */
+    std::uint64_t survivors = 0;
+    /** xoshiro256** state words just after the first nonzero draw. */
+    alignas(64) std::uint64_t state[4][blockSystems];
+    /** That draw, already shifted to 53 bits (> zeroMax). */
+    alignas(64) std::uint64_t draw[blockSystems];
+    /** The channel it was drawn for. */
+    alignas(64) std::uint64_t channel[blockSystems];
+};
+
+/**
+ * Screen systems [first, first + count) with @p count <= blockSystems:
+ * system first + i is a survivor iff one of the first @p channels
+ * draws of stream (mixedSeed, first + i) has (draw >> 11) > zeroMax,
+ * and its entries hold the state after the first such draw, the draw
+ * and its channel. AVX-512 and AVX2 screen 8 systems per step (4x2 on
+ * AVX2); the other levels replay each stream with an Rng.
+ */
+void screenBlock(SimdLevel level, std::uint64_t mixedSeed,
+                 std::uint64_t first, unsigned count, unsigned channels,
+                 std::uint64_t zeroMax, SurvivorBlock &block);
 
 } // namespace xed::faultsim
 

@@ -122,6 +122,17 @@ TEST(Rng, StreamIndexZeroIsNotTheRawSeed)
     EXPECT_LT(same, 2);
 }
 
+TEST(Rng, FromStateResumesTheStream)
+{
+    Rng rng = Rng::stream(0xF5, 9);
+    for (int i = 0; i < 3; ++i)
+        rng.next();
+    Rng resumed = Rng::fromState(rng.state());
+    EXPECT_EQ(resumed.state(), rng.state());
+    for (int i = 0; i < 100; ++i)
+        EXPECT_EQ(resumed.next(), rng.next());
+}
+
 TEST(Rng, ForkProducesIndependentStream)
 {
     Rng a(123);

@@ -4,15 +4,21 @@
  * (DESIGN.md section 4i): level names and strict parsing, host support
  * probing, forced overrides, and -- for every level the host can
  * execute -- GF(2^8) constant rows, the detection lane tables'
- * linearity fence, the Monte-Carlo zero-fault filter, and full-engine
- * McResult identity. RS decode and the detection lanes are covered
+ * linearity fence, the Monte-Carlo zero-fault filter and its survivor
+ * hand-off, and full-engine McResult identity against the per-system
+ * reference in tests/support. RS decode and the detection lanes are covered
  * per level by tests/ecc/test_codec_equivalence.cc.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -23,6 +29,7 @@
 #include "ecc/hamming7264.hh"
 #include "faultsim/engine.hh"
 #include "faultsim/zero_filter.hh"
+#include "tests/support/engine_reference.hh"
 #include "tests/support/simd_levels.hh"
 
 namespace xed
@@ -159,21 +166,12 @@ TEST(SimdDetect, LaneTablesRejectNonLinearCode)
     EXPECT_THROW(ecc::DetectTables{BentHamming()}, std::logic_error);
 }
 
-TEST(SimdZeroFilter, WidthIsZeroOrServedByTheMaskKernels)
-{
-    EXPECT_EQ(faultsim::zeroFilterWidth(SimdLevel::Scalar), 0u);
-    for (const SimdLevel level : executableLevels()) {
-        const unsigned width = faultsim::zeroFilterWidth(level);
-        EXPECT_TRUE(width == 0 || width == 8)
-            << simdLevelName(level);
-    }
-}
-
 TEST(SimdZeroFilter, MaskMatchesRngReplayAtEveryLevel)
 {
-    // Independent replay of the contract: lane i is zero-fault iff the
-    // first `channels` draws of stream (mixedSeed, firstSystem + i)
-    // all satisfy (next() >> 11) <= zeroMax.
+    // Independent replay of the contract: system first + i survives
+    // iff one of the first `channels` draws of its stream has
+    // (next() >> 11) > zeroMax, and the block then holds the state
+    // after the first such draw, the draw and its channel.
     const std::uint64_t zeroMaxes[] = {
         0,
         0x1DCCCCCCCCCCCCCull, // ~ exp(-lambda) = 0.93 in 53-bit form
@@ -184,77 +182,192 @@ TEST(SimdZeroFilter, MaskMatchesRngReplayAtEveryLevel)
         for (const std::uint64_t first :
              {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{12345},
               std::uint64_t{1} << 40}) {
-            for (const unsigned channels : {1u, 2u, 4u}) {
-                std::uint32_t expected = 0;
-                for (unsigned i = 0; i < 8; ++i) {
-                    Rng rng = Rng::streamMixed(mixedSeed, first + i);
-                    bool zero = true;
-                    for (unsigned ch = 0; ch < channels; ++ch)
-                        zero = zero &&
-                               (rng.next() >> 11) <= zeroMax;
-                    expected |= static_cast<std::uint32_t>(zero) << i;
-                }
-                for (const SimdLevel level : executableLevels()) {
-                    ASSERT_EQ(faultsim::zeroFaultMask(
-                                  level, mixedSeed, first, 8, channels,
-                                  zeroMax),
-                              expected)
-                        << simdLevelName(level) << " first=" << first
-                        << " channels=" << channels;
-                    // Sub-width counts always have a correct path too.
-                    ASSERT_EQ(faultsim::zeroFaultMask(
-                                  level, mixedSeed, first, 4, channels,
-                                  zeroMax),
-                              expected & 0xFu)
-                        << simdLevelName(level);
+            for (const unsigned channels : {1u, 2u, 4u, 5u}) {
+                for (const unsigned count : {64u, 61u, 13u, 8u, 1u}) {
+                    faultsim::SurvivorBlock want;
+                    want.survivors = 0;
+                    for (unsigned i = 0; i < count; ++i) {
+                        Rng rng = Rng::streamMixed(mixedSeed, first + i);
+                        for (unsigned ch = 0; ch < channels; ++ch) {
+                            const std::uint64_t draw = rng.next() >> 11;
+                            if (draw <= zeroMax)
+                                continue;
+                            want.survivors |= std::uint64_t{1} << i;
+                            for (unsigned w = 0; w < 4; ++w)
+                                want.state[w][i] = rng.state()[w];
+                            want.draw[i] = draw;
+                            want.channel[i] = ch;
+                            break;
+                        }
+                    }
+                    for (const SimdLevel level : executableLevels()) {
+                        faultsim::SurvivorBlock got;
+                        faultsim::screenBlock(level, mixedSeed, first,
+                                              count, channels, zeroMax,
+                                              got);
+                        ASSERT_EQ(got.survivors, want.survivors)
+                            << simdLevelName(level) << " first=" << first
+                            << " channels=" << channels
+                            << " count=" << count;
+                        for (std::uint64_t rest = want.survivors; rest;
+                             rest &= rest - 1) {
+                            const int i = std::countr_zero(rest);
+                            for (unsigned w = 0; w < 4; ++w)
+                                ASSERT_EQ(got.state[w][i], want.state[w][i])
+                                    << simdLevelName(level) << " lane " << i;
+                            ASSERT_EQ(got.draw[i], want.draw[i])
+                                << simdLevelName(level) << " lane " << i;
+                            ASSERT_EQ(got.channel[i], want.channel[i])
+                                << simdLevelName(level) << " lane " << i;
+                        }
+                    }
                 }
             }
         }
     }
 }
 
+/**
+ * A scheme that logs every evaluation -- the stream state it is handed
+ * and each field of each event, in order -- and then defers to a real
+ * scheme, whose draws (escape and scaling Bernoullis) thus still move
+ * the stream. The log is an unordered multiset: lanes evaluate several
+ * systems interleaved, the reference one after another.
+ */
+class LoggingScheme final : public faultsim::Scheme
+{
+  public:
+    explicit LoggingScheme(const faultsim::Scheme &inner) : inner_(inner) {}
+
+    std::string name() const override { return inner_.name(); }
+    faultsim::DimmShape dimmShape() const override
+    {
+        return inner_.dimmShape();
+    }
+
+    std::optional<faultsim::SchemeFailure>
+    evaluateDimm(std::span<const faultsim::FaultEvent> events,
+                 const faultsim::AddressLayout &layout, Rng &rng,
+                 faultsim::EvalScratch &scratch) const override
+    {
+        std::vector<std::uint64_t> entry;
+        for (const std::uint64_t word : rng.state())
+            entry.push_back(word);
+        for (const faultsim::FaultEvent &e : events) {
+            entry.push_back(e.rank);
+            entry.push_back(e.chip);
+            entry.push_back(static_cast<std::uint64_t>(e.kind));
+            entry.push_back(e.transient);
+            entry.push_back(std::bit_cast<std::uint64_t>(e.timeHours));
+            entry.push_back(std::bit_cast<std::uint64_t>(e.expiresHours));
+            entry.push_back(e.range.addr);
+            entry.push_back(e.range.mask);
+        }
+        log_.push_back(std::move(entry));
+        return inner_.evaluateDimm(events, layout, rng, scratch);
+    }
+
+    /** The log so far, sorted, and cleared. */
+    std::vector<std::vector<std::uint64_t>>
+    take() const
+    {
+        std::vector<std::vector<std::uint64_t>> log = std::move(log_);
+        log_.clear();
+        std::sort(log.begin(), log.end());
+        return log;
+    }
+
+  private:
+    const faultsim::Scheme &inner_;
+    mutable std::vector<std::vector<std::uint64_t>> log_;
+};
+
 TEST(SimdEngine, McResultIdenticalAcrossLevels)
 {
-    // Full engine run per level: the zero-fault filter must change
-    // nothing observable -- same per-year counts, same trial totals,
-    // same forensic exemplars in the same order.
-    const auto scheme =
-        faultsim::makeScheme(faultsim::SchemeKind::Secded, {});
+    // The whole engine at every level against the per-system reference
+    // in tests/support: every scheme, on-die ECC absent and present,
+    // scaling faults, scrubbing and several channel counts, under a FIT
+    // table scaled x40 so that multi-event DIMMs, multi-rank twins,
+    // evaluation draws and pair/triple overlaps are common. Each run
+    // is cut into shards at points that are not multiples of 8 or 64,
+    // and every evaluation's events and stream are compared too.
+    constexpr faultsim::SchemeKind kinds[] = {
+        faultsim::SchemeKind::NonEcc,
+        faultsim::SchemeKind::Secded,
+        faultsim::SchemeKind::Xed,
+        faultsim::SchemeKind::Chipkill,
+        faultsim::SchemeKind::ChipkillX8Lockstep,
+        faultsim::SchemeKind::DoubleChipkill,
+        faultsim::SchemeKind::XedChipkill,
+        faultsim::SchemeKind::DoubleChipkillLockstep,
+        faultsim::SchemeKind::XedChipkillLockstep,
+    };
+    constexpr std::uint64_t cuts[] = {0, 5, 77, 141, 300};
     faultsim::McConfig config;
-    config.systems = 4000;
     config.seed = 61799;
     config.threads = 1;
+    for (faultsim::FitEntry &rate : config.fit.rates) {
+        rate.transient *= 40;
+        rate.permanent *= 40;
+    }
+    config.systems = cuts[std::size(cuts) - 1];
 
-    std::vector<faultsim::McResult> results;
-    for (const SimdLevel level : executableLevels()) {
-        const ScopedSimdLevel forced(level);
-        results.push_back(faultsim::runMonteCarlo(*scheme, config));
-    }
-    const faultsim::McResult &scalar = results.front();
-    // Secded at 4000 systems fails often enough to make the
-    // comparison meaningful.
-    ASSERT_GT(scalar.failByYear[7].successes(), 0u);
-    for (std::size_t r = 1; r < results.size(); ++r) {
-        const faultsim::McResult &other = results[r];
-        for (unsigned y = 1; y <= 7; ++y) {
-            ASSERT_EQ(other.failByYear[y].successes(),
-                      scalar.failByYear[y].successes())
-                << "level " << r << " year " << y;
-            ASSERT_EQ(other.failByYear[y].trials(),
-                      scalar.failByYear[y].trials());
+    std::uint64_t failures = 0;
+    std::uint64_t evaluations = 0;
+    for (const faultsim::SchemeKind kind : kinds) {
+        for (const bool present : {false, true}) {
+            for (const double scalingRate : {0.0, 1e-4}) {
+                for (const double scrub : {0.0, 168.0}) {
+                    for (const unsigned channels : {1u, 4u, 5u}) {
+                        faultsim::OnDieOptions onDie;
+                        onDie.present = present;
+                        onDie.scalingRate = scalingRate;
+                        const auto inner = faultsim::makeScheme(kind, onDie);
+                        const LoggingScheme scheme(*inner);
+                        config.scrubIntervalHours = scrub;
+                        config.channels = channels;
+                        const std::string where =
+                            std::string(faultsim::schemeKindName(kind)) +
+                            (present ? " on-die" : " no-on-die") +
+                            " scaling=" + std::to_string(scalingRate) +
+                            " scrub=" + std::to_string(scrub) +
+                            " channels=" + std::to_string(channels);
+
+                        const faultsim::McResult want =
+                            faultsim::referenceMonteCarloShard(
+                                scheme, config, 0, config.systems);
+                        const auto wantLog = scheme.take();
+                        failures += want.failByYear[7].successes();
+                        evaluations += wantLog.size();
+                        for (const SimdLevel level : executableLevels()) {
+                            const ScopedSimdLevel forced(level);
+                            faultsim::McResult got;
+                            for (std::size_t c = 0; c + 1 < std::size(cuts);
+                                 ++c)
+                                got.merge(faultsim::runMonteCarloShard(
+                                    scheme, config, cuts[c], cuts[c + 1]));
+                            ASSERT_EQ(faultsim::mcResultDifference(got, want),
+                                      "")
+                                << simdLevelName(level) << " " << where;
+                            ASSERT_TRUE(scheme.take() == wantLog)
+                                << simdLevelName(level) << " " << where;
+                            ASSERT_EQ(faultsim::mcResultDifference(
+                                          faultsim::runMonteCarlo(scheme,
+                                                                  config),
+                                          want),
+                                      "")
+                                << simdLevelName(level) << " whole " << where;
+                            scheme.take();
+                        }
+                    }
+                }
+            }
         }
-        ASSERT_EQ(other.autopsy.size(), scalar.autopsy.size());
-        for (std::size_t i = 0; i < scalar.autopsy.size(); ++i) {
-            ASSERT_EQ(other.autopsy[i].system,
-                      scalar.autopsy[i].system);
-            ASSERT_EQ(other.autopsy[i].timeHours,
-                      scalar.autopsy[i].timeHours);
-            ASSERT_STREQ(other.autopsy[i].type,
-                         scalar.autopsy[i].type);
-            ASSERT_EQ(other.autopsy[i].kindsMask,
-                      scalar.autopsy[i].kindsMask);
-        }
     }
+    // The comparison means something only if systems fail and DIMMs
+    // are evaluated in numbers.
+    EXPECT_GT(failures, 10000u);
+    EXPECT_GT(evaluations, 100000u);
 }
 
 } // namespace

@@ -2,7 +2,7 @@
  * @file
  * Counting-allocator proof of the sampling kernel's allocation
  * contract: after the per-shard setup (SampleContext, the reserved
- * event buffer, the reserved EvalScratch), the system loop performs
+ * survivor event buffers and EvalScratch), the system loop performs
  * ZERO heap allocations in steady state. Verified by replacing global
  * operator new with a counting forwarder and comparing shard runs of
  * different lengths -- identical setup, so any count difference is a
@@ -24,6 +24,7 @@
 #include "dram/geometry.hh"
 #include "faultsim/engine.hh"
 #include "faultsim/fault_model.hh"
+#include "faultsim/fit_rates.hh"
 #include "faultsim/scheme.hh"
 #include "obs/trace.hh"
 
@@ -159,26 +160,37 @@ TEST(AllocationContract, SteadyStateIsAllocationFreeWithTracingOn)
         << "into 1500 extra traced systems";
 }
 
-TEST(AllocationContract, SurvivorDeferralBatchIsAllocationFree)
+TEST(AllocationContract, SurvivorLanesAreAllocationFreeAtEveryLevel)
 {
-    // The batched faulty path (DESIGN.md section 4j): the survivor
-    // buffer is reserved during shard setup, so queueing and flushing
-    // survivors introduces no per-system allocations -- the shard
-    // total stays independent of the system count. At the scalar level
-    // there is no zero-fault filter, so every system goes through the
-    // queue. Forcing the level allocates, so it stays outside the
-    // measured runs.
+    // The survivor path (DESIGN.md section 4j) at every level the host
+    // executes: 8-lane groups on AVX-512, two 4-lane halves on AVX2,
+    // one survivor at a time otherwise. At 10x Table I most blocks
+    // fill several groups, each block ends in a partial one, and both
+    // runs end in a partial block, so full groups, tail groups and a
+    // tail block all run inside the measured shards. The failure-type
+    // counter allocates once per distinct type; both runs see every
+    // type inside the shorter one. Forcing the level allocates, so it
+    // stays outside the measured runs.
     McConfig cfg;
     cfg.seed = 61799;
+    for (FitEntry &rate : cfg.fit.rates) {
+        rate.transient *= 10;
+        rate.permanent *= 10;
+    }
     const auto scheme = makeScheme(SchemeKind::Secded, OnDieOptions{});
     const SimdLevel original = simdLevel();
-    simdForceLevel(SimdLevel::Scalar, "test");
-    const std::uint64_t shortRun = shardAllocations(*scheme, cfg, 1500);
-    const std::uint64_t longRun = shardAllocations(*scheme, cfg, 3000);
+    for (const SimdLevel level : {SimdLevel::Scalar, SimdLevel::Neon,
+                                  SimdLevel::Avx2, SimdLevel::Avx512}) {
+        if (!simdLevelSupported(level))
+            continue;
+        simdForceLevel(level, "test");
+        const std::uint64_t shortRun = shardAllocations(*scheme, cfg, 1501);
+        const std::uint64_t longRun = shardAllocations(*scheme, cfg, 3013);
+        EXPECT_EQ(shortRun, longRun)
+            << simdLevelName(level) << ": " << (longRun - shortRun)
+            << " steady-state allocations leaked into 1512 extra systems";
+    }
     simdForceLevel(original, "test");
-    EXPECT_EQ(shortRun, longRun)
-        << (longRun - shortRun)
-        << " steady-state allocations leaked into 1500 extra systems";
 }
 
 TEST(AllocationContract, EvaluateDimmWithScratchDoesNotAllocate)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "faultsim/engine.hh"
+#include "tests/support/engine_reference.hh"
 
 namespace xed::faultsim
 {
@@ -70,6 +71,27 @@ TEST(EngineParallel, MoreThreadsThanSystems)
         runMonteCarlo(*scheme, configWithThreads(64, 5));
     expectIdentical(serial, absurd);
     EXPECT_EQ(absurd.failByYear[7].trials(), 5u);
+}
+
+TEST(EngineParallel, ChunksWithARaggedTailMatchTheReference)
+{
+    // Workers take mcWorkerChunk systems at a time from a shared
+    // index; a count that is no multiple of the chunk (nor of the
+    // 64-system block) leaves a short last chunk. Every field of the
+    // result, autopsy exemplars included, must match one worker and
+    // the per-system reference.
+    const std::uint64_t systems = 9 * mcWorkerChunk + 777;
+    const auto scheme = makeScheme(SchemeKind::Secded, OnDieOptions{});
+    const McResult want = referenceMonteCarloShard(
+        *scheme, configWithThreads(1, systems), 0, systems);
+    ASSERT_EQ(want.autopsy.size(), McResult::maxAutopsyRecords);
+    for (const unsigned threads : {1u, 3u, 4u})
+        EXPECT_EQ(mcResultDifference(
+                      runMonteCarlo(*scheme,
+                                    configWithThreads(threads, systems)),
+                      want),
+                  "")
+            << threads << " threads";
 }
 
 TEST(EngineParallel, FailureTypeBreakdownMatchesTotals)
