@@ -317,7 +317,9 @@ TEST(SimdEngine, McResultIdenticalAcrossLevels)
     for (const faultsim::SchemeKind kind : kinds) {
         for (const bool present : {false, true}) {
             for (const double scalingRate : {0.0, 1e-4}) {
-                for (const double scrub : {0.0, 168.0}) {
+                // 168 h boundaries are exact integers; 10.1 h ones
+                // round, so a fused (floor(t/s) + 1) * s shows.
+                for (const double scrub : {0.0, 168.0, 10.1}) {
                     for (const unsigned channels : {1u, 4u, 5u}) {
                         faultsim::OnDieOptions onDie;
                         onDie.present = present;
