@@ -39,7 +39,9 @@
 #          detected level and, on an AVX-512 host, under XED_SIMD=avx2
 #          too, ctest -L 'simd|ecc|golden' passes (the golden jobs run
 #          fig01, fig06-fig10, table2-table4, fig11-14 and the scrubbing
-#          and on-die-code ablations, so all are built); every vector level's fig07 stdout, table2 stdout at
+#          and on-die-code ablations, so all are built); every vector
+#          level's fig07 stdout, fig01 and ablation_scrubbing stdout at
+#          XED_MC_SYSTEMS=200000 (the survivor lanes), table2 stdout at
 #          XED_TRIALS=20000 and 170000 (1 and 4 shards per cell), smoke
 #          store and table2 stores at both trial counts are
 #          cmp-identical to the scalar level's, and the scalar stdout
@@ -128,8 +130,9 @@ simd)
     case $("$cli" version) in
     *'"detected":"avx512"'*) levels="scalar avx2 native" ;;
     esac
-    outputs="fig07.txt table2_20000.txt table2_170000.txt smoke.jsonl
-        table2_20000.jsonl table2_170000.jsonl"
+    outputs="fig07.txt fig01.txt ablation_scrubbing.txt table2_20000.txt
+        table2_170000.txt smoke.jsonl table2_20000.jsonl
+        table2_170000.jsonl"
     for level in $levels; do
         if [ "$level" = native ]; then
             unset XED_SIMD || true
@@ -143,6 +146,10 @@ simd)
         label 'simd|ecc|golden'
         XED_MC_SYSTEMS=20000 XED_MC_THREADS=4 \
             "$build/bench/fig07_xed_reliability" >"$out/fig07.txt"
+        XED_MC_SYSTEMS=200000 "$build/bench/fig01_ondie_vs_dimm_ecc" \
+            >"$out/fig01.txt"
+        XED_MC_SYSTEMS=200000 "$build/bench/ablation_scrubbing" \
+            >"$out/ablation_scrubbing.txt"
         "$cli" run "$repo/specs/smoke.json" --out "$out/smoke.jsonl" --quiet
         for trials in 20000 170000; do
             XED_TRIALS=$trials "$build/bench/table2_detection_rates" \
