@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "common/rng_lanes.hh"
 #include "common/simd.hh"
 
 #if defined(__x86_64__)
@@ -83,6 +84,11 @@ detectScalar(const DetectTables &tables, bool burst, unsigned weight,
 
 #if defined(__x86_64__)
 
+using lanes::belowAvx2;
+using lanes::belowAvx512;
+using lanes::nextAvx2;
+using lanes::nextAvx512;
+
 /** The lanes' stream states (one array per state word), trial counts
  *  and results. Lanes past the group keep an all-zero state, which
  *  draws zeros, and no trials. */
@@ -105,40 +111,6 @@ struct LaneBlock
 
 // Vector helpers are free functions: a lambda inside a
 // target-attributed function does not inherit the target.
-
-__attribute__((target("avx2"))) inline __m256i
-rotlAvx2(__m256i x, int k)
-{
-    return _mm256_or_si256(_mm256_slli_epi64(x, k),
-                           _mm256_srli_epi64(x, 64 - k));
-}
-
-/** Rng::next() on 4 lanes; *5 and *9 are shift-adds. */
-__attribute__((target("avx2"))) inline __m256i
-nextAvx2(__m256i &s0, __m256i &s1, __m256i &s2, __m256i &s3)
-{
-    __m256i r =
-        rotlAvx2(_mm256_add_epi64(s1, _mm256_slli_epi64(s1, 2)), 7);
-    r = _mm256_add_epi64(r, _mm256_slli_epi64(r, 3));
-    const __m256i t = _mm256_slli_epi64(s1, 17);
-    s2 = _mm256_xor_si256(s2, s0);
-    s3 = _mm256_xor_si256(s3, s1);
-    s1 = _mm256_xor_si256(s1, s2);
-    s0 = _mm256_xor_si256(s0, s3);
-    s2 = _mm256_xor_si256(s2, t);
-    s3 = rotlAvx2(s3, 45);
-    return r;
-}
-
-/** Rng::below(bound) on 4 lanes, bound < 2^32: (u·b) >> 64 equals
- *  ((u >> 32)·b + ((u mod 2^32)·b >> 32)) >> 32 exactly. */
-__attribute__((target("avx2"))) inline __m256i
-belowAvx2(__m256i u, __m256i bound)
-{
-    const __m256i high = _mm256_mul_epu32(_mm256_srli_epi64(u, 32), bound);
-    const __m256i low = _mm256_srli_epi64(_mm256_mul_epu32(u, bound), 32);
-    return _mm256_srli_epi64(_mm256_add_epi64(high, low), 32);
-}
 
 __attribute__((target("avx2"))) inline __m256i
 loadAvx2(const std::uint64_t *words)
@@ -167,10 +139,9 @@ __attribute__((target("avx2"))) void
 detectAvx2(const DetectTables &tables, bool burst, unsigned weight,
            LaneBlock &block, std::size_t first)
 {
-    __m256i s0 = loadAvx2(block.state[0] + first);
-    __m256i s1 = loadAvx2(block.state[1] + first);
-    __m256i s2 = loadAvx2(block.state[2] + first);
-    __m256i s3 = loadAvx2(block.state[3] + first);
+    __m256i s[4];
+    for (int w = 0; w < 4; ++w)
+        s[w] = loadAvx2(block.state[w] + first);
     __m256i left = loadAvx2(block.trials + first);
     const __m256i zero = _mm256_setzero_si256();
     __m256i detected = zero;
@@ -181,7 +152,7 @@ detectAvx2(const DetectTables &tables, bool burst, unsigned weight,
         const __m256i all = _mm256_set1_epi64x(-1);
         while (!_mm256_testz_si256(left, left)) {
             const __m256i start =
-                belowAvx2(nextAvx2(s0, s1, s2, s3), starts);
+                belowAvx2(nextAvx2(s), starts);
             countAvx2(all, _mm256_i64gather_epi64(row, start, 1), left,
                       detected);
         }
@@ -194,7 +165,7 @@ detectAvx2(const DetectTables &tables, bool burst, unsigned weight,
         const __m256i sixtyFour = _mm256_set1_epi64x(64);
         __m256i lo = zero, hi = zero, syndrome = zero, placed = zero;
         while (!_mm256_testz_si256(left, left)) {
-            const __m256i pos = belowAvx2(nextAvx2(s0, s1, s2, s3), length);
+            const __m256i pos = belowAvx2(nextAvx2(s), length);
             // A count of 64 or more shifts the bit out, so each lane
             // sets exactly one of the two.
             const __m256i bitLo = _mm256_sllv_epi64(one, pos);
@@ -231,41 +202,14 @@ detectAvx2(const DetectTables &tables, bool burst, unsigned weight,
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
-/** Rng::next() on 8 lanes. */
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) inline __m512i
-nextAvx512(__m512i &s0, __m512i &s1, __m512i &s2, __m512i &s3)
-{
-    __m512i r = _mm512_rol_epi64(
-        _mm512_add_epi64(s1, _mm512_slli_epi64(s1, 2)), 7);
-    r = _mm512_add_epi64(r, _mm512_slli_epi64(r, 3));
-    const __m512i t = _mm512_slli_epi64(s1, 17);
-    s2 = _mm512_xor_si512(s2, s0);
-    s3 = _mm512_xor_si512(s3, s1);
-    s1 = _mm512_xor_si512(s1, s2);
-    s0 = _mm512_xor_si512(s0, s3);
-    s2 = _mm512_xor_si512(s2, t);
-    s3 = _mm512_rol_epi64(s3, 45);
-    return r;
-}
-
-/** Rng::below(bound) on 8 lanes, exactly as belowAvx2(). */
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) inline __m512i
-belowAvx512(__m512i u, __m512i bound)
-{
-    const __m512i high = _mm512_mul_epu32(_mm512_srli_epi64(u, 32), bound);
-    const __m512i low = _mm512_srli_epi64(_mm512_mul_epu32(u, bound), 32);
-    return _mm512_srli_epi64(_mm512_add_epi64(high, low), 32);
-}
-
 /** All 8 lanes of @p block. */
 __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) void
 detectAvx512(const DetectTables &tables, bool burst, unsigned weight,
              LaneBlock &block)
 {
-    __m512i s0 = _mm512_load_si512(block.state[0]);
-    __m512i s1 = _mm512_load_si512(block.state[1]);
-    __m512i s2 = _mm512_load_si512(block.state[2]);
-    __m512i s3 = _mm512_load_si512(block.state[3]);
+    __m512i s[4];
+    for (int w = 0; w < 4; ++w)
+        s[w] = _mm512_load_si512(block.state[w]);
     __m512i left = _mm512_load_si512(block.trials);
     const __m512i one = _mm512_set1_epi64(1);
     const __m512i lowByte = _mm512_set1_epi64(0xFF);
@@ -277,7 +221,7 @@ detectAvx512(const DetectTables &tables, bool burst, unsigned weight,
         const __m512i starts = _mm512_set1_epi64(codeLength - weight + 1);
         while (active) {
             const __m512i start =
-                belowAvx512(nextAvx512(s0, s1, s2, s3), starts);
+                belowAvx512(nextAvx512(s), starts);
             detected = _mm512_mask_add_epi64(
                 detected,
                 _mm512_mask_test_epi64_mask(
@@ -294,7 +238,7 @@ detectAvx512(const DetectTables &tables, bool burst, unsigned weight,
                 placed = lo;
         while (active) {
             const __m512i pos =
-                belowAvx512(nextAvx512(s0, s1, s2, s3), length);
+                belowAvx512(nextAvx512(s), length);
             const __m512i bitLo = _mm512_sllv_epi64(one, pos);
             const __m512i bitHi =
                 _mm512_sllv_epi64(one, _mm512_sub_epi64(pos, sixtyFour));

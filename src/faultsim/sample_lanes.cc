@@ -4,6 +4,8 @@
 #include <bit>
 #include <optional>
 
+#include "common/rng_lanes.hh"
+
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
@@ -72,6 +74,11 @@ sampleOne(const SampleContext &ctx, const Scheme &scheme,
 
 #if defined(__x86_64__)
 
+using lanes::belowAvx2;
+using lanes::belowAvx512;
+using lanes::nextAvx2;
+using lanes::nextAvx512;
+
 static_assert(numFaultKinds <= 8, "kind tables must fit one vector");
 constexpr unsigned kindLanes = (1u << numFaultKinds) - 1;
 
@@ -111,13 +118,6 @@ storeAvx2(std::uint64_t *words, __m256i v)
     _mm256_store_si256(reinterpret_cast<__m256i *>(words), v);
 }
 
-__attribute__((target("avx2"))) inline __m256i
-rotlAvx2(__m256i x, int k)
-{
-    return _mm256_or_si256(_mm256_slli_epi64(x, k),
-                           _mm256_srli_epi64(x, 64 - k));
-}
-
 /** All-ones in lane i iff bit i of @p bits is set. */
 __attribute__((target("avx2"))) inline __m256i
 laneMaskAvx2(unsigned bits)
@@ -125,27 +125,6 @@ laneMaskAvx2(unsigned bits)
     const __m256i lane = _mm256_setr_epi64x(1, 2, 4, 8);
     return _mm256_cmpeq_epi64(
         _mm256_and_si256(_mm256_set1_epi64x(bits), lane), lane);
-}
-
-/** Rng::next() on 4 lanes; only the lanes of @p m step their state. */
-__attribute__((target("avx2"))) inline __m256i
-nextAvx2(__m256i m, __m256i (&s)[4])
-{
-    __m256i r =
-        rotlAvx2(_mm256_add_epi64(s[1], _mm256_slli_epi64(s[1], 2)), 7);
-    r = _mm256_add_epi64(r, _mm256_slli_epi64(r, 3));
-    const __m256i t = _mm256_slli_epi64(s[1], 17);
-    __m256i n2 = _mm256_xor_si256(s[2], s[0]);
-    __m256i n3 = _mm256_xor_si256(s[3], s[1]);
-    const __m256i n1 = _mm256_xor_si256(s[1], n2);
-    const __m256i n0 = _mm256_xor_si256(s[0], n3);
-    n2 = _mm256_xor_si256(n2, t);
-    n3 = rotlAvx2(n3, 45);
-    s[0] = _mm256_blendv_epi8(s[0], n0, m);
-    s[1] = _mm256_blendv_epi8(s[1], n1, m);
-    s[2] = _mm256_blendv_epi8(s[2], n2, m);
-    s[3] = _mm256_blendv_epi8(s[3], n3, m);
-    return r;
 }
 
 /** Each lane's value below 2^53 as a double, exactly: AVX2 has no
@@ -182,16 +161,6 @@ uniformAvx2(__m256i x)
     return unitAvx2(_mm256_srli_epi64(x, 11));
 }
 
-/** Rng::below(bound) of a raw draw, bound < 2^32: (u·b) >> 64 equals
- *  ((u >> 32)·b + ((u mod 2^32)·b >> 32)) >> 32 exactly. */
-__attribute__((target("avx2"))) inline __m256i
-belowAvx2(__m256i u, __m256i bound)
-{
-    const __m256i high = _mm256_mul_epu32(_mm256_srli_epi64(u, 32), bound);
-    const __m256i low = _mm256_srli_epi64(_mm256_mul_epu32(u, bound), 32);
-    return _mm256_srli_epi64(_mm256_add_epi64(high, low), 32);
-}
-
 /** SampleContext::faultCountAfter() for lanes [at, at + 4) of @p bits
  *  (bit i: lane at + i). */
 __attribute__((target("avx2"))) void
@@ -205,7 +174,7 @@ countsAvx2(LaneGroup &g, unsigned at, unsigned bits, double expNegLambda)
     __m256i count = _mm256_setzero_si256();
     __m256i going = laneMaskAvx2(bits);
     while (!_mm256_testz_si256(going, going)) {
-        const __m256d u = uniformAvx2(nextAvx2(going, s));
+        const __m256d u = uniformAvx2(nextAvx2(s, going));
         p = _mm256_blendv_pd(p, _mm256_mul_pd(p, u),
                              _mm256_castsi256_pd(going));
         count = _mm256_sub_epi64(count, going);
@@ -227,10 +196,10 @@ eventAvx2(LaneGroup &g, unsigned at, unsigned bits, const SampleContext &ctx)
     const __m256i m = laneMaskAvx2(bits);
 
     const __m256i chip = belowAvx2(
-        nextAvx2(m, s), _mm256_set1_epi64x(ctx.shape().chips()));
+        nextAvx2(s, m), _mm256_set1_epi64x(ctx.shape().chips()));
 
     // pickKind(): the number of CDF entries at or below the draw.
-    const __m256d pick = _mm256_mul_pd(uniformAvx2(nextAvx2(m, s)),
+    const __m256d pick = _mm256_mul_pd(uniformAvx2(nextAvx2(s, m)),
                                        _mm256_set1_pd(ctx.totalFit()));
     __m256i kind = _mm256_setzero_si256();
     for (unsigned i = 0; i + 1 < numFaultKinds; ++i)
@@ -243,10 +212,10 @@ eventAvx2(LaneGroup &g, unsigned at, unsigned bits, const SampleContext &ctx)
     const __m256d transientFit =
         _mm256_i64gather_pd(ctx.kindTransients().data(), kind, 8);
     const __m256d transient = _mm256_cmp_pd(
-        _mm256_mul_pd(uniformAvx2(nextAvx2(m, s)), total), transientFit,
+        _mm256_mul_pd(uniformAvx2(nextAvx2(s, m)), total), transientFit,
         _CMP_LT_OQ);
 
-    const __m256d time = _mm256_mul_pd(uniformAvx2(nextAvx2(m, s)),
+    const __m256d time = _mm256_mul_pd(uniformAvx2(nextAvx2(s, m)),
                                        _mm256_set1_pd(ctx.hours()));
     __m256d expires = _mm256_set1_pd(FaultEvent{}.expiresHours);
     if (ctx.scrubIntervalHours() > 0) {
@@ -265,7 +234,7 @@ eventAvx2(LaneGroup &g, unsigned at, unsigned bits, const SampleContext &ctx)
         8);
     const __m256i addr = _mm256_andnot_si256(
         rangeMask,
-        _mm256_and_si256(nextAvx2(m, s),
+        _mm256_and_si256(nextAvx2(s, m),
                          _mm256_set1_epi64x(static_cast<long long>(
                              ctx.layout().allMask()))));
 
@@ -301,7 +270,7 @@ nextChannelAvx2(LaneGroup &g, unsigned at, unsigned bits,
     __m256i live = _mm256_and_si256(m, _mm256_cmpgt_epi64(limit, channel));
     __m256i found = _mm256_setzero_si256();
     while (!_mm256_testz_si256(live, live)) {
-        const __m256i d = _mm256_srli_epi64(nextAvx2(live, s), 11);
+        const __m256i d = _mm256_srli_epi64(nextAvx2(s, live), 11);
         const __m256i fault =
             _mm256_and_si256(live, _mm256_cmpgt_epi64(d, zeroMaxV));
         draw = _mm256_blendv_epi8(draw, d, fault);
@@ -324,23 +293,6 @@ nextChannelAvx2(LaneGroup &g, unsigned at, unsigned bits,
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
-/** Rng::next() on 8 lanes; only the lanes of @p m step their state. */
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) inline __m512i
-nextAvx512(__mmask8 m, __m512i (&s)[4])
-{
-    __m512i r = _mm512_rol_epi64(
-        _mm512_add_epi64(s[1], _mm512_slli_epi64(s[1], 2)), 7);
-    r = _mm512_add_epi64(r, _mm512_slli_epi64(r, 3));
-    const __m512i t = _mm512_slli_epi64(s[1], 17);
-    s[2] = _mm512_mask_xor_epi64(s[2], m, s[2], s[0]);
-    s[3] = _mm512_mask_xor_epi64(s[3], m, s[3], s[1]);
-    s[1] = _mm512_mask_xor_epi64(s[1], m, s[1], s[2]);
-    s[0] = _mm512_mask_xor_epi64(s[0], m, s[0], s[3]);
-    s[2] = _mm512_mask_xor_epi64(s[2], m, s[2], t);
-    s[3] = _mm512_mask_rol_epi64(s[3], m, s[3], 45);
-    return r;
-}
-
 /** A 53-bit draw as Rng::uniform() scales it (vcvtuqq2pd is exact
  *  below 2^53). */
 __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) inline __m512d
@@ -357,15 +309,6 @@ uniformAvx512(__m512i x)
     return unitAvx512(_mm512_srli_epi64(x, 11));
 }
 
-/** Rng::below(bound) on 8 lanes, exactly as belowAvx2(). */
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) inline __m512i
-belowAvx512(__m512i u, __m512i bound)
-{
-    const __m512i high = _mm512_mul_epu32(_mm512_srli_epi64(u, 32), bound);
-    const __m512i low = _mm512_srli_epi64(_mm512_mul_epu32(u, bound), 32);
-    return _mm512_srli_epi64(_mm512_add_epi64(high, low), 32);
-}
-
 /** countsAvx2() on all 8 lanes. */
 __attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) void
 countsAvx512(LaneGroup &g, __mmask8 active, double expNegLambda)
@@ -378,7 +321,7 @@ countsAvx512(LaneGroup &g, __mmask8 active, double expNegLambda)
     __m512d p = unitAvx512(_mm512_load_si512(g.draw));
     __m512i count = _mm512_setzero_si512();
     for (__mmask8 going = active; going;) {
-        const __m512d u = uniformAvx512(nextAvx512(going, s));
+        const __m512d u = uniformAvx512(nextAvx512(s, going));
         p = _mm512_mask_mul_pd(p, going, p, u);
         count = _mm512_mask_add_epi64(count, going, count, one);
         going = _mm512_mask_cmp_pd_mask(going, p, limit, _CMP_GT_OQ);
@@ -398,9 +341,9 @@ eventAvx512(LaneGroup &g, __mmask8 m, const SampleContext &ctx)
     const __m512i one = _mm512_set1_epi64(1);
 
     const __m512i chip = belowAvx512(
-        nextAvx512(m, s), _mm512_set1_epi64(ctx.shape().chips()));
+        nextAvx512(s, m), _mm512_set1_epi64(ctx.shape().chips()));
 
-    const __m512d pick = _mm512_mul_pd(uniformAvx512(nextAvx512(m, s)),
+    const __m512d pick = _mm512_mul_pd(uniformAvx512(nextAvx512(s, m)),
                                        _mm512_set1_pd(ctx.totalFit()));
     __m512i kind = _mm512_setzero_si512();
     for (unsigned i = 0; i + 1 < numFaultKinds; ++i)
@@ -416,10 +359,10 @@ eventAvx512(LaneGroup &g, __mmask8 m, const SampleContext &ctx)
         kind,
         _mm512_maskz_loadu_pd(kindLanes, ctx.kindTransients().data()));
     const __mmask8 transient = _mm512_cmp_pd_mask(
-        _mm512_mul_pd(uniformAvx512(nextAvx512(m, s)), total),
+        _mm512_mul_pd(uniformAvx512(nextAvx512(s, m)), total),
         transientFit, _CMP_LT_OQ);
 
-    const __m512d time = _mm512_mul_pd(uniformAvx512(nextAvx512(m, s)),
+    const __m512d time = _mm512_mul_pd(uniformAvx512(nextAvx512(s, m)),
                                        _mm512_set1_pd(ctx.hours()));
     __m512d expires = _mm512_set1_pd(FaultEvent{}.expiresHours);
     if (ctx.scrubIntervalHours() > 0) {
@@ -438,7 +381,7 @@ eventAvx512(LaneGroup &g, __mmask8 m, const SampleContext &ctx)
         kind, _mm512_maskz_loadu_epi64(kindLanes, ctx.rangeMasks().data()));
     const __m512i addr = _mm512_andnot_si512(
         rangeMask,
-        _mm512_and_si512(nextAvx512(m, s),
+        _mm512_and_si512(nextAvx512(s, m),
                          _mm512_set1_epi64(static_cast<long long>(
                              ctx.layout().allMask()))));
 
@@ -471,7 +414,7 @@ nextChannelAvx512(LaneGroup &g, __mmask8 active, unsigned channels,
     __mmask8 live = _mm512_mask_cmplt_epu64_mask(active, channel, limit);
     __mmask8 found = 0;
     while (live) {
-        const __m512i d = _mm512_srli_epi64(nextAvx512(live, s), 11);
+        const __m512i d = _mm512_srli_epi64(nextAvx512(s, live), 11);
         const __mmask8 fault = _mm512_mask_cmpgt_epu64_mask(live, d, zeroMaxV);
         draw = _mm512_mask_mov_epi64(draw, fault, d);
         found = static_cast<__mmask8>(found | fault);

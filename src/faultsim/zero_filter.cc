@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "common/rng.hh"
+#include "common/rng_lanes.hh"
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -61,13 +62,6 @@ mul64Avx2(__m256i a, __m256i b)
                             _mm256_slli_epi64(hi, 32));
 }
 
-__attribute__((target("avx2"))) inline __m256i
-rotlAvx2(__m256i x, int k)
-{
-    return _mm256_or_si256(_mm256_slli_epi64(x, k),
-                           _mm256_srli_epi64(x, 64 - k));
-}
-
 /** splitmix64 finalizer (without the kGolden add), 4 lanes. */
 __attribute__((target("avx2"))) inline __m256i
 mixAvx2(__m256i z)
@@ -118,19 +112,7 @@ screen4Avx2(std::uint64_t mixedSeed, std::uint64_t first, unsigned at,
     __m256i h[4] = {found, found, found, found};
     __m256i hDraw = found, hChannel = found;
     for (unsigned ch = 0; ch < channels; ++ch) {
-        // result = rotl(s1 * 5, 7) * 9; *5 and *9 are shift-adds.
-        __m256i r = rotlAvx2(
-            _mm256_add_epi64(s[1], _mm256_slli_epi64(s[1], 2)), 7);
-        r = _mm256_add_epi64(r, _mm256_slli_epi64(r, 3));
-        const __m256i draw = _mm256_srli_epi64(r, 11);
-
-        const __m256i t = _mm256_slli_epi64(s[1], 17);
-        s[2] = _mm256_xor_si256(s[2], s[0]);
-        s[3] = _mm256_xor_si256(s[3], s[1]);
-        s[1] = _mm256_xor_si256(s[1], s[2]);
-        s[0] = _mm256_xor_si256(s[0], s[3]);
-        s[2] = _mm256_xor_si256(s[2], t);
-        s[3] = rotlAvx2(s[3], 45);
+        const __m256i draw = _mm256_srli_epi64(lanes::nextAvx2(s), 11);
 
         // Lanes whose first nonzero draw this is keep the state after
         // it, the draw and the channel.
@@ -207,18 +189,7 @@ screen8Avx512(std::uint64_t mixedSeed, std::uint64_t first, unsigned at,
     __m512i h[4], hDraw, hChannel;
     h[0] = h[1] = h[2] = h[3] = hDraw = hChannel = _mm512_setzero_si512();
     for (unsigned ch = 0; ch < channels; ++ch) {
-        __m512i r = _mm512_rol_epi64(
-            _mm512_add_epi64(s[1], _mm512_slli_epi64(s[1], 2)), 7);
-        r = _mm512_add_epi64(r, _mm512_slli_epi64(r, 3));
-        const __m512i draw = _mm512_srli_epi64(r, 11);
-
-        const __m512i t = _mm512_slli_epi64(s[1], 17);
-        s[2] = _mm512_xor_si512(s[2], s[0]);
-        s[3] = _mm512_xor_si512(s[3], s[1]);
-        s[1] = _mm512_xor_si512(s[1], s[2]);
-        s[0] = _mm512_xor_si512(s[0], s[3]);
-        s[2] = _mm512_xor_si512(s[2], t);
-        s[3] = _mm512_rol_epi64(s[3], 45);
+        const __m512i draw = _mm512_srli_epi64(lanes::nextAvx512(s), 11);
 
         const __mmask8 fresh = static_cast<__mmask8>(
             _mm512_cmpgt_epu64_mask(draw, zeroMaxV) & ~found);
