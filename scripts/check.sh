@@ -41,7 +41,7 @@
 #          fig01, fig06-fig10, table2-table4, fig11-14 and the scrubbing
 #          and on-die-code ablations, so all are built); every vector
 #          level's fig07 stdout, fig01 and ablation_scrubbing stdout at
-#          XED_MC_SYSTEMS=200000 (the survivor lanes), table2 stdout at
+#          XED_MC_SYSTEMS=200000 (the survivor hand-off), table2 stdout at
 #          XED_TRIALS=20000 and 170000 (1 and 4 shards per cell), smoke
 #          store and table2 stores at both trial counts are
 #          cmp-identical to the scalar level's, and the scalar stdout

@@ -147,16 +147,16 @@ class Rng
     void jump(std::uint64_t draws);
 
     /** The raw xoshiro256** state, for kernels that step several
-     *  streams side by side (ecc/detect_lanes.cc,
-     *  faultsim/sample_lanes.cc). */
+     *  streams side by side (ecc/detect_lanes.cc) and for the
+     *  zero-fault filter's hand-off (faultsim/zero_filter.hh). */
     std::array<std::uint64_t, 4>
     state() const
     {
         return {state_[0], state_[1], state_[2], state_[3]};
     }
 
-    /** The generator whose state() is @p state: a stream a lane kernel
-     *  stepped, handed back to scalar code at the same draw. */
+    /** The generator whose state() is @p state: a stream a vector
+     *  kernel stepped, handed back to scalar code at the same draw. */
     static Rng
     fromState(const std::array<std::uint64_t, 4> &state)
     {

@@ -2,7 +2,7 @@
  * @file
  * Rng on 64-bit vector lanes: xoshiro256** steps and below() for the
  * kernels that run several streams side by side (the detection lanes
- * in ecc/, the zero-fault filter and the survivor lanes in faultsim/).
+ * in ecc/ and the zero-fault filter in faultsim/).
  * Each lane computes exactly the scalar Rng's values. A stream's four
  * state words sit in s[0..3], one lane per stream, as loaded from
  * Rng::state(). x86-64 only; callers carry the matching target
@@ -44,17 +44,6 @@ nextAvx2(__m256i (&s)[4])
     return r;
 }
 
-/** The same, but only the lanes of @p m (all ones) step their state. */
-__attribute__((target("avx2"))) inline __m256i
-nextAvx2(__m256i (&s)[4], __m256i m)
-{
-    __m256i stepped[4] = {s[0], s[1], s[2], s[3]};
-    const __m256i r = nextAvx2(stepped);
-    for (int w = 0; w < 4; ++w)
-        s[w] = _mm256_blendv_epi8(s[w], stepped[w], m);
-    return r;
-}
-
 /** Rng::below(bound) of a raw draw on 4 lanes, bound < 2^32:
  *  (u·b) >> 64 equals ((u >> 32)·b + ((u mod 2^32)·b >> 32)) >> 32
  *  exactly. */
@@ -86,17 +75,6 @@ nextAvx512(__m512i (&s)[4])
     s[0] = _mm512_xor_si512(s[0], s[3]);
     s[2] = _mm512_xor_si512(s[2], t);
     s[3] = _mm512_rol_epi64(s[3], 45);
-    return r;
-}
-
-/** The same, but only the lanes of @p m step their state. */
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) inline __m512i
-nextAvx512(__m512i (&s)[4], __mmask8 m)
-{
-    __m512i stepped[4] = {s[0], s[1], s[2], s[3]};
-    const __m512i r = nextAvx512(stepped);
-    for (int w = 0; w < 4; ++w)
-        s[w] = _mm512_mask_mov_epi64(s[w], m, stepped[w]);
     return r;
 }
 

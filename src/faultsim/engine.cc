@@ -1,11 +1,11 @@
 #include "faultsim/engine.hh"
 
 #include <algorithm>
+#include <bit>
 #include <thread>
 #include <vector>
 
 #include "common/env.hh"
-#include "faultsim/sample_lanes.hh"
 #include "faultsim/zero_filter.hh"
 #include "obs/trace.hh"
 
@@ -16,12 +16,22 @@ namespace
 {
 
 /**
+ * Reserve enough for any fault set a DIMM realistically draws:
+ * expected faults per DIMM over 7 years is ~0.07 (Table I), so 64
+ * concurrent events is astronomically beyond the high-water mark.
+ * Reserving up front makes the steady-state per-system loop
+ * allocation-free (pinned by the counting-allocator test).
+ */
+constexpr std::size_t eventReserve = 64;
+
+/**
  * One worker's simulation state: the sampling invariants (FIT sums,
  * kind CDF, exp(-lambda), shape) hoisted into one immutable
- * SampleContext, the reusable survivor buffers and the running
- * counts. run() takes any number of ascending system ranges; each
- * system's RNG is derived from (seed, s) alone, so the ranges never
- * affect the sampled faults. After the set-up nothing allocates.
+ * SampleContext, the reusable event and evaluation buffers and the
+ * running counts. run() takes any number of ascending system ranges;
+ * each system's RNG is derived from (seed, s) alone, so the ranges
+ * never affect the sampled faults. After the set-up nothing
+ * allocates.
  */
 class ShardWorker
 {
@@ -42,14 +52,16 @@ class ShardWorker
         // Forensic exemplars are capped, so reserving the cap up front
         // keeps the loop allocation-free.
         partial_.autopsy.reserve(McResult::maxAutopsyRecords);
+        events_.reserve(eventReserve);
+        eval_.reserve(eventReserve);
     }
 
     /**
      * Simulate systems [begin, end), 64 at a time: the zero-fault
-     * filter screens a block and hands its survivors, mid-stream, to
-     * the sampling lanes; their failures come back in ascending system
-     * order and are booked in that order, so the autopsy exemplars are
-     * the lowest-indexed failures.
+     * filter screens a block, and each survivor continues its stream
+     * from the filter's hand-off. Survivors run and are booked in
+     * ascending system order, so the autopsy exemplars are the
+     * lowest-indexed failures.
      */
     void
     run(std::uint64_t begin, std::uint64_t end)
@@ -59,14 +71,16 @@ class ShardWorker
                 std::min<std::uint64_t>(blockSystems, end - s));
             screenBlock(level_, mixedSeed_, s, count, config_.channels,
                         ctx_.knuthZeroMax(), block_);
-            const unsigned failures =
-                sampleSurvivors(level_, ctx_, scheme_, config_.channels, s,
-                                block_, scratch_, failed_);
-            for (unsigned f = 0; f < failures; ++f)
-                book(failed_[f]);
+            for (std::uint64_t rest = block_.survivors; rest;
+                 rest &= rest - 1) {
+                const unsigned i =
+                    static_cast<unsigned>(std::countr_zero(rest));
+                const SchemeFailure fail = runSurvivor(i);
+                if (fail.timeHours >= 0)
+                    book(s + i, fail);
+            }
             systemsTotal_ += count;
             batchedSystems_ += count;
-            batchedFailures_ += failures;
             if (batchedSystems_ >= progressBatch)
                 flushProgress();
         }
@@ -86,10 +100,41 @@ class ShardWorker
     // fetch_add per progressBatch systems, not per system.
     static constexpr std::uint64_t progressBatch = 256;
 
-    void
-    book(const SurvivorFailure &failed)
+    /**
+     * Survivor @p i of the block from the filter's hand-off -- its
+     * stream just after its first nonzero count draw, that draw and
+     * its channel -- to the end of its last channel: each faulty
+     * channel sampled and evaluated, evaluation drawing from the same
+     * stream. Returns the earliest failure; timeHours < 0 for none.
+     */
+    SchemeFailure
+    runSurvivor(unsigned i)
     {
-        const SchemeFailure &fail = failed.failure;
+        Rng rng = Rng::fromState({block_.state[0][i], block_.state[1][i],
+                                  block_.state[2][i], block_.state[3][i]});
+        std::uint64_t draw = block_.draw[i];
+        std::uint64_t channel = block_.channel[i];
+        SchemeFailure fail;
+        fail.timeHours = -1;
+        for (;;) {
+            sampleDimmFaultsInto(rng, ctx_, ctx_.faultCountAfter(draw, rng),
+                                 events_);
+            if (const auto f = scheme_.evaluateDimm(events_, ctx_.layout(),
+                                                    rng, eval_))
+                if (fail.timeHours < 0 || f->timeHours < fail.timeHours)
+                    fail = *f;
+            // A zero-fault channel costs its one count draw.
+            do {
+                if (++channel >= config_.channels)
+                    return fail;
+                draw = rng.next() >> 11;
+            } while (draw <= ctx_.knuthZeroMax());
+        }
+    }
+
+    void
+    book(std::uint64_t system, const SchemeFailure &fail)
+    {
         // Year crediting is batched: the loop bumps local counters
         // and finish() flushes them with one addMany per year.
         for (unsigned y = creditYears_;
@@ -98,9 +143,10 @@ class ShardWorker
         partial_.failureTypes.inc(fail.type);
         partial_.attribution.record(fail.cls, fail.kindsMask, fail.outcome);
         if (partial_.autopsy.size() < McResult::maxAutopsyRecords)
-            partial_.autopsy.push_back({failed.system, fail.timeHours,
-                                        fail.type, fail.kindsMask, fail.cls,
+            partial_.autopsy.push_back({system, fail.timeHours, fail.type,
+                                        fail.kindsMask, fail.cls,
                                         fail.outcome});
+        ++batchedFailures_;
     }
 
     void
@@ -127,8 +173,8 @@ class ShardWorker
     std::uint64_t batchedSystems_ = 0;
     std::uint64_t batchedFailures_ = 0;
     SurvivorBlock block_;
-    SurvivorScratch scratch_;
-    std::array<SurvivorFailure, blockSystems> failed_;
+    std::vector<FaultEvent> events_;
+    EvalScratch eval_;
 };
 
 } // namespace

@@ -144,7 +144,7 @@ class SampleContext
         return static_cast<FaultKind>(kind);
     }
 
-    /** randomRange()'s wildcard mask for @p kind, from a table. */
+    /** rangeWildcard() for @p kind, from a table. */
     std::uint64_t
     rangeMask(FaultKind kind) const
     {
@@ -170,23 +170,6 @@ class SampleContext
     {
         return kindTransient_[static_cast<unsigned>(k)];
     }
-    /** Per-kind tables for the survivor lanes (sample_lanes.cc). */
-    const std::array<double, numFaultKinds> &kindCdf() const
-    {
-        return kindCdf_;
-    }
-    const std::array<double, numFaultKinds> &kindTotals() const
-    {
-        return kindTotal_;
-    }
-    const std::array<double, numFaultKinds> &kindTransients() const
-    {
-        return kindTransient_;
-    }
-    const std::array<std::uint64_t, numFaultKinds> &rangeMasks() const
-    {
-        return rangeMask_;
-    }
 
   private:
     AddressLayout layout_;
@@ -208,79 +191,76 @@ class SampleContext
 };
 
 /**
- * Append one sampled event on chip @p chipLinear (rank-major over
- * @p shape) to @p out, @p ev carrying every other field, followed by
- * its twin on every other rank when it is a multi-rank event and the
- * shape expands those. The shape comes by value: the vector writes
- * could alias the members of a referenced one, which would force a
- * reload after every push.
- */
-inline void
-pushFaultEvent(std::vector<FaultEvent> &out, DimmShape shape,
-               unsigned chipLinear, FaultEvent ev)
-{
-    // chipLinear -> (rank, chip). Every shape in the paper is
-    // dual-rank, where the split is a branchless compare + subtract;
-    // the general division only runs for exotic shapes.
-    if (shape.ranks == 2) {
-        ev.rank = chipLinear >= shape.chipsPerRank ? 1u : 0u;
-        ev.chip = chipLinear - ev.rank * shape.chipsPerRank;
-    } else {
-        ev.rank = chipLinear / shape.chipsPerRank;
-        ev.chip = chipLinear % shape.chipsPerRank;
-    }
-    out.push_back(ev);
-
-    if (ev.kind == FaultKind::MultiRank && shape.twinMultiRank) {
-        // Shared circuitry: the same chip position fails in every
-        // other rank of the DIMM at the same time.
-        for (unsigned r = 0; r < shape.ranks; ++r) {
-            if (r == ev.rank)
-                continue;
-            FaultEvent twin = ev;
-            twin.rank = r;
-            out.push_back(twin);
-        }
-    }
-}
-
-/**
  * Materialize @p count already-drawn fault events into @p out
- * (cleared first): five draws per event -- chip, kind, permanence,
- * time, address -- in that order. The engine's survivor lanes
- * (sample_lanes.hh) make the same draws side by side. Allocation-free
- * once @p out has warmed up to its high-water capacity. Inline so the
- * materialization fuses into the caller's loop.
+ * (cleared first). The engine's survivors draw each count with
+ * ctx.faultCountAfter() and only pay this call when it is nonzero.
+ * Allocation-free once @p out has warmed up to its high-water
+ * capacity. Inline so the materialization fuses into the engine loop.
  */
 inline void
 sampleDimmFaultsInto(Rng &rng, const SampleContext &ctx, unsigned count,
                      std::vector<FaultEvent> &out)
 {
     out.clear();
-    const DimmShape shape = ctx.shape();
-    const unsigned chips = shape.chips();
+
+    // Attribute each of the @p count sampled events to a chip, kind,
+    // permanence, time and address range. The shape fields are hoisted
+    // into locals: the vector writes below could alias same-typed
+    // members behind the references, which would otherwise force a
+    // reload every iteration.
+    const DimmShape &shape = ctx.shape();
     const std::uint64_t allMask = ctx.layout().allMask();
+    const unsigned ranks = shape.ranks;
+    const unsigned chipsPerRank = shape.chipsPerRank;
+    const unsigned chips = ranks * chipsPerRank;
+    const bool twinMultiRank = shape.twinMultiRank;
     const double hours = ctx.hours();
     const double scrubIntervalHours = ctx.scrubIntervalHours();
     for (unsigned e = 0; e < count; ++e) {
         const unsigned chipLinear =
             static_cast<unsigned>(rng.below(chips));
+        const auto kind = ctx.pickKind(rng.uniform() * ctx.totalFit());
+        const bool transient =
+            rng.uniform() * ctx.kindTotal(kind) < ctx.kindTransient(kind);
+        const double time = rng.uniform() * hours;
+
         FaultEvent ev;
-        ev.kind = ctx.pickKind(rng.uniform() * ctx.totalFit());
-        ev.transient = rng.uniform() * ctx.kindTotal(ev.kind) <
-                       ctx.kindTransient(ev.kind);
-        ev.timeHours = rng.uniform() * hours;
-        if (ev.transient && scrubIntervalHours > 0) {
+        // chipLinear -> (rank, chip). Every shape in the paper is
+        // dual-rank, where the split is a branchless compare +
+        // subtract; the general division only runs for exotic shapes.
+        if (ranks == 2) {
+            ev.rank = chipLinear >= chipsPerRank ? 1u : 0u;
+            ev.chip = chipLinear - ev.rank * chipsPerRank;
+        } else {
+            ev.rank = chipLinear / chipsPerRank;
+            ev.chip = chipLinear % chipsPerRank;
+        }
+        ev.kind = kind;
+        ev.transient = transient;
+        ev.timeHours = time;
+        if (transient && scrubIntervalHours > 0) {
             // The patrol scrubber rewrites (and thereby heals) the
             // affected cells at the next scrub boundary.
             ev.expiresHours =
-                (std::floor(ev.timeHours / scrubIntervalHours) + 1.0) *
+                (std::floor(time / scrubIntervalHours) + 1.0) *
                 scrubIntervalHours;
         }
-        // randomRange(rng, layout, kind), its mask from the table.
-        ev.range.mask = ctx.rangeMask(ev.kind);
+        // The kind's wildcard mask, then one draw for the fixed bits.
+        ev.range.mask = ctx.rangeMask(kind);
         ev.range.addr = rng.next() & allMask & ~ev.range.mask;
-        pushFaultEvent(out, shape, chipLinear, ev);
+        out.push_back(ev);
+
+        if (kind == FaultKind::MultiRank && twinMultiRank) {
+            // Shared circuitry: the same chip position fails in every
+            // other rank of the DIMM at the same time.
+            for (unsigned r = 0; r < ranks; ++r) {
+                if (r == ev.rank)
+                    continue;
+                FaultEvent twin = ev;
+                twin.rank = r;
+                out.push_back(twin);
+            }
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Vectorized zero-fault filter for the Monte-Carlo engine, and the
- * hand-off of its survivors to the fault-sampling lanes.
+ * hand-off of its survivors to the engine's fault sampling.
  *
  * Under the Knuth Poisson sampler, a channel lifetime is zero-fault
  * iff its single count draw satisfies (next() >> 11) <= zeroMax
@@ -19,7 +19,7 @@
  * kernels keep its stream state just after its first nonzero draw,
  * that draw and its channel, which is exactly where the scalar body
  * stands after SampleContext::sampleFaultCount() has drawn u0 > zeroMax
- * on that channel. The survivor lanes (sample_lanes.hh) continue from
+ * on that channel. The engine continues each survivor's stream from
  * there. Every level returns the same block.
  */
 

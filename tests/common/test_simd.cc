@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <optional>
@@ -231,8 +230,8 @@ TEST(SimdZeroFilter, MaskMatchesRngReplayAtEveryLevel)
  * A scheme that logs every evaluation -- the stream state it is handed
  * and each field of each event, in order -- and then defers to a real
  * scheme, whose draws (escape and scaling Bernoullis) thus still move
- * the stream. The log is an unordered multiset: lanes evaluate several
- * systems interleaved, the reference one after another.
+ * the stream. The log is in evaluation order: every level evaluates
+ * its survivors in ascending system order, as the reference does.
  */
 class LoggingScheme final : public faultsim::Scheme
 {
@@ -267,13 +266,12 @@ class LoggingScheme final : public faultsim::Scheme
         return inner_.evaluateDimm(events, layout, rng, scratch);
     }
 
-    /** The log so far, sorted, and cleared. */
+    /** The log so far, and cleared. */
     std::vector<std::vector<std::uint64_t>>
     take() const
     {
         std::vector<std::vector<std::uint64_t>> log = std::move(log_);
         log_.clear();
-        std::sort(log.begin(), log.end());
         return log;
     }
 

@@ -2,7 +2,7 @@
  * @file
  * Counting-allocator proof of the sampling kernel's allocation
  * contract: after the per-shard setup (SampleContext, the reserved
- * survivor event buffers and EvalScratch), the system loop performs
+ * event buffer, the reserved EvalScratch), the system loop performs
  * ZERO heap allocations in steady state. Verified by replacing global
  * operator new with a counting forwarder and comparing shard runs of
  * different lengths -- identical setup, so any count difference is a
@@ -160,17 +160,16 @@ TEST(AllocationContract, SteadyStateIsAllocationFreeWithTracingOn)
         << "into 1500 extra traced systems";
 }
 
-TEST(AllocationContract, SurvivorLanesAreAllocationFreeAtEveryLevel)
+TEST(AllocationContract, SurvivorPathIsAllocationFreeAtEveryLevel)
 {
     // The survivor path (DESIGN.md section 4j) at every level the host
-    // executes: 8-lane groups on AVX-512, two 4-lane halves on AVX2,
-    // one survivor at a time otherwise. At 10x Table I most blocks
-    // fill several groups, each block ends in a partial one, and both
-    // runs end in a partial block, so full groups, tail groups and a
-    // tail block all run inside the measured shards. The failure-type
-    // counter allocates once per distinct type; both runs see every
-    // type inside the shorter one. Forcing the level allocates, so it
-    // stays outside the measured runs.
+    // executes: each level's zero-fault filter hands its survivors to
+    // the same one-at-a-time sampling. At 10x Table I most blocks hold
+    // several survivors, and both runs end in a partial block, so full
+    // blocks and a tail block run inside the measured shards. The
+    // failure-type counter allocates once per distinct type; both runs
+    // see every type inside the shorter one. Forcing the level
+    // allocates, so it stays outside the measured runs.
     McConfig cfg;
     cfg.seed = 61799;
     for (FitEntry &rate : cfg.fit.rates) {

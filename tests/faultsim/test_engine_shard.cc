@@ -76,9 +76,9 @@ TEST(EngineShard, ConcatenatedShardsMatchFullRun)
     for (unsigned i = 0; i + 1 < std::size(cuts); ++i)
         merged.merge(
             runMonteCarloShard(*scheme, cfg, cuts[i], cuts[i + 1]));
-    // Shard cuts move the 64-system block and survivor-lane group
-    // boundaries (DESIGN.md section 4j), so this also pins their
-    // invariance, autopsy exemplars included.
+    // Shard cuts move the 64-system block boundaries (DESIGN.md
+    // section 4j), so this also pins their invariance, autopsy
+    // exemplars included.
     expectIdenticalResult(merged, full);
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * The Monte-Carlo engine's per-system body as it ran before the
- * zero-fault filter handed its survivors to the sampling lanes
- * (DESIGN.md section 4j): every system derives its stream, draws each
+ * zero-fault filter handed its survivors on mid-stream (DESIGN.md
+ * section 4j): every system derives its stream, draws each
  * channel's count, samples and evaluates its faults on the scalar
  * path, and books a failure at once. The per-level tests hold
  * runMonteCarlo() and runMonteCarloShard() McResult-identical to it.
