@@ -26,15 +26,6 @@ rangeWildcard(const AddressLayout &layout, FaultKind kind)
     return 0;
 }
 
-FaultRange
-randomRange(Rng &rng, const AddressLayout &layout, FaultKind kind)
-{
-    FaultRange r;
-    r.mask = rangeWildcard(layout, kind);
-    r.addr = rng.next() & layout.allMask() & ~r.mask;
-    return r;
-}
-
 bool
 intersectAtWord(const FaultRange &a, const FaultRange &b,
                 const AddressLayout &layout)

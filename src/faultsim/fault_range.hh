@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "common/rng.hh"
 #include "dram/geometry.hh"
 #include "faultsim/fit_rates.hh"
 
@@ -71,10 +70,6 @@ struct AddressLayout
 
 /** The wildcard mask of every fault range of @p kind. */
 std::uint64_t rangeWildcard(const AddressLayout &layout, FaultKind kind);
-
-/** Draw a random fault range of the given kind. */
-FaultRange randomRange(Rng &rng, const AddressLayout &layout,
-                       FaultKind kind);
 
 /**
  * True iff the two ranges overlap some 64-bit word (the within-word bit

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "faultsim/fault_range.hh"
+#include "tests/support/random_range.hh"
 
 namespace xed::faultsim
 {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "faultsim/scheme.hh"
+#include "tests/support/random_range.hh"
 
 namespace xed::faultsim
 {

@@ -14,6 +14,7 @@
 #include "common/units.hh"
 #include "faultsim/engine.hh"
 #include "perfsim/system.hh"
+#include "tests/support/random_range.hh"
 #include "xed/chipkill_controller.hh"
 #include "xed/controller.hh"
 

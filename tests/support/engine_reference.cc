@@ -3,6 +3,7 @@
 #include <cmath>
 #include <vector>
 
+#include "tests/support/random_range.hh"
 #include "tests/support/sample_poisson.hh"
 
 namespace xed::faultsim
