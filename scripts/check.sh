@@ -1,20 +1,20 @@
 #!/bin/sh
-# One entry point for the sanitizer, SIMD and fleet checks. Each
-# profile configures its own build directory, builds only what it
-# runs, runs a ctest label set and then its CLI smokes:
+# One entry point for the sanitizer and SIMD checks. Each profile
+# configures its own build directory, builds only what it runs, runs a
+# ctest label set and then its CLI smokes:
 #
 #   tsan   ThreadSanitizer build (default dir build-tsan). ctest -L
 #          'campaign|obs|fleet|perfsim|analysis' races the campaign
-#          runner's worker pool and progress thread, the metrics
-#          registry, the trace recorder, the fleet suite (the same pool
+#          runner's worker pool and progress thread (the shared run
+#          counters), the trace recorder, the fleet suite (the same pool
 #          and store), status polled while a run writes its store
 #          (scripts/status_smoke.sh), the perfsim run-matrix pool
 #          (simulateAll) and the stream-scan workers behind Figure 6 and
-#          Table III (scanStream, at 1 to 7 workers). A final traced
+#          Table III (scanStream, at 1 to 7 workers). test_faultsim's
+#          EngineParallel and EngineShard cases race the Monte-Carlo
+#          engine's workers on their shared chunk index. A final traced
 #          4-thread campaign races the span recorder against the worker
-#          pool and the progress sampler on purpose. The Monte-Carlo
-#          engine's shard threads are not in this profile: build
-#          test_faultsim with -DXED_SANITIZE=thread to race them.
+#          pool and the progress sampler on purpose.
 #   asan   AddressSanitizer build (default dir build-asan): ctest -L
 #          'campaign|obs|json' runs the campaign runner's batched store
 #          commits (failed writes, killed and resumed runs), the store,
@@ -46,15 +46,12 @@
 #          store and table2 stores at both trial counts are
 #          cmp-identical to the scalar level's, and the scalar stdout
 #          to tests/golden/.
-#   fleet  default build (default dir build): ctest -L fleet, then
-#          scripts/fleet_smoke.sh (thread-count and resumed runs of the
-#          fleet spec produce byte-identical stores).
 #
-# Usage: scripts/check.sh <tsan|asan|ubsan|simd|fleet> [build-dir]
+# Usage: scripts/check.sh <tsan|asan|ubsan|simd> [build-dir]
 set -eu
 
 usage() {
-    echo "usage: $0 <tsan|asan|ubsan|simd|fleet> [build-dir]" >&2
+    echo "usage: $0 <tsan|asan|ubsan|simd> [build-dir]" >&2
     exit 2
 }
 
@@ -69,7 +66,6 @@ tsan) build=${2:-"$repo/build-tsan"} ;;
 asan) build=${2:-"$repo/build-asan"} ;;
 ubsan) build=${2:-"$repo/build-ubsan"} ;;
 simd) build=${2:-"$repo/build-native"} ;;
-fleet) build=${2:-"$repo/build"} ;;
 *) usage ;;
 esac
 cli="$build/$cli_rel"
@@ -83,8 +79,10 @@ case $profile in
 tsan)
     configure -DCMAKE_BUILD_TYPE=RelWithDebInfo -DXED_SANITIZE=thread
     compile test_campaign test_obs test_fleet test_perfsim \
-        test_analysis xed_campaign_cli
+        test_analysis test_faultsim xed_campaign_cli
     label 'campaign|obs|fleet|perfsim|analysis'
+    "$build/tests/test_faultsim" --gtest_brief=1 \
+        --gtest_filter='EngineParallel.*:EngineShard.*'
     out="$build/tsan_trace_smoke.jsonl"
     rm -f "$out" "$out.trace.json" "$out.forensics.jsonl" \
         "$out.telemetry.jsonl"
@@ -169,14 +167,6 @@ simd)
         cmp "$work/scalar/table2_$trials.txt" \
             "$repo/tests/golden/table2_$trials.txt"
     done
-    ;;
-
-fleet)
-    configure
-    compile test_fleet xed_campaign_cli
-    label fleet
-    "$repo/scripts/fleet_smoke.sh" "$cli" "$repo/specs/fleet_smoke.json" \
-        "$build/fleet_smoke_check"
     ;;
 esac
 

@@ -503,23 +503,21 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
                   std::max(options.maxShards, firstPending));
 
     // -- Telemetry. ---------------------------------------------------
-    MetricsRegistry registry;
-    faultsim::McProgress progress;
-    const std::uint64_t totalUnits =
-        static_cast<std::uint64_t>(plan.points) * plan.cells *
-        spec.unitsPerCell();
-    registry.counter("shards.total").add(plan.tasks.size());
-    registry.counter("shards.done").add(firstPending);
-    registry.counter("units.total").add(totalUnits);
-    registry.counter("units.replayed").add(replayedUnits);
-    progress.systemsDone.fetch_add(replayedUnits);
+    std::vector<std::string> labels;
     for (unsigned cell = 0; cell < plan.cells; ++cell)
-        registry.counter("failed." + cellLabel(spec, cell)).add(0);
+        labels.push_back(cellLabel(spec, cell));
+    RunCounters counters(std::move(labels));
+    counters.shardsTotal = plan.tasks.size();
+    counters.unitsTotal = static_cast<std::uint64_t>(plan.points) *
+                          plan.cells * spec.unitsPerCell();
+    counters.unitsReplayed = replayedUnits;
+    counters.shardsDone.add(firstPending);
+    faultsim::McProgress progress;
+    progress.systemsDone.fetch_add(replayedUnits);
     for (const auto &cell : outcome.cells) {
-        registry.counter("failed." + cell.label)
-            .add(failedSystemsOf(spec, cell.result));
-        progress.failedSystems.fetch_add(
-            failedSystemsOf(spec, cell.result));
+        const std::uint64_t failed = failedSystemsOf(spec, cell.result);
+        counters.failures[cell.cell].add(failed);
+        progress.failedSystems.fetch_add(failed);
     }
 
     unsigned threads = 1;
@@ -534,8 +532,11 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
     telemetry.statusOut = options.progressOut;
     if (useStore && options.telemetrySidecar)
         telemetry.sidecarPath = options.outPath + ".telemetry.jsonl";
-    ProgressReporter reporter(telemetry, registry, progress);
-    reporter.start(runMetadata(spec.name, hash, threads, firstPending));
+    ProgressReporter reporter(telemetry, counters, progress);
+    // The run record forks `git describe`: build it only when a status
+    // stream or the sidecar records it.
+    if (telemetry.statusOut || !telemetry.sidecarPath.empty())
+        reporter.start(runMetadata(spec.name, hash, threads, firstPending));
 
     // -- Execute pending shards; write strictly in plan order. --------
     // The writer is fsync-bound and workers are not, so a worker that
@@ -562,12 +563,6 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
         readyCv.notify_all();
         windowCv.notify_all();
     };
-
-    // Shard-time distributions feed the telemetry quantiles. The
-    // references are resolved once here so workers never touch the
-    // registry mutex on the hot path.
-    Histogram &shardSeconds = registry.histogram("shard.seconds");
-    Histogram &shardRate = registry.histogram("shard.unitsPerSec");
 
     // A worker claims shards [first, end): on a detection spec up to
     // ecc::maxDetectLanes consecutive shards of one (point, cell) -- the
@@ -642,9 +637,9 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
                         } else {
                             shard.result = std::move(result);
                         }
-                        shardSeconds.update(dt);
+                        counters.shardSeconds.update(dt);
                         if (dt > 0)
-                            shardRate.update(
+                            counters.shardUnitsPerSec.update(
                                 static_cast<double>(task.end -
                                                     task.begin) /
                                 dt);
@@ -722,10 +717,10 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
             const ShardTask &task = plan.tasks[i + k];
             outcome.cells[task.point * plan.cells + task.cell]
                 .result.merge(batch[k].result);
-            registry.counter("failed." + cellLabel(spec, task.cell))
-                .add(failedSystemsOf(spec, batch[k].result));
+            counters.failures[task.cell].add(
+                failedSystemsOf(spec, batch[k].result));
         }
-        registry.counter("shards.done").add(committed);
+        counters.shardsDone.add(committed);
         outcome.shardsRun += committed;
         i += committed;
         if (committed < batch.size()) {

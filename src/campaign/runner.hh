@@ -156,7 +156,7 @@ std::map<std::string, std::uint64_t>
 failuresByTypeOf(const CampaignSpec &spec, const ShardResult &result);
 
 /** The sum of failuresByTypeOf(). Feeds the summary's failure map,
- *  the "failed.<label>" telemetry counters and the status totals. */
+ *  the telemetry's per-cell failure counters and the status totals. */
 std::uint64_t failedSystemsOf(const CampaignSpec &spec,
                               const ShardResult &result);
 

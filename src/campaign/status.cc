@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <ostream>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "campaign/forensics.hh"
 #include "campaign/runner.hh"
@@ -37,7 +39,7 @@ fileAgeSeconds(const fs::path &path)
 }
 
 void
-addOutcomes(const obs::FailureAttribution &attribution, FleetStatus &status)
+addOutcomes(const obs::FailureAttribution &attribution, RunStatus &status)
 {
     for (unsigned o = 0; o < obs::numDetectionOutcomes; ++o)
         if (const std::uint64_t count = attribution.byOutcome[o])
@@ -52,7 +54,7 @@ addOutcomes(const obs::FailureAttribution &attribution, FleetStatus &status)
  *  The caller counts the units. */
 void
 tallyResult(const CampaignSpec &spec, unsigned cell,
-            const ShardResult &result, FleetStatus &status)
+            const ShardResult &result, RunStatus &status)
 {
     const std::uint64_t failed = failedSystemsOf(spec, result);
     status.failedUnits += failed;
@@ -65,49 +67,67 @@ tallyResult(const CampaignSpec &spec, unsigned cell,
         addOutcomes(series.attribution, status);
 }
 
-std::uint64_t
-u64Field(const json::Value &record, const char *key)
+/** The member at the dotted @p path of @p doc; nullptr when absent. */
+const json::Value *
+member(const json::Value &doc, std::string_view path)
 {
-    const json::Value *v = record.find(key);
+    const json::Value *value = &doc;
+    for (;;) {
+        const std::size_t dot = path.find('.');
+        value = value->find(path.substr(0, dot));
+        if (!value || dot == std::string_view::npos)
+            return value;
+        path.remove_prefix(dot + 1);
+    }
+}
+
+std::uint64_t
+u64Field(const json::Value &doc, std::string_view path)
+{
+    const json::Value *v = member(doc, path);
     return v && v->isIntegral() ? v->asUint() : 0;
 }
 
 double
-f64Field(const json::Value &record, const char *key)
+f64Field(const json::Value &doc, std::string_view path)
 {
-    const json::Value *v = record.find(key);
+    const json::Value *v = member(doc, path);
     return v && v->isNumber() ? v->asDouble() : 0;
 }
 
-WorkerLiveness
+std::string
+textField(const json::Value &doc, std::string_view path)
+{
+    const json::Value *v = member(doc, path);
+    return v && v->isString() ? v->asString() : "";
+}
+
+RunState
 classifyAge(double ageSeconds)
 {
     if (ageSeconds <= livenessSeconds * 0.5)
-        return WorkerLiveness::Live;
+        return RunState::Live;
     if (ageSeconds <= livenessSeconds)
-        return WorkerLiveness::Stale;
-    return WorkerLiveness::Dead;
+        return RunState::Stale;
+    return RunState::Dead;
 }
 
 /**
- * Digest a run's telemetry sidecar: the host from the "run" record,
- * cumulative counters from the newest progress/terminal record, exact
- * histogram buckets decoded into the two histograms, and liveness from
- * a terminal record or else the heartbeat's age. A resume appends to
- * the sidecar of the run it continues, so only the records after the
- * newest "run" record describe the run that writes it now.
+ * Digest a run's telemetry sidecar: the host from the "run" record, the
+ * rate and planned units from the newest progress or terminal record,
+ * its exact histogram buckets decoded into the two histograms, and the
+ * state from a terminal record or else the heartbeat's age. A resume
+ * appends to the sidecar of the run it continues, so only the records
+ * after the newest "run" record describe the run that writes it now.
  */
-WorkerStatus
-workerFromTelemetry(const obs::TelemetryRecords &telemetry,
-                    double heartbeatAgeSeconds, FleetStatus &status,
-                    Histogram &shardSeconds, Histogram &shardUnitsPerSec)
+RunStatus::Run
+runFromTelemetry(const obs::TelemetryRecords &telemetry,
+                 double heartbeatAgeSeconds, RunStatus &status,
+                 Histogram &shardSeconds, Histogram &shardUnitsPerSec)
 {
-    WorkerStatus worker;
-    worker.id = "local";
-    if (const json::Value *run = obs::lastRecordOfType(telemetry, "run"))
-        if (const json::Value *host = run->find("host");
-            host && host->isString())
-            worker.host = host->asString();
+    RunStatus::Run run;
+    if (const json::Value *record = obs::lastRecordOfType(telemetry, "run"))
+        run.host = textField(*record, "host");
 
     // The current run's newest cumulative sample, whatever kind of
     // record carried it.
@@ -120,33 +140,25 @@ workerFromTelemetry(const obs::TelemetryRecords &telemetry,
                  obs::recordIsType(record, "aborted"))
             latest = &record;
     if (latest) {
-        worker.shardsDone = u64Field(*latest, "shardsDone");
-        worker.unitsDone = u64Field(*latest, "unitsDone");
-        worker.failedUnits = u64Field(*latest, "failedSystems");
-        worker.unitsPerSec = f64Field(*latest, "unitsPerSec");
-        const std::uint64_t total = u64Field(*latest, "unitsTotal");
-        if (total > 0 &&
-            (!status.unitsTotal || total > *status.unitsTotal))
+        run.unitsPerSec = f64Field(*latest, "unitsPerSec");
+        if (const std::uint64_t total = u64Field(*latest, "unitsTotal"))
             status.unitsTotal = total;
-        if (const json::Value *hist = latest->find("hist");
-            hist && hist->isObject()) {
-            if (const json::Value *payload = hist->find("shardSeconds"))
-                obs::histogramFromJson(*payload, shardSeconds);
-            if (const json::Value *payload =
-                    hist->find("shardUnitsPerSec"))
-                obs::histogramFromJson(*payload, shardUnitsPerSec);
-        }
+        if (const json::Value *payload = member(*latest, "hist.shardSeconds"))
+            obs::histogramFromJson(*payload, shardSeconds);
+        if (const json::Value *payload =
+                member(*latest, "hist.shardUnitsPerSec"))
+            obs::histogramFromJson(*payload, shardUnitsPerSec);
     }
 
     if (latest && obs::recordIsType(*latest, "done")) {
-        worker.liveness = WorkerLiveness::Done;
+        run.state = RunState::Done;
     } else if (latest && obs::recordIsType(*latest, "aborted")) {
-        worker.liveness = WorkerLiveness::Aborted;
+        run.state = RunState::Aborted;
     } else {
-        worker.heartbeatAgeSeconds = heartbeatAgeSeconds;
-        worker.liveness = classifyAge(heartbeatAgeSeconds);
+        run.heartbeatAgeSeconds = heartbeatAgeSeconds;
+        run.state = classifyAge(heartbeatAgeSeconds);
     }
-    return worker;
+    return run;
 }
 
 HistogramSummary
@@ -154,62 +166,40 @@ summarize(const Histogram &histogram)
 {
     HistogramSummary summary;
     summary.count = histogram.count();
-    if (summary.count > 0) {
-        summary.p50 = histogram.quantile(0.50);
-        summary.p90 = histogram.quantile(0.90);
-        summary.p99 = histogram.quantile(0.99);
-    }
+    summary.p50 = histogram.quantile(0.50);
+    summary.p90 = histogram.quantile(0.90);
+    summary.p99 = histogram.quantile(0.99);
     for (unsigned i = 0; i < Histogram::bucketCount; ++i)
         if (const std::uint64_t c = histogram.bucket(i))
-            summary.approxSum +=
-                static_cast<double>(c) * Histogram::bucketValue(i);
+            summary.sum += static_cast<double>(c) * Histogram::bucketValue(i);
     return summary;
-}
-
-/** Rate, ETA and histogram summaries. */
-void
-finalizeThroughput(FleetStatus &status, const Histogram &shardSeconds,
-                   const Histogram &shardUnitsPerSec)
-{
-    for (const WorkerStatus &worker : status.workers)
-        if (worker.liveness == WorkerLiveness::Live ||
-            worker.liveness == WorkerLiveness::Stale)
-            status.unitsPerSec += worker.unitsPerSec;
-    if (!status.complete && status.unitsPerSec > 0 &&
-        status.unitsTotal && *status.unitsTotal > status.unitsDone)
-        status.etaSeconds =
-            static_cast<double>(*status.unitsTotal - status.unitsDone) /
-            status.unitsPerSec;
-    status.shardSeconds = summarize(shardSeconds);
-    status.shardUnitsPerSec = summarize(shardUnitsPerSec);
 }
 
 } // namespace
 
 const char *
-workerLivenessName(WorkerLiveness liveness)
+runStateName(RunState state)
 {
-    switch (liveness) {
-    case WorkerLiveness::Live: return "live";
-    case WorkerLiveness::Stale: return "stale";
-    case WorkerLiveness::Dead: return "dead";
-    case WorkerLiveness::Done: return "done";
-    case WorkerLiveness::Aborted: return "aborted";
+    switch (state) {
+    case RunState::Live: return "live";
+    case RunState::Stale: return "stale";
+    case RunState::Dead: return "dead";
+    case RunState::Done: return "done";
+    case RunState::Aborted: return "aborted";
     }
     return "unknown";
 }
 
-FleetStatus
+RunStatus
 scanStore(const std::string &storePath)
 {
-    FleetStatus status;
+    RunStatus status;
     std::string path = storePath;
     constexpr std::string_view sidecarSuffix = ".telemetry.jsonl";
     if (path.size() > sidecarSuffix.size() &&
         path.compare(path.size() - sidecarSuffix.size(),
                      sidecarSuffix.size(), sidecarSuffix) == 0)
         path.resize(path.size() - sidecarSuffix.size());
-    status.path = path;
 
     // The loader resume and report use: what it rejects, status
     // rejects too, and a torn final line is not damage.
@@ -254,19 +244,27 @@ scanStore(const std::string &storePath)
     if (fs::exists(telemetryPath)) {
         const auto telemetry = obs::readTelemetryRecords(telemetryPath);
         if (telemetry.ok) {
-            ++status.telemetryFiles;
-            status.skippedTelemetryLines += telemetry.skippedLines;
+            status.skippedTelemetryLines = telemetry.skippedLines;
             // A run started with --progress-interval 0 writes no
             // progress records, but it still commits to its store.
             const double heartbeatAge = std::min(
                 fileAgeSeconds(telemetryPath), fileAgeSeconds(path));
-            status.workers.push_back(
-                workerFromTelemetry(telemetry, heartbeatAge, status,
-                                    shardSeconds, shardUnitsPerSec));
+            status.run = runFromTelemetry(telemetry, heartbeatAge, status,
+                                          shardSeconds, shardUnitsPerSec);
         }
     }
 
-    finalizeThroughput(status, shardSeconds, shardUnitsPerSec);
+    // Rate and ETA only while the run is alive to earn them.
+    if (status.run && (status.run->state == RunState::Live ||
+                       status.run->state == RunState::Stale))
+        status.unitsPerSec = status.run->unitsPerSec;
+    if (!status.complete && status.unitsPerSec > 0 && status.unitsTotal &&
+        *status.unitsTotal > status.unitsDone)
+        status.etaSeconds =
+            static_cast<double>(*status.unitsTotal - status.unitsDone) /
+            status.unitsPerSec;
+    status.shardSeconds = summarize(shardSeconds);
+    status.shardUnitsPerSec = summarize(shardUnitsPerSec);
     status.ok = true;
     return status;
 }
@@ -291,13 +289,14 @@ summaryJson(const HistogramSummary &summary)
     out.set("p50", summary.p50);
     out.set("p90", summary.p90);
     out.set("p99", summary.p99);
+    out.set("sum", summary.sum);
     return out;
 }
 
 } // namespace
 
 json::Value
-statusJson(const FleetStatus &status)
+statusJson(const RunStatus &status)
 {
     auto out = json::Value::object();
     out.set("type", "status");
@@ -337,90 +336,82 @@ statusJson(const FleetStatus &status)
                    summaryJson(status.shardUnitsPerSec));
     out.set("throughput", std::move(throughput));
 
-    auto workers = json::Value::array();
-    for (const WorkerStatus &worker : status.workers) {
-        auto entry = json::Value::object();
-        entry.set("id", worker.id);
-        entry.set("state", workerLivenessName(worker.liveness));
-        if (!worker.host.empty())
-            entry.set("host", worker.host);
-        entry.set("shardsDone", worker.shardsDone);
-        entry.set("unitsDone", worker.unitsDone);
-        entry.set("failedUnits", worker.failedUnits);
-        entry.set("unitsPerSec", worker.unitsPerSec);
-        if (worker.heartbeatAgeSeconds)
-            entry.set("heartbeatAgeSeconds",
-                      *worker.heartbeatAgeSeconds);
-        workers.push(std::move(entry));
+    if (status.run) {
+        auto run = json::Value::object();
+        run.set("state", runStateName(status.run->state));
+        if (!status.run->host.empty())
+            run.set("host", status.run->host);
+        if (status.run->heartbeatAgeSeconds)
+            run.set("heartbeatAgeSeconds", *status.run->heartbeatAgeSeconds);
+        run.set("unitsPerSec", status.run->unitsPerSec);
+        out.set("run", std::move(run));
     }
-    out.set("workers", std::move(workers));
 
     auto telemetry = json::Value::object();
-    telemetry.set("files", status.telemetryFiles);
     telemetry.set("skippedLines", status.skippedTelemetryLines);
     out.set("telemetry", std::move(telemetry));
     return out;
 }
 
 void
-printStatus(const FleetStatus &status, std::ostream &os)
+printStatus(const json::Value &doc, std::ostream &os)
 {
-    if (!status.ok) {
-        os << "status: " << status.error << "\n";
+    if (doc.find("error")) {
+        os << "status: " << textField(doc, "error") << "\n";
         return;
     }
-    os << "campaign " << status.name << " (" << status.specHash
-       << ")  [" << status.path << "]\n";
-    os << "shards: " << status.shardsDone << "/" << status.shardsTotal
-       << " done, " << status.shardsPending << " pending"
-       << (status.complete ? "  -- complete" : "") << "\n";
-    os << "units:  " << status.unitsDone;
-    if (status.unitsTotal) {
-        os << "/" << *status.unitsTotal;
-        if (*status.unitsTotal > 0)
-            os << " ("
-               << Table::pct(static_cast<double>(status.unitsDone) /
-                                 static_cast<double>(*status.unitsTotal),
-                             1)
-               << ")";
+    const auto count = [&doc](std::string_view path) {
+        return u64Field(doc, path);
+    };
+    const auto real = [&doc](std::string_view path) {
+        return f64Field(doc, path);
+    };
+    os << "campaign " << textField(doc, "name") << " ("
+       << textField(doc, "specHash") << ")\n";
+    const json::Value *complete = doc.find("complete");
+    os << "shards: " << count("shards.done") << "/" << count("shards.total")
+       << " done, " << count("shards.pending") << " pending"
+       << (complete && complete->asBool() ? "  -- complete" : "") << "\n";
+    os << "units:  " << count("units.done");
+    if (const std::uint64_t total = count("units.total")) {
+        os << "/" << total << " ("
+           << Table::pct(static_cast<double>(count("units.done")) /
+                             static_cast<double>(total),
+                         1)
+           << ")";
     }
-    os << ", " << status.failedUnits << " failed\n";
-    os << "rate:   " << Table::fmt(status.unitsPerSec, 1)
+    os << ", " << count("failures.total") << " failed\n";
+    os << "rate:   " << Table::fmt(real("throughput.unitsPerSec"), 1)
        << " units/s";
-    if (status.etaSeconds)
-        os << ", eta " << Table::fmt(*status.etaSeconds, 1) << " s";
+    if (member(doc, "throughput.etaSeconds"))
+        os << ", eta " << Table::fmt(real("throughput.etaSeconds"), 1)
+           << " s";
     os << "\n";
-    if (status.shardSeconds.count > 0)
+    if (const std::uint64_t n = count("throughput.shardSeconds.count"))
         os << "shard seconds: p50 "
-           << Table::fmt(status.shardSeconds.p50, 3) << "  p90 "
-           << Table::fmt(status.shardSeconds.p90, 3) << "  p99 "
-           << Table::fmt(status.shardSeconds.p99, 3) << "  (n="
-           << status.shardSeconds.count << ")\n";
-    if (status.skippedTelemetryLines > 0)
-        os << "warnings: " << status.skippedTelemetryLines
-           << " skipped telemetry lines\n";
-
-    if (!status.workers.empty()) {
-        Table table({"worker", "state", "beat(s)", "shards", "units",
-                     "failed", "units/s"});
-        for (const WorkerStatus &worker : status.workers)
-            table.addRow(
-                {worker.id, workerLivenessName(worker.liveness),
-                 worker.heartbeatAgeSeconds
-                     ? Table::fmt(*worker.heartbeatAgeSeconds, 1)
-                     : "-",
-                 std::to_string(worker.shardsDone),
-                 std::to_string(worker.unitsDone),
-                 std::to_string(worker.failedUnits),
-                 Table::fmt(worker.unitsPerSec, 1)});
-        os << "\n";
-        table.print(os, "workers");
+           << Table::fmt(real("throughput.shardSeconds.p50"), 3) << "  p90 "
+           << Table::fmt(real("throughput.shardSeconds.p90"), 3) << "  p99 "
+           << Table::fmt(real("throughput.shardSeconds.p99"), 3)
+           << "  (n=" << n << ")\n";
+    if (member(doc, "run")) {
+        os << "run:    " << textField(doc, "run.state");
+        if (member(doc, "run.heartbeatAgeSeconds"))
+            os << ", heartbeat "
+               << Table::fmt(real("run.heartbeatAgeSeconds"), 1)
+               << " s ago";
+        if (member(doc, "run.host"))
+            os << ", host " << textField(doc, "run.host");
+        os << ", " << Table::fmt(real("run.unitsPerSec"), 1)
+           << " units/s\n";
     }
+    if (const std::uint64_t skipped = count("telemetry.skippedLines"))
+        os << "warnings: " << skipped << " skipped telemetry lines\n";
 
-    if (!status.failuresByCell.empty()) {
+    const json::Value *byCell = member(doc, "failures.byCell");
+    if (byCell && byCell->size() > 0) {
         Table table({"cell", "failed"});
-        for (const auto &[label, failed] : status.failuresByCell)
-            table.addRow({label, std::to_string(failed)});
+        for (const auto &[label, failed] : byCell->members())
+            table.addRow({label, json::dump(failed)});
         os << "\n";
         table.print(os, "failures by cell");
     }
@@ -428,6 +419,78 @@ printStatus(const FleetStatus &status, std::ostream &os)
 
 namespace
 {
+
+/** How a document member becomes /metrics samples. */
+enum class Shape
+{
+    Value,    ///< a number or bool: one sample
+    Identity, ///< `name` and `specHash` as labels; the value is 1
+    ByKey,    ///< an object of counts: one sample per key
+    State,    ///< a run state: one 0/1 sample per state, all five
+    Summary,  ///< a histogram summary: quantiles, `_sum`, `_count`
+};
+
+/** One /metrics series and the document member it renders. Rows that
+ *  share a name share the first row's HELP and TYPE lines. */
+struct MetricRow
+{
+    const char *path; ///< dotted path into the statusJson() document
+    const char *name;
+    const char *type;
+    const char *help;
+    Shape shape = Shape::Value;
+    /** Value: a fixed label set; ByKey and State: the label's name. */
+    const char *label = "";
+};
+
+constexpr MetricRow metricTable[] = {
+    {"name", "xed_campaign_info", "gauge",
+     "Campaign identity; the value is always 1.", Shape::Identity},
+    {"complete", "xed_campaign_complete", "gauge",
+     "1 when every planned shard is committed."},
+    {"shards.total", "xed_shards_planned", "gauge",
+     "Shards in the campaign plan."},
+    {"shards.done", "xed_shards", "gauge",
+     "Shards by state (done / pending).", Shape::Value, "state=\"done\""},
+    {"shards.pending", "xed_shards", "gauge", "", Shape::Value,
+     "state=\"pending\""},
+    {"units.done", "xed_units_done_total", "counter",
+     "Simulated units committed to the store."},
+    {"units.total", "xed_units_planned", "gauge",
+     "Units in the campaign plan."},
+    {"failures.total", "xed_failed_units_total", "counter",
+     "Failed (or detection-escaped) units committed."},
+    {"failures.byCell", "xed_cell_failures_total", "counter",
+     "Failed units per campaign cell.", Shape::ByKey, "cell"},
+    {"failures.byType", "xed_failure_type_total", "counter",
+     "Failed units per failure type.", Shape::ByKey, "type"},
+    {"failures.outcomes", "xed_detection_outcome_total", "counter",
+     "Forensics detection-outcome counts.", Shape::ByKey, "outcome"},
+    {"throughput.unitsPerSec", "xed_units_per_second", "gauge",
+     "The run's last reported rate while it is live or stale."},
+    {"throughput.etaSeconds", "xed_eta_seconds", "gauge",
+     "Estimated seconds until the plan completes."},
+    {"run.state", "xed_run_state", "gauge",
+     "1 for the run's liveness state, 0 for the others.", Shape::State,
+     "state"},
+    {"run.heartbeatAgeSeconds", "xed_run_heartbeat_age_seconds", "gauge",
+     "Seconds since the run last wrote its telemetry sidecar or store."},
+    {"run.unitsPerSec", "xed_run_units_per_second", "gauge",
+     "The run's last reported rate, whatever its state."},
+    {"telemetry.skippedLines", "xed_telemetry_skipped_lines_total",
+     "counter",
+     "Torn or unknown telemetry lines skipped by the tolerant reader."},
+    {"throughput.shardSeconds", "xed_shard_seconds", "summary",
+     "Exact shard wall-time distribution (the run's histogram buckets).",
+     Shape::Summary},
+    {"throughput.shardUnitsPerSec", "xed_shard_units_per_second",
+     "summary", "Exact per-shard simulation rate distribution.",
+     Shape::Summary},
+};
+
+constexpr RunState allRunStates[] = {RunState::Live, RunState::Stale,
+                                     RunState::Dead, RunState::Done,
+                                     RunState::Aborted};
 
 /** Prometheus label-value escaping: backslash, quote, newline. */
 std::string
@@ -448,163 +511,74 @@ escapeLabel(const std::string &value)
     return out;
 }
 
-void
-metricHeader(std::ostringstream &os, const char *name, const char *help,
-             const char *type)
+/** A number as the document prints it; a bool as 1 or 0. */
+std::string
+sampleValue(const json::Value *value)
 {
-    os << "# HELP " << name << " " << help << "\n";
-    os << "# TYPE " << name << " " << type << "\n";
-}
-
-void
-summaryMetric(std::ostringstream &os, const char *name,
-              const char *help, const HistogramSummary &summary)
-{
-    metricHeader(os, name, help, "summary");
-    os << name << "{quantile=\"0.5\"} " << json::formatDouble(summary.p50)
-       << "\n";
-    os << name << "{quantile=\"0.9\"} " << json::formatDouble(summary.p90)
-       << "\n";
-    os << name << "{quantile=\"0.99\"} "
-       << json::formatDouble(summary.p99) << "\n";
-    os << name << "_sum " << json::formatDouble(summary.approxSum)
-       << "\n";
-    os << name << "_count " << summary.count << "\n";
-}
-
-void
-labeledCounts(std::ostringstream &os, const char *name,
-              const char *help, const char *label,
-              const std::map<std::string, std::uint64_t> &counts)
-{
-    metricHeader(os, name, help, "counter");
-    for (const auto &[key, count] : counts)
-        os << name << "{" << label << "=\"" << escapeLabel(key)
-           << "\"} " << count << "\n";
+    if (!value)
+        return "0";
+    if (value->isBool())
+        return value->asBool() ? "1" : "0";
+    return json::dump(*value);
 }
 
 } // namespace
 
 std::string
-prometheusText(const FleetStatus &status)
+prometheusText(const json::Value &doc)
 {
     std::ostringstream os;
-    metricHeader(os, "xed_campaign_info",
-                 "Campaign identity; the value is always 1.", "gauge");
-    os << "xed_campaign_info{name=\"" << escapeLabel(status.name)
-       << "\",specHash=\"" << escapeLabel(status.specHash) << "\"} 1\n";
-
-    metricHeader(os, "xed_campaign_complete",
-                 "1 when every planned shard is committed.", "gauge");
-    os << "xed_campaign_complete " << (status.complete ? 1 : 0) << "\n";
-
-    metricHeader(os, "xed_shards_planned",
-                 "Shards in the campaign plan.", "gauge");
-    os << "xed_shards_planned " << status.shardsTotal << "\n";
-
-    metricHeader(os, "xed_shards",
-                 "Shards by state (done / pending).", "gauge");
-    os << "xed_shards{state=\"done\"} " << status.shardsDone << "\n";
-    os << "xed_shards{state=\"pending\"} " << status.shardsPending
-       << "\n";
-
-    metricHeader(os, "xed_units_done_total",
-                 "Simulated units committed to the store.", "counter");
-    os << "xed_units_done_total " << status.unitsDone << "\n";
-    if (status.unitsTotal) {
-        metricHeader(os, "xed_units_planned",
-                     "Units in the campaign plan.", "gauge");
-        os << "xed_units_planned " << *status.unitsTotal << "\n";
-    }
-
-    metricHeader(os, "xed_failed_units_total",
-                 "Failed (or detection-escaped) units committed.",
-                 "counter");
-    os << "xed_failed_units_total " << status.failedUnits << "\n";
-    labeledCounts(os, "xed_cell_failures_total",
-                  "Failed units per campaign cell.", "cell",
-                  status.failuresByCell);
-    labeledCounts(os, "xed_failure_type_total",
-                  "Failed units per failure type.", "type",
-                  status.failuresByType);
-    labeledCounts(os, "xed_detection_outcome_total",
-                  "Forensics detection-outcome counts.", "outcome",
-                  status.outcomes);
-
-    metricHeader(os, "xed_units_per_second",
-                 "Summed last-reported rate of live and stale workers.",
-                 "gauge");
-    os << "xed_units_per_second "
-       << json::formatDouble(status.unitsPerSec) << "\n";
-    if (status.etaSeconds) {
-        metricHeader(os, "xed_eta_seconds",
-                     "Estimated seconds until the plan completes.",
-                     "gauge");
-        os << "xed_eta_seconds " << json::formatDouble(*status.etaSeconds)
-           << "\n";
-    }
-
-    metricHeader(os, "xed_workers", "Workers by liveness state.",
-                 "gauge");
-    std::map<std::string, std::uint64_t> byState = {
-        {"live", 0}, {"stale", 0}, {"dead", 0},
-        {"done", 0}, {"aborted", 0},
-    };
-    for (const WorkerStatus &worker : status.workers)
-        ++byState[workerLivenessName(worker.liveness)];
-    for (const auto &[state, count] : byState)
-        os << "xed_workers{state=\"" << state << "\"} " << count << "\n";
-
-    metricHeader(os, "xed_worker_up",
-                 "1 while a worker's heartbeat is within the liveness "
-                 "threshold.",
-                 "gauge");
-    for (const WorkerStatus &worker : status.workers)
-        os << "xed_worker_up{worker=\"" << escapeLabel(worker.id)
-           << "\"} "
-           << (worker.liveness == WorkerLiveness::Live ||
-                       worker.liveness == WorkerLiveness::Stale
-                   ? 1
-                   : 0)
-           << "\n";
-    metricHeader(os, "xed_worker_heartbeat_age_seconds",
-                 "Seconds since a worker's freshest heartbeat.",
-                 "gauge");
-    for (const WorkerStatus &worker : status.workers)
-        if (worker.heartbeatAgeSeconds)
-            os << "xed_worker_heartbeat_age_seconds{worker=\""
-               << escapeLabel(worker.id) << "\"} "
-               << json::formatDouble(*worker.heartbeatAgeSeconds)
+    std::string_view header;
+    for (const MetricRow &row : metricTable) {
+        const json::Value *value = member(doc, row.path);
+        // The run state renders all five zeros without a run; any other
+        // member the document lacks (units.total before the first
+        // progress record, etaSeconds without a rate, the run without
+        // a sidecar) emits no series at all.
+        if (!value && row.shape != Shape::State)
+            continue;
+        if (header != row.name) {
+            header = row.name;
+            os << "# HELP " << row.name << " " << row.help << "\n";
+            os << "# TYPE " << row.name << " " << row.type << "\n";
+        }
+        switch (row.shape) {
+        case Shape::Value:
+            os << row.name;
+            if (*row.label)
+                os << "{" << row.label << "}";
+            os << " " << sampleValue(value) << "\n";
+            break;
+        case Shape::Identity:
+            os << row.name << "{name=\"" << escapeLabel(textField(doc, "name"))
+               << "\",specHash=\"" << escapeLabel(textField(doc, "specHash"))
+               << "\"} 1\n";
+            break;
+        case Shape::ByKey:
+            for (const auto &[key, count] : value->members())
+                os << row.name << "{" << row.label << "=\""
+                   << escapeLabel(key) << "\"} " << sampleValue(&count)
+                   << "\n";
+            break;
+        case Shape::State:
+            for (const RunState state : allRunStates) {
+                const std::string name = runStateName(state);
+                os << row.name << "{" << row.label << "=\"" << name << "\"} "
+                   << (value && value->asString() == name ? 1 : 0) << "\n";
+            }
+            break;
+        case Shape::Summary:
+            for (const auto &[quantile, key] :
+                 {std::pair{"0.5", "p50"}, {"0.9", "p90"}, {"0.99", "p99"}})
+                os << row.name << "{quantile=\"" << quantile << "\"} "
+                   << sampleValue(value->find(key)) << "\n";
+            os << row.name << "_sum " << sampleValue(value->find("sum"))
                << "\n";
-    metricHeader(os, "xed_worker_shards_done_total",
-                 "Shards committed per worker (self-reported).",
-                 "counter");
-    for (const WorkerStatus &worker : status.workers)
-        os << "xed_worker_shards_done_total{worker=\""
-           << escapeLabel(worker.id) << "\"} " << worker.shardsDone
-           << "\n";
-    metricHeader(os, "xed_worker_units_per_second",
-                 "Last-reported per-worker simulation rate.", "gauge");
-    for (const WorkerStatus &worker : status.workers)
-        os << "xed_worker_units_per_second{worker=\""
-           << escapeLabel(worker.id) << "\"} "
-           << json::formatDouble(worker.unitsPerSec) << "\n";
-
-    metricHeader(os, "xed_telemetry_skipped_lines_total",
-                 "Torn or unknown telemetry lines skipped by the "
-                 "tolerant reader.",
-                 "counter");
-    os << "xed_telemetry_skipped_lines_total "
-       << status.skippedTelemetryLines << "\n";
-
-    summaryMetric(os, "xed_shard_seconds",
-                  "Exact cross-worker shard wall-time distribution "
-                  "(merged histogram buckets).",
-                  status.shardSeconds);
-    summaryMetric(os, "xed_shard_units_per_second",
-                  "Exact cross-worker per-shard simulation rate "
-                  "distribution.",
-                  status.shardUnitsPerSec);
+            os << row.name << "_count " << sampleValue(value->find("count"))
+               << "\n";
+            break;
+        }
+    }
     return os.str();
 }
 
@@ -617,13 +591,10 @@ dashboardHtml()
 <html>
 <head>
 <meta charset="utf-8">
-<title>xed fleet status</title>
+<title>xed campaign status</title>
 <style>
 body { font-family: ui-monospace, monospace; margin: 2em; background: #111; color: #ddd; }
 h1 { font-size: 1.2em; } h1 small { color: #888; font-weight: normal; }
-table { border-collapse: collapse; margin-top: 1em; }
-th, td { padding: 0.25em 0.9em; text-align: left; border-bottom: 1px solid #333; }
-th { color: #888; font-weight: normal; }
 .bar { width: 28em; height: 1em; background: #333; margin: 0.6em 0; }
 .bar div { height: 100%; background: #4a8; }
 .live { color: #6c6; } .stale { color: #cc6; } .dead { color: #c66; }
@@ -632,19 +603,13 @@ th { color: #888; font-weight: normal; }
 </style>
 </head>
 <body>
-<h1>xed fleet <small id="ident"></small></h1>
+<h1>xed campaign <small id="ident"></small></h1>
 <div id="error"></div>
 <div id="summary"></div>
 <div class="bar"><div id="fill" style="width:0"></div></div>
 <div id="rate"></div>
-<table id="workers"></table>
+<div id="run"></div>
 <script>
-function cell(tag, text, cls) {
-  const el = document.createElement(tag);
-  el.textContent = text;
-  if (cls) el.className = cls;
-  return el;
-}
 async function refresh() {
   try {
     const response = await fetch("status.json");
@@ -671,27 +636,19 @@ async function refresh() {
         s.throughput.shardSeconds.p50.toFixed(2) + "/" +
         s.throughput.shardSeconds.p90.toFixed(2) + "/" +
         s.throughput.shardSeconds.p99.toFixed(2) + " s";
-      const table = document.getElementById("workers");
-      table.replaceChildren();
-      if (s.workers.length) {
-        const head = document.createElement("tr");
-        for (const h of ["worker", "state", "beat", "shards",
-                         "units", "failed", "units/s"])
-          head.appendChild(cell("th", h));
-        table.appendChild(head);
-        for (const w of s.workers) {
-          const row = document.createElement("tr");
-          row.appendChild(cell("td", w.id));
-          row.appendChild(cell("td", w.state, w.state));
-          row.appendChild(cell("td",
-            w.heartbeatAgeSeconds !== undefined
-              ? w.heartbeatAgeSeconds.toFixed(1) + "s" : "—"));
-          row.appendChild(cell("td", w.shardsDone));
-          row.appendChild(cell("td", w.unitsDone));
-          row.appendChild(cell("td", w.failedUnits));
-          row.appendChild(cell("td", w.unitsPerSec.toFixed(1)));
-          table.appendChild(row);
-        }
+      const run = document.getElementById("run");
+      run.replaceChildren();
+      if (s.run) {
+        const state = document.createElement("span");
+        state.textContent = "run " + s.run.state;
+        state.className = s.run.state;
+        run.appendChild(state);
+        run.appendChild(document.createTextNode(
+          (s.run.heartbeatAgeSeconds !== undefined
+            ? " · heartbeat " + s.run.heartbeatAgeSeconds.toFixed(1) +
+              " s ago" : "") +
+          (s.run.host ? " · host " + s.run.host : "") +
+          " · " + s.run.unitsPerSec.toFixed(1) + " units/s"));
       }
     }
   } catch (e) {
@@ -717,28 +674,23 @@ statusEndpoint(const std::string &httpPath, const std::string &storePath,
         *body = dashboardHtml();
         return true;
     }
+    if (httpPath != "/status.json" && httpPath != "/metrics")
+        return false;
+    const json::Value doc = statusJson(scanStore(storePath));
+    const json::Value *error = doc.find("error");
+    *statusCode = error ? 503 : 200;
     if (httpPath == "/status.json") {
-        const FleetStatus status = scanStore(storePath);
-        *statusCode = status.ok ? 200 : 503;
         *contentType = "application/json";
-        *body = json::dump(statusJson(status)) + "\n";
-        return true;
-    }
-    if (httpPath == "/metrics") {
-        const FleetStatus status = scanStore(storePath);
-        if (!status.ok) {
-            *statusCode = 503;
-            *contentType = "text/plain; charset=utf-8";
-            *body = status.error + "\n";
-            return true;
-        }
-        *statusCode = 200;
+        *body = json::dump(doc) + "\n";
+    } else if (error) {
+        *contentType = "text/plain; charset=utf-8";
+        *body = error->asString() + "\n";
+    } else {
         // The Prometheus text exposition format's registered type.
         *contentType = "text/plain; version=0.0.4; charset=utf-8";
-        *body = prometheusText(status);
-        return true;
+        *body = prometheusText(doc);
     }
-    return false;
+    return true;
 }
 
 } // namespace xed::campaign

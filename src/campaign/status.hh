@@ -2,7 +2,7 @@
  * @file
  * Read-only observability over a campaign's result store.
  *
- * A FleetStatus is one snapshot of a running (or finished) campaign,
+ * A RunStatus is one snapshot of a running (or finished) campaign,
  * assembled purely by READING what `run` and `resume` already write --
  * the scanner never creates, truncates, touches or deletes anything,
  * so pointing `status`/`serve` at a live run can never perturb it
@@ -14,11 +14,16 @@
  *                             failures of its shard prefix
  *   <out>.forensics.jsonl     detection outcomes of the store's shards
  *                             (loadForensics)
- *   <out>.telemetry.jsonl     volatile run progress: rates, counters,
- *                             the exact histogram buckets
- *                             (obs/telemetry.hh codec) behind the
- *                             p50/p90/p99; the newer of its mtime and
- *                             the store's is the run's heartbeat
+ *   <out>.telemetry.jsonl     volatile run progress: host, rate,
+ *                             planned units, the exact histogram
+ *                             buckets (obs/telemetry.hh codec) behind
+ *                             the p50/p90/p99; the newer of its mtime
+ *                             and the store's is the run's heartbeat
+ *
+ * statusJson() turns the snapshot into the canonical document, and
+ * every view renders that document alone: `status --json`, `report
+ * --format=json` and `/status.json` print it, printStatus() and
+ * prometheusText() format it, and the dashboard at `/` fetches it.
  *
  * Failures go through the runner's failedSystemsOf(), so the scan
  * totals exactly what the store's summary records, and `report
@@ -39,7 +44,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/json.hh"
 
@@ -50,7 +54,7 @@ namespace xed::campaign
 constexpr double livenessSeconds = 60.0;
 
 /**
- * Liveness classes, derived from the age of a run's heartbeat -- the
+ * Liveness states, derived from the age of a run's heartbeat -- the
  * newer of its telemetry sidecar's mtime (its last progress record)
  * and its store's (its last commit) -- against livenessSeconds L:
  *
@@ -62,11 +66,11 @@ constexpr double livenessSeconds = 60.0;
  *   done     telemetry ended with a terminal "done" record
  *   aborted  telemetry ended with a terminal "aborted" record
  */
-enum class WorkerLiveness { Live, Stale, Dead, Done, Aborted };
+enum class RunState { Live, Stale, Dead, Done, Aborted };
 
-const char *workerLivenessName(WorkerLiveness liveness);
+const char *runStateName(RunState state);
 
-/** Merged exact histogram summary (common/metrics Histogram). */
+/** Exact histogram summary (common/metrics Histogram). */
 struct HistogramSummary
 {
     std::uint64_t count = 0;
@@ -75,28 +79,13 @@ struct HistogramSummary
     double p99 = 0;
     /** Bucket-midpoint approximation of the sample sum (feeds the
      *  Prometheus summary's `_sum` series). */
-    double approxSum = 0;
+    double sum = 0;
 };
 
-struct WorkerStatus
-{
-    std::string id;
-    WorkerLiveness liveness = WorkerLiveness::Dead;
-    std::string host;           ///< from the run record; may be empty
-    std::uint64_t shardsDone = 0;
-    std::uint64_t unitsDone = 0;
-    std::uint64_t failedUnits = 0;
-    double unitsPerSec = 0;
-    /** Seconds since the sidecar or the store was last written,
-     *  whichever is newer; absent for a finished run. */
-    std::optional<double> heartbeatAgeSeconds;
-};
-
-struct FleetStatus
+struct RunStatus
 {
     bool ok = false;
     std::string error;
-    std::string path; ///< the scanned store file
 
     std::string name;
     std::string specHash;
@@ -129,10 +118,20 @@ struct FleetStatus
     HistogramSummary shardSeconds;
     HistogramSummary shardUnitsPerSec;
 
-    /** The run's telemetry sidecar, when it has one. */
-    std::vector<WorkerStatus> workers;
+    /** The run as its telemetry sidecar describes it. */
+    struct Run
+    {
+        RunState state = RunState::Dead;
+        std::string host; ///< from the run record; may be empty
+        /** Seconds since the sidecar or the store was last written,
+         *  whichever is newer; absent for a finished run. */
+        std::optional<double> heartbeatAgeSeconds;
+        /** The last reported rate, whatever the state. */
+        double unitsPerSec = 0;
+    };
+    /** Absent when the store has no readable telemetry sidecar. */
+    std::optional<Run> run;
 
-    std::uint64_t telemetryFiles = 0;
     /** Torn/unknown telemetry lines skipped. */
     std::uint64_t skippedTelemetryLines = 0;
 };
@@ -140,27 +139,31 @@ struct FleetStatus
 /** Snapshot a run: the result store plus its `<out>.telemetry.jsonl`
  *  and `<out>.forensics.jsonl` sidecars. A `<out>.telemetry.jsonl`
  *  path is mapped to its store. */
-FleetStatus scanStore(const std::string &storePath);
+RunStatus scanStore(const std::string &storePath);
 
-/** The canonical machine form (`status --json`, `/status.json`,
- *  `report --format=json`): one deterministic key order, exact
- *  integers, so two snapshots diff cleanly. */
-json::Value statusJson(const FleetStatus &status);
+/** The canonical document (`status --json`, `/status.json`, `report
+ *  --format=json`) that every view renders: one deterministic key
+ *  order, exact integers, so two snapshots diff cleanly. An error
+ *  document is `{"type":"status","error":...}`. */
+json::Value statusJson(const RunStatus &status);
 
-/** Human rendering (`status` without --json). */
-void printStatus(const FleetStatus &status, std::ostream &os);
+/** Human rendering of a statusJson() document (`status` without
+ *  --json). */
+void printStatus(const json::Value &doc, std::ostream &os);
 
-/** Prometheus text exposition format (`/metrics`). Metric names and
- *  label scheme are pinned in DESIGN.md section 4k. */
-std::string prometheusText(const FleetStatus &status);
+/** Prometheus text exposition format (`/metrics`) of a statusJson()
+ *  document that is not an error. Metric names and label scheme are
+ *  pinned in DESIGN.md section 4k. */
+std::string prometheusText(const json::Value &doc);
 
 /** The static self-refreshing dashboard served at `/`. */
 std::string dashboardHtml();
 
 /** Map an HTTP path to the response body for `serve`: `/status.json`,
- *  `/metrics`, `/` (anything else 404s). Re-scans @p storePath per
- *  call, so every response is a fresh snapshot. Returns true when the
- *  path was recognized. */
+ *  `/metrics`, `/` (anything else 404s). A data endpoint scans
+ *  @p storePath once per call and renders that document, so every
+ *  response is a fresh snapshot. Returns true when the path was
+ *  recognized. */
 bool statusEndpoint(const std::string &httpPath,
                     const std::string &storePath, int *status,
                     std::string *contentType, std::string *body);

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <ctime>
+#include <map>
 
 #include <unistd.h>
 
@@ -73,9 +74,9 @@ runMetadata(const std::string &specName, const std::string &hash,
 }
 
 ProgressReporter::ProgressReporter(const Setup &setup,
-                                   MetricsRegistry &registry,
+                                   const RunCounters &counters,
                                    const faultsim::McProgress &progress)
-    : setup_(setup), registry_(registry), progress_(progress),
+    : setup_(setup), counters_(counters), progress_(progress),
       started_(std::chrono::steady_clock::now())
 {
 }
@@ -136,13 +137,12 @@ namespace
 
 /** {"p50":...,"p90":...,"p99":...} (zeros while no samples exist). */
 json::Value
-quantilesJson(const Histogram *histogram)
+quantilesJson(const Histogram &histogram)
 {
     auto out = json::Value::object();
-    const bool any = histogram && histogram->count() > 0;
-    out.set("p50", any ? histogram->quantile(0.50) : 0.0);
-    out.set("p90", any ? histogram->quantile(0.90) : 0.0);
-    out.set("p99", any ? histogram->quantile(0.99) : 0.0);
+    out.set("p50", histogram.quantile(0.50));
+    out.set("p90", histogram.quantile(0.90));
+    out.set("p99", histogram.quantile(0.99));
     return out;
 }
 
@@ -156,16 +156,11 @@ ProgressReporter::sample() const
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       started_)
             .count();
-    const auto counters = registry_.counters();
-    const auto get = [&counters](const char *name) -> std::uint64_t {
-        const auto it = counters.find(name);
-        return it == counters.end() ? 0 : it->second;
-    };
     const std::uint64_t unitsDone = progress_.systemsDone.load();
-    const std::uint64_t unitsTotal = get("units.total");
+    const std::uint64_t unitsTotal = counters_.unitsTotal;
     // Rate over live-simulated units only: replayed shards were read
     // from disk, counting them would fake an absurd ETA after resume.
-    const std::uint64_t unitsReplayed = get("units.replayed");
+    const std::uint64_t unitsReplayed = counters_.unitsReplayed;
     const std::uint64_t unitsLive =
         unitsDone > unitsReplayed ? unitsDone - unitsReplayed : 0;
     const double rate = elapsed > 0 ? unitsLive / elapsed : 0;
@@ -175,8 +170,8 @@ ProgressReporter::sample() const
     auto record = json::Value::object();
     record.set("type", "progress");
     record.set("elapsedSeconds", elapsed);
-    record.set("shardsDone", get("shards.done"));
-    record.set("shardsTotal", get("shards.total"));
+    record.set("shardsDone", counters_.shardsDone.get());
+    record.set("shardsTotal", counters_.shardsTotal);
     record.set("unitsDone", unitsDone);
     record.set("unitsTotal", unitsTotal);
     record.set("unitsPerSec", rate);
@@ -185,32 +180,24 @@ ProgressReporter::sample() const
     if (rate > 0)
         record.set("etaSeconds", remaining / rate);
     record.set("failedSystems", progress_.failedSystems.load());
-    const auto histograms = registry_.histograms();
-    const auto histogram =
-        [&histograms](const char *name) -> const Histogram * {
-        const auto it = histograms.find(name);
-        return it == histograms.end() ? nullptr : it->second;
-    };
-    record.set("shardSeconds", quantilesJson(histogram("shard.seconds")));
+    record.set("shardSeconds", quantilesJson(counters_.shardSeconds));
     record.set("shardUnitsPerSec",
-               quantilesJson(histogram("shard.unitsPerSec")));
+               quantilesJson(counters_.shardUnitsPerSec));
     // The exact sparse buckets ride along with the human-oriented
     // quantiles: the status scanner decodes the real buckets
     // (obs/telemetry.hh) and reports the run's exact p50/p90/p99.
-    const auto buckets = [](const Histogram *h) {
-        return h ? obs::histogramJson(*h) : json::Value::array();
-    };
     auto hist = json::Value::object();
-    hist.set("shardSeconds", buckets(histogram("shard.seconds")));
+    hist.set("shardSeconds", obs::histogramJson(counters_.shardSeconds));
     hist.set("shardUnitsPerSec",
-             buckets(histogram("shard.unitsPerSec")));
+             obs::histogramJson(counters_.shardUnitsPerSec));
     record.set("hist", std::move(hist));
+    // One key per label, in label order; cells sharing a label add up.
+    std::map<std::string, std::uint64_t> byLabel;
+    for (std::size_t c = 0; c < counters_.cellLabels.size(); ++c)
+        byLabel[counters_.cellLabels[c]] += counters_.failures[c].get();
     auto failures = json::Value::object();
-    for (const auto &[name, count] : counters) {
-        constexpr const char prefix[] = "failed.";
-        if (name.rfind(prefix, 0) == 0)
-            failures.set(name.substr(sizeof prefix - 1), count);
-    }
+    for (const auto &[label, count] : byLabel)
+        failures.set(label, count);
     record.set("failures", std::move(failures));
     return record;
 }

@@ -2,13 +2,15 @@
  * @file
  * Live run telemetry for campaign runs.
  *
- * A ProgressReporter thread samples the runner's metrics registry and
- * the engine's McProgress counters on a fixed interval and emits one
+ * A ProgressReporter thread samples the runner's RunCounters and the
+ * engine's McProgress counters on a fixed interval and emits one
  * machine-readable JSON status line per tick:
  *
  *   {"type":"progress","elapsedSeconds":...,"shardsDone":...,
  *    "shardsTotal":...,"unitsDone":...,"unitsTotal":...,
- *    "unitsPerSec":...,"etaSeconds":...,"failures":{label:count,...}}
+ *    "unitsPerSec":...,"etaSeconds":...,"failedSystems":...,
+ *    "shardSeconds":{p50,p90,p99},"shardUnitsPerSec":{...},
+ *    "hist":{...},"failures":{label:count,...}}
  *
  * "etaSeconds" is present only while a live rate exists; a tick with
  * no simulated units yet (or replay only) omits the key entirely,
@@ -32,6 +34,7 @@
 #include <ostream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "common/json.hh"
 #include "common/metrics.hh"
@@ -44,6 +47,32 @@ namespace xed::campaign
 json::Value runMetadata(const std::string &specName,
                         const std::string &hash, unsigned threads,
                         std::uint64_t resumedFromShard);
+
+/**
+ * The runner's live counters, shared with the progress thread. The
+ * plan totals are set before the reporter starts; the rest are relaxed
+ * atomics the runner's threads update while the reporter reads them.
+ */
+struct RunCounters
+{
+    /** One failure counter per plan cell, named by @p cellLabels. */
+    explicit RunCounters(std::vector<std::string> cellLabels = {})
+        : cellLabels(std::move(cellLabels)),
+          failures(this->cellLabels.size())
+    {
+    }
+
+    std::uint64_t shardsTotal = 0;
+    std::uint64_t unitsTotal = 0;
+    /** Units a resume read back from the store instead of simulating. */
+    std::uint64_t unitsReplayed = 0;
+    Counter shardsDone;
+    std::vector<std::string> cellLabels;
+    /** Failed units of plan cell c, over every sweep point. */
+    std::vector<Counter> failures;
+    Histogram shardSeconds;
+    Histogram shardUnitsPerSec;
+};
 
 class ProgressReporter
 {
@@ -58,11 +87,13 @@ class ProgressReporter
         std::string sidecarPath;
     };
 
-    ProgressReporter(const Setup &setup, MetricsRegistry &registry,
+    ProgressReporter(const Setup &setup, const RunCounters &counters,
                      const faultsim::McProgress &progress);
     ~ProgressReporter();
 
-    /** Write the run record and start the sampling thread. */
+    /** Write the run record and start the sampling thread. Without a
+     *  status stream or a sidecar there is nothing to record, and the
+     *  runner skips this call and the run record it would build. */
     void start(const json::Value &runRecord);
 
     /** Emit one final progress sample plus a "done" record, then join
@@ -84,7 +115,7 @@ class ProgressReporter
     void finishWith(const char *type, bool complete);
 
     Setup setup_;
-    MetricsRegistry &registry_;
+    const RunCounters &counters_;
     const faultsim::McProgress &progress_;
     std::chrono::steady_clock::time_point started_;
     std::ofstream sidecar_;

@@ -294,17 +294,17 @@ int
 statusMain(const CliArgs &args)
 {
     for (;;) {
-        const FleetStatus status = scanStore(args.path);
+        const json::Value doc = statusJson(scanStore(args.path));
         if (args.jsonOut) {
-            std::cout << json::dump(statusJson(status)) << "\n";
+            std::cout << json::dump(doc) << "\n";
         } else {
             if (args.watch && isatty(STDOUT_FILENO))
                 std::cout << "\x1b[H\x1b[2J"; // clear for the refresh
-            printStatus(status, std::cout);
+            printStatus(doc, std::cout);
         }
         std::cout.flush();
         if (!args.watch)
-            return status.ok ? 0 : 1;
+            return doc.find("error") ? 1 : 0;
         if (!args.jsonOut)
             std::cout << "\n";
         std::this_thread::sleep_for(std::chrono::duration<double>(
@@ -390,7 +390,7 @@ main(int argc, char **argv)
             // The same canonical schema `status --json` and the
             // server's /status.json emit, so post-run reports diff
             // cleanly against live snapshots.
-            const FleetStatus status = scanStore(args.path);
+            const RunStatus status = scanStore(args.path);
             std::cout << json::dump(statusJson(status)) << "\n";
             if (!status.ok)
                 std::cerr << "xed_campaign: " << status.error << "\n";

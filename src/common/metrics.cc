@@ -83,64 +83,4 @@ Histogram::quantile(double q) const
     return bucketValue(bucketCount - 1);
 }
 
-Counter &
-MetricsRegistry::counter(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto &slot = counters_[name];
-    if (!slot)
-        slot = std::make_unique<Counter>();
-    return *slot;
-}
-
-Gauge &
-MetricsRegistry::gauge(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto &slot = gauges_[name];
-    if (!slot)
-        slot = std::make_unique<Gauge>();
-    return *slot;
-}
-
-Histogram &
-MetricsRegistry::histogram(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto &slot = histograms_[name];
-    if (!slot)
-        slot = std::make_unique<Histogram>();
-    return *slot;
-}
-
-std::map<std::string, std::uint64_t>
-MetricsRegistry::counters() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::map<std::string, std::uint64_t> out;
-    for (const auto &[name, counter] : counters_)
-        out.emplace(name, counter->get());
-    return out;
-}
-
-std::map<std::string, double>
-MetricsRegistry::gauges() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::map<std::string, double> out;
-    for (const auto &[name, gauge] : gauges_)
-        out.emplace(name, gauge->get());
-    return out;
-}
-
-std::map<std::string, const Histogram *>
-MetricsRegistry::histograms() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::map<std::string, const Histogram *> out;
-    for (const auto &[name, hist] : histograms_)
-        out.emplace(name, hist.get());
-    return out;
-}
-
 } // namespace xed

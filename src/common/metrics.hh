@@ -1,13 +1,11 @@
 /**
  * @file
- * Atomic counter/gauge registry for live run telemetry.
+ * Atomic counters and histograms for live run telemetry.
  *
- * The campaign runner's worker threads bump counters on the hot path
- * (systems simulated, shards completed, per-scheme failures) while a
- * progress thread samples the registry once a second and emits
- * machine-readable status lines. Registration takes a mutex; the
- * returned Counter/Gauge references are stable for the registry's
- * lifetime, so steady-state updates are a single relaxed atomic op.
+ * The campaign runner's threads bump them on the hot path (shards
+ * committed, per-cell failures, shard times) while a progress thread
+ * samples them once a second and emits machine-readable status lines
+ * (campaign/telemetry.hh). Every update is a single relaxed atomic op.
  */
 
 #ifndef XED_COMMON_METRICS_HH
@@ -16,10 +14,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
 
 namespace xed
 {
@@ -39,17 +33,6 @@ class Counter
 
   private:
     std::atomic<std::uint64_t> value_{0};
-};
-
-/** Last-write-wins atomic gauge (e.g. an ETA or a rate). */
-class Gauge
-{
-  public:
-    void set(double v) { value_.store(v, std::memory_order_relaxed); }
-    double get() const { return value_.load(std::memory_order_relaxed); }
-
-  private:
-    std::atomic<double> value_{0.0};
 };
 
 /**
@@ -118,31 +101,6 @@ class Histogram
 
   private:
     std::array<std::atomic<std::uint64_t>, bucketCount> buckets_{};
-};
-
-/**
- * Named counters, gauges and histograms, created on first use.
- * Thread-safe; the returned references stay valid until the registry
- * is destroyed.
- */
-class MetricsRegistry
-{
-  public:
-    Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
-    Histogram &histogram(const std::string &name);
-
-    /** Point-in-time snapshots (each value read individually). */
-    std::map<std::string, std::uint64_t> counters() const;
-    std::map<std::string, double> gauges() const;
-    /** Stable pointers: histograms live as long as the registry. */
-    std::map<std::string, const Histogram *> histograms() const;
-
-  private:
-    mutable std::mutex mutex_;
-    std::map<std::string, std::unique_ptr<Counter>> counters_;
-    std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-    std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 } // namespace xed

@@ -278,7 +278,7 @@ TEST(InputFuzz, MutatedTelemetryNeverChangesStoreTotals)
     }
     ASSERT_GE(lines.size(), 2u); // the run record and its terminal one
 
-    const FleetStatus reference = scanStore(options.outPath);
+    const RunStatus reference = scanStore(options.outPath);
     ASSERT_TRUE(reference.ok) << reference.error;
     const json::Value referenceJson = statusJson(reference);
 
@@ -311,7 +311,7 @@ TEST(InputFuzz, MutatedTelemetryNeverChangesStoreTotals)
             SCOPED_TRACE("line " + std::to_string(i) + " mutant " +
                          std::to_string(m) + ":\n" + mutants[m]);
             spit(sidecar, mutants[m]);
-            const FleetStatus status = scanStore(options.outPath);
+            const RunStatus status = scanStore(options.outPath);
             ASSERT_TRUE(status.ok) << status.error;
             const json::Value scanned = statusJson(status);
             for (const char *key : {"shards", "failures"})

@@ -22,6 +22,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/forensics.hh"
@@ -268,13 +269,13 @@ TEST(ProgressReporter, UnwindWithoutFinishEmitsAborted)
     const std::string path =
         ownTempPath("xed_test_telemetry_aborted.jsonl");
     std::remove(path.c_str());
-    MetricsRegistry registry;
+    RunCounters counters;
     faultsim::McProgress progress;
     {
         ProgressReporter::Setup setup;
         setup.intervalSeconds = 0; // no sampler thread
         setup.sidecarPath = path;
-        ProgressReporter reporter(setup, registry, progress);
+        ProgressReporter reporter(setup, counters, progress);
         reporter.start(runMetadata("probe", "hash", 1, 0));
         // Destroyed without finish(): a worker exception unwound.
     }
@@ -292,13 +293,13 @@ TEST(ProgressReporter, FinishSuppressesTheAbortedRecord)
 {
     const std::string path = ownTempPath("xed_test_telemetry_done.jsonl");
     std::remove(path.c_str());
-    MetricsRegistry registry;
+    RunCounters counters;
     faultsim::McProgress progress;
     {
         ProgressReporter::Setup setup;
         setup.intervalSeconds = 0;
         setup.sidecarPath = path;
-        ProgressReporter reporter(setup, registry, progress);
+        ProgressReporter reporter(setup, counters, progress);
         reporter.start(runMetadata("probe", "hash", 1, 0));
         reporter.finish(true);
     }
@@ -318,12 +319,12 @@ TEST(ProgressReporter, FinishSuppressesTheAbortedRecord)
 
 TEST(ProgressReporter, EtaOmittedWithoutLiveRate)
 {
-    MetricsRegistry registry;
+    RunCounters counters;
     faultsim::McProgress progress;
-    registry.counter("units.total").add(1000);
+    counters.unitsTotal = 1000;
     ProgressReporter::Setup setup;
     setup.intervalSeconds = 0;
-    ProgressReporter reporter(setup, registry, progress);
+    ProgressReporter reporter(setup, counters, progress);
 
     // No live-simulated units yet: a 0.0 ETA would read as "done
     // now", so the key must be absent entirely.
@@ -341,19 +342,56 @@ TEST(ProgressReporter, EtaOmittedWithoutLiveRate)
 
 TEST(ProgressReporter, EtaOmittedWhenAllUnitsWereReplayed)
 {
-    MetricsRegistry registry;
+    RunCounters counters;
     faultsim::McProgress progress;
-    registry.counter("units.total").add(1000);
-    registry.counter("units.replayed").add(400);
+    counters.unitsTotal = 1000;
+    counters.unitsReplayed = 400;
     progress.systemsDone.store(400);
     ProgressReporter::Setup setup;
     setup.intervalSeconds = 0;
-    ProgressReporter reporter(setup, registry, progress);
+    ProgressReporter reporter(setup, counters, progress);
 
     // Replayed shards were read from disk, not simulated; they carry
     // no rate information, so there is still no estimate.
     const auto record = reporter.sample();
     EXPECT_EQ(record.find("etaSeconds"), nullptr);
+}
+
+TEST(ProgressReporter, SampleKeysAndFailuresInLabelOrder)
+{
+    // Cells are counted by index and reported by label: in label
+    // order, with cells that share a label added up.
+    RunCounters counters({"xed", "chipkill", "secded", "chipkill"});
+    counters.failures[0].add(5);
+    counters.failures[1].add(2);
+    counters.failures[3].add(3);
+    counters.shardsTotal = 8;
+    counters.shardsDone.add(4);
+    counters.shardSeconds.update(0.5);
+    faultsim::McProgress progress;
+    ProgressReporter::Setup setup;
+    setup.intervalSeconds = 0;
+    ProgressReporter reporter(setup, counters, progress);
+
+    const auto record = reporter.sample();
+    std::vector<std::string> keys;
+    for (const auto &[key, value] : record.members())
+        keys.push_back(key);
+    const std::vector<std::string> expected = {
+        "type", "elapsedSeconds", "shardsDone", "shardsTotal",
+        "unitsDone", "unitsTotal", "unitsPerSec", "failedSystems",
+        "shardSeconds", "shardUnitsPerSec", "hist", "failures"};
+    EXPECT_EQ(keys, expected);
+    EXPECT_EQ(record.find("shardsDone")->asUint(), 4u);
+    EXPECT_EQ(record.find("shardsTotal")->asUint(), 8u);
+    EXPECT_EQ(record.find("hist")->find("shardSeconds")->size(), 1u);
+
+    std::vector<std::pair<std::string, std::uint64_t>> failures;
+    for (const auto &[label, count] : record.find("failures")->members())
+        failures.emplace_back(label, count.asUint());
+    const std::vector<std::pair<std::string, std::uint64_t>> byLabel = {
+        {"chipkill", 5}, {"secded", 0}, {"xed", 5}};
+    EXPECT_EQ(failures, byLabel);
 }
 
 } // namespace

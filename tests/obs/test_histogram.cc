@@ -3,7 +3,7 @@
  * Tests for the log-bucketed concurrent Histogram (common/metrics.hh):
  * bucket-index goldens, the 1/16-relative-width quantile accuracy
  * bound, the exact/associative/commutative merge contract, and a
- * many-thread registration+update race (also exercised under TSan by
+ * many-thread update race (also exercised under TSan by
  * scripts/check.sh tsan via `ctest -L obs`).
  */
 
@@ -12,7 +12,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -173,37 +172,30 @@ TEST(Histogram, MergeIsAssociativeAndCommutative)
     expectEqualBuckets(leftFold, reversed);
 }
 
-TEST(Histogram, ConcurrentRegistrationAndUpdatesAreLossless)
+TEST(Histogram, ConcurrentUpdatesAreLossless)
 {
-    MetricsRegistry registry;
     constexpr unsigned threads = 8;
     constexpr std::uint64_t perThread = 20000;
+    Histogram shared;
+    std::vector<Histogram> own(threads);
     std::vector<std::thread> workers;
     for (unsigned t = 0; t < threads; ++t) {
-        workers.emplace_back([&registry, t] {
-            // Mix pre-registered and on-demand lookups across threads.
-            auto &shared = registry.histogram("shard.seconds");
+        workers.emplace_back([&shared, &own, t] {
             for (std::uint64_t i = 0; i < perThread; ++i) {
                 shared.update(0.001 * static_cast<double>(1 + i % 997));
                 if (i % 1024 == 0)
-                    registry.histogram("per." + std::to_string(t))
-                        .update(1.0);
+                    own[t].update(1.0);
             }
         });
     }
     for (auto &worker : workers)
         worker.join();
 
-    EXPECT_EQ(registry.histogram("shard.seconds").count(),
-              threads * perThread);
-    const auto histograms = registry.histograms();
-    EXPECT_EQ(histograms.size(), 1 + threads);
-
+    EXPECT_EQ(shared.count(), threads * perThread);
     // The per-thread histograms reduce exactly.
     Histogram total;
-    for (const auto &[name, histogram] : histograms)
-        if (name.rfind("per.", 0) == 0)
-            total.merge(*histogram);
+    for (const Histogram &histogram : own)
+        total.merge(histogram);
     EXPECT_EQ(total.count(), threads * (1 + (perThread - 1) / 1024));
 }
 

@@ -295,15 +295,12 @@ validatePrometheus(const std::string &text)
     }
 }
 
-} // namespace
-
-TEST(FleetStatus, StoreScanMatchesItsSummaryForEveryKind)
+/** One spec per campaign kind: a reliability spec with forensics, a
+ *  shrunk specs/table2.json and a shrunk specs/fleet_smoke.json. */
+std::vector<CampaignSpec>
+kindSpecs()
 {
-    // One spec per campaign kind: a reliability spec with forensics,
-    // a shrunk specs/table2.json and a shrunk specs/fleet_smoke.json.
-    // The scan must total what the store's summary record and its
-    // forensics sidecar record.
-    const std::vector<CampaignSpec> specs = {
+    return {
         statusSpec(),
         specFrom(R"({
             "name": "status-table2", "kind": "detection", "seed": 2738,
@@ -334,13 +331,22 @@ TEST(FleetStatus, StoreScanMatchesItsSummaryForEveryKind)
             ]
         })"),
     };
+}
+
+} // namespace
+
+TEST(FleetStatus, StoreScanMatchesItsSummaryForEveryKind)
+{
+    // The scan must total what the store's summary record and its
+    // forensics sidecar record.
+    const std::vector<CampaignSpec> specs = kindSpecs();
     for (const CampaignSpec &spec : specs) {
         SCOPED_TRACE(spec.name);
         const std::string store =
             runStore(spec, freshDir("kind_" + spec.name));
         const std::uint64_t shards = buildPlan(spec).tasks.size();
 
-        const FleetStatus status = scanStore(store);
+        const RunStatus status = scanStore(store);
         ASSERT_TRUE(status.ok) << status.error;
         EXPECT_EQ(status.name, spec.name);
         EXPECT_EQ(status.specHash, specHash(spec));
@@ -361,12 +367,10 @@ TEST(FleetStatus, StoreScanMatchesItsSummaryForEveryKind)
             EXPECT_FALSE(status.outcomes.empty());
         }
 
-        // One terminal sidecar; its histograms hold one sample per
-        // shard.
-        EXPECT_EQ(status.telemetryFiles, 1u);
-        ASSERT_EQ(status.workers.size(), 1u);
-        EXPECT_EQ(status.workers[0].liveness, WorkerLiveness::Done);
-        EXPECT_EQ(status.workers[0].shardsDone, shards);
+        // A terminal sidecar; its histograms hold one sample per shard.
+        ASSERT_TRUE(status.run);
+        EXPECT_EQ(status.run->state, RunState::Done);
+        EXPECT_FALSE(status.run->heartbeatAgeSeconds);
         EXPECT_EQ(status.shardSeconds.count, shards);
         EXPECT_EQ(status.shardUnitsPerSec.count, shards);
     }
@@ -388,7 +392,7 @@ TEST(FleetStatus, ScanIsStrictlyReadOnly)
 
     const auto before = snapshotDir(dir);
     ASSERT_EQ(before.size(), 4u); // the store and three sidecars
-    const FleetStatus status = scanStore(options.outPath);
+    const RunStatus status = scanStore(options.outPath);
     ASSERT_TRUE(status.ok) << status.error;
     EXPECT_EQ(before, snapshotDir(dir)); // byte-identical contents
 }
@@ -404,7 +408,7 @@ TEST(FleetStatus, TornStoreTailIsNotDamage)
         app << R"({"type":"shard","index":6,"point":0,"ce)";
     }
 
-    const FleetStatus status = scanStore(store);
+    const RunStatus status = scanStore(store);
     ASSERT_TRUE(status.ok) << status.error;
     EXPECT_EQ(status.shardsDone, 6u);
     EXPECT_EQ(status.unitsDone, 600u);
@@ -427,7 +431,7 @@ TEST(FleetStatus, CorruptMiddleStoreLineFailsWithTheLoadersError)
     const LoadedStore loaded =
         loadStore(store, specHash(spec), spec, plan);
     ASSERT_FALSE(loaded.ok);
-    const FleetStatus status = scanStore(store);
+    const RunStatus status = scanStore(store);
     EXPECT_FALSE(status.ok);
     EXPECT_EQ(status.error, loaded.error);
     EXPECT_EQ(statusJson(status).find("error")->asString(), loaded.error);
@@ -447,21 +451,21 @@ TEST(FleetStatus, StaleSidecarClassifiesRunDead)
                      std::chrono::seconds(600);
     fs::last_write_time(sidecar, old);
     fs::last_write_time(store, old);
-    const FleetStatus dead = scanStore(store);
+    const RunStatus dead = scanStore(store);
     ASSERT_TRUE(dead.ok) << dead.error;
     EXPECT_EQ(dead.shardsDone, 4u);
     EXPECT_EQ(dead.shardsPending, 8u);
     EXPECT_FALSE(dead.complete);
-    ASSERT_EQ(dead.workers.size(), 1u);
-    EXPECT_EQ(dead.workers[0].liveness, WorkerLiveness::Dead);
-    ASSERT_TRUE(dead.workers[0].heartbeatAgeSeconds);
-    EXPECT_GT(*dead.workers[0].heartbeatAgeSeconds, livenessSeconds);
+    ASSERT_TRUE(dead.run);
+    EXPECT_EQ(dead.run->state, RunState::Dead);
+    ASSERT_TRUE(dead.run->heartbeatAgeSeconds);
+    EXPECT_GT(*dead.run->heartbeatAgeSeconds, livenessSeconds);
 
     fs::last_write_time(sidecar, fs::file_time_type::clock::now());
-    const FleetStatus live = scanStore(store);
+    const RunStatus live = scanStore(store);
     ASSERT_TRUE(live.ok) << live.error;
-    ASSERT_EQ(live.workers.size(), 1u);
-    EXPECT_EQ(live.workers[0].liveness, WorkerLiveness::Live);
+    ASSERT_TRUE(live.run);
+    EXPECT_EQ(live.run->state, RunState::Live);
 }
 
 TEST(FleetStatus, FreshStoreKeepsARunWithAQuietSidecarLive)
@@ -476,12 +480,12 @@ TEST(FleetStatus, FreshStoreKeepsARunWithAQuietSidecarLive)
                                      std::chrono::seconds(600));
     fs::last_write_time(store, fs::file_time_type::clock::now());
 
-    const FleetStatus live = scanStore(store);
+    const RunStatus live = scanStore(store);
     ASSERT_TRUE(live.ok) << live.error;
-    ASSERT_EQ(live.workers.size(), 1u);
-    EXPECT_EQ(live.workers[0].liveness, WorkerLiveness::Live);
-    ASSERT_TRUE(live.workers[0].heartbeatAgeSeconds);
-    EXPECT_LT(*live.workers[0].heartbeatAgeSeconds, livenessSeconds / 2);
+    ASSERT_TRUE(live.run);
+    EXPECT_EQ(live.run->state, RunState::Live);
+    ASSERT_TRUE(live.run->heartbeatAgeSeconds);
+    EXPECT_LT(*live.run->heartbeatAgeSeconds, livenessSeconds / 2);
 }
 
 TEST(FleetStatus, ResumedRunIsLiveDespiteTheTerminalRecordItContinues)
@@ -501,22 +505,22 @@ TEST(FleetStatus, ResumedRunIsLiveDespiteTheTerminalRecordItContinues)
     const std::string sidecar = store + ".telemetry.jsonl";
     dropLastLine(sidecar); // the resume's own terminal record
 
-    const FleetStatus live = scanStore(store);
+    const RunStatus live = scanStore(store);
     ASSERT_TRUE(live.ok) << live.error;
     EXPECT_EQ(live.shardsDone, 8u);
-    ASSERT_EQ(live.workers.size(), 1u);
-    EXPECT_EQ(live.workers[0].liveness, WorkerLiveness::Live);
-    EXPECT_TRUE(live.workers[0].heartbeatAgeSeconds);
+    ASSERT_TRUE(live.run);
+    EXPECT_EQ(live.run->state, RunState::Live);
+    EXPECT_TRUE(live.run->heartbeatAgeSeconds);
 
     // The heartbeat is the newer of the two files' mtimes.
     const auto old = fs::file_time_type::clock::now() -
                      std::chrono::seconds(600);
     fs::last_write_time(sidecar, old);
     fs::last_write_time(store, old);
-    const FleetStatus dead = scanStore(store);
+    const RunStatus dead = scanStore(store);
     ASSERT_TRUE(dead.ok) << dead.error;
-    ASSERT_EQ(dead.workers.size(), 1u);
-    EXPECT_EQ(dead.workers[0].liveness, WorkerLiveness::Dead);
+    ASSERT_TRUE(dead.run);
+    EXPECT_EQ(dead.run->state, RunState::Dead);
 }
 
 TEST(FleetStatus, MergedQuantilesEqualSingleObserverHistogram)
@@ -550,14 +554,14 @@ TEST(FleetStatus, MergedQuantilesEqualSingleObserverHistogram)
         << R"({"type":"run","host":"synthetic"})" << "\n"
         << json::dump(progress) << "\n";
 
-    const FleetStatus status = scanStore(store);
+    const RunStatus status = scanStore(store);
     ASSERT_TRUE(status.ok) << status.error;
     EXPECT_EQ(status.shardSeconds.count, reference.count());
     EXPECT_EQ(status.shardSeconds.p50, reference.quantile(0.50));
     EXPECT_EQ(status.shardSeconds.p90, reference.quantile(0.90));
     EXPECT_EQ(status.shardSeconds.p99, reference.quantile(0.99));
-    ASSERT_EQ(status.workers.size(), 1u);
-    EXPECT_EQ(status.workers[0].host, "synthetic");
+    ASSERT_TRUE(status.run);
+    EXPECT_EQ(status.run->host, "synthetic");
 }
 
 TEST(FleetStatus, TornTelemetryTailIsToleratedAndCounted)
@@ -571,7 +575,7 @@ TEST(FleetStatus, TornTelemetryTailIsToleratedAndCounted)
                               std::ios::app | std::ios::binary);
         sidecar << "{\"type\":\"progress\",\"unitsDo";
     }
-    const FleetStatus status = scanStore(store);
+    const RunStatus status = scanStore(store);
     ASSERT_TRUE(status.ok) << status.error;
     EXPECT_EQ(status.skippedTelemetryLines, 1u);
     EXPECT_TRUE(status.complete); // damage never hides real totals
@@ -581,9 +585,9 @@ TEST(FleetStatus, TornTelemetryTailIsToleratedAndCounted)
 TEST(FleetStatus, PrometheusExpositionIsValid)
 {
     const CampaignSpec spec = statusSpec();
-    const FleetStatus status = scanStore(runStore(spec, freshDir("prom")));
+    const RunStatus status = scanStore(runStore(spec, freshDir("prom")));
     ASSERT_TRUE(status.ok) << status.error;
-    const std::string text = prometheusText(status);
+    const std::string text = prometheusText(statusJson(status));
     validatePrometheus(text);
     // Spot checks: identity, exact totals, the summary series.
     EXPECT_NE(text.find("xed_campaign_info{name=\"status-test\""),
@@ -725,25 +729,38 @@ TEST(FleetStatus, ReportJsonSchemaFromStoreScan)
     runStore(spec, dir);
 
     // Scanning the sidecar path resolves to the store.
-    const FleetStatus status =
+    const RunStatus status =
         scanStore(dir + "/out.jsonl.telemetry.jsonl");
     ASSERT_TRUE(status.ok) << status.error;
-    EXPECT_EQ(status.path, dir + "/out.jsonl");
     EXPECT_TRUE(status.complete);
     EXPECT_EQ(status.shardsDone, 12u);
-    ASSERT_EQ(status.workers.size(), 1u);
-    EXPECT_EQ(status.workers[0].liveness, WorkerLiveness::Done);
+    ASSERT_TRUE(status.run);
+    EXPECT_EQ(status.run->state, RunState::Done);
 
     const json::Value doc = statusJson(status);
-    for (const char *key : {"type", "name", "specHash", "complete",
-                            "shards", "units", "failures", "throughput",
-                            "workers", "telemetry"})
-        EXPECT_NE(doc.find(key), nullptr) << key;
+    EXPECT_EQ(doc, statusJson(scanStore(dir + "/out.jsonl")));
+    std::vector<std::string> keys;
+    for (const auto &[key, value] : doc.members())
+        keys.push_back(key);
+    const std::vector<std::string> expected = {
+        "type",       "name", "specHash", "complete", "shards", "units",
+        "failures", "throughput", "run",  "telemetry"};
+    EXPECT_EQ(keys, expected);
+    const json::Value *run = doc.find("run");
+    EXPECT_EQ(run->find("state")->asString(), "done");
+    EXPECT_EQ(run->find("heartbeatAgeSeconds"), nullptr);
+    EXPECT_TRUE(run->find("unitsPerSec")->isNumber());
+    EXPECT_EQ(doc.find("telemetry")->size(), 1u); // skippedLines only
+    for (const char *summary : {"shardSeconds", "shardUnitsPerSec"})
+        EXPECT_GT(doc.find("throughput")->find(summary)->find("sum")
+                      ->asDouble(),
+                  0.0)
+            << summary;
 }
 
 TEST(FleetStatus, MissingStoreIsACleanError)
 {
-    const FleetStatus status =
+    const RunStatus status =
         scanStore(ownTempPath("xed_status_nonexistent.jsonl"));
     EXPECT_FALSE(status.ok);
     EXPECT_FALSE(status.error.empty());
@@ -754,9 +771,260 @@ TEST(FleetStatus, MissingStoreIsACleanError)
 TEST(FleetStatus, DirectoryPathIsACleanError)
 {
     const std::string dir = freshDir("directory");
-    const FleetStatus status = scanStore(dir);
+    const RunStatus status = scanStore(dir);
     EXPECT_FALSE(status.ok);
     EXPECT_NE(status.error.find(dir), std::string::npos) << status.error;
     const json::Value doc = statusJson(status);
     EXPECT_NE(doc.find("error"), nullptr);
+}
+
+namespace
+{
+
+/** Replace the telemetry sidecar of @p store with a live run's, written
+ *  now: a run record and one progress record at @p unitsPerSec with
+ *  @p unitsTotal planned units and one 0.25 s shard. */
+void
+writeLiveSidecar(const std::string &store, std::uint64_t unitsTotal,
+                 double unitsPerSec)
+{
+    Histogram seconds;
+    seconds.update(0.25);
+    auto hist = json::Value::object();
+    hist.set("shardSeconds", obs::histogramJson(seconds));
+    hist.set("shardUnitsPerSec", json::Value::array());
+    auto progress = json::Value::object();
+    progress.set("type", "progress");
+    progress.set("unitsTotal", unitsTotal);
+    progress.set("unitsPerSec", unitsPerSec);
+    progress.set("hist", std::move(hist));
+    std::ofstream(store + ".telemetry.jsonl",
+                  std::ios::binary | std::ios::trunc)
+        << R"({"type":"run","host":"synthetic"})" << "\n"
+        << json::dump(progress) << "\n";
+}
+
+std::string
+printed(const json::Value &doc)
+{
+    std::ostringstream os;
+    printStatus(doc, os);
+    return os.str();
+}
+
+/** The line of @p text that starts with @p prefix, trailing spaces
+ *  dropped; empty when there is none. */
+std::string
+lineStartingWith(const std::string &text, const std::string &prefix)
+{
+    std::istringstream in(text);
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind(prefix, 0) == 0)
+            return line.erase(line.find_last_not_of(' ') + 1);
+    return "";
+}
+
+} // namespace
+
+TEST(PrintStatus, CompleteStoreShowsIdentityRunAndCellFailures)
+{
+    const CampaignSpec spec = statusSpec();
+    const json::Value doc =
+        statusJson(scanStore(runStore(spec, freshDir("print_done"))));
+    const std::string text = printed(doc);
+    SCOPED_TRACE(text);
+    EXPECT_EQ(text.rfind("campaign status-test (" + specHash(spec) + ")\n",
+                         0),
+              0u);
+    EXPECT_NE(text.find("\nshards: 12/12 done, 0 pending  -- complete\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("\nunits:  1200/1200 (100.0%), "),
+              std::string::npos);
+    // A finished run: its state and rate, no heartbeat and no ETA.
+    const std::string run = lineStartingWith(text, "run:    done, host ");
+    EXPECT_NE(run, "");
+    EXPECT_NE(run.find(" units/s"), std::string::npos) << run;
+    EXPECT_EQ(text.find("heartbeat"), std::string::npos);
+    EXPECT_EQ(text.find(", eta "), std::string::npos);
+
+    ASSERT_NE(text.find("\nfailures by cell\n"), std::string::npos);
+    const json::Value &byCell = *doc.find("failures")->find("byCell");
+    ASSERT_EQ(byCell.size(), 2u);
+    for (const auto &[label, failed] : byCell.members()) {
+        const std::string row = lineStartingWith(text, "  " + label + " ");
+        ASSERT_NE(row, "") << label;
+        EXPECT_EQ(row.substr(row.rfind(' ') + 1), json::dump(failed))
+            << row;
+    }
+}
+
+TEST(PrintStatus, LivePartialStoreShowsEtaAndHeartbeat)
+{
+    const std::string store =
+        runStore(statusSpec(), freshDir("print_live"), 6);
+    writeLiveSidecar(store, 1200, 300.0);
+    const std::string text = printed(statusJson(scanStore(store)));
+    SCOPED_TRACE(text);
+    EXPECT_NE(text.find("\nshards: 6/12 done, 6 pending\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("\nunits:  600/1200 (50.0%), "), std::string::npos);
+    // 600 units left at 300 units/s.
+    EXPECT_NE(text.find("\nrate:   300.0 units/s, eta 2.0 s\n"),
+              std::string::npos);
+    const std::string run = lineStartingWith(text, "run:    live, heartbeat ");
+    EXPECT_NE(run, "");
+    EXPECT_NE(run.find(" s ago, host synthetic, 300.0 units/s"),
+              std::string::npos)
+        << run;
+    EXPECT_NE(text.find("\nshard seconds: p50 "), std::string::npos);
+}
+
+TEST(PrintStatus, ErrorDocumentIsOneStatusLine)
+{
+    const RunStatus status =
+        scanStore(ownTempPath("xed_status_print_missing.jsonl"));
+    ASSERT_FALSE(status.ok);
+    EXPECT_EQ(printed(statusJson(status)), "status: " + status.error + "\n");
+}
+
+namespace
+{
+
+/** The /metrics sample that carries the document member at @p path
+ *  (DESIGN.md section 4k); empty when there is none. */
+std::string
+sampleFor(const std::string &path)
+{
+    static const std::map<std::string, std::string> scalars = {
+        {"complete", "xed_campaign_complete"},
+        {"shards.total", "xed_shards_planned"},
+        {"shards.done", "xed_shards{state=\"done\"}"},
+        {"shards.pending", "xed_shards{state=\"pending\"}"},
+        {"units.done", "xed_units_done_total"},
+        {"units.total", "xed_units_planned"},
+        {"failures.total", "xed_failed_units_total"},
+        {"throughput.unitsPerSec", "xed_units_per_second"},
+        {"throughput.etaSeconds", "xed_eta_seconds"},
+        {"run.heartbeatAgeSeconds", "xed_run_heartbeat_age_seconds"},
+        {"run.unitsPerSec", "xed_run_units_per_second"},
+        {"telemetry.skippedLines", "xed_telemetry_skipped_lines_total"},
+    };
+    if (const auto it = scalars.find(path); it != scalars.end())
+        return it->second;
+    static const std::map<std::string, std::string> keyed = {
+        {"failures.byCell.", "xed_cell_failures_total{cell=\""},
+        {"failures.byType.", "xed_failure_type_total{type=\""},
+        {"failures.outcomes.", "xed_detection_outcome_total{outcome=\""},
+    };
+    for (const auto &[prefix, sample] : keyed)
+        if (path.rfind(prefix, 0) == 0)
+            return sample + path.substr(prefix.size()) + "\"}";
+    static const std::map<std::string, std::string> summaries = {
+        {"throughput.shardSeconds.", "xed_shard_seconds"},
+        {"throughput.shardUnitsPerSec.", "xed_shard_units_per_second"},
+    };
+    static const std::map<std::string, std::string> series = {
+        {"p50", "{quantile=\"0.5\"}"}, {"p90", "{quantile=\"0.9\"}"},
+        {"p99", "{quantile=\"0.99\"}"}, {"sum", "_sum"},
+        {"count", "_count"},
+    };
+    for (const auto &[prefix, name] : summaries)
+        if (path.rfind(prefix, 0) == 0)
+            if (const auto it = series.find(path.substr(prefix.size()));
+                it != series.end())
+                return name + it->second;
+    return "";
+}
+
+/** Every number and bool of @p doc, by dotted path. */
+void
+numericMembers(const json::Value &doc, const std::string &path,
+               std::map<std::string, json::Value> &out)
+{
+    if (doc.isObject()) {
+        for (const auto &[key, value] : doc.members())
+            numericMembers(value, path.empty() ? key : path + "." + key,
+                           out);
+    } else if (doc.isNumber() || doc.isBool()) {
+        out.emplace(path, doc);
+    }
+}
+
+/** `name{labels}` -> value of every sample line. */
+std::map<std::string, std::string>
+metricSamples(const std::string &text)
+{
+    std::map<std::string, std::string> samples;
+    std::istringstream in(text);
+    std::string line;
+    while (std::getline(in, line))
+        if (!line.empty() && line[0] != '#') {
+            const std::size_t space = line.rfind(' ');
+            samples[line.substr(0, space)] = line.substr(space + 1);
+        }
+    return samples;
+}
+
+} // namespace
+
+TEST(FleetStatus, MetricsCarryEveryDocumentMember)
+{
+    // A finished store of each kind, and a live partial one whose
+    // document also holds the ETA and the heartbeat.
+    std::vector<std::string> stores;
+    for (const CampaignSpec &spec : kindSpecs())
+        stores.push_back(runStore(spec, freshDir("metrics_" + spec.name)));
+    const std::string live =
+        runStore(statusSpec(), freshDir("metrics_live"), 6);
+    writeLiveSidecar(live, 1200, 300.0);
+    stores.push_back(live);
+
+    std::set<std::string> covered;
+    for (const std::string &store : stores) {
+        SCOPED_TRACE(store);
+        const json::Value doc = statusJson(scanStore(store));
+        ASSERT_EQ(doc.find("error"), nullptr);
+        const std::string text = prometheusText(doc);
+        validatePrometheus(text);
+        const auto samples = metricSamples(text);
+
+        std::map<std::string, json::Value> members;
+        numericMembers(doc, "", members);
+        for (const auto &[path, value] : members) {
+            covered.insert(path);
+            const std::string sample = sampleFor(path);
+            ASSERT_NE(sample, "") << "no /metrics series for " << path;
+            const auto it = samples.find(sample);
+            ASSERT_NE(it, samples.end()) << path << " -> " << sample;
+            EXPECT_EQ(it->second, value.isBool()
+                                      ? (value.asBool() ? "1" : "0")
+                                      : json::dump(value))
+                << path;
+        }
+        // The strings: identity labels and the one-hot run state.
+        const std::string info =
+            "xed_campaign_info{name=\"" + doc.find("name")->asString() +
+            "\",specHash=\"" + doc.find("specHash")->asString() + "\"}";
+        EXPECT_EQ(samples.count(info), 1u) << info;
+        const std::string state = doc.find("run")->find("state")->asString();
+        for (const std::string name :
+             {"live", "stale", "dead", "done", "aborted"})
+            EXPECT_EQ(samples.at("xed_run_state{state=\"" + name + "\"}"),
+                      name == state ? "1" : "0")
+                << name;
+    }
+    for (const char *optional : {"units.total", "throughput.etaSeconds",
+                                 "run.heartbeatAgeSeconds"})
+        EXPECT_EQ(covered.count(optional), 1u) << optional;
+
+    // Without a sidecar there is no run: every state reads 0, and the
+    // run's own series are absent.
+    fs::remove(live + ".telemetry.jsonl");
+    const json::Value doc = statusJson(scanStore(live));
+    EXPECT_EQ(doc.find("run"), nullptr);
+    const auto samples = metricSamples(prometheusText(doc));
+    for (const std::string name : {"live", "stale", "dead", "done", "aborted"})
+        EXPECT_EQ(samples.at("xed_run_state{state=\"" + name + "\"}"), "0");
+    EXPECT_EQ(samples.count("xed_run_units_per_second"), 0u);
 }
