@@ -4,17 +4,18 @@
 # ctest label set and then its CLI smokes:
 #
 #   tsan   ThreadSanitizer build (default dir build-tsan). ctest -L
-#          'campaign|obs|fleet|perfsim|analysis' races the campaign
-#          runner's worker pool and progress thread (the shared run
-#          counters), the trace recorder, the fleet suite (the same pool
-#          and store), status polled while a run writes its store
-#          (scripts/status_smoke.sh), the perfsim run-matrix pool
-#          (simulateAll) and the stream-scan workers behind Figure 6 and
-#          Table III (scanStream, at 1 to 7 workers). test_faultsim's
-#          EngineParallel and EngineShard cases race the Monte-Carlo
-#          engine's workers on their shared chunk index. A final traced
-#          4-thread campaign races the span recorder against the worker
-#          pool and the progress sampler on purpose.
+#          'pool|campaign|obs|fleet|perfsim|analysis' races the ordered
+#          worker pool (common/ordered_pool.hh: its own tests at 0 to 7
+#          workers, then each of its callers -- the campaign runner and
+#          its progress thread over the shared run counters, the store
+#          and sidecar loaders, the perfsim run matrix and the stream
+#          scans behind Figure 6 and Table III), the trace recorder and
+#          status polled while a run writes its store
+#          (scripts/status_smoke.sh). test_faultsim's EngineParallel and
+#          EngineShard cases race the Monte-Carlo engine's workers on
+#          their shared chunk index. A final traced 4-thread campaign
+#          races the span recorder against the pool and the progress
+#          sampler on purpose.
 #   asan   AddressSanitizer build (default dir build-asan): ctest -L
 #          'campaign|obs|json' runs the campaign runner's batched store
 #          commits (failed writes, killed and resumed runs), the store,
@@ -78,9 +79,9 @@ label() { (cd "$build" && ctest -L "$1" --output-on-failure -j "$jobs"); }
 case $profile in
 tsan)
     configure -DCMAKE_BUILD_TYPE=RelWithDebInfo -DXED_SANITIZE=thread
-    compile test_campaign test_obs test_fleet test_perfsim \
-        test_analysis test_faultsim xed_campaign_cli
-    label 'campaign|obs|fleet|perfsim|analysis'
+    compile test_ordered_pool test_campaign test_obs test_fleet \
+        test_perfsim test_analysis test_faultsim xed_campaign_cli
+    label 'pool|campaign|obs|fleet|perfsim|analysis'
     "$build/tests/test_faultsim" --gtest_brief=1 \
         --gtest_filter='EngineParallel.*:EngineShard.*'
     out="$build/tsan_trace_smoke.jsonl"

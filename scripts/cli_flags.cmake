@@ -3,8 +3,9 @@
 # usage error (nonzero exit), never silently truncate them the way the
 # old bare strtoul/strtod parsing did ("--threads 4x" used to run with
 # 4 threads; "--threads x" with the hardware count). The removed
-# `worker` and `merge` verbs and their flags must fail the same way,
-# naming what was refused. Invoked as
+# `worker` and `merge` verbs and their flags, and the removed `fleet`
+# and `trace` verbs, must fail the same way, naming what was refused.
+# Invoked as
 #   cmake -DCLI=... -DSPEC=... -P cli_flags.cmake
 
 # flag|value pairs that must all be rejected. --dry-run would make the
@@ -53,9 +54,10 @@ foreach(case IN LISTS rejected)
     endif()
 endforeach()
 
-# The verbs and flags of the removed shard queue are errors that name
-# them, not silently ignored options.
-foreach(verb IN ITEMS worker merge)
+# The verbs and flags of the removed shard queue, and the `fleet` and
+# `trace` verbs (now `run`, and `run` under XED_TRACE=1), are errors
+# that name them, not silently ignored options.
+foreach(verb IN ITEMS worker merge fleet trace)
     execute_process(
         COMMAND "${CLI}" ${verb} "${SPEC}" --dry-run
         RESULT_VARIABLE rc

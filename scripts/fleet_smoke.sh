@@ -2,7 +2,7 @@
 # Fleet-lifetime CLI smoke: run the fleet spec three ways and require
 # byte-identical result stores:
 #
-#   1. `xed_campaign fleet` on one thread (the reference),
+#   1. `xed_campaign run` on one thread (the reference),
 #   2. the same spec on four threads,
 #   3. an interrupted run (--max-shards 2) resumed to completion.
 #
@@ -26,16 +26,16 @@ echo "fleet_smoke: version provenance"
 "$cli" version | grep -q '"compiler"'
 
 echo "fleet_smoke: single-thread reference run"
-"$cli" fleet "$spec" --out "$work/t1.jsonl" --threads 1 \
+"$cli" run "$spec" --out "$work/t1.jsonl" --threads 1 \
     --quiet >/dev/null
 
 echo "fleet_smoke: 4-thread run"
-"$cli" fleet "$spec" --out "$work/t4.jsonl" --threads 4 \
+"$cli" run "$spec" --out "$work/t4.jsonl" --threads 4 \
     --quiet >/dev/null
 cmp "$work/t1.jsonl" "$work/t4.jsonl"
 
 echo "fleet_smoke: interrupted run + resume"
-"$cli" fleet "$spec" --out "$work/resume.jsonl" --max-shards 2 \
+"$cli" run "$spec" --out "$work/resume.jsonl" --max-shards 2 \
     --quiet >/dev/null
 "$cli" resume "$spec" --out "$work/resume.jsonl" --quiet >/dev/null
 cmp "$work/t1.jsonl" "$work/resume.jsonl"

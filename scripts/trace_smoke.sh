@@ -1,6 +1,6 @@
 #!/bin/sh
 # Trace-export smoke for the observability layer: run the tiny smoke
-# spec with the span recorder forced on, then prove
+# spec with the span recorder on (XED_TRACE=1), then prove
 #   - a Chrome-trace JSON file was exported and strict-parses
 #     (validated with `xed_campaign checkjson`, i.e. common/json --
 #     no external JSON tooling needed on the CI box),
@@ -18,7 +18,7 @@ out=$3
 rm -f "$out" "$out.trace.json" "$out.forensics.jsonl" \
     "$out.telemetry.jsonl"
 
-"$cli" trace "$spec" --out "$out" --quiet >/dev/null
+XED_TRACE=1 "$cli" run "$spec" --out "$out" --quiet >/dev/null
 
 for file in "$out" "$out.trace.json" "$out.forensics.jsonl" \
     "$out.telemetry.jsonl"; do

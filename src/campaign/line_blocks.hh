@@ -7,38 +7,37 @@
  * decode) and that is nearly all of a load's time; folding the decoded
  * lines into per-cell results is cheap but must follow the file. So
  * foldLineBlocks() reads the file in blocks of complete lines, decodes
- * each block's lines concurrently, and hands them to the fold on the
- * calling thread in file order until the fold stops. A load therefore
- * holds at most one block of lines and decoded results, stops where a
- * serial loop over the same lines stops, and reports the failure of the
- * first failing line in file order, however the decoding threads were
- * scheduled (DESIGN.md section 4c, Loading).
+ * the blocks concurrently, one per worker, and hands them to the fold
+ * on the calling thread in file order until the fold stops. A load
+ * therefore holds at most one block of lines and decoded results per
+ * thread, stops where a serial loop over the same lines stops, and
+ * reports the failure of the first failing line in file order, however
+ * the decoding threads were scheduled (DESIGN.md section 4c, Loading).
  */
 
 #ifndef XED_CAMPAIGN_LINE_BLOCKS_HH
 #define XED_CAMPAIGN_LINE_BLOCKS_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
 #include <istream>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
+
+#include "common/ordered_pool.hh"
 
 namespace xed::campaign
 {
 
-/** Lines per decoding thread in one block, and the lines of the first
- *  block. A sidecar line takes ~25 us to decode, so a block keeps each
- *  thread busy for ~2 ms between the hand-overs, and four threads hold
- *  ~0.5 MB of sidecar text. */
+/** Lines in the first block and in each later block, which one
+ *  decoding thread decodes. A sidecar line takes ~25 us to decode, so a
+ *  block keeps its thread busy for ~2 ms between the hand-overs, and
+ *  four threads hold ~0.5 MB of sidecar text. */
 inline constexpr std::size_t linesPerThreadBlock = 64;
 
-/** Lines in each block after the first, decoded on @p threads. */
+/** Lines held at most after the first block, decoded on @p threads:
+ *  one block per thread. */
 inline std::size_t
 lineBlockSize(unsigned threads)
 {
@@ -60,8 +59,8 @@ struct LineSpan
  * Read the complete lines of @p in, whose read position is byte
  * @p offset of the file, and fold them in file order.
  * decode(std::string_view line, const LineSpan &) returns a Decoded; it
- * runs concurrently on the decoding threads (the calling thread among
- * them) and must not touch shared state unguarded.
+ * runs concurrently on the decoding threads and must not touch shared
+ * state unguarded.
  * fold(Decoded &, std::string_view line, const LineSpan &) runs on the
  * calling thread, line by line in file order, and returns false to
  * stop; no line after it is folded. A final line without a newline (a
@@ -69,9 +68,11 @@ struct LineSpan
  *
  * The first block, linesPerThreadBlock lines, is read as a serial loop
  * reads: each line decoded on the calling thread when the fold reaches
- * it. Only a fold that goes on past it calls threads(); the later blocks
- * are lineBlockSize(threads()) lines, decoded by threads() - 1 workers
- * beside the calling thread, which are joined before return.
+ * it. Only a fold that goes on past it calls threads(). The later
+ * blocks, of linesPerThreadBlock lines each, are read in claim order
+ * and decoded on runOrdered()'s threads() workers (none when that is
+ * one), at most one block per worker ahead of the fold, and the
+ * workers are joined before return.
  *
  * An exception a decode throws on any thread is held with its line and
  * rethrown on the calling thread when the fold reaches that line, so it
@@ -83,137 +84,85 @@ void
 foldLineBlocks(std::istream &in, long long offset, Threads threads,
                Decode decode, Fold fold)
 {
-    std::size_t blockLines = linesPerThreadBlock;
-    std::vector<std::string> lines;
-    std::vector<LineSpan> spans;
-    std::vector<std::exception_ptr> thrown;
-    // Decoded results (a ShardResult is ~2.3 KB) grow to the longest
-    // block read, so a short file costs only its own lines.
-    std::vector<Decoded> decoded;
-    std::size_t count = 0; ///< lines in the current block
+    /** Up to linesPerThreadBlock consecutive lines and their decodes.
+     *  The decoded results (a ShardResult is ~2.3 KB) grow to the
+     *  longest block read, so a short file costs only its own lines. */
+    struct Block
+    {
+        std::vector<std::string> lines;
+        std::vector<LineSpan> spans;
+        std::vector<std::exception_ptr> thrown;
+        std::vector<Decoded> decoded;
+        std::size_t count = 0;
+    };
     std::uint64_t number = 0;
-    bool lastBlock = false;
 
-    const auto readBlock = [&] {
-        lines.resize(blockLines);
-        spans.resize(blockLines);
-        thrown.resize(blockLines);
-        count = 0;
-        lastBlock = true; // unless the block fills and more follows
-        for (; count < blockLines; ++count) {
-            std::string &line = lines[count];
+    /** Read the next lines into @p block; false when there are none. */
+    const auto read = [&](Block &block) {
+        block.lines.resize(linesPerThreadBlock);
+        block.spans.resize(linesPerThreadBlock);
+        block.count = 0;
+        for (; block.count < linesPerThreadBlock; ++block.count) {
+            std::string &line = block.lines[block.count];
             if (!std::getline(in, line) || in.eof())
                 break; // end of file, or a torn final line
             const long long end =
                 offset + static_cast<long long>(line.size()) + 1;
-            spans[count] = LineSpan{offset, end, number++};
+            block.spans[block.count] = LineSpan{offset, end, number++};
             offset = end;
         }
-        if (count == blockLines)
-            lastBlock = in.peek() == std::char_traits<char>::eof();
-        if (decoded.size() < count)
-            decoded.resize(count);
+        block.thrown.resize(block.count);
+        if (block.decoded.size() < block.count)
+            block.decoded.resize(block.count);
+        return block.count != 0;
     };
-    const auto decodeLine = [&](std::size_t i) {
-        thrown[i] = nullptr;
+    const auto decodeLine = [&](Block &block, std::size_t i) {
+        block.thrown[i] = nullptr;
         try {
-            decoded[i] = decode(std::string_view(lines[i]), spans[i]);
+            block.decoded[i] =
+                decode(std::string_view(block.lines[i]), block.spans[i]);
         } catch (...) {
-            thrown[i] = std::current_exception();
+            block.thrown[i] = std::current_exception();
         }
     };
-    /** Fold the current block, decoding each line first when
-     *  @p decodeHere; true while the fold and the file go on. */
-    const auto foldBlock = [&](bool decodeHere) {
-        for (std::size_t i = 0; i < count; ++i) {
+    /** Fold @p block, decoding each line first when @p decodeHere;
+     *  false once the fold stops. */
+    const auto foldBlock = [&](Block &block, bool decodeHere) {
+        for (std::size_t i = 0; i < block.count; ++i) {
             if (decodeHere)
-                decodeLine(i);
-            if (thrown[i])
-                std::rethrow_exception(thrown[i]);
-            if (!fold(decoded[i], std::string_view(lines[i]), spans[i]))
+                decodeLine(block, i);
+            if (block.thrown[i])
+                std::rethrow_exception(block.thrown[i]);
+            if (!fold(block.decoded[i], std::string_view(block.lines[i]),
+                      block.spans[i]))
                 return false;
         }
-        return !lastBlock;
+        return true;
     };
 
     // The first block is read as a serial loop reads, so a short file,
     // or a prefix that ends in it, starts no thread.
-    readBlock();
-    if (!foldBlock(true))
-        return;
-    const unsigned workers = threads() - 1;
-    blockLines = lineBlockSize(workers + 1);
-    readBlock();
-    if (workers == 0) {
-        while (foldBlock(true) && (readBlock(), true)) {
-        }
-        return;
-    }
-
-    // Workers and the calling thread claim the block's lines one at a
-    // time. Each block is one generation: the caller publishes it,
-    // decodes beside the workers and waits until every worker has
-    // checked in, so no worker is still in a block the caller reuses.
-    std::atomic<std::size_t> nextLine{0};
-    const auto decodeClaimed = [&] {
-        for (std::size_t i;
-             (i = nextLine.fetch_add(1, std::memory_order_relaxed)) <
-             count;)
-            decodeLine(i);
-    };
-    std::mutex mutex;
-    std::condition_variable wake;
-    std::condition_variable idle;
-    std::uint64_t generation = 0; ///< guarded by mutex
-    unsigned busy = 0;            ///< guarded by mutex
-    bool stop = false;            ///< guarded by mutex
-    const auto work = [&] {
-        std::uint64_t seen = 0;
-        std::unique_lock<std::mutex> lock(mutex);
-        for (;;) {
-            wake.wait(lock, [&] { return stop || generation != seen; });
-            if (stop)
-                return;
-            seen = generation;
-            lock.unlock();
-            decodeClaimed();
-            lock.lock();
-            if (--busy == 0)
-                idle.notify_one();
-        }
-    };
-
-    // However the fold ends, `release` stops the workers before the
-    // pool, declared before it, joins them.
-    struct Release
     {
-        std::mutex &mutex;
-        std::condition_variable &wake;
-        bool &stop;
-        ~Release()
-        {
-            const std::lock_guard<std::mutex> lock(mutex);
-            stop = true;
-            wake.notify_all();
-        }
-    };
-    std::vector<std::jthread> pool;
-    const Release release{mutex, wake, stop};
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        pool.emplace_back(work);
-    do {
-        {
-            const std::lock_guard<std::mutex> lock(mutex);
-            nextLine.store(0, std::memory_order_relaxed);
-            busy = workers;
-            ++generation;
-        }
-        wake.notify_all();
-        decodeClaimed();
-        std::unique_lock<std::mutex> lock(mutex);
-        idle.wait(lock, [&] { return busy == 0; });
-    } while (foldBlock(false) && (readBlock(), true));
+        Block first;
+        if (!read(first) || !foldBlock(first, true) ||
+            first.count < linesPerThreadBlock ||
+            in.peek() == std::char_traits<char>::eof())
+            return;
+    }
+    const unsigned workers = threads();
+    runOrdered<Block>(
+        workers == 1 ? 0 : workers, workers,
+        [&](std::uint64_t, Block &block) { return read(block); },
+        [&](std::uint64_t, Block &block) {
+            for (std::size_t i = 0; i < block.count; ++i)
+                decodeLine(block, i);
+        },
+        [&](const OrderedRun<Block> &run) {
+            for (std::uint64_t k = run.begin; k < run.end; ++k)
+                if (!foldBlock(run[k], false))
+                    return false;
+            return true;
+        });
 }
 
 } // namespace xed::campaign

@@ -4,18 +4,16 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
-#include <mutex>
 #include <ostream>
 #include <stdexcept>
-#include <thread>
 
 #include "campaign/forensics.hh"
 #include "campaign/telemetry.hh"
 #include "common/env.hh"
+#include "common/ordered_pool.hh"
 #include "common/table.hh"
 #include "ecc/crc8atm.hh"
 #include "ecc/detect_lanes.hh"
@@ -28,9 +26,9 @@ namespace xed::campaign
 namespace
 {
 
-/** Shards each worker thread may run ahead of the writer (runCampaign
- *  parks a worker on shard i until the writer has committed
- *  i - window). It also caps the batch the writer commits at once. */
+/** Shards each worker thread may run ahead of the writer: runCampaign's
+ *  pool claims no shard past the last commit + this x threads. It also
+ *  caps the batch the writer commits at once. */
 constexpr std::uint64_t reorderWindowPerThread = 16;
 
 /** A finished shard waiting for the writer: its result and, with a
@@ -40,6 +38,15 @@ struct ReadyShard
     ShardResult result;
     std::string storeLine;     ///< newline-terminated; "" in memory
     std::string forensicsLine; ///< newline-terminated; "" without sidecar
+};
+
+/** One item of runCampaign's pool: shards [first, end) of the plan,
+ *  claimed together, and once run their ReadyShards in plan order. */
+struct ShardGroup
+{
+    std::uint64_t first = 0;
+    std::uint64_t end = 0;
+    std::vector<ReadyShard> shards;
 };
 
 /** json::dump(@p record) and a newline. */
@@ -392,8 +399,6 @@ RunOutcome
 runCampaign(const CampaignSpec &spec, const RunOptions &options)
 {
     RunOutcome outcome;
-    if (options.trace)
-        obs::TraceRecorder::instance().setEnabled(true);
     XED_TRACE_SPAN("campaign.run", "campaign");
     const Plan plan = buildPlan(spec);
     const std::string hash = specHash(spec);
@@ -538,205 +543,6 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
     if (telemetry.statusOut || !telemetry.sidecarPath.empty())
         reporter.start(runMetadata(spec.name, hash, threads, firstPending));
 
-    // -- Execute pending shards; write strictly in plan order. --------
-    // The writer is fsync-bound and workers are not, so a worker that
-    // claims shard i first waits until the writer has committed shard
-    // i - window: at most `window` results wait in `ready` and in the
-    // batch being committed, whatever the disk's latency.
-    const std::uint64_t window = reorderWindowPerThread * threads;
-    std::atomic<std::uint64_t> next{firstPending};
-    std::atomic<bool> abort{false};
-    std::mutex mutex;
-    std::condition_variable readyCv;  ///< writer: shard `taken` ready
-    std::condition_variable windowCv; ///< workers: `taken` advanced
-    std::map<std::uint64_t, ReadyShard> ready;
-    std::uint64_t taken = firstPending; ///< first uncommitted shard
-    std::string workerError; ///< first failure; guarded by mutex
-    // Every abort path goes through here: abort is set under the mutex,
-    // so no waiter can test it between its check and its sleep, and
-    // both sides are woken.
-    const auto abortRun = [&] {
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            abort.store(true);
-        }
-        readyCv.notify_all();
-        windowCv.notify_all();
-    };
-
-    // A worker claims shards [first, end): on a detection spec up to
-    // ecc::maxDetectLanes consecutive shards of one (point, cell) -- the
-    // plan orders shards point, cell, shard -- which it runs side by
-    // side, otherwise one shard. False once the plan is claimed.
-    const bool detection = spec.kind == CampaignKind::Detection;
-    const std::uint64_t claimMost = detection ? ecc::maxDetectLanes : 1;
-    const auto claim = [&](std::uint64_t &first, std::uint64_t &end) {
-        first = next.load(std::memory_order_relaxed);
-        do {
-            if (first >= limit)
-                return false;
-            const std::uint64_t cellEnd =
-                (first / plan.shardsPerCell + 1) * plan.shardsPerCell;
-            end = std::min({first + claimMost, cellEnd, limit});
-        } while (!next.compare_exchange_weak(first, end,
-                                             std::memory_order_relaxed));
-        return true;
-    };
-
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-        workers.emplace_back([&] {
-            std::uint64_t first = 0, end = 0;
-            while (!abort.load(std::memory_order_relaxed) &&
-                   claim(first, end)) {
-                {
-                    std::unique_lock<std::mutex> lock(mutex);
-                    windowCv.wait(lock, [&] {
-                        return end - 1 < taken + window ||
-                               abort.load(std::memory_order_relaxed);
-                    });
-                    if (abort.load(std::memory_order_relaxed))
-                        break;
-                }
-                // A throwing shard (bad spec interaction, OOM) must
-                // not terminate the process: surface the first error,
-                // wake the drain loop, and unwind cleanly so the
-                // reporter can emit its "aborted" record.
-                try {
-                    const std::span<const ShardTask> tasks(
-                        plan.tasks.data() + first, end - first);
-                    std::array<std::uint64_t, ecc::maxDetectLanes> detected{};
-                    ShardResult result; // a reliability or fleet shard
-                    const auto t0 = std::chrono::steady_clock::now();
-                    if (detection) {
-                        runDetectionShards(
-                            spec, tasks,
-                            std::span(detected).first(tasks.size()),
-                            &progress);
-                    } else {
-                        XED_TRACE_SPAN_ARG(
-                            spec.kind == CampaignKind::Reliability
-                                ? "reliability-shard"
-                                : "fleet-shard",
-                            "campaign", "index", first);
-                        result = runShard(spec, tasks[0], &progress);
-                    }
-                    // Shards run side by side share the group's time.
-                    const double dt =
-                        std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count() /
-                        static_cast<double>(tasks.size());
-                    for (std::size_t k = 0; k < tasks.size(); ++k) {
-                        const ShardTask &task = tasks[k];
-                        ReadyShard shard;
-                        if (detection) {
-                            shard.result.trials = task.end - task.begin;
-                            shard.result.detected = detected[k];
-                        } else {
-                            shard.result = std::move(result);
-                        }
-                        counters.shardSeconds.update(dt);
-                        if (dt > 0)
-                            counters.shardUnitsPerSec.update(
-                                static_cast<double>(task.end -
-                                                    task.begin) /
-                                dt);
-                        // The worker, not the writer, encodes its
-                        // shards' lines, so the writer only
-                        // concatenates a batch.
-                        if (useStore) {
-                            XED_TRACE_SPAN_ARG("shard.encode", "campaign",
-                                               "records",
-                                               useForensics ? 2 : 1);
-                            if (useForensics)
-                                shard.forensicsLine =
-                                    recordLine(forensicsShardRecord(
-                                        task, shard.result.mc));
-                            shard.storeLine = recordLine(
-                                shardRecord(spec, task, shard.result));
-                        }
-                        std::lock_guard<std::mutex> lock(mutex);
-                        ready.emplace(first + k, std::move(shard));
-                    }
-                    readyCv.notify_one();
-                } catch (const std::exception &e) {
-                    {
-                        std::lock_guard<std::mutex> lock(mutex);
-                        if (workerError.empty())
-                            workerError = e.what();
-                    }
-                    abortRun();
-                    break;
-                }
-            }
-        });
-    }
-
-    // The writer takes every consecutive ready shard at once -- at most
-    // `window` of them, since no worker runs further ahead -- and
-    // commits the batch with one fsync per file. The sidecar's lines
-    // are committed strictly before the store's, and the store gets
-    // only the lines the sidecar took, so after a kill or a failed
-    // write the sidecar is never behind the store; resume truncates it
-    // back. Only the shards whose store line was committed are merged
-    // and counted, and only then does the window advance past them.
-    bool writeFailed = false;
-    std::vector<ReadyShard> batch;
-    std::string lines; ///< one batch's records, newline-terminated
-    for (std::uint64_t i = firstPending; i < limit;) {
-        batch.clear();
-        {
-            std::unique_lock<std::mutex> lock(mutex);
-            readyCv.wait(lock, [&] {
-                return ready.count(i) != 0 ||
-                       abort.load(std::memory_order_relaxed);
-            });
-            for (auto it = ready.begin();
-                 it != ready.end() && it->first == i + batch.size();
-                 it = ready.erase(it))
-                batch.push_back(std::move(it->second));
-        }
-        if (batch.empty())
-            break; // worker aborted before producing shard i
-        std::size_t committed = batch.size();
-        if (useForensics) {
-            lines.clear();
-            for (const ReadyShard &shard : batch)
-                lines += shard.forensicsLine;
-            committed = forensicsWriter.commit(lines, &outcome.error);
-        }
-        if (useStore && committed > 0) {
-            lines.clear();
-            for (std::size_t k = 0; k < committed; ++k)
-                lines += batch[k].storeLine;
-            committed = writer.commit(lines, &outcome.error);
-        }
-        for (std::size_t k = 0; k < committed; ++k) {
-            const ShardTask &task = plan.tasks[i + k];
-            outcome.cells[task.point * plan.cells + task.cell]
-                .result.merge(batch[k].result);
-            counters.failures[task.cell].add(
-                failedSystemsOf(spec, batch[k].result));
-        }
-        counters.shardsDone.add(committed);
-        outcome.shardsRun += committed;
-        i += committed;
-        if (committed < batch.size()) {
-            writeFailed = true;
-            abortRun(); // workers parked on the window must wake
-            break;
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex);
-            taken = i;
-        }
-        windowCv.notify_all();
-    }
-    for (auto &worker : workers)
-        worker.join();
-
     const auto exportTrace = [&] {
         const auto &recorder = obs::TraceRecorder::instance();
         if (!recorder.enabled())
@@ -754,11 +560,130 @@ runCampaign(const CampaignSpec &spec, const RunOptions &options)
                 << "trace export failed: " << traceError << "\n";
     };
 
-    if (!workerError.empty()) {
-        outcome.error = "shard execution failed: " + workerError;
+    // -- Execute pending shards; write strictly in plan order. --------
+    // Each pool item is a group of shards [first, end): on a detection
+    // spec up to ecc::maxDetectLanes consecutive shards of one (point,
+    // cell) -- the plan orders shards point, cell, shard -- which run
+    // side by side, otherwise one shard. The writer is fsync-bound and
+    // the workers are not, so the pool's window holds them at most
+    // `reorderWindowPerThread * threads` shards ahead of the last
+    // commit, whatever the disk's latency.
+    const bool detection = spec.kind == CampaignKind::Detection;
+    const std::uint64_t groupMost = detection ? ecc::maxDetectLanes : 1;
+    std::uint64_t next = firstPending; ///< first unclaimed shard
+    const auto claim = [&](std::uint64_t, ShardGroup &group) {
+        if (next >= limit)
+            return false;
+        const std::uint64_t cellEnd =
+            (next / plan.shardsPerCell + 1) * plan.shardsPerCell;
+        group.first = next;
+        group.end = next = std::min({next + groupMost, cellEnd, limit});
+        return true;
+    };
+    const auto produce = [&](std::uint64_t, ShardGroup &group) {
+        const std::span<const ShardTask> tasks(
+            plan.tasks.data() + group.first, group.end - group.first);
+        std::array<std::uint64_t, ecc::maxDetectLanes> detected{};
+        ShardResult result; // a reliability or fleet shard
+        const auto t0 = std::chrono::steady_clock::now();
+        if (detection) {
+            runDetectionShards(spec, tasks,
+                               std::span(detected).first(tasks.size()),
+                               &progress);
+        } else {
+            XED_TRACE_SPAN_ARG(spec.kind == CampaignKind::Reliability
+                                   ? "reliability-shard"
+                                   : "fleet-shard",
+                               "campaign", "index", group.first);
+            result = runShard(spec, tasks[0], &progress);
+        }
+        // Shards run side by side share the group's time.
+        const double dt = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count() /
+                          static_cast<double>(tasks.size());
+        group.shards.clear();
+        for (std::size_t k = 0; k < tasks.size(); ++k) {
+            const ShardTask &task = tasks[k];
+            ReadyShard &shard = group.shards.emplace_back();
+            if (detection) {
+                shard.result.trials = task.end - task.begin;
+                shard.result.detected = detected[k];
+            } else {
+                shard.result = std::move(result);
+            }
+            counters.shardSeconds.update(dt);
+            if (dt > 0)
+                counters.shardUnitsPerSec.update(
+                    static_cast<double>(task.end - task.begin) / dt);
+            // The worker, not the writer, encodes its shards' lines,
+            // so the writer only concatenates a batch.
+            if (useStore) {
+                XED_TRACE_SPAN_ARG("shard.encode", "campaign", "records",
+                                   useForensics ? 2 : 1);
+                if (useForensics)
+                    shard.forensicsLine = recordLine(
+                        forensicsShardRecord(task, shard.result.mc));
+                shard.storeLine =
+                    recordLine(shardRecord(spec, task, shard.result));
+            }
+        }
+    };
+
+    // The writer takes every consecutive ready group at once -- at most
+    // the window's shards -- and commits the batch with one fsync per
+    // file. The sidecar's lines are committed strictly before the
+    // store's, and the store gets only the lines the sidecar took, so
+    // after a kill or a failed write the sidecar is never behind the
+    // store; resume truncates it back. Only the shards whose store line
+    // was committed are merged and counted, and only once the batch is
+    // committed does the pool release its slots to the workers.
+    bool writeFailed = false;
+    std::vector<ReadyShard *> batch;
+    std::string lines; ///< one batch's records, newline-terminated
+    const auto commit = [&](const OrderedRun<ShardGroup> &run) {
+        batch.clear();
+        for (std::uint64_t g = run.begin; g < run.end; ++g)
+            for (ReadyShard &shard : run[g].shards)
+                batch.push_back(&shard);
+        std::size_t committed = batch.size();
+        if (useForensics) {
+            lines.clear();
+            for (const ReadyShard *shard : batch)
+                lines += shard->forensicsLine;
+            committed = forensicsWriter.commit(lines, &outcome.error);
+        }
+        if (useStore && committed > 0) {
+            lines.clear();
+            for (std::size_t k = 0; k < committed; ++k)
+                lines += batch[k]->storeLine;
+            committed = writer.commit(lines, &outcome.error);
+        }
+        for (std::size_t k = 0; k < committed; ++k) {
+            const ShardTask &task = plan.tasks[run[run.begin].first + k];
+            outcome.cells[task.point * plan.cells + task.cell]
+                .result.merge(batch[k]->result);
+            counters.failures[task.cell].add(
+                failedSystemsOf(spec, batch[k]->result));
+        }
+        counters.shardsDone.add(committed);
+        outcome.shardsRun += committed;
+        writeFailed = committed < batch.size();
+        return !writeFailed;
+    };
+
+    // A throwing shard (bad spec interaction, OOM) must not terminate
+    // the process: the pool rethrows the first failure in plan order
+    // once every earlier shard is committed, and the reporter's
+    // destructor, without finish(), emits the "aborted" record that
+    // tells a crash from a clean partial run.
+    try {
+        runOrdered<ShardGroup>(threads,
+                               reorderWindowPerThread * threads / groupMost,
+                               claim, produce, commit);
+    } catch (const std::exception &e) {
+        outcome.error = std::string("shard execution failed: ") + e.what();
         exportTrace();
-        // No reporter.finish(): its destructor emits the "aborted"
-        // record, distinguishing a crash from a clean partial run.
         return outcome;
     }
     if (writeFailed) {

@@ -52,17 +52,15 @@ struct RunOptions
     /** Write `<outPath>.forensics.jsonl` failure-attribution records
      *  (reliability campaigns with a store only). */
     bool forensicsSidecar = true;
-    /** Force the trace recorder on for this run (the `trace` verb);
-     *  otherwise recording follows the XED_TRACE environment knob. */
-    bool trace = false;
-    /** Chrome-trace JSON export path when recording is enabled; empty
+    /** Chrome-trace JSON export path when recording is enabled (the
+     *  XED_TRACE environment knob, or obs::TraceRecorder); empty
      *  defaults to `<outPath>.trace.json` (no export without a store
      *  unless set explicitly). */
     std::string traceOut;
     /** fsync the result store and forensics sidecar once per commit:
      *  per batch of consecutive ready shards, and per manifest or
-     *  summary record (see store.hh durableWritesEnabled()); benches
-     *  that only measure throughput turn this off. */
+     *  summary record (see StoreWriter::open); benches that only
+     *  measure throughput turn this off (`--no-fsync`). */
     bool durableStore = true;
 };
 

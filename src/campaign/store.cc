@@ -240,13 +240,6 @@ decodeShardRecord(const CampaignSpec &spec, const ShardTask &task,
 }
 
 bool
-durableWritesEnabled()
-{
-    const char *knob = std::getenv("XED_NO_FSYNC");
-    return !(knob && std::strcmp(knob, "1") == 0);
-}
-
-bool
 fsyncPath(const std::string &path, std::string *error)
 {
     const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -282,7 +275,7 @@ StoreWriter::open(const std::string &path, long long appendAt,
                   std::string *error, bool durable)
 {
     path_ = path;
-    durable_ = durable && durableWritesEnabled();
+    durable_ = durable;
     if (fd_ >= 0)
         ::close(fd_);
     fd_ = ::open(path.c_str(),

@@ -95,18 +95,6 @@ std::optional<ShardResult> decodeShardRecord(const CampaignSpec &spec,
                                              const json::Value &record,
                                              std::string *error);
 
-/**
- * True unless XED_NO_FSYNC=1: whether campaign stores and forensics
- * sidecars fsync their writes. A store or sidecar commit
- * (StoreWriter::commit) is fsynced before the writer reports its
- * records as written, and a file StoreWriter::open creates has its
- * directory entry fsynced first, so the kill-safe "plan prefix + at
- * most one torn line" contract also survives power loss or a host
- * crash, losing at most the commit in flight; benches that only care
- * about throughput can opt out with the environment knob.
- */
-bool durableWritesEnabled();
-
 /** fsync(2) the file at @p path (data + metadata). */
 bool fsyncPath(const std::string &path, std::string *error);
 
@@ -116,7 +104,11 @@ bool fsyncParentDir(const std::string &path, std::string *error);
 
 /** Line-oriented appender. A commit's lines reach the file in order,
  *  so a kill tears at most the final line, and (when durable) the
- *  commit is fsynced once, so a power loss does too. */
+ *  commit is fsynced once, so a power loss does too. A durable writer
+ *  fsyncs each commit before it reports its records as written, and
+ *  the directory entry of a file it creates, so the kill-safe "plan
+ *  prefix + at most one torn line" contract also survives power loss
+ *  or a host crash, losing at most the commit in flight. */
 class StoreWriter
 {
   public:
@@ -128,8 +120,8 @@ class StoreWriter
     /** Truncate-and-create (@p appendAt < 0) or reopen for append
      *  after truncating the file to @p appendAt bytes (resume).
      *  @p durable: fsync the directory entry of a created file and
-     *  each commit (AND-ed with the global durableWritesEnabled()
-     *  knob). */
+     *  each commit (benches that only measure throughput pass false,
+     *  the CLI's `--no-fsync`). */
     bool open(const std::string &path, long long appendAt,
               std::string *error, bool durable = true);
     /**

@@ -4,11 +4,7 @@
  * campaign runner.
  *
  *   xed_campaign run    <spec.json> [options]   execute a campaign
- *   xed_campaign fleet  <spec.json> [options]   execute a fleet spec
- *                                               (kind "fleet" only)
  *   xed_campaign resume <spec.json> [options]   continue a killed run
- *   xed_campaign trace  <spec.json> [options]   run with the trace
- *                                               recorder forced on
  *   xed_campaign report <result.jsonl>          render result tables
  *                                               (--format=json: the
  *                                               canonical status JSON)
@@ -22,7 +18,7 @@
  *   xed_campaign version                        print build provenance
  *                                               (git, compiler, flags)
  *
- * Options for run/resume/trace:
+ * Options for run/resume:
  *   --out <file>            result JSONL (default: <name>.jsonl)
  *   --dry-run               validate + print the shard plan, no sim
  *   --threads <n>           worker threads (default: spec/env/hw)
@@ -39,7 +35,8 @@
  * Options for status/serve (the source is a result store or its
  * `<out>.telemetry.jsonl` sidecar; both commands are strictly
  * read-only -- they never write to the store or its sidecars; a run
- * whose sidecar is over 60 s old shows as dead):
+ * whose heartbeat, the newer of the store's and the telemetry
+ * sidecar's modification times, is over 60 s old shows as dead):
  *   --json                  status: canonical JSON instead of tables
  *   --watch                 status: refresh until interrupted
  *   --interval <s>          status --watch refresh period (default 2)
@@ -53,8 +50,7 @@
  * Environment: XED_MC_SYSTEMS / XED_TRIALS / XED_MC_SEED override
  * the spec (reflected in the spec hash), XED_MC_THREADS the worker
  * count, XED_TRACE / XED_TRACE_BUFFER the span recorder (run/resume
- * export a trace when XED_TRACE=1), XED_NO_FSYNC=1 disables all store
- * and sidecar fsyncs globally. Malformed values are errors.
+ * export a trace when XED_TRACE=1). Malformed values are errors.
  */
 
 #include <chrono>
@@ -92,9 +88,6 @@ usage(std::ostream &os)
           "                           [--trace-out <file>] "
           "[--no-forensics] [--no-fsync]\n"
           "       xed_campaign resume <spec.json> [same options]\n"
-          "       xed_campaign trace  <spec.json> [same options]\n"
-          "       xed_campaign fleet  <spec.json> [run options; spec "
-          "kind must be \"fleet\"]\n"
           "       xed_campaign report <result.jsonl> "
           "[--format=<text|json>]\n"
           "       xed_campaign status <result.jsonl> [--json] [--watch] "
@@ -404,8 +397,7 @@ main(int argc, char **argv)
     }
     if (args.command == "checkjson")
         return checkJson(args.path);
-    if (args.command != "run" && args.command != "fleet" &&
-        args.command != "resume" && args.command != "trace") {
+    if (args.command != "run" && args.command != "resume") {
         std::cerr << "xed_campaign: unknown command \"" << args.command
                   << "\"\n";
         return usage(std::cerr);
@@ -414,12 +406,6 @@ main(int argc, char **argv)
     auto spec = loadSpecFile(args.path, &error);
     if (!spec) {
         std::cerr << "xed_campaign: " << error << "\n";
-        return 1;
-    }
-    if (args.command == "fleet" &&
-        spec->kind != CampaignKind::Fleet) {
-        std::cerr << "xed_campaign: " << args.path
-                  << " is not a fleet spec (kind must be \"fleet\")\n";
         return 1;
     }
     try {
@@ -435,7 +421,6 @@ main(int argc, char **argv)
     }
 
     args.options.resume = args.command == "resume";
-    args.options.trace = args.command == "trace";
     if (!args.explicitOut)
         args.options.outPath = spec->name + ".jsonl";
     if (!args.quiet)

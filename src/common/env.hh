@@ -103,9 +103,10 @@ envU64(const char *name)
 }
 
 /**
- * Resolve a worker-thread count, the one rule behind every pool in the
- * repo (Monte-Carlo engine, campaign runner, perfsim run matrix, stream
- * scans): a nonzero @p requested wins, else XED_MC_THREADS, else
+ * Resolve a worker-thread count, the one rule behind both pools in the
+ * repo (the Monte-Carlo engine's chunk loop and every caller of
+ * runOrdered() in common/ordered_pool.hh): a nonzero @p requested
+ * wins, else XED_MC_THREADS, else
  * std::thread::hardware_concurrency(), else 1. The result is capped at
  * max(@p tasks, 1) so no worker starts without work. A malformed or
  * absurd XED_MC_THREADS throws instead of silently resolving to

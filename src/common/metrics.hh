@@ -84,8 +84,8 @@ class Histogram
 
     /**
      * Approximate q-quantile (q in [0, 1]): the representative value
-     * (geometric bucket midpoint) of the bucket holding the
-     * ceil(q * count)-th smallest sample. Returns 0 when empty.
+     * (the arithmetic mean of the bucket's edges) of the bucket holding
+     * the ceil(q * count)-th smallest sample. Returns 0 when empty.
      */
     double quantile(double q) const;
 

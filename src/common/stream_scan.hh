@@ -16,13 +16,11 @@
 #define XED_COMMON_STREAM_SCAN_HH
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/env.hh"
+#include "common/ordered_pool.hh"
 #include "common/rng.hh"
 
 namespace xed
@@ -45,10 +43,11 @@ inline constexpr std::uint64_t scanChunkDraws = std::uint64_t{1} << 20;
  * The first chunk runs on the calling thread and stops at the match
  * onMatch declines, so a scan that ends there starts no thread and
  * makes no jump. The later chunks go to resolveWorkerThreads workers
- * (the calling thread goes on alone when that is one), which run at
- * most two chunks each ahead of the caller, so only that many chunks'
- * match offsets are held at a time. match runs concurrently on the
- * workers and must not throw.
+ * on runOrdered() (the calling thread goes on alone when that is one),
+ * which run at most two chunks each ahead of the caller, so only that
+ * many chunks' match offsets are held at a time. match runs
+ * concurrently on the workers; an exception it throws reaches the
+ * caller at its chunk.
  */
 template <class Match, class OnMatch>
 void
@@ -77,32 +76,18 @@ scanStream(const Rng &start, std::uint64_t limit, Match match,
         return;
     }
 
-    // Chunk k starts at draw first + k * scanChunkDraws. Workers claim
-    // chunks in order and write chunk k's match offsets, relative to
-    // the chunk, into slot k % window; the caller drains the slots in
-    // chunk order and frees one for chunk k + window.
-    const std::uint64_t window = 2 * std::uint64_t{workers};
-    std::vector<std::vector<std::uint32_t>> hits(window);
-    std::mutex mutex;
-    std::condition_variable changed;
-    std::vector<char> ready(window, 0); ///< guarded by mutex
-    std::uint64_t claimed = 0;          ///< guarded by mutex
-    std::uint64_t drained = 0;          ///< guarded by mutex
-    bool stop = false;                  ///< guarded by mutex
-    const auto work = [&] {
-        std::unique_lock<std::mutex> lock(mutex);
-        for (;;) {
-            changed.wait(lock, [&] {
-                return stop || claimed == chunks ||
-                       claimed < drained + window;
-            });
-            if (stop || claimed == chunks)
-                return;
-            const std::uint64_t k = claimed++;
-            lock.unlock();
-            const std::uint64_t at = first + k * scanChunkDraws;
+    // Chunk k starts at draw first + k * scanChunkDraws; its slot holds
+    // its match offsets, relative to the chunk.
+    using Offsets = std::vector<std::uint32_t>;
+    const auto chunkStart = [&](std::uint64_t k) {
+        return first + k * scanChunkDraws;
+    };
+    runOrdered<Offsets>(
+        workers, 2 * std::uint64_t{workers},
+        [&](std::uint64_t k, Offsets &) { return k < chunks; },
+        [&](std::uint64_t k, Offsets &out) {
+            const std::uint64_t at = chunkStart(k);
             const std::uint64_t draws = std::min(scanChunkDraws, limit - at);
-            std::vector<std::uint32_t> &out = hits[k % window];
             out.clear();
             Rng jumped = start;
             jumped.jump(at);
@@ -112,46 +97,14 @@ scanStream(const Rng &start, std::uint64_t limit, Match match,
             for (std::uint64_t i = 0; i < draws; ++i)
                 if (match(local))
                     out.push_back(static_cast<std::uint32_t>(i));
-            lock.lock();
-            ready[k % window] = 1;
-            changed.notify_all();
-        }
-    };
-
-    // However the drain below ends -- after the last chunk, at a
-    // declined match, by an exception -- `release` stops the workers
-    // before the pool, declared before it, joins them.
-    struct Release
-    {
-        std::mutex &mutex;
-        std::condition_variable &changed;
-        bool &stop;
-        ~Release()
-        {
-            const std::lock_guard<std::mutex> lock(mutex);
-            stop = true;
-            changed.notify_all();
-        }
-    };
-    std::vector<std::jthread> pool;
-    const Release release{mutex, changed, stop};
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        pool.emplace_back(work);
-    for (std::uint64_t k = 0; k < chunks; ++k) {
-        const std::uint64_t slot = k % window;
-        {
-            std::unique_lock<std::mutex> lock(mutex);
-            changed.wait(lock, [&] { return ready[slot] != 0; });
-        }
-        for (const std::uint32_t offset : hits[slot])
-            if (!onMatch(first + k * scanChunkDraws + offset))
-                return;
-        const std::lock_guard<std::mutex> lock(mutex);
-        ready[slot] = 0;
-        ++drained;
-        changed.notify_all();
-    }
+        },
+        [&](const OrderedRun<Offsets> &run) {
+            for (std::uint64_t k = run.begin; k < run.end; ++k)
+                for (const std::uint32_t offset : run[k])
+                    if (!onMatch(chunkStart(k) + offset))
+                        return false;
+            return true;
+        });
 }
 
 } // namespace xed

@@ -31,8 +31,8 @@ TraceRecorder::TraceRecorder()
     : capacity_(capacityFromEnv()),
       epoch_(std::chrono::steady_clock::now())
 {
-    // XED_TRACE=1 arms recording for the whole process; the campaign
-    // `trace` verb and tests can also flip it via setEnabled().
+    // XED_TRACE=1 arms recording for the whole process; a program or
+    // a test can also flip it via setEnabled().
     if (const auto value = envU64("XED_TRACE"))
         enabled_.store(*value != 0, std::memory_order_relaxed);
 }

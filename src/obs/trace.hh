@@ -117,7 +117,7 @@ class TraceRecorder
     {
         return enabled_.load(std::memory_order_relaxed);
     }
-    /** Runtime switch (the `xed_campaign trace` verb forces it on). */
+    /** Runtime switch; XED_TRACE=1 sets it at startup. */
     void setEnabled(bool on)
     {
         enabled_.store(on, std::memory_order_relaxed);

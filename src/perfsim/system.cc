@@ -1,14 +1,11 @@
 #include "perfsim/system.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/env.hh"
+#include "common/ordered_pool.hh"
 #include "obs/trace.hh"
 
 namespace xed::perfsim
@@ -119,35 +116,23 @@ simulateAll(const std::vector<RunCell> &cells, const PerfConfig &config)
         runOf.push_back(d);
     }
 
-    // Workers pull distinct cells from a shared index; the calling
-    // thread is one of them. The first failure stops the pull and is
-    // rethrown once every worker has joined.
+    // The distinct cells run on the pool, none ahead of another: the
+    // window spans them all. A failing cell stops the claims, and the
+    // first failure in cell order is rethrown once the workers joined.
     std::vector<RunResult> runs(distinct.size());
-    std::atomic<std::size_t> next{0};
-    std::mutex failureMutex;
-    std::exception_ptr failure; ///< guarded by failureMutex
-    const auto work = [&] {
-        try {
-            for (std::size_t d; (d = next.fetch_add(1)) < distinct.size();)
-                runs[d] = simulate(distinct[d].cell->workload,
-                                   distinct[d].cell->mode, config);
-        } catch (...) {
-            next = distinct.size();
-            const std::lock_guard<std::mutex> lock(failureMutex);
-            if (!failure)
-                failure = std::current_exception();
-        }
-    };
     const unsigned pool = resolveWorkerThreads(0, distinct.size());
-    {
-        std::vector<std::jthread> workers; // joined at scope exit
-        workers.reserve(pool - 1);
-        for (unsigned t = 1; t < pool; ++t)
-            workers.emplace_back(work);
-        work();
-    }
-    if (failure)
-        std::rethrow_exception(failure);
+    runOrdered<RunResult>(
+        pool == 1 ? 0 : pool, distinct.size(),
+        [&](std::uint64_t d, RunResult &) { return d < distinct.size(); },
+        [&](std::uint64_t d, RunResult &run) {
+            run = simulate(distinct[d].cell->workload,
+                           distinct[d].cell->mode, config);
+        },
+        [&](const OrderedRun<RunResult> &done) {
+            for (std::uint64_t d = done.begin; d < done.end; ++d)
+                runs[d] = std::move(done[d]);
+            return true;
+        });
 
     std::vector<RunResult> results;
     results.reserve(cells.size());

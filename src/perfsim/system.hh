@@ -63,8 +63,10 @@ struct RunCell
  * are simulated once and share a result, except that each result
  * carries its own cell's modeLabel(). The distinct runs go to
  * XED_MC_THREADS workers (else the hardware's), as
- * resolveWorkerThreads resolves them; each run is independently
- * seeded, so results do not depend on the thread count.
+ * resolveWorkerThreads resolves them, on runOrdered(); each run is
+ * independently seeded, so results do not depend on the thread count.
+ * A run that throws stops the pool, and the first failure in cell
+ * order is rethrown once the workers have joined.
  */
 std::vector<RunResult> simulateAll(const std::vector<RunCell> &cells,
                                    const PerfConfig &config = {});

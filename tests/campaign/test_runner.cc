@@ -280,8 +280,8 @@ TEST(CampaignRunner, DetectionStoreCutInsideAGroupResumesByteIdentical)
     options = inMemory(3);
     options.outPath = split;
     options.resume = true;
-    options.trace = true;
     obs::TraceRecorder::instance().clear();
+    obs::TraceRecorder::instance().setEnabled(true);
     const auto resumed = runCampaign(spec, options);
     obs::TraceRecorder::instance().setEnabled(false);
     ASSERT_TRUE(resumed.ok) << resumed.error;
@@ -585,7 +585,7 @@ TEST(CampaignRunner, StoreWriteSpansCountEveryLine)
     recorder.clear();
     auto options = inMemory(2);
     options.outPath = path;
-    options.trace = true;
+    recorder.setEnabled(true);
     const auto outcome = runCampaign(spec, options);
     recorder.setEnabled(false);
     recorder.clear();

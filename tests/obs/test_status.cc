@@ -384,7 +384,8 @@ TEST(FleetStatus, ScanIsStrictlyReadOnly)
     options.outPath = dir + "/out.jsonl";
     options.threads = 2;
     options.durableStore = false;
-    options.trace = true; // the third sidecar: <out>.trace.json
+    // The third sidecar: <out>.trace.json.
+    obs::TraceRecorder::instance().setEnabled(true);
     const RunOutcome outcome = runCampaign(spec, options);
     obs::TraceRecorder::instance().setEnabled(false);
     obs::TraceRecorder::instance().clear();

@@ -248,6 +248,19 @@ TEST(SimulateAll, FigureMatricesSimulateEachDistinctBehaviourOnce)
     EXPECT_EQ(simulateSpans(fig14), 62u);
 }
 
+TEST(SimulateAll, AFailingRunIsRethrownAtAnyThreadCount)
+{
+    // Every run of the matrix throws; the first in cell order reaches
+    // the caller once the workers have joined.
+    PerfConfig cfg = quick(100);
+    cfg.coreParams.maxMlp = 0;
+    for (const char *threads : {"1", "2", "4"}) {
+        SCOPED_TRACE(threads);
+        const ScopedThreadsEnv env(threads);
+        EXPECT_THROW(simulateAll(smallMatrix(), cfg), std::invalid_argument);
+    }
+}
+
 TEST(SimulateAll, EmptyMatrixHasNoResults)
 {
     const ScopedThreadsEnv env("4");

@@ -2,7 +2,8 @@
  * @file
  * Sets XED_MC_THREADS for one scope, then restores the old value. The
  * worker-thread count of every pool in the repo (the Monte-Carlo
- * engine, the campaign runner, the perfsim run matrix) is resolved
+ * engine and the ordered pool's callers: the campaign runner, the
+ * loaders, the perfsim run matrix and the stream scans) is resolved
  * from this variable by resolveWorkerThreads (common/env.hh), so tests
  * pick a thread count the same way the benches do.
  */
